@@ -7,7 +7,6 @@ from .commutators import (
     assembled_cross,
     bosonize,
     commutator_set,
-    cross_commutator,
     unitarity_residual,
 )
 from .constants import n0_scale
@@ -77,7 +76,6 @@ __all__ = [
     "bose",
     "bosonize",
     "commutator_set",
-    "cross_commutator",
     "dump_stack",
     "emission_w",
     "epsilon",

@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error.
 Output tables are byte-stable for fixed inputs and seed: floats are
-formatted with a fixed %.12e, rows are emitted in deterministic order
-(omega-major, then k, then polarization), and the worker pool never
-reorders results.  Worker count comes from the QPLANAR_WORKERS env var.
+formatted with a fixed %.12e and rows are emitted in deterministic order
+(omega-major, then k, then polarization).  Wherever a command takes a
+`side`, it is an outer region index: 0 or n.
 """
 
 from __future__ import annotations
@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -27,9 +25,11 @@ from .commutators import (
 from .constants import C_LIGHT, EV, HBAR, n0_scale
 from .errors import ConfigError, QPlanarError, RegimeError, UsageError
 from .greens import verify_green_identity
+from .iorel import io_matrix
 from .modes import Regime, make_context, regime
 from .rhokernels import GaussianWindow, KERNEL_KINDS, kernel_radial
 from .sampler import SamplePlan, sample_emission
+from .scatter import scatter_set
 from .stack import Stack, load_stack
 from .thermal import bose, emission_w, kirchhoff_residual
 
@@ -121,14 +121,6 @@ def _grid_points(args) -> list[tuple[float, float, str]]:
     return points
 
 
-def _pool_map(fn, items):
-    workers = int(os.environ.get("QPLANAR_WORKERS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(it) for it in items]
-
-
 def _emit(args, header: list[str], rows: list[list[str]], schema: str):
     if args.format == "csv":
         lines = [f"# schema=qplanar-{schema}-v{SCHEMA_VERSION}"]
@@ -164,9 +156,6 @@ def cmd_coeffs(args) -> int:
     def one(point):
         om, k, q = point
         ctx = make_context(stack, om, k)
-        from .iorel import io_matrix
-        from .scatter import scatter_set
-
         ss = scatter_set(ctx, q=q)
         io = io_matrix(ctx, q=q, _scatter=ss)
         row = [_fmt(om), _fmt(k), q]
@@ -178,117 +167,81 @@ def cmd_coeffs(args) -> int:
                 row += [_fmt(z.real), _fmt(z.imag)]
         return row
 
-    rows = _pool_map(one, points)
+    rows = [one(point) for point in points]
     _emit(args, header, rows, "coeffs")
     return 0
 
 
-def _scale_for(ctx) -> float:
-    return max(1.0 / abs(ctx.beta[0]), 1.0 / abs(ctx.beta[-1]))
+def _require_vacuum_propagating(ctx) -> None:
+    if not (ctx.eps[0] == 1.0 and ctx.eps[-1] == 1.0 and regime(ctx, 0) is Regime.PROPAGATING):
+        raise RegimeError("suite needs vacuum outer media and a propagating mode")
 
 
-def _suite_commutators(stack, points, tol, corrupt):
-    worst = 0.0
-    worst_pt = None
-    n_done = n_skip = 0
-    for om, k, q in points:
-        ctx = make_context(stack, om, k)
-        try:
-            cs = commutator_set(ctx, q=q, _flip_p_t=corrupt)
-        except RegimeError:
-            n_skip += 1
-            continue
-        n_done += 1
-        scale = max(abs(cs.c_in0), abs(cs.c_inN), abs(cs.c_out0), abs(cs.c_outN), _scale_for(ctx))
-        errs = (
-            abs(assembled_c_out(ctx, q=q, side=0, cs=cs) - cs.c_out0),
-            abs(assembled_c_out(ctx, q=q, side=1, cs=cs) - cs.c_outN),
-            abs(assembled_cross(ctx, q=q, cs=cs) - cs.cross),
-        )
-        err = max(errs) / scale
-        if err > worst:
-            worst, worst_pt = err, (om, k, q)
-    return worst, worst_pt, n_done, n_skip
+# Per-point residuals of the verification suites.  A RegimeError marks a
+# point outside the suite's preconditions: it is skipped, not failed.
+
+def _commutators_residual(ctx, q: str, args) -> float:
+    cs = commutator_set(ctx, q=q)
+    scale = max(abs(cs.c_in0), abs(cs.c_inN), abs(cs.c_out0), abs(cs.c_outN),
+                1.0 / abs(ctx.beta[0]), 1.0 / abs(ctx.beta[-1]))
+    errs = (
+        abs(assembled_c_out(ctx, q=q, side=0, cs=cs) - cs.c_out0),
+        abs(assembled_c_out(ctx, q=q, side=ctx.n, cs=cs) - cs.c_outN),
+        abs(assembled_cross(ctx, q=q, cs=cs) - cs.cross),
+    )
+    return max(errs) / scale
 
 
-def _suite_unitarity(stack, points, tol, corrupt):
-    worst = 0.0
-    worst_pt = None
-    n_done = n_skip = 0
-    for om, k, q in points:
-        ctx = make_context(stack, om, k)
-        vac = ctx.eps[0] == 1.0 and ctx.eps[-1] == 1.0
-        if not (vac and regime(ctx, 0) is Regime.PROPAGATING):
-            n_skip += 1
-            continue
-        try:
-            cs = commutator_set(ctx, q=q, _flip_p_t=corrupt)
-            res = unitarity_residual(cs)
-        except RegimeError:
-            n_skip += 1
-            continue
-        n_done += 1
-        if res > worst:
-            worst, worst_pt = res, (om, k, q)
-    return worst, worst_pt, n_done, n_skip
+def _unitarity_residual(ctx, q: str, args) -> float:
+    _require_vacuum_propagating(ctx)
+    return unitarity_residual(commutator_set(ctx, q=q))
 
 
-def _suite_kirchhoff(stack, points, tol, corrupt, temperature):
-    worst = 0.0
-    worst_pt = None
-    n_done = n_skip = 0
-    for om, k, q in points:
-        ctx = make_context(stack, om, k)
-        try:
-            res = max(
-                kirchhoff_residual(ctx, q=q, temperature=temperature, side=side)
-                for side in (0, 1)
-            )
-        except (RegimeError, QPlanarError):
-            n_skip += 1
-            continue
-        n_done += 1
-        if res > worst:
-            worst, worst_pt = res, (om, k, q)
-    return worst, worst_pt, n_done, n_skip
+def _kirchhoff_residual(ctx, q: str, args) -> float:
+    _require_vacuum_propagating(ctx)  # before commutator_set: skipped points cost nothing
+    cs = commutator_set(ctx, q=q)
+    return max(kirchhoff_residual(ctx, q=q, temperature=args.temp, side=side, cs=cs)
+               for side in (0, ctx.n))
 
 
-def _suite_green(stack, points, tol, nodes):
-    worst = 0.0
-    worst_pt = None
-    n_done = 0
-    seen = set()
-    for om, k, _q in points:
-        if (om, k) in seen:
-            continue
-        seen.add((om, k))
-        ctx = make_context(stack, om, k)
-        try:
-            res = verify_green_identity(ctx, j=0, jp=0, z=0.0, zp=0.0, nodes_per_layer=nodes)
-        except RegimeError as exc:
-            raise UsageError(str(exc)) from exc
-        n_done += 1
-        if res.residual > worst:
-            worst, worst_pt = res.residual, (om, k, "-")
-    return worst, worst_pt, n_done, 0
+def _green_residual(ctx, q: str, args) -> float:
+    try:
+        res = verify_green_identity(ctx, j=0, jp=0, z=0.0, zp=0.0, nodes_per_layer=args.nodes)
+    except RegimeError as exc:
+        raise UsageError(str(exc)) from exc
+    return res.residual
 
 
-_DEFAULT_TOL = {"commutators": 1e-10, "unitarity": 1e-10, "kirchhoff": 1e-8, "green": 1e-6}
+# suite -> (per-point residual, default tolerance)
+_SUITES = {
+    "commutators": (_commutators_residual, 1e-10),
+    "unitarity": (_unitarity_residual, 1e-10),
+    "kirchhoff": (_kirchhoff_residual, 1e-8),
+    "green": (_green_residual, 1e-6),
+}
 
 
 def cmd_verify(args) -> int:
     stack = _load_stack_file(args.stack)
     points = _grid_points(args)
-    tol = args.tol if args.tol is not None else _DEFAULT_TOL[args.suite]
-    corrupt = args.dev_corrupt == "tsign"
-    if args.suite == "commutators":
-        worst, worst_pt, n_done, n_skip = _suite_commutators(stack, points, tol, corrupt)
-    elif args.suite == "unitarity":
-        worst, worst_pt, n_done, n_skip = _suite_unitarity(stack, points, tol, corrupt)
-    elif args.suite == "kirchhoff":
-        worst, worst_pt, n_done, n_skip = _suite_kirchhoff(stack, points, tol, corrupt, args.temp)
-    else:
-        worst, worst_pt, n_done, n_skip = _suite_green(stack, points, tol, args.nodes)
+    residual, default_tol = _SUITES[args.suite]
+    tol = args.tol if args.tol is not None else default_tol
+    if args.suite == "green":
+        # The identity covers both polarizations: one check per (omega, k).
+        points = list(dict.fromkeys((om, k, "-") for om, k, _q in points))
+    worst = 0.0
+    worst_pt = None
+    n_done = n_skip = 0
+    for om, k, q in points:
+        ctx = make_context(stack, om, k)
+        try:
+            res = residual(ctx, q, args)
+        except RegimeError:
+            n_skip += 1
+            continue
+        n_done += 1
+        if res > worst:
+            worst, worst_pt = res, (om, k, q)
     if n_done == 0:
         raise UsageError(f"suite {args.suite}: no grid point satisfies its preconditions")
     status = "PASS" if worst <= tol else "FAIL"
@@ -309,14 +262,15 @@ def cmd_thermal(args) -> int:
     def one(point):
         om, k, q = point
         ctx = make_context(stack, om, k)
+        cs = commutator_set(ctx, q=q)
         out = []
-        for side in (0, 1):
-            w = emission_w(ctx, q=q, temperature=args.temp, side=side)
-            out.append([_fmt(om), _fmt(k), q, str(side * ctx.n), _fmt(args.temp),
+        for side in (0, ctx.n):
+            w = emission_w(ctx, q=q, temperature=args.temp, side=side, cs=cs)
+            out.append([_fmt(om), _fmt(k), q, str(side), _fmt(args.temp),
                         _fmt(bose(om, args.temp)), _fmt(w), _fmt(n0_scale(om))])
         return out
 
-    rows = [r for pair in _pool_map(one, points) for r in pair]
+    rows = [r for point in points for r in one(point)]
     _emit(args, header, rows, "thermal")
     return 0
 
@@ -324,17 +278,15 @@ def cmd_thermal(args) -> int:
 def cmd_sample(args) -> int:
     stack = _load_stack_file(args.stack)
     points = _grid_points(args)
-    workers = int(os.environ.get("QPLANAR_WORKERS", "1"))
     header = ["omega_rad_s", "k_inv_m", "pol", "side", "temp_K", "w_est_n0",
               "stderr_n0", "realizations", "seed"]
     rows = []
     for om, k, q in points:
         plan = SamplePlan(omega=om, k=k, q=q, temperature=args.temp,
                           nodes_per_layer=args.nodes, realizations=args.realizations,
-                          seed=args.seed, side=0 if args.side == 0 else 1)
-        est = sample_emission(plan, stack, workers=workers)
-        side_label = "0" if args.side == 0 else str(stack.n)
-        rows.append([_fmt(om), _fmt(k), q, side_label, _fmt(args.temp),
+                          seed=args.seed, side=args.side)
+        est = sample_emission(plan, stack)
+        rows.append([_fmt(om), _fmt(k), q, str(args.side), _fmt(args.temp),
                      _fmt(est.w), _fmt(est.stderr), str(est.realizations), str(args.seed)])
     _emit(args, header, rows, "sample")
     return 0
@@ -359,17 +311,6 @@ def cmd_kernels(args) -> int:
     return 0
 
 
-def cmd_green_check(args) -> int:
-    stack = _load_stack_file(args.stack)
-    points = _grid_points(args)
-    worst, worst_pt, n_done, _ = _suite_green(stack, points, args.tol, args.nodes)
-    status = "PASS" if worst <= args.tol else "FAIL"
-    print(f"green-check points={n_done} max_residual={worst:.6e} tol={args.tol:.1e} status={status}")
-    if status == "FAIL" and worst_pt is not None:
-        print(f"worst omega_rad_s={_fmt(worst_pt[0])} k_inv_m={_fmt(worst_pt[1])}")
-    return 0 if status == "PASS" else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qplanar",
@@ -390,18 +331,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=12345)
         p.add_argument("--temp", type=float, default=300.0, help="temperature in K")
 
+    def suite_options(p):
+        p.add_argument("--tol", type=float, default=None, help="residual tolerance (default per suite)")
+        p.add_argument("--nodes", type=int, default=200, help="quadrature nodes per layer (green)")
+
     p = sub.add_parser("coeffs", help="export scattering and noise-coupling coefficients")
     common(p)
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("verify", help="run an identity-verification suite over the grid")
     common(p)
-    p.add_argument("--suite", choices=("commutators", "unitarity", "kirchhoff", "green"),
-                   required=True)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--nodes", type=int, default=200, help="quadrature nodes per layer (green)")
-    p.add_argument("--dev-corrupt", choices=("none", "tsign"), default="none",
-                   help=argparse.SUPPRESS)
+    p.add_argument("--suite", choices=tuple(_SUITES), required=True)
+    suite_options(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("thermal", help="thermal emission spectra")
@@ -412,8 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--realizations", type=int, default=20000)
     p.add_argument("--nodes", type=int, default=64, help="z-nodes per layer")
-    p.add_argument("--side", type=int, choices=(0, 1), default=0,
-                   help="0 = left half-space, 1 = right half-space")
+    p.add_argument("--side", type=int, default=0,
+                   help="outer region the emission leaves through: 0 or n (the last region)")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("kernels", help="windowed coordinate-space kernels")
@@ -425,11 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-points", type=int, default=121)
     p.set_defaults(func=cmd_kernels)
 
-    p = sub.add_parser("green-check", help="verify the Green integral identity")
+    p = sub.add_parser("green-check", help="alias of verify --suite green")
     common(p)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--nodes", type=int, default=200)
-    p.set_defaults(func=cmd_green_check)
+    suite_options(p)
+    p.set_defaults(func=cmd_verify, suite="green")
 
     return ap
 

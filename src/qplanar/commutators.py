@@ -53,15 +53,14 @@ def _pqq(ctx: ModeContext, j: int, q: str) -> tuple[float, float, complex]:
 
 def c_in_side(ctx: ModeContext, q: str, side: int) -> float:
     """Input commutator coefficient (N0-normalized) for side 0 or n."""
-    j = 0 if side == 0 else ctx.n
-    b = ctx.beta[j]
-    p, _, _ = _pqq(ctx, j, q)
+    ctx.side_row(side)  # rejects any side but 0 and n
+    b = ctx.beta[side]
+    p, _, _ = _pqq(ctx, side, q)
     return b.real / abs(b) ** 2 * p
 
 
-def _c_out_closed(ctx: ModeContext, q: str, side: int, r: complex) -> float:
-    """Closed-form output self-commutator for one side given the whole-stack r."""
-    j = 0 if side == 0 else ctx.n
+def _c_out_closed(ctx: ModeContext, q: str, j: int, r: complex) -> float:
+    """Closed-form output self-commutator of outer region j given the whole-stack r."""
     b = ctx.beta[j]
     ab2 = abs(b) ** 2
     if q == "s":
@@ -79,7 +78,8 @@ def _c_out_closed(ctx: ModeContext, q: str, side: int, r: complex) -> float:
 
 
 def c_out_side(ctx: ModeContext, ss: ScatterSet, side: int) -> float:
-    r = ss.r_0n if side == 0 else ss.r_n0
+    """Closed-form output self-commutator for side 0 or n."""
+    r = ss.r_n0 if ctx.side_row(side) else ss.r_0n
     return _c_out_closed(ctx, ss.q, side, r)
 
 
@@ -146,13 +146,14 @@ def intraplate_xi(ctx: ModeContext, q: str, j: int) -> tuple[float, float]:
     return out[0], out[1]
 
 
-def intraplate_tau(ctx: ModeContext, q: str, j: int) -> np.ndarray:
+def intraplate_tau(ctx: ModeContext, j: int, xi: tuple[float, float]) -> np.ndarray:
     """2x2 transform from intraplate bosonic operators to amplitude operators.
 
-    Columns correspond to the bosonic (+, -) combinations; tau tau^+
-    reconstructs the intraplate commutator matrix.
+    `xi` is the layer's :func:`intraplate_xi` pair.  Columns correspond to
+    the bosonic (+, -) combinations; tau tau^+ reconstructs the intraplate
+    commutator matrix.
     """
-    xi_p, xi_m = intraplate_xi(ctx, q, j)
+    xi_p, xi_m = xi
     ph = cmath.exp(-1j * ctx.beta[j] * ctx.stack.thickness(j))
     return 0.5 * np.array([[xi_p * ph, xi_m * ph], [xi_p, -xi_m]], dtype=complex)
 
@@ -185,8 +186,7 @@ class CommutatorSet:
         return len(self.cmat)
 
 
-def commutator_set(ctx: ModeContext, stack: Stack | None = None, q: str = "s",
-                   _flip_p_t: bool = False) -> CommutatorSet:
+def commutator_set(ctx: ModeContext, stack: Stack | None = None, q: str = "s") -> CommutatorSet:
     """Evaluate every commutator coefficient of one mode from the closed forms."""
     resolve_stack(ctx, stack)
     for j in range(ctx.n + 1):
@@ -195,9 +195,10 @@ def commutator_set(ctx: ModeContext, stack: Stack | None = None, q: str = "s",
                 f"beta = 0 in region {j} (grazing mode, k exactly at a branch point); "
                 "commutator coefficients are singular there"
             )
-    ss = scatter_set(ctx, stack, q, _flip_p_t=_flip_p_t)
+    ss = scatter_set(ctx, stack, q)
     io = io_matrix(ctx, stack, q, _scatter=ss)
     layers = range(1, ctx.n)
+    xi = tuple(intraplate_xi(ctx, q, j) for j in layers)
     return CommutatorSet(
         q=q,
         omega=ctx.omega,
@@ -208,8 +209,8 @@ def commutator_set(ctx: ModeContext, stack: Stack | None = None, q: str = "s",
         c_outN=c_out_side(ctx, ss, ctx.n),
         cross=cross_closed(ctx, ss),
         cmat=tuple(intraplate_c(ctx, q, j) for j in layers),
-        xi=tuple(intraplate_xi(ctx, q, j) for j in layers),
-        tau=tuple(intraplate_tau(ctx, q, j) for j in layers),
+        xi=xi,
+        tau=tuple(intraplate_tau(ctx, j, x) for j, x in zip(layers, xi)),
         scatter=ss,
         io=io,
     )
@@ -227,14 +228,13 @@ def assembled_c_out(ctx: ModeContext, stack: Stack | None = None, q: str = "s",
     |r|^2 c_in(side) + |t|^2 c_in(other side) + sum_j phi C^(j) phi^+,
     the convention-independent assembly that the closed form must match.
     """
+    row = ctx.side_row(side)
     if cs is None:
         cs = commutator_set(ctx, stack, q)
     s = cs.io.s_matrix
-    row = 0 if side == 0 else 1
     total = abs(s[row][0]) ** 2 * cs.c_in0 + abs(s[row][1]) ** 2 * cs.c_inN + 0.0j
     for j in range(cs.n_layers):
-        phi0, phin = _phi_rows(cs.io, j)
-        phi = phi0 if side == 0 else phin
+        phi = _phi_rows(cs.io, j)[row]
         total += phi @ cs.cmat[j] @ phi.conjugate()
     return total
 
@@ -250,12 +250,6 @@ def assembled_cross(ctx: ModeContext, stack: Stack | None = None, q: str = "s",
         phi0, phin = _phi_rows(cs.io, j)
         total += phi0 @ cs.cmat[j] @ phin.conjugate()
     return total
-
-
-def cross_commutator(ctx: ModeContext, stack: Stack | None = None, q: str = "s") -> complex:
-    """Closed-form commutator between the two output sides."""
-    ss = scatter_set(ctx, stack, q)
-    return cross_closed(ctx, ss)
 
 
 @dataclass(frozen=True)

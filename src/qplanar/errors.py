@@ -13,7 +13,7 @@ class PassivityError(QPlanarError):
     """A material model violates Im eps >= 0."""
 
 
-class FrequencyRangeError(QPlanarError):
+class FrequencyRangeError(ConfigError):
     """Frequency outside the validity range of a tabulated model."""
 
 

@@ -180,6 +180,19 @@ def verify_green_identity(ctx: ModeContext, stack: Stack | None = None,
         b = g2(jpp, zpp, tie if jpp == jp else 0.5)
         return w_c2 * ctx.eps[jpp].imag * (a @ b.conjugate().T)
 
+    def panel(jpp: int, a: float, b: float, m: int) -> np.ndarray:
+        """Composite Simpson over [a, b] in region jpp with m (rounded up to even) subintervals."""
+        m += m % 2
+        vals = []
+        for znode in np.linspace(a, b, m + 1):
+            # A node equal to a field point is approached from inside [a, b].
+            if jpp in (j, jp) and (znode == z or znode == zp):
+                tie = 1.0 if znode == b else 0.0
+            else:
+                tie = 0.5
+            vals.append(integrand(jpp, float(znode), tie))
+        return _simpson_tensor(vals, a, b)
+
     lhs = np.zeros((3, 3), dtype=complex)
 
     # Interior layers.
@@ -192,64 +205,17 @@ def verify_green_identity(ctx: ModeContext, stack: Stack | None = None,
             pts.add(zp)
         edges = sorted(pts)
         for a, b in zip(edges, edges[1:]):
-            m = max(4, int(round(layer_nodes[jpp - 1] * (b - a) / d)))
-            m += m % 2
-            grid = np.linspace(a, b, m + 1)
-            # A node equal to a field point is approached from inside [a, b].
-            vals = []
-            for znode in grid:
-                if jpp in (j, jp) and (znode == z or znode == zp):
-                    tie = 1.0 if znode == b else 0.0
-                else:
-                    tie = 0.5
-                vals.append(integrand(jpp, float(znode), tie))
-            lhs += _simpson_tensor(vals, a, b)
+            lhs += panel(jpp, a, b, max(4, int(round(layer_nodes[jpp - 1] * (b - a) / d))))
 
-    # Half-space 0: bounded segments by Simpson, tail in closed form.
-    pts0 = [0.0]
-    if j == 0 and z < 0.0:
-        pts0.append(z)
-    if jp == 0 and zp < 0.0:
-        pts0.append(zp)
-    pts0 = sorted(set(pts0))
-    s_min = pts0[0]
-    for a, b in zip(pts0, pts0[1:]):
-        m = max(8, outer_nodes)
-        m += m % 2
-        grid = np.linspace(a, b, m + 1)
-        vals = []
-        for znode in grid:
-            if znode == z or znode == zp:
-                tie = 1.0 if znode == b else 0.0
-            else:
-                tie = 0.5
-            vals.append(integrand(0, float(znode), tie))
-        lhs += _simpson_tensor(vals, a, b)
-    tail0 = integrand(0, s_min, 1.0)  # z'' below every field point: upper branch
-    lhs += tail0 / (2.0 * ctx.beta[0].imag)
-
-    # Half-space n: mirror image.
-    ptsn = [0.0]
-    if j == n and z > 0.0:
-        ptsn.append(z)
-    if jp == n and zp > 0.0:
-        ptsn.append(zp)
-    ptsn = sorted(set(ptsn))
-    s_max = ptsn[-1]
-    for a, b in zip(ptsn, ptsn[1:]):
-        m = max(8, outer_nodes)
-        m += m % 2
-        grid = np.linspace(a, b, m + 1)
-        vals = []
-        for znode in grid:
-            if znode == z or znode == zp:
-                tie = 1.0 if znode == b else 0.0
-            else:
-                tie = 0.5
-            vals.append(integrand(n, float(znode), tie))
-        lhs += _simpson_tensor(vals, a, b)
-    tailn = integrand(n, s_max, 0.0)  # z'' above every field point: lower branch
-    lhs += tailn / (2.0 * ctx.beta[n].imag)
+    # Half-spaces 0 and n: Simpson out to the farthest field point, the tail
+    # beyond it in closed form.  The tail's z'' lies below every field point
+    # in region 0 (upper branch) and above every one in region n (lower branch).
+    for jpp, s in ((0, -1.0), (n, 1.0)):
+        edges = sorted({0.0} | {zz for jj, zz in ((j, z), (jp, zp)) if jj == jpp and s * zz > 0.0})
+        for a, b in zip(edges, edges[1:]):
+            lhs += panel(jpp, a, b, max(8, outer_nodes))
+        far, tie = (edges[0], 1.0) if jpp == 0 else (edges[-1], 0.0)
+        lhs += integrand(jpp, far, tie) / (2.0 * ctx.beta[jpp].imag)
 
     # Right-hand side of the identity.
     g_fwd = green_kernel(ctx, stack, j, jp, z, zp, tie=0.5, _pair=pair)

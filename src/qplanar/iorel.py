@@ -121,49 +121,29 @@ def field_outside(ctx: ModeContext, side: int, z: float, q: str,
     e_in_boundary, e_out_boundary : amplitudes at the boundary plane.
     sources : constant current blocks, each inside the chosen half-space.
     """
-    n = ctx.n
-    if side not in (0, n):
-        raise ConfigError(f"side must be 0 or {n}, got {side}")
-    if side == 0 and z > 0.0:
-        raise ConfigError(f"z = {z} is not in half-space 0 (z <= 0)")
-    if side == n and z < 0.0:
-        raise ConfigError(f"z = {z} is not in half-space {n} (z >= 0)")
+    s = 2 * ctx.side_row(side) - 1  # direction pointing away from the plate
+    if s * z < 0.0:
+        raise ConfigError(f"z = {z} is not in half-space {side} (z {'<=' if s < 0 else '>='} 0)")
     beta = ctx.beta[side]
     amp = MU0 * ctx.omega / (2.0 * beta)
-    e_plus = ctx.pol_vector(q, side, +1)
-    e_minus = ctx.pol_vector(q, side, -1)
-
-    if side == 0:
-        # E_in(z) = e^{i b z} [E_in(0) + A int_z^0 e^{-i b z'} (j . e+) dz']
-        # E_out(z) = e^{-i b z} [E_out(0) - A int_z^0 e^{i b z'} (j . e-) dz']
-        acc_in = 0.0 + 0.0j
-        acc_out = 0.0 + 0.0j
-        for blk in sources:
-            if blk.z_hi > 0.0:
-                raise ConfigError("side-0 source blocks must lie in z <= 0")
-            lo, hi = max(blk.z_lo, z), min(blk.z_hi, 0.0)
-            if lo >= hi:
-                continue
-            j_vec = np.array(blk.current, dtype=complex)
-            acc_in += (j_vec @ e_plus) * _segment_integral(-1j * beta, lo, hi)
-            acc_out += (j_vec @ e_minus) * _segment_integral(1j * beta, lo, hi)
-        e_in = np.exp(1j * beta * z) * (e_in_boundary + amp * acc_in)
-        e_out = np.exp(-1j * beta * z) * (e_out_boundary - amp * acc_out)
-        return complex(e_in), complex(e_out)
-
-    # side n: E_in(z) = e^{-i b z} [E_in(0) + A int_0^z e^{i b z'} (j . e-) dz']
-    #         E_out(z) = e^{i b z} [E_out(0) - A int_0^z e^{-i b z'} (j . e+) dz']
+    # The input wave travels toward the plate, the output wave away from it:
+    # E_in(z) = e^{-s i b z} [E_in(0) + A int e^{s i b z'} (j . e_in) dz']
+    # E_out(z) = e^{s i b z} [E_out(0) - A int e^{-s i b z'} (j . e_out) dz']
+    # with the integrals over the part of each block between the plate and z.
+    e_in_pol = ctx.pol_vector(q, side, -s)
+    e_out_pol = ctx.pol_vector(q, side, s)
+    isb = (1j if s > 0 else -1j) * beta
     acc_in = 0.0 + 0.0j
     acc_out = 0.0 + 0.0j
     for blk in sources:
-        if blk.z_lo < 0.0:
-            raise ConfigError(f"side-{n} source blocks must lie in z >= 0")
-        lo, hi = max(blk.z_lo, 0.0), min(blk.z_hi, z)
+        if s * (blk.z_lo if s > 0 else blk.z_hi) < 0.0:
+            raise ConfigError(f"side-{side} source blocks must lie in half-space {side}")
+        lo, hi = max(blk.z_lo, min(z, 0.0)), min(blk.z_hi, max(z, 0.0))
         if lo >= hi:
             continue
         j_vec = np.array(blk.current, dtype=complex)
-        acc_in += (j_vec @ e_minus) * _segment_integral(1j * beta, lo, hi)
-        acc_out += (j_vec @ e_plus) * _segment_integral(-1j * beta, lo, hi)
-    e_in = np.exp(-1j * beta * z) * (e_in_boundary + amp * acc_in)
-    e_out = np.exp(1j * beta * z) * (e_out_boundary - amp * acc_out)
+        acc_in += (j_vec @ e_in_pol) * _segment_integral(isb, lo, hi)
+        acc_out += (j_vec @ e_out_pol) * _segment_integral(-isb, lo, hi)
+    e_in = np.exp(-isb * z) * (e_in_boundary + amp * acc_in)
+    e_out = np.exp(isb * z) * (e_out_boundary - amp * acc_out)
     return complex(e_in), complex(e_out)

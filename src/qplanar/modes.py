@@ -65,6 +65,12 @@ class ModeContext:
     def n(self) -> int:
         return self.stack.n
 
+    def side_row(self, side: int) -> int:
+        """Row (0 or 1) of outer region `side` in the IO relation; side must be 0 or n."""
+        if side not in (0, self.n):
+            raise ConfigError(f"side must be 0 or {self.n}, got {side}")
+        return 0 if side == 0 else 1
+
     def e_s(self) -> np.ndarray:
         """TE polarization unit vector khat x ez (same for +/- and all regions)."""
         kx, ky = self.khat

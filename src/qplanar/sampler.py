@@ -11,15 +11,14 @@ units as the closed forms, where the per-layer amplitude reduces to
 with <f_mu*(z) f_nu(z')> = n(omega,T) delta_mu,nu delta(z - z').
 
 Reproducibility contract: streams are Philox counter-based, keyed by
-(seed, realization-block), with a fixed block size.  Estimates are
-bit-identical for a given seed and plan regardless of worker count.
+(seed, realization-block), with a fixed block size, and the blocks are
+reduced in order.  Estimates are bit-identical for a given seed and plan.
 """
 
 from __future__ import annotations
 
 import math
 import warnings as _warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +42,7 @@ class SamplePlan:
     nodes_per_layer: tuple[int, ...] | int = 64
     realizations: int = 10_000
     seed: int = 12345
-    side: int = 0
+    side: int = 0  # outer region the emission leaves through: 0 or n
 
     def nodes_for(self, n_layers: int) -> tuple[int, ...]:
         nodes = self.nodes_per_layer
@@ -71,7 +70,15 @@ def _block_samples(seed: int, block_index: int, count: int, shape_tail: tuple[in
     return rng.standard_normal(size=(count, *shape_tail))
 
 
-def sample_emission(plan: SamplePlan, stack: Stack, workers: int = 1) -> EmissionEstimate:
+def _block_moments(seed: int, block_index: int, count: int, w_flat: np.ndarray) -> tuple[float, float]:
+    """Sums of |u_out|^2 and |u_out|^4 over one realization block."""
+    draws = _block_samples(seed, block_index, count, (w_flat.size, 2))
+    f = (draws[..., 0] + 1j * draws[..., 1]) / math.sqrt(2.0)
+    w_vals = np.abs(f @ w_flat) ** 2
+    return w_vals.sum(), (w_vals * w_vals).sum()
+
+
+def sample_emission(plan: SamplePlan, stack: Stack) -> EmissionEstimate:
     """Estimate the outgoing thermal intensity (N0-normalized) and its standard error.
 
     The estimator is the sample mean of |u_out|^2 over realizations; the
@@ -81,6 +88,7 @@ def sample_emission(plan: SamplePlan, stack: Stack, workers: int = 1) -> Emissio
     if plan.realizations < 1:
         raise ConfigError("need at least one realization")
     ctx = make_context(stack, plan.omega, plan.k)
+    row = ctx.side_row(plan.side)
     n_layers = ctx.n - 1
     if n_layers < 1:
         raise ConfigError("sampling needs at least one interior layer")
@@ -110,9 +118,9 @@ def sample_emission(plan: SamplePlan, stack: Stack, workers: int = 1) -> Emissio
         e_plus = ctx.pol_vector(plan.q, j, +1)
         e_minus = ctx.pol_vector(plan.q, j, -1)
         phi = io.phi[j - 1]
-        row = (phi[0], phi[1]) if plan.side == 0 else (phi[2], phi[3])
-        w_plus = row[0] * pref * np.exp(-1j * beta * z_cells)[:, None] * e_plus[None, :]
-        w_minus = row[1] * pref * np.exp(1j * beta * z_cells)[:, None] * e_minus[None, :]
+        phi_plus, phi_minus = (phi[0], phi[1]) if row == 0 else (phi[2], phi[3])
+        w_plus = phi_plus * pref * np.exp(-1j * beta * z_cells)[:, None] * e_plus[None, :]
+        w_minus = phi_minus * pref * np.exp(1j * beta * z_cells)[:, None] * e_minus[None, :]
         weights.append(w_plus + w_minus)
     if not any_lossy:
         _warnings.warn("no lossy layer in the plan; estimate is identically zero", stacklevel=2)
@@ -128,28 +136,10 @@ def sample_emission(plan: SamplePlan, stack: Stack, workers: int = 1) -> Emissio
     w_flat = w_flat * np.concatenate(scale)
 
     n_blocks = (plan.realizations + BLOCK - 1) // BLOCK
-    sizes = [min(BLOCK, plan.realizations - i * BLOCK) for i in range(n_blocks)]
-
-    def one_block(args):
-        idx, count = args
-        draws = _block_samples(plan.seed, idx, count, (w_flat.size, 2))
-        f = (draws[..., 0] + 1j * draws[..., 1]) / math.sqrt(2.0)
-        u_out = f @ w_flat
-        w_vals = np.abs(u_out) ** 2
-        return w_vals.sum(), (w_vals * w_vals).sum()
-
-    jobs = list(enumerate(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(one_block, jobs))
-    else:
-        partials = [one_block(j) for j in jobs]
-
-    # Ordered pairwise-style reduction over blocks keeps the result identical
-    # whatever the worker count.
     s1 = 0.0
     s2 = 0.0
-    for a, b in partials:
+    for idx in range(n_blocks):
+        a, b = _block_moments(plan.seed, idx, min(BLOCK, plan.realizations - idx * BLOCK), w_flat)
         s1 += a
         s2 += b
     n_real = plan.realizations

@@ -148,14 +148,8 @@ class ScatterSet:
         )
 
 
-def scatter_set(ctx: ModeContext, stack: Stack | None = None, q: str = "s",
-                _flip_p_t: bool = False) -> ScatterSet:
-    """Compose all generalized r/t coefficients for one mode and polarization.
-
-    `_flip_p_t` is a development hook that corrupts the TM transmission sign
-    convention; it exists only so the verification suites can demonstrate
-    they catch a wrong convention.
-    """
+def scatter_set(ctx: ModeContext, stack: Stack | None = None, q: str = "s") -> ScatterSet:
+    """Compose all generalized r/t coefficients for one mode and polarization."""
     stack = resolve_stack(ctx, stack)
     if q not in POLS:
         raise ConfigError(f"polarization must be one of {POLS}, got {q!r}")
@@ -190,12 +184,6 @@ def scatter_set(ctx: ModeContext, stack: Stack | None = None, q: str = "s",
     t_from0 = tuple(left[j].t_lr for j in range(n + 1))
     t_toN = tuple(right[j].t_lr for j in range(n + 1))
     t_fromN = tuple(right[j].t_rl for j in range(n + 1))
-
-    if _flip_p_t and q == "p":
-        t_to0 = tuple((t if j == 0 else -t) for j, t in enumerate(t_to0))
-        t_from0 = tuple((t if j == 0 else -t) for j, t in enumerate(t_from0))
-        t_toN = tuple((t if j == n else -t) for j, t in enumerate(t_toN))
-        t_fromN = tuple((t if j == n else -t) for j, t in enumerate(t_fromN))
 
     d_fp = []
     for j in range(n + 1):

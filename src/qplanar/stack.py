@@ -84,8 +84,6 @@ class TabulatedEps:
         i = bisect.bisect_right(self.omegas, omega)
         if i == len(self.omegas):
             return self.values[-1]
-        if i == 0:
-            return self.values[0]
         w0, w1 = self.omegas[i - 1], self.omegas[i]
         f = (omega - w0) / (w1 - w0)
         return self.values[i - 1] * (1.0 - f) + self.values[i] * f

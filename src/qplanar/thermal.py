@@ -12,7 +12,7 @@ import math
 
 from .commutators import CommutatorSet, c_in_side, commutator_set, _phi_rows
 from .constants import HBAR, K_B
-from .errors import ConfigError, RegimeError
+from .errors import AccuracyError, ConfigError, RegimeError
 from .modes import ModeContext, Regime, regime
 from .stack import Stack
 
@@ -45,44 +45,46 @@ def emission_w(ctx: ModeContext, stack: Stack | None = None, q: str = "s",
 
     w = n(omega, T) * sum_j phi_side^(j) C^(j) phi_side^(j)+, which expands to
     n sum_j |t_{j/side}/D_j|^2 e^{-2 beta'' d} {c++ + |r_opp|^2 c-- + 2 Re[r_opp c-+]}.
-    Lossless stacks give exactly zero (every C^(j) vanishes).
+    Lossless stacks give exactly zero (every C^(j) vanishes).  `side` is the
+    outer region index, 0 or ctx.n.
     """
+    row = ctx.side_row(side)
     if cs is None:
         cs = commutator_set(ctx, stack, q)
     occ = bose(ctx.omega, temperature, hbar, k_b)
     total = 0.0 + 0.0j
     for j in range(cs.n_layers):
-        phi0, phin = _phi_rows(cs.io, j)
-        phi = phi0 if side == 0 else phin
+        phi = _phi_rows(cs.io, j)[row]
         total += phi @ cs.cmat[j] @ phi.conjugate()
     w = occ * total.real
     scale = max(abs(cs.c_in0), abs(cs.c_inN), abs(total.real), 1e-300)
     if w < -_NEGATIVE_W_TOL * occ * scale:
-        raise RuntimeError(
+        raise AccuracyError(
             f"emission spectrum came out negative (w = {w}); convention bug upstream"
         )
     return w
 
 
 def kirchhoff_residual(ctx: ModeContext, stack: Stack | None = None, q: str = "s",
-                       temperature: float = 300.0, side: int = 0) -> float:
+                       temperature: float = 300.0, side: int = 0,
+                       cs: CommutatorSet | None = None) -> float:
     """Relative gap between emission and the absorptivity budget n c_in (1 - |r|^2 - |t|^2).
 
     Valid for vacuum outer media in the propagating regime, where emissivity
     equals absorptivity exactly; evanescent modes take a different balance
     (output noise against 2 Im r / |beta|) and are rejected here.
     """
-    n_reg = ctx.n
-    for j in (0, n_reg):
+    row = ctx.side_row(side)
+    for j in (0, ctx.n):
         if ctx.eps[j] != 1.0 + 0.0j:
             raise RegimeError("kirchhoff_residual requires vacuum outer media")
     if regime(ctx, 0) is not Regime.PROPAGATING:
         raise RegimeError("kirchhoff_residual requires the propagating regime (omega/c > k)")
-    cs = commutator_set(ctx, stack, q)
+    if cs is None:
+        cs = commutator_set(ctx, stack, q)
     occ = bose(ctx.omega, temperature)
     w = emission_w(ctx, stack, q, temperature, side, cs=cs)
     s = cs.io.s_matrix
-    row = 0 if side == 0 else 1
     c_in = c_in_side(ctx, cs.q, 0)
     budget = occ * c_in * (1.0 - abs(s[row][0]) ** 2 - abs(s[row][1]) ** 2)
     # Normalized against the full input budget n c_in, the emissivity scale;

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import qplanar.commutators
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
 
 C = 299792458.0
@@ -16,6 +19,29 @@ def glass_slab():
 def absorbing_slab():
     """Vacuum-clad absorbing slab, eps = 2 + 0.5i, d = 200 nm."""
     return Stack(VACUUM, (Layer(200e-9, ConstantEps(2.0 + 0.5j)),), VACUUM)
+
+
+@pytest.fixture
+def flip_p_transmission(monkeypatch):
+    """Negative control: commutator_set sees a wrong TM transmission sign convention.
+
+    Every TM generalized transmission coefficient between two different
+    regions changes sign; the verification suites must catch it.
+    """
+    real = qplanar.commutators.scatter_set
+
+    def flipped(ctx, stack=None, q="s"):
+        ss = real(ctx, stack, q)
+        if q != "p":
+            return ss
+
+        def flip(ts, keep):
+            return tuple(t if j == keep else -t for j, t in enumerate(ts))
+
+        return replace(ss, t_to0=flip(ss.t_to0, 0), t_from0=flip(ss.t_from0, 0),
+                       t_toN=flip(ss.t_toN, ss.n), t_fromN=flip(ss.t_fromN, ss.n))
+
+    monkeypatch.setattr(qplanar.commutators, "scatter_set", flipped)
 
 
 def quarter_wave_stack(omega, eps=4.0):

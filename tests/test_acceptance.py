@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import C, quarter_wave_stack, random_mode, random_stack
+from kernel_oracles import forward_modes, kspace_reference
 from qplanar.commutators import (
     assembled_c_out,
     assembled_cross,
@@ -21,7 +22,7 @@ from qplanar.commutators import (
 from qplanar.errors import RegimeError
 from qplanar.greens import verify_green_identity
 from qplanar.modes import make_context
-from qplanar.rhokernels import GaussianWindow, forward_modes, kernel_radial, kspace_reference
+from qplanar.rhokernels import GaussianWindow, kernel_radial
 from qplanar.sampler import SamplePlan, sample_emission
 from qplanar.scatter import scatter_set
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
@@ -84,7 +85,7 @@ def test_criterion_02_commutator_closure_randomized():
         worst = max(
             worst,
             abs(assembled_c_out(ctx, q=q, side=0, cs=cs) - cs.c_out0) / scale,
-            abs(assembled_c_out(ctx, q=q, side=1, cs=cs) - cs.c_outN) / scale,
+            abs(assembled_c_out(ctx, q=q, side=ctx.n, cs=cs) - cs.c_outN) / scale,
             abs(assembled_cross(ctx, q=q, cs=cs) - cs.cross) / scale,
         )
     elapsed = time.time() - t0
@@ -145,7 +146,7 @@ def test_criterion_05_kirchhoff_balance():
         for f in fracs:
             ctx = make_context(ABSORBING_SLAB, om, f * om / C)
             for q in ("s", "p"):
-                for side in (0, 1):
+                for side in (0, ctx.n):
                     worst = max(worst, kirchhoff_residual(ctx, q=q, temperature=300.0, side=side))
     assert worst < 1e-8, worst
     report(5, "emissivity equals absorptivity at T = 300 K (propagating grid)",
@@ -177,14 +178,13 @@ def test_criterion_07_monte_carlo_oracle():
     plan = SamplePlan(omega=2e15, k=k, q="p", temperature=300.0,
                       nodes_per_layer=64, realizations=100_000, seed=31415, side=0)
     t0 = time.time()
-    est = sample_emission(plan, ABSORBING_SLAB, workers=1)
+    est = sample_emission(plan, ABSORBING_SLAB)
     elapsed = time.time() - t0
     dev = abs(est.w - w_ref) / est.stderr
     assert dev < 3.0, (est.w, w_ref, est.stderr)
     assert elapsed < 60.0, elapsed
-    est2 = sample_emission(plan, ABSORBING_SLAB, workers=1)
-    est3 = sample_emission(plan, ABSORBING_SLAB, workers=3)
-    assert est.w == est2.w == est3.w and est.stderr == est2.stderr == est3.stderr
+    est2 = sample_emission(plan, ABSORBING_SLAB)
+    assert est.w == est2.w and est.stderr == est2.stderr
     report(7, "sampler reproduces closed-form emission, bit-deterministic",
            sigmas=dev, seconds=elapsed)
 

@@ -122,10 +122,9 @@ def test_verify_commutators_absorbing(stack_file, capsys):
     assert "status=PASS" in capsys.readouterr().out
 
 
-def test_verify_negative_control_fails(stack_file, capsys):
+def test_verify_negative_control_fails(stack_file, capsys, flip_p_transmission):
     rc = main(["verify", "--stack", stack_file(SLAB), "--suite", "commutators",
-               "--omega", "1e15:3e15:4", "--k", "1.1w:2.3w:4",
-               "--dev-corrupt", "tsign"])
+               "--omega", "1e15:3e15:4", "--k", "1.1w:2.3w:4"])
     assert rc == 1
     out = capsys.readouterr().out
     assert "status=FAIL" in out
@@ -208,17 +207,6 @@ def test_missing_stack_file_usage_error(capsys):
     assert rc == 2
 
 
-def test_worker_pool_env_var_keeps_bytes_stable(stack_file, tmp_path, monkeypatch):
-    path = stack_file(SLAB)
-    args = ["coeffs", "--stack", path, "--omega", "1e15:3e15:6", "--k", "0:2w:6"]
-    serial = tmp_path / "serial.csv"
-    pooled = tmp_path / "pooled.csv"
-    assert main(args + ["--out", str(serial)]) == 0
-    monkeypatch.setenv("QPLANAR_WORKERS", "4")
-    assert main(args + ["--out", str(pooled)]) == 0
-    assert serial.read_bytes() == pooled.read_bytes()
-
-
 def test_unit_conversions(stack_file, capsys):
     # 1 eV and the equivalent rad/s give identical rows
     ev_rads = 1.602176634e-19 / 1.054571817e-34
@@ -236,3 +224,94 @@ def test_unit_conversions(stack_file, capsys):
     assert rc3 == 0
     k_val = float(out_deg.strip().splitlines()[2].split(",")[1])
     assert k_val == pytest.approx(0.5 * 2e15 / 299792458.0, rel=1e-12)
+
+
+THREE_LAYERS = {
+    "medium0": {"model": "constant", "eps_re": 1.0, "eps_im": 0.0},
+    "layers": [
+        {"thickness_m": 1e-7, "material": {"model": "constant", "eps_re": 2.0, "eps_im": 0.5}},
+        {"thickness_m": 1.5e-7, "material": {"model": "constant", "eps_re": 3.0, "eps_im": 0.2}},
+        {"thickness_m": 8e-8, "material": {"model": "constant", "eps_re": 2.5, "eps_im": 0.1}},
+    ],
+    "mediumN": {"model": "constant", "eps_re": 1.0, "eps_im": 0.0},
+}
+
+
+def test_tabulated_omega_out_of_range_is_config_error(stack_file, capsys):
+    tab = dict(SLAB, layers=[{"thickness_m": 2e-7, "material": {
+        "model": "tabulated", "samples": [[1e15, 2.0, 0.5], [3e15, 2.2, 0.4]]}}])
+    rc = main(["coeffs", "--stack", stack_file(tab), "--omega", "4e15", "--k", "0"])
+    assert rc == 2
+    assert "outside table range" in capsys.readouterr().err
+
+
+def _negate_intraplate_at(monkeypatch, omega):
+    """Make the layer commutator matrices negative at one frequency."""
+    import qplanar.commutators
+
+    real = qplanar.commutators.intraplate_c
+
+    def patched(ctx, q, j):
+        cmat = real(ctx, q, j)
+        return -cmat if ctx.omega == omega else cmat
+
+    monkeypatch.setattr(qplanar.commutators, "intraplate_c", patched)
+
+
+def test_negative_emission_exits_1_with_error(stack_file, capsys, monkeypatch):
+    _negate_intraplate_at(monkeypatch, 2e15)
+    rc = main(["thermal", "--stack", stack_file(SLAB), "--omega", "2e15", "--k", "0.5w"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: emission spectrum came out negative")
+
+
+def test_kirchhoff_suite_accuracy_error_fails_run(stack_file, capsys, monkeypatch):
+    # one bad point among four must fail the run, not shrink points=
+    _negate_intraplate_at(monkeypatch, 2e15)
+    rc = main(["verify", "--stack", stack_file(SLAB), "--suite", "kirchhoff",
+               "--omega", "1e15,2e15", "--k", "0,0.5w"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "status=" not in captured.out
+    assert "error: emission spectrum came out negative" in captured.err
+
+
+@pytest.mark.parametrize("side", ["1", "5", "-1"])
+def test_sample_side_must_be_an_outer_region(stack_file, capsys, side):
+    rc = main(["sample", "--stack", stack_file(THREE_LAYERS), "--omega", "2e15",
+               "--k", "0.5w", "--realizations", "100", "--side", side])
+    assert rc == 2
+    assert "side must be 0 or 4" in capsys.readouterr().err
+
+
+def test_sample_side_n_row_matches_library(stack_file, capsys):
+    from qplanar.cli import _fmt
+    from qplanar.sampler import SamplePlan, sample_emission
+    from qplanar.stack import load_stack
+
+    rc = main(["sample", "--stack", stack_file(THREE_LAYERS), "--omega", "2e15",
+               "--k", "0.5w", "--pol", "p", "--realizations", "3000", "--seed", "9",
+               "--side", "4"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    k = 0.5 * 2e15 / 299792458.0
+    est = sample_emission(SamplePlan(omega=2e15, k=k, q="p", temperature=300.0,
+                                     nodes_per_layer=64, realizations=3000, seed=9, side=4),
+                          load_stack(json.dumps(THREE_LAYERS)))
+    expected = [_fmt(2e15), _fmt(k), "p", "4", _fmt(300.0), _fmt(est.w), _fmt(est.stderr),
+                "3000", "9"]
+    assert lines[2].split(",") == expected
+
+
+@pytest.mark.parametrize("doc,rc_expected", [(GREEN, 0), (SLAB, 2)])
+def test_green_check_is_verify_green_alias(stack_file, capsys, doc, rc_expected):
+    grid = ["--stack", stack_file(doc), "--omega", "1e15,2e15", "--k", "0,0.8w"]
+    rc_alias = main(["green-check", *grid])
+    alias = capsys.readouterr()
+    rc_suite = main(["verify", "--suite", "green", *grid])
+    suite = capsys.readouterr()
+    assert rc_alias == rc_suite == rc_expected
+    assert (alias.out, alias.err) == (suite.out, suite.err)
+    if rc_expected == 0:
+        assert alias.out.startswith("suite=green points=4 skipped=0 ")
+        assert "tol=1.0e-06 status=PASS" in alias.out

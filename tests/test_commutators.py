@@ -7,11 +7,12 @@ from qplanar.commutators import (
     assembled_cross,
     bosonize,
     commutator_set,
-    cross_commutator,
+    cross_closed,
     unitarity_residual,
 )
 from qplanar.errors import RegimeError
 from qplanar.modes import make_context
+from qplanar.scatter import scatter_set
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
 
 
@@ -41,7 +42,7 @@ def test_assembled_empty_stack_is_exactly_c_in():
         cs = commutator_set(ctx, q=q)
         # S = [[0, 1], [1, 0]] and no layers: the assembly collapses to c_in
         assert assembled_c_out(ctx, q=q, side=0, cs=cs) == cs.c_in0
-        assert assembled_c_out(ctx, q=q, side=1, cs=cs) == cs.c_inN
+        assert assembled_c_out(ctx, q=q, side=ctx.n, cs=cs) == cs.c_inN
 
 
 def test_tau_inverts_to_bosonic_combinations():
@@ -92,7 +93,7 @@ def test_closed_vs_assembled_randomized():
         worst = max(
             worst,
             abs(assembled_c_out(ctx, q=q, side=0, cs=cs) - cs.c_out0) / scale,
-            abs(assembled_c_out(ctx, q=q, side=1, cs=cs) - cs.c_outN) / scale,
+            abs(assembled_c_out(ctx, q=q, side=ctx.n, cs=cs) - cs.c_outN) / scale,
         )
     assert worst < 1e-10, worst
 
@@ -117,7 +118,7 @@ def test_cross_vanishes_propagating_vacuum():
     for k_frac in (0.0, 0.3, 0.9):
         ctx = make_context(st, omega, k_frac * omega / C)
         for q in ("s", "p"):
-            val = cross_commutator(ctx, q=q)
+            val = cross_closed(ctx, scatter_set(ctx, q=q))
             assert abs(val) * abs(ctx.beta[0]) < 1e-12
 
 
@@ -264,13 +265,13 @@ def test_normal_incidence_polarization_degeneracy():
             assert np.abs(np.abs(ca) - np.abs(cb)).max() <= 1e-12 * scale
 
 
-def test_wrong_transmission_convention_is_caught():
-    # the development corruption hook flips the TM transmission sign; the
-    # cross-commutator closure must then fail loudly
+def test_wrong_transmission_convention_is_caught(flip_p_transmission):
+    # with the TM transmission sign flipped, the cross-commutator closure
+    # must fail loudly
     st = Stack(VACUUM, (Layer(200e-9, ConstantEps(2 + 0.5j)),), VACUUM)
     omega = 2e15
     ctx = make_context(st, omega, 1.4 * omega / C)
-    cs = commutator_set(ctx, q="p", _flip_p_t=True)
+    cs = commutator_set(ctx, q="p")
     mismatch = abs(assembled_cross(ctx, q="p", cs=cs) - cs.cross)
     assert mismatch > 1e-3 * _scale(ctx, cs)
 

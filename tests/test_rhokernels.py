@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import C
+from kernel_oracles import forward_modes, kspace_reference
 from qplanar.errors import AccuracyError, ConfigError
-from qplanar.rhokernels import (
-    GaussianWindow,
-    forward_modes,
-    kernel_radial,
-    kspace_reference,
-)
+from qplanar.rhokernels import GaussianWindow, kernel_radial
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
 
 OMEGA = 2e15

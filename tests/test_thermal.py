@@ -59,7 +59,7 @@ def test_emission_matches_kirchhoff_budget():
     omega = 2e15
     ctx = make_context(st, omega, 0.55 * omega / C)
     for q in ("s", "p"):
-        for side in (0, 1):
+        for side in (0, ctx.n):
             cs = commutator_set(ctx, q=q)
             w = emission_w(ctx, q=q, temperature=300.0, side=side, cs=cs)
             s = cs.io.s_matrix
