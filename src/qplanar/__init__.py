@@ -3,8 +3,7 @@
 from .commutators import (
     BosonizedIO,
     CommutatorSet,
-    assembled_c_out,
-    assembled_cross,
+    assembled_out,
     bosonize,
     commutator_set,
     unitarity_residual,
@@ -71,8 +70,7 @@ __all__ = [
     "TabulatedEps",
     "UsageError",
     "VACUUM",
-    "assembled_c_out",
-    "assembled_cross",
+    "assembled_out",
     "bose",
     "bosonize",
     "commutator_set",

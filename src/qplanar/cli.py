@@ -16,12 +16,7 @@ import sys
 
 import numpy as np
 
-from .commutators import (
-    assembled_c_out,
-    assembled_cross,
-    commutator_set,
-    unitarity_residual,
-)
+from .commutators import assembled_out, commutator_set, unitarity_residual
 from .constants import C_LIGHT, EV, HBAR, n0_scale
 from .errors import ConfigError, QPlanarError, RegimeError, UsageError
 from .greens import verify_green_identity
@@ -156,16 +151,11 @@ def cmd_coeffs(args) -> int:
     def one(point):
         om, k, q = point
         ctx = make_context(stack, om, k)
-        ss = scatter_set(ctx, q=q)
-        io = io_matrix(ctx, q=q, _scatter=ss)
-        row = [_fmt(om), _fmt(k), q]
-        for z in (ss.r_0n, ss.r_n0, ss.t_0n, ss.t_n0):
-            row += [_fmt(z.real), _fmt(z.imag)]
-        for j in range(1, n_layers + 1):
-            row += [_fmt(ss.d_fp[j].real), _fmt(ss.d_fp[j].imag)]
-            for z in io.phi[j - 1]:
-                row += [_fmt(z.real), _fmt(z.imag)]
-        return row
+        ss = scatter_set(ctx, q)
+        zs = [ss.r_0n, ss.r_n0, ss.t_0n, ss.t_n0]
+        for d, phi in zip(ss.d_fp[1:-1], io_matrix(ss).phi):
+            zs += [d, *phi.ravel()]  # D, phi_0+, phi_0-, phi_n+, phi_n-
+        return [_fmt(om), _fmt(k), q] + [_fmt(x) for z in zs for x in (z.real, z.imag)]
 
     rows = [one(point) for point in points]
     _emit(args, header, rows, "coeffs")
@@ -181,26 +171,22 @@ def _require_vacuum_propagating(ctx) -> None:
 # point outside the suite's preconditions: it is skipped, not failed.
 
 def _commutators_residual(ctx, q: str, args) -> float:
-    cs = commutator_set(ctx, q=q)
+    cs = commutator_set(ctx, q)
     scale = max(abs(cs.c_in0), abs(cs.c_inN), abs(cs.c_out0), abs(cs.c_outN),
                 1.0 / abs(ctx.beta[0]), 1.0 / abs(ctx.beta[-1]))
-    errs = (
-        abs(assembled_c_out(ctx, q=q, side=0, cs=cs) - cs.c_out0),
-        abs(assembled_c_out(ctx, q=q, side=ctx.n, cs=cs) - cs.c_outN),
-        abs(assembled_cross(ctx, q=q, cs=cs) - cs.cross),
-    )
-    return max(errs) / scale
+    closed = np.array([[cs.c_out0, cs.cross], [cs.cross.conjugate(), cs.c_outN]])
+    return float(np.max(np.abs(assembled_out(cs) - closed))) / scale
 
 
 def _unitarity_residual(ctx, q: str, args) -> float:
     _require_vacuum_propagating(ctx)
-    return unitarity_residual(commutator_set(ctx, q=q))
+    return unitarity_residual(commutator_set(ctx, q))
 
 
 def _kirchhoff_residual(ctx, q: str, args) -> float:
     _require_vacuum_propagating(ctx)  # before commutator_set: skipped points cost nothing
-    cs = commutator_set(ctx, q=q)
-    return max(kirchhoff_residual(ctx, q=q, temperature=args.temp, side=side, cs=cs)
+    cs = commutator_set(ctx, q)
+    return max(kirchhoff_residual(ctx, q, args.temp, side, cs=cs)
                for side in (0, ctx.n))
 
 
@@ -221,6 +207,23 @@ _SUITES = {
 }
 
 
+def _skipping_regime_errors(command: str, stack: Stack, points, one) -> tuple[list, int]:
+    """[(point, one(ctx, q))] over the grid, skipping points that raise RegimeError.
+
+    A RegimeError marks a point outside the command's preconditions (e.g. k
+    on a light line); a grid with no point left is a usage error.
+    """
+    done, n_skip = [], 0
+    for om, k, q in points:
+        try:
+            done.append(((om, k, q), one(make_context(stack, om, k), q)))
+        except RegimeError:
+            n_skip += 1
+    if not done:
+        raise UsageError(f"{command}: no grid point satisfies its preconditions")
+    return done, n_skip
+
+
 def cmd_verify(args) -> int:
     stack = _load_stack_file(args.stack)
     points = _grid_points(args)
@@ -229,23 +232,15 @@ def cmd_verify(args) -> int:
     if args.suite == "green":
         # The identity covers both polarizations: one check per (omega, k).
         points = list(dict.fromkeys((om, k, "-") for om, k, _q in points))
+    done, n_skip = _skipping_regime_errors(f"suite {args.suite}", stack, points,
+                                           lambda ctx, q: residual(ctx, q, args))
     worst = 0.0
     worst_pt = None
-    n_done = n_skip = 0
-    for om, k, q in points:
-        ctx = make_context(stack, om, k)
-        try:
-            res = residual(ctx, q, args)
-        except RegimeError:
-            n_skip += 1
-            continue
-        n_done += 1
+    for point, res in done:
         if res > worst:
-            worst, worst_pt = res, (om, k, q)
-    if n_done == 0:
-        raise UsageError(f"suite {args.suite}: no grid point satisfies its preconditions")
+            worst, worst_pt = res, point
     status = "PASS" if worst <= tol else "FAIL"
-    print(f"suite={args.suite} points={n_done} skipped={n_skip} "
+    print(f"suite={args.suite} points={len(done)} skipped={n_skip} "
           f"max_residual={worst:.6e} tol={tol:.1e} status={status}")
     if status == "FAIL" and worst_pt is not None:
         om, k, q = worst_pt
@@ -259,18 +254,16 @@ def cmd_thermal(args) -> int:
     header = ["omega_rad_s", "k_inv_m", "pol", "side", "temp_K", "occupation",
               "w_n0_normalized", "n0_si"]
 
-    def one(point):
-        om, k, q = point
-        ctx = make_context(stack, om, k)
-        cs = commutator_set(ctx, q=q)
-        out = []
-        for side in (0, ctx.n):
-            w = emission_w(ctx, q=q, temperature=args.temp, side=side, cs=cs)
-            out.append([_fmt(om), _fmt(k), q, str(side), _fmt(args.temp),
-                        _fmt(bose(om, args.temp)), _fmt(w), _fmt(n0_scale(om))])
-        return out
+    def one(ctx, q):
+        cs = commutator_set(ctx, q)
+        return [emission_w(ctx, q, args.temp, side, cs=cs) for side in (0, ctx.n)]
 
-    rows = [r for point in points for r in one(point)]
+    done, n_skip = _skipping_regime_errors("thermal", stack, points, one)
+    rows = [[_fmt(om), _fmt(k), q, str(side), _fmt(args.temp), _fmt(bose(om, args.temp)),
+             _fmt(w), _fmt(n0_scale(om))]
+            for (om, k, q), ws in done for side, w in zip((0, stack.n), ws)]
+    if n_skip:
+        print(f"skipped={n_skip}", file=sys.stderr)
     _emit(args, header, rows, "thermal")
     return 0
 

@@ -27,12 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import n0_scale
 from .errors import ConfigError, PassivityError, RegimeError
 from .iorel import IOMatrix, io_matrix
-from .modes import ModeContext, resolve_stack
+from .modes import ModeContext
 from .scatter import ScatterSet, scatter_set
-from .stack import Stack
 
 # Below this fraction of the propagating scale, c_in is treated as zero for
 # bosonization purposes ("effectively evanescent").
@@ -176,27 +174,16 @@ class CommutatorSet:
     scatter: ScatterSet
     io: IOMatrix
 
-    @property
-    def n0_si(self) -> float:
-        """SI value of the factored normalization constant."""
-        return n0_scale(self.omega)
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.cmat)
-
-
-def commutator_set(ctx: ModeContext, stack: Stack | None = None, q: str = "s") -> CommutatorSet:
+def commutator_set(ctx: ModeContext, q: str = "s") -> CommutatorSet:
     """Evaluate every commutator coefficient of one mode from the closed forms."""
-    resolve_stack(ctx, stack)
     for j in range(ctx.n + 1):
         if ctx.beta[j] == 0.0:
             raise RegimeError(
                 f"beta = 0 in region {j} (grazing mode, k exactly at a branch point); "
                 "commutator coefficients are singular there"
             )
-    ss = scatter_set(ctx, stack, q)
-    io = io_matrix(ctx, stack, q, _scatter=ss)
+    ss = scatter_set(ctx, q)
     layers = range(1, ctx.n)
     xi = tuple(intraplate_xi(ctx, q, j) for j in layers)
     return CommutatorSet(
@@ -212,43 +199,22 @@ def commutator_set(ctx: ModeContext, stack: Stack | None = None, q: str = "s") -
         xi=xi,
         tau=tuple(intraplate_tau(ctx, j, x) for j, x in zip(layers, xi)),
         scatter=ss,
-        io=io,
+        io=io_matrix(ss),
     )
 
 
-def _phi_rows(io: IOMatrix, j: int) -> tuple[np.ndarray, np.ndarray]:
-    ph = io.phi[j]
-    return np.array([ph[0], ph[1]]), np.array([ph[2], ph[3]])
+def assembled_out(cs: CommutatorSet) -> np.ndarray:
+    """Brute-force output commutator matrix S diag(c_in) S^+ + sum_j Phi^(j) C^(j) Phi^(j)+.
 
-
-def assembled_c_out(ctx: ModeContext, stack: Stack | None = None, q: str = "s",
-                    side: int = 0, cs: CommutatorSet | None = None) -> complex:
-    """Brute-force output self-commutator from input and intraplate pieces.
-
-    |r|^2 c_in(side) + |t|^2 c_in(other side) + sum_j phi C^(j) phi^+,
-    the convention-independent assembly that the closed form must match.
+    Rows and columns are (out0, outN): the diagonal holds the output
+    self-commutators of sides 0 and n, entry [0, 1] the cross-side
+    commutator [out(0), out(n)^+].  This convention-independent assembly
+    from input and intraplate pieces is what the closed forms must match.
     """
-    row = ctx.side_row(side)
-    if cs is None:
-        cs = commutator_set(ctx, stack, q)
     s = cs.io.s_matrix
-    total = abs(s[row][0]) ** 2 * cs.c_in0 + abs(s[row][1]) ** 2 * cs.c_inN + 0.0j
-    for j in range(cs.n_layers):
-        phi = _phi_rows(cs.io, j)[row]
-        total += phi @ cs.cmat[j] @ phi.conjugate()
-    return total
-
-
-def assembled_cross(ctx: ModeContext, stack: Stack | None = None, q: str = "s",
-                    cs: CommutatorSet | None = None) -> complex:
-    """Brute-force [out(0), out(n)^+] assembly from input and intraplate pieces."""
-    if cs is None:
-        cs = commutator_set(ctx, stack, q)
-    s = cs.io.s_matrix
-    total = s[0][0] * s[1][0].conjugate() * cs.c_in0 + s[0][1] * s[1][1].conjugate() * cs.c_inN
-    for j in range(cs.n_layers):
-        phi0, phin = _phi_rows(cs.io, j)
-        total += phi0 @ cs.cmat[j] @ phin.conjugate()
+    total = (s * (cs.c_in0, cs.c_inN)) @ s.conjugate().T
+    for phi, cmat in zip(cs.io.phi, cs.cmat):
+        total += phi @ cmat @ phi.conjugate().T
     return total
 
 
@@ -295,16 +261,10 @@ def bosonize(cs: CommutatorSet) -> BosonizedIO:
         raise RegimeError(
             f"output commutator not positive (c_out0 = {cs.c_out0:.3e}, c_outN = {cs.c_outN:.3e})"
         )
-    s = np.array(cs.io.s_matrix, dtype=complex)
-    out_scale = np.array([1.0 / math.sqrt(cs.c_out0), 1.0 / math.sqrt(cs.c_outN)])
+    out_scale = np.array([1.0 / math.sqrt(cs.c_out0), 1.0 / math.sqrt(cs.c_outN)])[:, None]
     in_scale = np.array([math.sqrt(cs.c_in0), math.sqrt(cs.c_inN)])
-    s_tilde = out_scale[:, None] * s * in_scale[None, :]
-    phi_tilde = []
-    for j in range(cs.n_layers):
-        phi0, phin = _phi_rows(cs.io, j)
-        phi = np.vstack([phi0, phin])
-        phi_tilde.append(out_scale[:, None] * (phi @ cs.tau[j]))
-    return BosonizedIO(s_tilde, tuple(phi_tilde))
+    phi_tilde = tuple(out_scale * (phi @ tau) for phi, tau in zip(cs.io.phi, cs.tau))
+    return BosonizedIO(out_scale * cs.io.s_matrix * in_scale, phi_tilde)
 
 
 def unitarity_residual(cs: CommutatorSet, bos: BosonizedIO | None = None) -> float:

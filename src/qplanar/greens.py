@@ -19,9 +19,8 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .errors import ConfigError, RegimeError
-from .modes import ModeContext, resolve_stack
+from .modes import ModeContext
 from .scatter import ScatterSet, scatter_set
-from .stack import Stack
 
 _EZ = np.array([0.0, 0.0, 1.0], dtype=complex)
 _SIGMA = {"p": 1.0, "s": -1.0}
@@ -76,12 +75,11 @@ def wavefun(ctx: ModeContext, ss: ScatterSet, j: int, direction: str, z: float,
 
 
 def _scatter_pair(ctx: ModeContext) -> tuple[ScatterSet, ScatterSet]:
-    return scatter_set(ctx, q="s"), scatter_set(ctx, q="p")
+    return scatter_set(ctx, "s"), scatter_set(ctx, "p")
 
 
-def green_kernel(ctx: ModeContext, stack: Stack | None = None, j: int = 0, jp: int = 0,
-                 z: float = 0.0, zp: float = 0.0, tie: float = 0.5,
-                 _pair: tuple[ScatterSet, ScatterSet] | None = None) -> np.ndarray:
+def green_kernel(ctx: ModeContext, j: int = 0, jp: int = 0, z: float = 0.0, zp: float = 0.0,
+                 tie: float = 0.5, _pair: tuple[ScatterSet, ScatterSet] | None = None) -> np.ndarray:
     """Scattering part of the planar Green kernel, complex 3x3.
 
     First index follows the field point (region j, coordinate z), second the
@@ -89,7 +87,6 @@ def green_kernel(ctx: ModeContext, stack: Stack | None = None, j: int = 0, jp: i
     when j == jp and z == zp: 0.5 symmetric, 1.0 selects the z > z' branch,
     0.0 the z < z' branch.
     """
-    resolve_stack(ctx, stack)
     pair = _pair if _pair is not None else _scatter_pair(ctx)
     _z_range_check(ctx, j, z)
     _z_range_check(ctx, jp, zp)
@@ -131,8 +128,8 @@ def _simpson_tensor(fvals: list[np.ndarray], a: float, b: float) -> np.ndarray:
     return acc * (h / 3.0)
 
 
-def verify_green_identity(ctx: ModeContext, stack: Stack | None = None,
-                          j: int = 0, jp: int = 0, z: float = 0.0, zp: float = 0.0,
+def verify_green_identity(ctx: ModeContext, j: int = 0, jp: int = 0,
+                          z: float = 0.0, zp: float = 0.0,
                           nodes_per_layer: int | tuple[int, ...] = 200) -> GreenIdentityResult:
     """Numerically verify the absorption integral identity for the kernel.
 
@@ -150,7 +147,7 @@ def verify_green_identity(ctx: ModeContext, stack: Stack | None = None,
     Requires absorbing outer media (Im eps > 0 in regions 0 and n) so the
     tails converge.
     """
-    stack = resolve_stack(ctx, stack)
+    stack = ctx.stack
     n = ctx.n
     for m in (0, n):
         if ctx.eps[m].imag <= 0.0:
@@ -169,10 +166,10 @@ def verify_green_identity(ctx: ModeContext, stack: Stack | None = None,
     w_c2 = (ctx.omega / C_LIGHT) ** 2
 
     def g1(jpp: int, zpp: float, tie: float) -> np.ndarray:
-        return green_kernel(ctx, stack, j, jpp, z, zpp, tie=tie, _pair=pair)
+        return green_kernel(ctx, j, jpp, z, zpp, tie=tie, _pair=pair)
 
     def g2(jpp: int, zpp: float, tie: float) -> np.ndarray:
-        return green_kernel(ctx, stack, jp, jpp, zp, zpp, tie=tie, _pair=pair)
+        return green_kernel(ctx, jp, jpp, zp, zpp, tie=tie, _pair=pair)
 
     def integrand(jpp: int, zpp: float, tie: float) -> np.ndarray:
         # tie applies to whichever factor shares the region with the node.
@@ -218,8 +215,8 @@ def verify_green_identity(ctx: ModeContext, stack: Stack | None = None,
         lhs += integrand(jpp, far, tie) / (2.0 * ctx.beta[jpp].imag)
 
     # Right-hand side of the identity.
-    g_fwd = green_kernel(ctx, stack, j, jp, z, zp, tie=0.5, _pair=pair)
-    g_rev = green_kernel(ctx, stack, jp, j, zp, z, tie=0.5, _pair=pair)
+    g_fwd = green_kernel(ctx, j, jp, z, zp, tie=0.5, _pair=pair)
+    g_rev = green_kernel(ctx, jp, j, zp, z, tie=0.5, _pair=pair)
     rhs = (g_fwd - g_rev.conjugate().T) / 2j
     rhs = rhs + (ctx.eps[jp].imag / ctx.eps[jp].conjugate()) * np.outer(g_fwd @ _EZ, _EZ)
     rhs = rhs + (ctx.eps[j].imag / ctx.eps[j]) * np.outer(_EZ, (g_rev @ _EZ).conjugate())

@@ -2,10 +2,14 @@
 
 The 2x2 scattering block maps the input amplitudes at the two boundary
 planes (z = 0- on side 0, z = 0+ on side n) to the output amplitudes; the
-per-layer noise-coupling rows add the contribution of the intraplate
-amplitudes.  Outside the plate the amplitudes obey first-order equations
-with drift +/- i beta and a current source term, which are integrated in
-closed form for piecewise-constant source profiles.
+per-layer 2x2 noise couplings add the contribution of the intraplate
+amplitudes.  Every block shares one layout: row `ctx.side_row(side)` is the
+output of that side (0 for side 0, 1 for side n); the columns are the
+inputs (in0, inN) for S and the intraplate amplitudes (E+, E-) for Phi.
+
+Outside the plate the amplitudes obey first-order equations with drift
++/- i beta and a current source term, which are integrated in closed form
+for piecewise-constant source profiles.
 """
 
 from __future__ import annotations
@@ -18,8 +22,7 @@ import numpy as np
 from .constants import C_LIGHT, EPS0
 from .errors import ConfigError
 from .modes import ModeContext
-from .scatter import ScatterSet, scatter_set
-from .stack import Stack
+from .scatter import ScatterSet
 
 MU0 = 1.0 / (EPS0 * C_LIGHT * C_LIGHT)
 
@@ -29,36 +32,28 @@ class IOMatrix:
     """Scattering block S and per-layer noise couplings for one (omega, k, q)."""
 
     q: str
-    s_matrix: tuple[tuple[complex, complex], tuple[complex, complex]]
-    # per layer j = 1..n-1: (phi_0+, phi_0-, phi_n+, phi_n-)
-    phi: tuple[tuple[complex, complex, complex, complex], ...]
-    warnings: tuple[str, ...] = ()
+    s_matrix: np.ndarray  # 2x2: rows (out0, outN), cols (in0, inN)
+    phi: np.ndarray       # (n-1, 2, 2), layer j at [j-1]: rows (out0, outN), cols (E+, E-)
 
     @property
     def n_layers(self) -> int:
         return len(self.phi)
 
 
-def io_matrix(ctx: ModeContext, stack: Stack | None = None, q: str = "s",
-              _scatter: ScatterSet | None = None) -> IOMatrix:
+def io_matrix(ss: ScatterSet) -> IOMatrix:
     """Assemble the input-output matrix from the generalized coefficients.
 
     S = [[r_0n, t_n0], [t_0n, r_n0]];
     phi_0+ = t_j0 e^{2 i b d} r_jn / D,  phi_0- = t_j0 / D,
     phi_n+ = t_jn e^{i b d} / D,         phi_n- = t_jn e^{i b d} r_j0 / D.
     """
-    ss = _scatter if _scatter is not None else scatter_set(ctx, stack, q)
-    s = ((ss.r_0n, ss.t_n0), (ss.t_0n, ss.r_n0))
-    phi = []
+    s = np.array([[ss.r_0n, ss.t_n0], [ss.t_0n, ss.r_n0]], dtype=complex)
+    phi = np.empty((ss.n - 1, 2, 2), dtype=complex)
     for j in range(1, ss.n):
         ph, d = ss.phase[j], ss.d_fp[j]
-        phi.append((
-            ss.t_to0[j] * ph * ph / d * ss.r_right[j],
-            ss.t_to0[j] / d,
-            ss.t_toN[j] * ph / d,
-            ss.t_toN[j] * ph / d * ss.r_left[j],
-        ))
-    return IOMatrix(q=ss.q, s_matrix=s, phi=tuple(phi), warnings=ss.warnings)
+        phi[j - 1] = ((ss.t_to0[j] * ph * ph / d * ss.r_right[j], ss.t_to0[j] / d),
+                      (ss.t_toN[j] * ph / d, ss.t_toN[j] * ph / d * ss.r_left[j]))
+    return IOMatrix(q=ss.q, s_matrix=s, phi=phi)
 
 
 @dataclass(frozen=True)
@@ -76,13 +71,9 @@ def mean_out(io: IOMatrix, amps: AmplitudeVector) -> tuple[complex, complex]:
         raise ConfigError(
             f"amplitude vector has {len(amps.intra)} intraplate entries, stack has {io.n_layers}"
         )
-    s = io.s_matrix
-    out0 = s[0][0] * amps.in0 + s[0][1] * amps.inN
-    outn = s[1][0] * amps.in0 + s[1][1] * amps.inN
-    for (p0p, p0m, pnp, pnm), (ep, em) in zip(io.phi, amps.intra):
-        out0 += p0p * ep + p0m * em
-        outn += pnp * ep + pnm * em
-    return out0, outn
+    intra = np.asarray(amps.intra, dtype=complex).reshape(-1, 2)
+    out = io.s_matrix @ np.array([amps.in0, amps.inN]) + np.einsum("jrc,jc->r", io.phi, intra)
+    return complex(out[0]), complex(out[1])
 
 
 @dataclass(frozen=True)

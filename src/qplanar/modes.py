@@ -113,13 +113,6 @@ def make_context(stack: Stack, omega: float, k: float, khat=X_HAT) -> ModeContex
     return ModeContext(stack, omega, k, (kx, ky), tuple(eps), tuple(kj), tuple(beta))
 
 
-def resolve_stack(ctx: ModeContext, stack: Stack | None) -> Stack:
-    """Default to the context's stack; reject a mismatched explicit one."""
-    if stack is None or stack == ctx.stack:
-        return ctx.stack
-    raise ConfigError("explicit stack differs from the one the mode context was built for")
-
-
 def regime(ctx: ModeContext, j: int) -> Regime:
     """Classify the z-propagation behavior in region j."""
     b = ctx.beta[j]

@@ -32,7 +32,19 @@ from .stack import Stack
 _N_THETA = 8
 _MODES = (-2, -1, 0, 1, 2)
 
-KERNEL_KINDS = ("R0n", "Rn0", "T0n", "Tn0", "Phi0+", "Phi0-", "Phin+", "Phin-")
+# kind -> (left vector, right vector, (row, col) into S, or into phi[layer - 1]
+# for the Phi kinds); vectors are tagged (region 0 / n / layer j, direction).
+_KINDS = {
+    "R0n": ("0-", "0+", (0, 0)),
+    "Rn0": ("n+", "n-", (1, 1)),
+    "T0n": ("n+", "0+", (1, 0)),
+    "Tn0": ("0-", "n-", (0, 1)),
+    "Phi0+": ("0-", "j+", (0, 0)),
+    "Phi0-": ("0-", "j-", (0, 1)),
+    "Phin+": ("n+", "j+", (1, 0)),
+    "Phin-": ("n+", "j-", (1, 1)),
+}
+KERNEL_KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
@@ -54,69 +66,30 @@ class GaussianWindow:
         return 8.6 * self.k_w
 
 
-def _vec_theta(kind: str, which: str, ctx, q: str, cos_t, sin_t, layer: int):
+def _vec_theta(which: str, ctx, q: str, cos_t, sin_t, layer: int):
     """Polarization vector family as a function of the k-direction angle."""
-    n = ctx.n
-    region = {"0": 0, "n": n, "j": layer}[which[0]]
-    sign = +1 if which[1] == "+" else -1
+    region = {"0": 0, "n": ctx.n, "j": layer}[which[0]]
     if q == "s":
         ex, ey, ez = sin_t, -cos_t, np.zeros_like(cos_t)
     else:
-        b = -ctx.beta[region] if sign > 0 else ctx.beta[region]
+        b = -ctx.beta[region] if which[1] == "+" else ctx.beta[region]
         kj = ctx.kj[region]
         ex, ey, ez = b * cos_t / kj, b * sin_t / kj, np.full_like(cos_t, ctx.k / kj, dtype=complex)
     return np.stack([ex, ey, ez]).astype(complex)
 
 
-def _kind_spec(kind: str, layer: int):
-    """(left vector tag, right vector tag, coefficient getter) per kernel kind."""
-    def coeff_r0n(ss, io):
-        return ss.r_0n
-
-    def coeff_rn0(ss, io):
-        return ss.r_n0
-
-    def coeff_t0n(ss, io):
-        return ss.t_0n
-
-    def coeff_tn0(ss, io):
-        return ss.t_n0
-
-    def coeff_phi(idx):
-        def get(ss, io):
-            return io.phi[layer - 1][idx]
-        return get
-
-    table = {
-        "R0n": ("0-", "0+", coeff_r0n),
-        "Rn0": ("n+", "n-", coeff_rn0),
-        "T0n": ("n+", "0+", coeff_t0n),
-        "Tn0": ("0-", "n-", coeff_tn0),
-        "Phi0+": ("0-", "j+", coeff_phi(0)),
-        "Phi0-": ("0-", "j-", coeff_phi(1)),
-        "Phin+": ("n+", "j+", coeff_phi(2)),
-        "Phin-": ("n+", "j-", coeff_phi(3)),
-    }
-    if kind not in table:
-        raise ConfigError(f"kernel kind must be one of {KERNEL_KINDS}, got {kind!r}")
-    if kind.startswith("Phi") and layer < 1:
-        raise ConfigError("Phi kernels need a layer index >= 1")
-    return table[kind]
-
-
 def _tensor_modes(stack: Stack, omega: float, kind: str, layer: int, k: float) -> np.ndarray:
     """Exact angular Fourier modes T_hat[q][n] (2, 5, 3, 3) of the k-space tensor."""
     ctx = make_context(stack, omega, k)
-    left_tag, right_tag, coeff = _kind_spec(kind, layer)
+    left_tag, right_tag, entry = _KINDS[kind]
     theta = 2.0 * math.pi * np.arange(_N_THETA) / _N_THETA
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     modes = np.zeros((2, len(_MODES), 3, 3), dtype=complex)
     for iq, q in enumerate(("s", "p")):
-        ss = scatter_set(ctx, q=q)
-        io = io_matrix(ctx, q=q, _scatter=ss) if kind.startswith("Phi") else None
-        c = coeff(ss, io)
-        lv = _vec_theta(kind, left_tag, ctx, q, cos_t, sin_t, layer)
-        rv = _vec_theta(kind, right_tag, ctx, q, cos_t, sin_t, layer)
+        io = io_matrix(scatter_set(ctx, q))
+        c = (io.phi[layer - 1] if kind.startswith("Phi") else io.s_matrix)[entry]
+        lv = _vec_theta(left_tag, ctx, q, cos_t, sin_t, layer)
+        rv = _vec_theta(right_tag, ctx, q, cos_t, sin_t, layer)
         tens = c * np.einsum("it,jt->tij", lv, rv)
         for i, n_mode in enumerate(_MODES):
             phase = np.exp(-1j * n_mode * theta)
@@ -178,6 +151,10 @@ def kernel_radial(stack: Stack, omega: float, kind: str, window: GaussianWindow,
     (relative to the largest profile value).  Failure to converge raises
     AccuracyError with the achieved change.
     """
+    if kind not in _KINDS:
+        raise ConfigError(f"kernel kind must be one of {KERNEL_KINDS}, got {kind!r}")
+    if kind.startswith("Phi") and not 1 <= layer <= stack.n - 1:
+        raise ConfigError(f"Phi kernels need a layer index in 1..{stack.n - 1}, got {layer}")
     rho = np.asarray(rho, dtype=float)
     if np.any(rho < 0.0):
         raise ConfigError("rho grid must be nonnegative")

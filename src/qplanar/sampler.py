@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .constants import C_LIGHT
 from .errors import ConfigError
 from .iorel import io_matrix
 from .modes import make_context
+from .scatter import scatter_set
 from .stack import Stack
 from .thermal import bose
 
@@ -60,7 +61,6 @@ class EmissionEstimate:
     w: float
     stderr: float
     realizations: int
-    blocks: int = field(default=0, repr=False)
 
 
 def _block_samples(seed: int, block_index: int, count: int, shape_tail: tuple[int, ...]) -> np.ndarray:
@@ -93,14 +93,16 @@ def sample_emission(plan: SamplePlan, stack: Stack) -> EmissionEstimate:
     if n_layers < 1:
         raise ConfigError("sampling needs at least one interior layer")
     nodes = plan.nodes_for(n_layers)
-    io = io_matrix(ctx, stack, plan.q)
+    io = io_matrix(scatter_set(ctx, plan.q))
     occ = bose(plan.omega, plan.temperature)
     if occ == 0.0:
         return EmissionEstimate(0.0, 0.0, plan.realizations)
 
     # Per-cell weights: u_lambda = sum_cells w_cell(lambda) (f_cell . e_lambda),
     # folded with the phi row of the requested side so the output is a single
-    # weighted sum over all cells and Cartesian components.
+    # weighted sum over all cells and Cartesian components.  The cell variance
+    # n/dz is folded in as well, scaling each layer's weights by sqrt(n/dz),
+    # so the draws stay unit normals.
     weights = []  # (cells, 3) complex, concatenated over layers
     any_lossy = False
     for j in range(1, ctx.n):
@@ -117,23 +119,13 @@ def sample_emission(plan: SamplePlan, stack: Stack) -> EmissionEstimate:
         pref = -(ctx.omega / C_LIGHT) * math.sqrt(max(epp, 0.0)) / beta * dz
         e_plus = ctx.pol_vector(plan.q, j, +1)
         e_minus = ctx.pol_vector(plan.q, j, -1)
-        phi = io.phi[j - 1]
-        phi_plus, phi_minus = (phi[0], phi[1]) if row == 0 else (phi[2], phi[3])
+        phi_plus, phi_minus = io.phi[j - 1][row]
         w_plus = phi_plus * pref * np.exp(-1j * beta * z_cells)[:, None] * e_plus[None, :]
         w_minus = phi_minus * pref * np.exp(1j * beta * z_cells)[:, None] * e_minus[None, :]
-        weights.append(w_plus + w_minus)
+        weights.append((w_plus + w_minus) * math.sqrt(occ / dz))
     if not any_lossy:
         _warnings.warn("no lossy layer in the plan; estimate is identically zero", stacklevel=2)
     w_flat = np.concatenate(weights, axis=0).reshape(-1)  # (cells*3,)
-
-    # Cell variance n/dz is folded into the weights per layer instead of the
-    # draws, so draws stay unit normals: scale w by sqrt(n/dz) per layer cell.
-    scale = []
-    for j in range(1, ctx.n):
-        m = nodes[j - 1]
-        dz = stack.thickness(j) / m
-        scale.append(np.full(m * 3, math.sqrt(occ / dz)))
-    w_flat = w_flat * np.concatenate(scale)
 
     n_blocks = (plan.realizations + BLOCK - 1) // BLOCK
     s1 = 0.0
@@ -149,4 +141,4 @@ def sample_emission(plan: SamplePlan, stack: Stack) -> EmissionEstimate:
         stderr = math.sqrt(var / n_real)
     else:
         stderr = math.inf
-    return EmissionEstimate(mean, stderr, n_real, n_blocks)
+    return EmissionEstimate(mean, stderr, n_real)

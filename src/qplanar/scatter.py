@@ -25,8 +25,7 @@ from typing import NamedTuple
 
 from .constants import C_LIGHT
 from .errors import ConfigError, SingularInterfaceError
-from .modes import ModeContext, POLS, resolve_stack
-from .stack import Stack
+from .modes import ModeContext, POLS
 
 D_CONDITION_FLOOR = 1e-14
 
@@ -148,9 +147,9 @@ class ScatterSet:
         )
 
 
-def scatter_set(ctx: ModeContext, stack: Stack | None = None, q: str = "s") -> ScatterSet:
+def scatter_set(ctx: ModeContext, q: str = "s") -> ScatterSet:
     """Compose all generalized r/t coefficients for one mode and polarization."""
-    stack = resolve_stack(ctx, stack)
+    stack = ctx.stack
     if q not in POLS:
         raise ConfigError(f"polarization must be one of {POLS}, got {q!r}")
     n = stack.n

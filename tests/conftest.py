@@ -30,8 +30,8 @@ def flip_p_transmission(monkeypatch):
     """
     real = qplanar.commutators.scatter_set
 
-    def flipped(ctx, stack=None, q="s"):
-        ss = real(ctx, stack, q)
+    def flipped(ctx, q="s"):
+        ss = real(ctx, q)
         if q != "p":
             return ss
 

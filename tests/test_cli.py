@@ -315,3 +315,27 @@ def test_green_check_is_verify_green_alias(stack_file, capsys, doc, rc_expected)
     if rc_expected == 0:
         assert alias.out.startswith("suite=green points=4 skipped=0 ")
         assert "tol=1.0e-06 status=PASS" in alias.out
+
+
+def test_kernels_layer_out_of_range_exits_2(stack_file, capsys):
+    rc = main(["kernels", "--stack", stack_file(THREE_LAYERS), "--omega", "2e15",
+               "--kind", "Phi0-", "--layer", "4", "--kw", "1.5w", "--rho-points", "3"])
+    assert rc == 2
+    assert "layer index in 1..3" in capsys.readouterr().err
+
+
+def test_thermal_skips_light_line_points(stack_file, capsys):
+    # k = 0:2w:41 puts k = omega/c (beta_0 = 0) on the grid: both pols skip it
+    rc = main(["thermal", "--stack", stack_file(SLAB), "--omega", "2e15", "--k", "0:2w:41"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert lines[0] == "# schema=qplanar-thermal-v1"
+    assert len(lines) - 2 == 160
+    assert captured.err.strip() == "skipped=2"
+
+
+def test_thermal_all_points_skipped_exits_2(stack_file, capsys):
+    rc = main(["thermal", "--stack", stack_file(SLAB), "--omega", "2e15", "--k", "1w"])
+    assert rc == 2
+    assert "no grid point" in capsys.readouterr().err

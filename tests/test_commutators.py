@@ -3,8 +3,7 @@ import pytest
 
 from conftest import C, random_mode, random_stack
 from qplanar.commutators import (
-    assembled_c_out,
-    assembled_cross,
+    assembled_out,
     bosonize,
     commutator_set,
     cross_closed,
@@ -41,8 +40,9 @@ def test_assembled_empty_stack_is_exactly_c_in():
     for q in ("s", "p"):
         cs = commutator_set(ctx, q=q)
         # S = [[0, 1], [1, 0]] and no layers: the assembly collapses to c_in
-        assert assembled_c_out(ctx, q=q, side=0, cs=cs) == cs.c_in0
-        assert assembled_c_out(ctx, q=q, side=ctx.n, cs=cs) == cs.c_inN
+        out = assembled_out(cs)
+        assert out[0, 0] == cs.c_in0
+        assert out[1, 1] == cs.c_inN
 
 
 def test_tau_inverts_to_bosonic_combinations():
@@ -90,11 +90,8 @@ def test_closed_vs_assembled_randomized():
         cs = commutator_set(ctx, q=q)
         assert cs.c_in0 >= 0.0 and cs.c_inN >= 0.0
         scale = _scale(ctx, cs)
-        worst = max(
-            worst,
-            abs(assembled_c_out(ctx, q=q, side=0, cs=cs) - cs.c_out0) / scale,
-            abs(assembled_c_out(ctx, q=q, side=ctx.n, cs=cs) - cs.c_outN) / scale,
-        )
+        out = assembled_out(cs)
+        worst = max(worst, abs(out[0, 0] - cs.c_out0) / scale, abs(out[1, 1] - cs.c_outN) / scale)
     assert worst < 1e-10, worst
 
 
@@ -108,7 +105,7 @@ def test_cross_closed_vs_assembled_randomized():
         if any(b == 0.0 for b in ctx.beta):
             continue
         cs = commutator_set(ctx, q=q)
-        worst = max(worst, abs(assembled_cross(ctx, q=q, cs=cs) - cs.cross) / _scale(ctx, cs))
+        worst = max(worst, abs(assembled_out(cs)[0, 1] - cs.cross) / _scale(ctx, cs))
     assert worst < 1e-10, worst
 
 
@@ -272,7 +269,7 @@ def test_wrong_transmission_convention_is_caught(flip_p_transmission):
     omega = 2e15
     ctx = make_context(st, omega, 1.4 * omega / C)
     cs = commutator_set(ctx, q="p")
-    mismatch = abs(assembled_cross(ctx, q="p", cs=cs) - cs.cross)
+    mismatch = abs(assembled_out(cs)[0, 1] - cs.cross)
     assert mismatch > 1e-3 * _scale(ctx, cs)
 
 

@@ -12,15 +12,16 @@ from qplanar.iorel import (
     mean_out,
 )
 from qplanar.modes import make_context
+from qplanar.scatter import scatter_set
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
 
 
 def test_empty_stack_pass_through():
     st = Stack(VACUUM, (), VACUUM)
     ctx = make_context(st, 2e15, 1e6)
-    io = io_matrix(ctx, q="s")
-    assert io.s_matrix == ((0.0, 1.0), (1.0, 0.0))
-    assert io.phi == ()
+    io = io_matrix(scatter_set(ctx, "s"))
+    np.testing.assert_array_equal(io.s_matrix, [[0.0, 1.0], [1.0, 0.0]])
+    assert io.phi.shape == (0, 2, 2)
 
 
 def test_phi_ratio_structure():
@@ -29,13 +30,11 @@ def test_phi_ratio_structure():
         st = random_stack(rng)
         omega, k, q = random_mode(rng)
         ctx = make_context(st, omega, k)
-        io = io_matrix(ctx, q=q)
-        from qplanar.scatter import scatter_set
-
-        ss = scatter_set(ctx, q=q)
+        ss = scatter_set(ctx, q)
+        io = io_matrix(ss)
         # the scattering block IS the whole-stack coefficient set
-        assert io.s_matrix == ((ss.r_0n, ss.t_n0), (ss.t_0n, ss.r_n0))
-        for j, (p0p, p0m, pnp, pnm) in enumerate(io.phi, start=1):
+        np.testing.assert_array_equal(io.s_matrix, [[ss.r_0n, ss.t_n0], [ss.t_0n, ss.r_n0]])
+        for j, ((p0p, p0m), (pnp, pnm)) in enumerate(io.phi, start=1):
             if abs(ss.r_left[j]) > 1e-12:
                 assert pnp / pnm == pytest.approx(1.0 / ss.r_left[j], rel=1e-10)
             if abs(ss.r_right[j]) > 1e-12:
@@ -48,7 +47,7 @@ def test_io_matrix_quarter_wave_magnitudes():
     omega = 2e15
     st = quarter_wave_stack(omega)
     ctx = make_context(st, omega, 0.0)
-    io = io_matrix(ctx, q="s")
+    io = io_matrix(scatter_set(ctx, "s"))
     assert abs(io.s_matrix[0][0]) == pytest.approx(0.6, abs=1e-12)
     assert abs(io.s_matrix[1][0]) ** 2 == pytest.approx(0.64, abs=1e-12)
 
@@ -56,7 +55,7 @@ def test_io_matrix_quarter_wave_magnitudes():
 def test_mean_out_scattering_only():
     st = Stack(VACUUM, (Layer(130e-9, ConstantEps(2 + 0.3j)),), VACUUM)
     ctx = make_context(st, 2e15, 2e6)
-    io = io_matrix(ctx, q="p")
+    io = io_matrix(scatter_set(ctx, "p"))
     out0, outn = mean_out(io, AmplitudeVector(in0=1.0, inN=0.0, intra=((0.0, 0.0),)))
     assert out0 == io.s_matrix[0][0]
     assert outn == io.s_matrix[1][0]
@@ -65,10 +64,10 @@ def test_mean_out_scattering_only():
 def test_mean_out_interior_source_only():
     st = Stack(VACUUM, (Layer(130e-9, ConstantEps(2 + 0.3j)),), VACUUM)
     ctx = make_context(st, 2e15, 2e6)
-    io = io_matrix(ctx, q="s")
+    io = io_matrix(scatter_set(ctx, "s"))
     ep, em = 0.8 - 0.1j, 0.2 + 0.4j
     out0, outn = mean_out(io, AmplitudeVector(intra=((ep, em),)))
-    p0p, p0m, pnp, pnm = io.phi[0]
+    (p0p, p0m), (pnp, pnm) = io.phi[0]
     assert out0 == pytest.approx(p0p * ep + p0m * em, rel=1e-14)
     assert outn == pytest.approx(pnp * ep + pnm * em, rel=1e-14)
 
@@ -76,7 +75,7 @@ def test_mean_out_interior_source_only():
 def test_mean_out_zero_and_linearity():
     st = Stack(VACUUM, (Layer(100e-9, ConstantEps(3 + 0.2j)),), VACUUM)
     ctx = make_context(st, 2e15, 1e6)
-    io = io_matrix(ctx, q="s")
+    io = io_matrix(scatter_set(ctx, "s"))
     assert mean_out(io, AmplitudeVector(intra=((0.0, 0.0),))) == (0.0, 0.0)
     a = AmplitudeVector(in0=0.3 + 0.1j, inN=-0.4j, intra=((0.2, 0.7 - 0.2j),))
     b = AmplitudeVector(in0=-1.0, inN=0.5, intra=((0.9j, 0.1),))
@@ -99,7 +98,7 @@ def test_mean_out_zero_and_linearity():
 def test_mean_out_dimension_mismatch():
     st = Stack(VACUUM, (Layer(100e-9, ConstantEps(3 + 0.2j)),), VACUUM)
     ctx = make_context(st, 2e15, 1e6)
-    io = io_matrix(ctx, q="s")
+    io = io_matrix(scatter_set(ctx, "s"))
     with pytest.raises(ConfigError):
         mean_out(io, AmplitudeVector(in0=1.0))
 

@@ -84,8 +84,9 @@ def test_phi_kernel_kind():
     field = kernel_radial(st, OMEGA, "Phi0+", win, rho, layer=1)
     assert field.tensor.shape == (8, 3, 3)
     assert np.abs(field.tensor).max() > 0.0
-    with pytest.raises(ConfigError):
-        kernel_radial(st, OMEGA, "Phi0+", win, rho, layer=0)
+    for layer in (0, st.n):
+        with pytest.raises(ConfigError):
+            kernel_radial(st, OMEGA, "Phi0+", win, rho, layer=layer)
 
 
 def test_window_refinement_converged():

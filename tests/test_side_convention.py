@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import C
-from qplanar.commutators import assembled_c_out, c_in_side, c_out_side, commutator_set
+from qplanar.commutators import c_in_side, c_out_side, commutator_set
 from qplanar.errors import ConfigError
 from qplanar.iorel import field_outside
 from qplanar.modes import make_context
@@ -26,7 +26,6 @@ TAKERS = {
     "side_row": lambda side: _ctx().side_row(side),
     "c_in_side": lambda side: c_in_side(_ctx(), "p", side),
     "c_out_side": lambda side: c_out_side(_ctx(), commutator_set(_ctx(), q="p").scatter, side),
-    "assembled_c_out": lambda side: assembled_c_out(_ctx(), q="p", side=side),
     "emission_w": lambda side: emission_w(_ctx(), q="p", side=side),
     "kirchhoff_residual": lambda side: kirchhoff_residual(_ctx(), q="p", side=side),
     "sample_emission": lambda side: sample_emission(
