@@ -286,6 +286,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_kernels(args) -> int:
+    if args.rho_points < 1:
+        raise UsageError(f"--rho-points must be >= 1, got {args.rho_points}")
     stack = _load_stack_file(args.stack)
     omegas = _parse_grid(args.omega)
     header = ["kind", "omega_rad_s", "k_w_inv_m", "rho_m", "comp", "re", "im"]

@@ -26,29 +26,16 @@ _EZ = np.array([0.0, 0.0, 1.0], dtype=complex)
 _SIGMA = {"p": 1.0, "s": -1.0}
 
 
-def _pol_vec(ctx: ModeContext, q: str, j: int, sign: int, k_sign: int) -> np.ndarray:
-    """Polarization vector e_q,sign at +k or -k (k_sign = +1 / -1)."""
-    if q == "s":
-        v = ctx.e_s()
-        return v if k_sign > 0 else -v
-    return ctx.e_p(j, sign if k_sign > 0 else -sign)
+def _z_range_check(ctx: ModeContext, j: int, z: np.ndarray):
+    """Raise ConfigError unless every entry of z lies in region j (NaN never does)."""
+    lo = -np.inf if j == 0 else 0.0
+    hi = 0.0 if j == 0 else np.inf if j == ctx.n else ctx.stack.thickness(j)
+    bad = ~((lo <= z) & (z <= hi))
+    if np.any(bad):
+        raise ConfigError(f"z = {z[bad].flat[0]} outside region {j} ({lo} <= z <= {hi})")
 
 
-def _z_range_check(ctx: ModeContext, j: int, z: float):
-    n = ctx.n
-    if j == 0:
-        if z > 0.0:
-            raise ConfigError(f"z = {z} outside region 0 (z <= 0)")
-    elif j == n:
-        if z < 0.0:
-            raise ConfigError(f"z = {z} outside region {n} (z >= 0)")
-    else:
-        d = ctx.stack.thickness(j)
-        if not (0.0 <= z <= d):
-            raise ConfigError(f"z = {z} outside layer {j} (0 <= z <= {d})")
-
-
-def wavefun(ctx: ModeContext, ss: ScatterSet, j: int, direction: str, z: float,
+def wavefun(ctx: ModeContext, ss: ScatterSet, j: int, direction: str, z,
             k_sign: int = +1) -> np.ndarray:
     """Unit-strength wave in region j, reflected at the stack boundary.
 
@@ -56,59 +43,54 @@ def wavefun(ctx: ModeContext, ss: ScatterSet, j: int, direction: str, z: float,
         e_+ e^{i beta (z - d_j)} + r[j->n] e_- e^{-i beta (z - d_j)}
     direction '<' : leftward wave referenced at the left interface,
         e_- e^{-i beta z} + r[j->0] e_+ e^{i beta z}
+
+    `z` may be an array; the result has shape z.shape + (3,).  k_sign = -1
+    evaluates the polarization vectors at -k.
     """
+    z = np.asarray(z, dtype=float)
     _z_range_check(ctx, j, z)
-    q = ss.q
+    khat = (k_sign * ctx.khat[0], k_sign * ctx.khat[1])
+    e_plus = ctx.pol_vector(ss.q, j, +1, khat)
+    e_minus = ctx.pol_vector(ss.q, j, -1, khat)
     b = ctx.beta[j]
     if direction == ">":
-        zref = z - ctx.stack.thickness(j)
-        return (
-            _pol_vec(ctx, q, j, +1, k_sign) * np.exp(1j * b * zref)
-            + ss.r_right[j] * _pol_vec(ctx, q, j, -1, k_sign) * np.exp(-1j * b * zref)
-        )
+        zref = (z - ctx.stack.thickness(j))[..., None]
+        return e_plus * np.exp(1j * b * zref) + ss.r_right[j] * e_minus * np.exp(-1j * b * zref)
     if direction == "<":
-        return (
-            _pol_vec(ctx, q, j, -1, k_sign) * np.exp(-1j * b * z)
-            + ss.r_left[j] * _pol_vec(ctx, q, j, +1, k_sign) * np.exp(1j * b * z)
-        )
+        z = z[..., None]
+        return e_minus * np.exp(-1j * b * z) + ss.r_left[j] * e_plus * np.exp(1j * b * z)
     raise ConfigError(f"direction must be '>' or '<', got {direction!r}")
 
 
-def _scatter_pair(ctx: ModeContext) -> tuple[ScatterSet, ScatterSet]:
-    return scatter_set(ctx, "s"), scatter_set(ctx, "p")
-
-
-def green_kernel(ctx: ModeContext, j: int = 0, jp: int = 0, z: float = 0.0, zp: float = 0.0,
-                 tie: float = 0.5, _pair: tuple[ScatterSet, ScatterSet] | None = None) -> np.ndarray:
+def green_kernel(ctx: ModeContext, j: int = 0, jp: int = 0, z: float = 0.0, zp=0.0,
+                 tie=0.5) -> np.ndarray:
     """Scattering part of the planar Green kernel, complex 3x3.
 
     First index follows the field point (region j, coordinate z), second the
     source point (region jp, zp).  `tie` is the Theta(0) weight used only
     when j == jp and z == zp: 0.5 symmetric, 1.0 selects the z > z' branch,
-    0.0 the z < z' branch.
+    0.0 the z < z' branch.  `zp` and `tie` may be arrays (broadcast against
+    each other); the result has shape zp.shape + (3, 3).
     """
-    pair = _pair if _pair is not None else _scatter_pair(ctx)
-    _z_range_check(ctx, j, z)
-    _z_range_check(ctx, jp, zp)
-    out = np.zeros((3, 3), dtype=complex)
-    if j > jp:
-        w_up, w_dn = 1.0, 0.0
-    elif j < jp:
-        w_up, w_dn = 0.0, 1.0
-    elif z > zp:
-        w_up, w_dn = 1.0, 0.0
-    elif z < zp:
-        w_up, w_dn = 0.0, 1.0
+    zp, tie = np.broadcast_arrays(np.asarray(zp, dtype=float), np.asarray(tie, dtype=float))
+    if j != jp:
+        w_up = 1.0 if j > jp else 0.0
     else:
-        w_up, w_dn = tie, 1.0 - tie
-    for ss in pair:
-        sig = _SIGMA[ss.q]
-        if w_up:
-            term = np.outer(wavefun(ctx, ss, j, ">", z), wavefun(ctx, ss, jp, "<", zp, k_sign=-1))
-            out += w_up * sig * ss.xi(j, jp) * term
-        if w_dn:
-            term = np.outer(wavefun(ctx, ss, j, "<", z), wavefun(ctx, ss, jp, ">", zp, k_sign=-1))
-            out += w_dn * sig * ss.xi(jp, j) * term
+        w_up = np.where(z > zp, 1.0, np.where(z < zp, 0.0, tie))
+    w_dn = 1.0 - w_up
+    out = np.zeros(zp.shape + (3, 3), dtype=complex)
+    # Every branch taken evaluates both waves, so wavefun checks z and zp.  A
+    # branch whose weight is zero at every node is skipped: its waves grow
+    # away from the plate.
+    for ss in (scatter_set(ctx, "s"), scatter_set(ctx, "p")):
+        if np.any(w_up):
+            term = (wavefun(ctx, ss, j, ">", z)[:, None]
+                    * wavefun(ctx, ss, jp, "<", zp, k_sign=-1)[..., None, :])
+            out += np.asarray(w_up * _SIGMA[ss.q] * ss.xi(j, jp))[..., None, None] * term
+        if np.any(w_dn):
+            term = (wavefun(ctx, ss, j, "<", z)[:, None]
+                    * wavefun(ctx, ss, jp, ">", zp, k_sign=-1)[..., None, :])
+            out += np.asarray(w_dn * _SIGMA[ss.q] * ss.xi(jp, j))[..., None, None] * term
     return 0.5j * out
 
 
@@ -119,27 +101,17 @@ class GreenIdentityResult:
     residual: float
 
 
-def _simpson_tensor(fvals: list[np.ndarray], a: float, b: float) -> np.ndarray:
-    """Composite Simpson over pre-evaluated values on an even uniform grid."""
-    m = len(fvals) - 1
-    h = (b - a) / m
-    acc = fvals[0] + fvals[-1]
-    acc = acc + 4.0 * sum(fvals[1:-1:2]) + 2.0 * sum(fvals[2:-2:2])
-    return acc * (h / 3.0)
-
-
 def verify_green_identity(ctx: ModeContext, j: int = 0, jp: int = 0,
                           z: float = 0.0, zp: float = 0.0,
-                          nodes_per_layer: int | tuple[int, ...] = 200) -> GreenIdentityResult:
+                          nodes_per_layer: int = 200) -> GreenIdentityResult:
     """Numerically verify the absorption integral identity for the kernel.
 
     lhs: sum over all regions of int dz'' (w/c)^2 eps'' g^(j,j'')(z, z'')
     contracted with g^(j',j'')*(z', z''); the semi-infinite outer-region
     tails are integrated in closed form (the integrand is a single decaying
     exponential there), interior layers by composite Simpson with
-    `nodes_per_layer` subintervals (an int, or one count per layer), split
-    at interior field points so the step-function kink never sits inside a
-    panel.
+    `nodes_per_layer` (>= 2) subintervals per layer, split at interior field
+    points so the step-function kink never sits inside a panel.
 
     rhs: (g - g^+)/2i at the field points plus the two eps''/eps boundary
     terms, with the symmetric Theta convention at coincident coordinates.
@@ -155,40 +127,27 @@ def verify_green_identity(ctx: ModeContext, j: int = 0, jp: int = 0,
                 f"outer region {m} has Im eps = {ctx.eps[m].imag}; the identity's "
                 "semi-infinite integrals need Im eps > 0 in both outer media"
             )
-    if isinstance(nodes_per_layer, int):
-        layer_nodes = (nodes_per_layer,) * max(n - 1, 1)
-    else:
-        layer_nodes = tuple(nodes_per_layer)
-        if len(layer_nodes) != n - 1:
-            raise ConfigError(f"need {n - 1} per-layer node counts, got {len(layer_nodes)}")
-    outer_nodes = max(layer_nodes)
-    pair = _scatter_pair(ctx)
+    if nodes_per_layer < 2:
+        raise ConfigError(f"need at least 2 quadrature nodes per layer, got {nodes_per_layer}")
     w_c2 = (ctx.omega / C_LIGHT) ** 2
 
-    def g1(jpp: int, zpp: float, tie: float) -> np.ndarray:
-        return green_kernel(ctx, j, jpp, z, zpp, tie=tie, _pair=pair)
-
-    def g2(jpp: int, zpp: float, tie: float) -> np.ndarray:
-        return green_kernel(ctx, jp, jpp, zp, zpp, tie=tie, _pair=pair)
-
-    def integrand(jpp: int, zpp: float, tie: float) -> np.ndarray:
-        # tie applies to whichever factor shares the region with the node.
-        a = g1(jpp, zpp, tie if jpp == j else 0.5)
-        b = g2(jpp, zpp, tie if jpp == jp else 0.5)
-        return w_c2 * ctx.eps[jpp].imag * (a @ b.conjugate().T)
+    def integrand(jpp: int, zpp, tie) -> np.ndarray:
+        # tie is read only by a factor whose field point shares the region and coordinate.
+        a = green_kernel(ctx, j, jpp, z, zpp, tie)
+        b = green_kernel(ctx, jp, jpp, zp, zpp, tie)
+        return w_c2 * ctx.eps[jpp].imag * (a @ np.swapaxes(b, -1, -2).conjugate())
 
     def panel(jpp: int, a: float, b: float, m: int) -> np.ndarray:
         """Composite Simpson over [a, b] in region jpp with m (rounded up to even) subintervals."""
         m += m % 2
-        vals = []
-        for znode in np.linspace(a, b, m + 1):
-            # A node equal to a field point is approached from inside [a, b].
-            if jpp in (j, jp) and (znode == z or znode == zp):
-                tie = 1.0 if znode == b else 0.0
-            else:
-                tie = 0.5
-            vals.append(integrand(jpp, float(znode), tie))
-        return _simpson_tensor(vals, a, b)
+        nodes = np.linspace(a, b, m + 1)
+        weights = np.full(m + 1, 2.0)
+        weights[1::2] = 4.0
+        weights[0] = weights[-1] = 1.0
+        # A node on a field point is approached from inside [a, b]: it takes
+        # the side of the panel it closes.
+        vals = integrand(jpp, nodes, nodes == b)
+        return np.tensordot(weights * ((b - a) / m / 3.0), vals, axes=1)
 
     lhs = np.zeros((3, 3), dtype=complex)
 
@@ -202,7 +161,7 @@ def verify_green_identity(ctx: ModeContext, j: int = 0, jp: int = 0,
             pts.add(zp)
         edges = sorted(pts)
         for a, b in zip(edges, edges[1:]):
-            lhs += panel(jpp, a, b, max(4, int(round(layer_nodes[jpp - 1] * (b - a) / d))))
+            lhs += panel(jpp, a, b, max(4, int(round(nodes_per_layer * (b - a) / d))))
 
     # Half-spaces 0 and n: Simpson out to the farthest field point, the tail
     # beyond it in closed form.  The tail's z'' lies below every field point
@@ -210,13 +169,13 @@ def verify_green_identity(ctx: ModeContext, j: int = 0, jp: int = 0,
     for jpp, s in ((0, -1.0), (n, 1.0)):
         edges = sorted({0.0} | {zz for jj, zz in ((j, z), (jp, zp)) if jj == jpp and s * zz > 0.0})
         for a, b in zip(edges, edges[1:]):
-            lhs += panel(jpp, a, b, max(8, outer_nodes))
+            lhs += panel(jpp, a, b, max(8, nodes_per_layer))
         far, tie = (edges[0], 1.0) if jpp == 0 else (edges[-1], 0.0)
         lhs += integrand(jpp, far, tie) / (2.0 * ctx.beta[jpp].imag)
 
     # Right-hand side of the identity.
-    g_fwd = green_kernel(ctx, j, jp, z, zp, tie=0.5, _pair=pair)
-    g_rev = green_kernel(ctx, jp, j, zp, z, tie=0.5, _pair=pair)
+    g_fwd = green_kernel(ctx, j, jp, z, zp)
+    g_rev = green_kernel(ctx, jp, j, zp, z)
     rhs = (g_fwd - g_rev.conjugate().T) / 2j
     rhs = rhs + (ctx.eps[jp].imag / ctx.eps[jp].conjugate()) * np.outer(g_fwd @ _EZ, _EZ)
     rhs = rhs + (ctx.eps[j].imag / ctx.eps[j]) * np.outer(_EZ, (g_rev @ _EZ).conjugate())

@@ -71,31 +71,32 @@ class ModeContext:
             raise ConfigError(f"side must be 0 or {self.n}, got {side}")
         return 0 if side == 0 else 1
 
-    def e_s(self) -> np.ndarray:
-        """TE polarization unit vector khat x ez (same for +/- and all regions)."""
-        kx, ky = self.khat
-        return np.array([ky, -kx, 0.0], dtype=complex)
+    def pol_vector(self, q: str, j: int, sign: int, khat=None) -> np.ndarray:
+        """Polarization vector e_q,sign in region j, shape np.shape(kx) + (3,).
 
-    def e_p(self, j: int, sign: int) -> np.ndarray:
-        """TM polarization vector (-/+ sign of propagation direction)."""
-        kx, ky = self.khat
-        b = -self.beta[j] if sign > 0 else self.beta[j]
-        return np.array([b * kx, b * ky, self.k], dtype=complex) / self.kj[j]
-
-    def pol_vector(self, q: str, j: int, sign: int) -> np.ndarray:
+        TE: khat x ez, the same for both signs and all regions.  TM: (-/+ beta_j
+        khat, k) / k_j for sign +1 / -1.  `khat` = (kx, ky) defaults to the
+        mode's own direction; arrays of unit directions give one vector each.
+        """
+        kx, ky = self.khat if khat is None else khat
+        out = np.empty(np.shape(kx) + (3,), dtype=complex)
         if q == "s":
-            return self.e_s()
-        if q == "p":
-            return self.e_p(j, sign)
-        raise ConfigError(f"polarization must be 's' or 'p', got {q!r}")
+            out[..., 0], out[..., 1], out[..., 2] = ky, -kx, 0.0
+        elif q == "p":
+            b = -self.beta[j] if sign > 0 else self.beta[j]
+            out[..., 0], out[..., 1], out[..., 2] = b * kx, b * ky, self.k
+            out /= self.kj[j]
+        else:
+            raise ConfigError(f"polarization must be 's' or 'p', got {q!r}")
+        return out
 
 
 def make_context(stack: Stack, omega: float, k: float, khat=X_HAT) -> ModeContext:
     """Evaluate eps_j, k_j, beta_j for every region of the stack at (omega, k)."""
-    if omega <= 0.0:
-        raise ConfigError(f"omega must be positive, got {omega}")
-    if k < 0.0:
-        raise ConfigError(f"k must be nonnegative, got {k}")
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise ConfigError(f"omega must be positive and finite, got {omega}")
+    if not (math.isfinite(k) and k >= 0.0):
+        raise ConfigError(f"k must be nonnegative and finite, got {k}")
     kx, ky = float(khat[0]), float(khat[1])
     norm = math.hypot(kx, ky)
     if abs(norm - 1.0) > 1e-12:

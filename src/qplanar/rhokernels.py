@@ -54,8 +54,8 @@ class GaussianWindow:
     k_w: float
 
     def __post_init__(self):
-        if self.k_w <= 0.0:
-            raise ConfigError(f"window scale must be positive, got {self.k_w}")
+        if not (math.isfinite(self.k_w) and self.k_w > 0.0):
+            raise ConfigError(f"window scale must be positive and finite, got {self.k_w}")
 
     def __call__(self, k):
         return np.exp(-np.asarray(k) ** 2 / (2.0 * self.k_w ** 2))
@@ -66,31 +66,20 @@ class GaussianWindow:
         return 8.6 * self.k_w
 
 
-def _vec_theta(which: str, ctx, q: str, cos_t, sin_t, layer: int):
-    """Polarization vector family as a function of the k-direction angle."""
-    region = {"0": 0, "n": ctx.n, "j": layer}[which[0]]
-    if q == "s":
-        ex, ey, ez = sin_t, -cos_t, np.zeros_like(cos_t)
-    else:
-        b = -ctx.beta[region] if which[1] == "+" else ctx.beta[region]
-        kj = ctx.kj[region]
-        ex, ey, ez = b * cos_t / kj, b * sin_t / kj, np.full_like(cos_t, ctx.k / kj, dtype=complex)
-    return np.stack([ex, ey, ez]).astype(complex)
-
-
 def _tensor_modes(stack: Stack, omega: float, kind: str, layer: int, k: float) -> np.ndarray:
     """Exact angular Fourier modes T_hat[q][n] (2, 5, 3, 3) of the k-space tensor."""
     ctx = make_context(stack, omega, k)
     left_tag, right_tag, entry = _KINDS[kind]
     theta = 2.0 * math.pi * np.arange(_N_THETA) / _N_THETA
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    khat = (np.cos(theta), np.sin(theta))
+    region = {"0": 0, "n": ctx.n, "j": layer}
     modes = np.zeros((2, len(_MODES), 3, 3), dtype=complex)
     for iq, q in enumerate(("s", "p")):
         io = io_matrix(scatter_set(ctx, q))
         c = (io.phi[layer - 1] if kind.startswith("Phi") else io.s_matrix)[entry]
-        lv = _vec_theta(left_tag, ctx, q, cos_t, sin_t, layer)
-        rv = _vec_theta(right_tag, ctx, q, cos_t, sin_t, layer)
-        tens = c * np.einsum("it,jt->tij", lv, rv)
+        lv, rv = (ctx.pol_vector(q, region[tag[0]], 1 if tag[1] == "+" else -1, khat)
+                  for tag in (left_tag, right_tag))
+        tens = c * np.einsum("ti,tj->tij", lv, rv)
         for i, n_mode in enumerate(_MODES):
             phase = np.exp(-1j * n_mode * theta)
             modes[iq, i] = (tens * phase[:, None, None]).mean(axis=0)
@@ -156,8 +145,10 @@ def kernel_radial(stack: Stack, omega: float, kind: str, window: GaussianWindow,
     if kind.startswith("Phi") and not 1 <= layer <= stack.n - 1:
         raise ConfigError(f"Phi kernels need a layer index in 1..{stack.n - 1}, got {layer}")
     rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0.0):
-        raise ConfigError("rho grid must be nonnegative")
+    if rho.size == 0:
+        raise ConfigError("rho grid is empty")
+    if not np.all(np.isfinite(rho) & (rho >= 0.0)):
+        raise ConfigError("rho grid must be nonnegative and finite")
     k_max = window.k_max
     edges = [0.0] + [b for b in _branch_points(stack, omega) if 0.0 < b < k_max] + [k_max]
 

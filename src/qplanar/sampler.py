@@ -40,20 +40,10 @@ class SamplePlan:
     k: float
     q: str = "s"
     temperature: float = 300.0
-    nodes_per_layer: tuple[int, ...] | int = 64
+    nodes_per_layer: int = 64
     realizations: int = 10_000
     seed: int = 12345
     side: int = 0  # outer region the emission leaves through: 0 or n
-
-    def nodes_for(self, n_layers: int) -> tuple[int, ...]:
-        nodes = self.nodes_per_layer
-        if isinstance(nodes, int):
-            nodes = (nodes,) * n_layers
-        if len(nodes) != n_layers:
-            raise ConfigError(f"need {n_layers} node counts, got {len(nodes)}")
-        if any(m < 2 for m in nodes):
-            raise ConfigError("at least 2 nodes per layer")
-        return tuple(nodes)
 
 
 @dataclass(frozen=True)
@@ -89,10 +79,11 @@ def sample_emission(plan: SamplePlan, stack: Stack) -> EmissionEstimate:
         raise ConfigError("need at least one realization")
     ctx = make_context(stack, plan.omega, plan.k)
     row = ctx.side_row(plan.side)
-    n_layers = ctx.n - 1
-    if n_layers < 1:
+    if ctx.n < 2:
         raise ConfigError("sampling needs at least one interior layer")
-    nodes = plan.nodes_for(n_layers)
+    m = plan.nodes_per_layer
+    if m < 2:
+        raise ConfigError("at least 2 nodes per layer")
     io = io_matrix(scatter_set(ctx, plan.q))
     occ = bose(plan.omega, plan.temperature)
     if occ == 0.0:
@@ -106,7 +97,6 @@ def sample_emission(plan: SamplePlan, stack: Stack) -> EmissionEstimate:
     weights = []  # (cells, 3) complex, concatenated over layers
     any_lossy = False
     for j in range(1, ctx.n):
-        m = nodes[j - 1]
         d = stack.thickness(j)
         dz = d / m
         z_cells = (np.arange(m) + 0.5) * dz

@@ -26,8 +26,8 @@ def bose(omega: float, temperature: float) -> float:
     """
     if omega <= 0.0:
         raise ConfigError(f"omega must be positive, got {omega}")
-    if temperature < 0.0:
-        raise ConfigError(f"temperature must be nonnegative, got {temperature}")
+    if not (math.isfinite(temperature) and temperature >= 0.0):
+        raise ConfigError(f"temperature must be nonnegative and finite, got {temperature}")
     if temperature == 0.0:
         return 0.0
     x = HBAR * omega / (K_B * temperature)

@@ -339,3 +339,35 @@ def test_thermal_all_points_skipped_exits_2(stack_file, capsys):
     rc = main(["thermal", "--stack", stack_file(SLAB), "--omega", "2e15", "--k", "1w"])
     assert rc == 2
     assert "no grid point" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_kernels_rho_points_below_one_exits_2(stack_file, capsys, points):
+    rc = main(["kernels", "--stack", stack_file(SLAB), "--omega", "2e15",
+               "--kind", "R0n", "--kw", "1.5w", "--rho-points", points])
+    assert rc == 2
+    assert "--rho-points must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["coeffs", "--omega", "nan"],
+    ["coeffs", "--omega", "inf"],
+    ["coeffs", "--omega", "1e400"],
+    ["coeffs", "--omega", "2e15", "--k", "nan"],
+    ["thermal", "--omega", "2e15", "--k", "0.5w", "--temp", "nan"],
+    ["thermal", "--omega", "2e15", "--k", "0.5w", "--temp", "inf"],
+    ["kernels", "--omega", "2e15", "--kw", "nan"],
+    ["kernels", "--omega", "2e15", "--kw", "1.5w", "--rho-max-over-kw", "nan"],
+])
+def test_non_finite_inputs_exit_2(stack_file, capsys, args):
+    rc = main([args[0], "--stack", stack_file(SLAB), *args[1:]])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nodes", ["0", "-3"])
+def test_green_check_node_count_below_two_exits_2(stack_file, capsys, nodes):
+    rc = main(["green-check", "--stack", stack_file(GREEN), "--omega", "2e15", "--k", "0.5w",
+               "--nodes", nodes])
+    assert rc == 2
+    assert "at least 2 quadrature nodes" in capsys.readouterr().err

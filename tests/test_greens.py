@@ -21,7 +21,7 @@ def test_wavefun_uniform_vacuum_is_plane_wave():
     ss = scatter_set(ctx, q="s")
     z = -0.7e-6
     v = wavefun(ctx, ss, 0, ">", z)
-    expected = ctx.e_s() * np.exp(1j * ctx.beta[0] * z)
+    expected = ctx.pol_vector("s", 0, +1) * np.exp(1j * ctx.beta[0] * z)
     np.testing.assert_allclose(v, expected, rtol=1e-14)
 
 
@@ -31,7 +31,7 @@ def test_wavefun_at_top_interface():
     ss = scatter_set(ctx, q="p")
     d = st.thickness(1)
     v = wavefun(ctx, ss, 1, ">", d)
-    expected = ctx.e_p(1, +1) + ss.r_right[1] * ctx.e_p(1, -1)
+    expected = ctx.pol_vector("p", 1, +1) + ss.r_right[1] * ctx.pol_vector("p", 1, -1)
     np.testing.assert_allclose(v, expected, rtol=1e-14)
 
 
@@ -45,7 +45,7 @@ def test_wavefun_quarter_wave_bottom():
     d = st.thickness(1)
     v = wavefun(ctx, ss, 1, ">", 0.0)
     phase = np.exp(1j * ctx.beta[1] * (-d))
-    expected = ctx.e_s() * phase + (1.0 / 3.0) * ctx.e_s() / phase
+    expected = ctx.pol_vector("s", 0, +1) * phase + (1.0 / 3.0) * ctx.pol_vector("s", 0, +1) / phase
     np.testing.assert_allclose(v, expected, rtol=1e-12)
 
 
@@ -56,19 +56,29 @@ def test_wavefun_rejects_out_of_region():
         wavefun(ctx, ss, 0, ">", +1e-9)
 
 
+def test_wavefun_rejects_array_with_one_point_outside():
+    st = Stack(VACUUM, (Layer(200e-9, ConstantEps(2 + 0.5j)),), VACUUM)
+    ctx = make_context(st, 2e15, 3e6)
+    ss = scatter_set(ctx, q="p")
+    assert wavefun(ctx, ss, 1, "<", np.linspace(0.0, 200e-9, 5)).shape == (5, 3)
+    for bad in (200.001e-9, -1e-12, np.nan):
+        with pytest.raises(ConfigError):
+            wavefun(ctx, ss, 1, "<", np.array([[0.0, 50e-9], [bad, 100e-9]]))
+
+
 def test_homogeneous_medium_kernel():
     eps = 1.8 + 0.25j
     ctx = uniform_ctx(eps)
     b = ctx.beta[0]
     z, zp = -50e-9, -180e-9
     g = green_kernel(ctx, j=0, jp=0, z=z, zp=zp)
-    es = ctx.e_s()
-    ep = ctx.e_p(0, +1)
+    es = ctx.pol_vector("s", 0, +1)
+    ep = ctx.pol_vector("p", 0, +1)
     expected = 0.5j / b * np.exp(1j * b * (z - zp)) * (np.outer(es, es) + np.outer(ep, ep))
     np.testing.assert_allclose(g, expected, rtol=1e-13)
     # mirrored ordering uses the downward waves
     g2 = green_kernel(ctx, j=0, jp=0, z=zp, zp=z)
-    em = ctx.e_p(0, -1)
+    em = ctx.pol_vector("p", 0, -1)
     expected2 = 0.5j / b * np.exp(1j * b * (z - zp)) * (np.outer(es, es) + np.outer(em, em))
     np.testing.assert_allclose(g2, expected2, rtol=1e-13)
 
@@ -96,6 +106,34 @@ def test_reciprocity_randomized():
         g2 = green_kernel(rev, j=jp, jp=j, z=zp, zp=z)
         scale = np.abs(g1).max()
         assert np.abs(g1 - g2.T).max() < 1e-12 * scale
+
+
+def test_kernel_on_node_array_matches_scalar_calls():
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        st = random_stack(rng)
+        omega, k, _ = random_mode(rng)
+        ctx = make_context(st, omega, k)
+        n = st.n
+        j = int(rng.integers(0, n + 1))
+        jp = j if trial % 2 == 0 else int(rng.integers(0, n + 1))
+
+        def coords(region, size):
+            if region == 0:
+                return -rng.uniform(0, 300e-9, size)
+            if region == n:
+                return rng.uniform(0, 300e-9, size)
+            return rng.uniform(0, st.thickness(region), size)
+
+        z = float(coords(j, 1)[0])
+        zp = coords(jp, 7)
+        if jp == j:
+            zp[3] = z  # a node on the field point, where tie is read
+        tie = rng.choice([0.0, 0.5, 1.0], size=7)
+        g = green_kernel(ctx, j, jp, z, zp, tie)
+        stacked = np.stack([green_kernel(ctx, j, jp, z, float(a), float(t)) for a, t in zip(zp, tie)])
+        assert g.shape == (7, 3, 3)
+        assert np.abs(g - stacked).max() <= 1e-15 * np.abs(stacked).max(), (trial, j, jp)
 
 
 def test_far_field_is_outgoing():

@@ -55,9 +55,9 @@ def test_bilinear_normalization():
         ctx = make_context(st, omega, k)
         for j in range(ctx.n + 1):
             for sign in (+1, -1):
-                e = ctx.e_p(j, sign)
+                e = ctx.pol_vector("p", j, sign)
                 assert abs(e @ e - 1.0) < 1e-12
-        es = ctx.e_s()
+        es = ctx.pol_vector("s", 0, +1)
         assert abs(es @ es - 1.0) < 1e-15
         assert es[2] == 0.0
 
@@ -76,9 +76,28 @@ def test_beta_continuous_across_light_line():
 def test_mirror_symmetry_of_p_vectors():
     st = Stack(ConstantEps(3 + 0.2j), (), ConstantEps(3 + 0.2j))
     ctx = make_context(st, 2e15, 1e6)
-    ep, em = ctx.e_p(0, +1), ctx.e_p(0, -1)
+    ep, em = ctx.pol_vector("p", 0, +1), ctx.pol_vector("p", 0, -1)
     np.testing.assert_allclose(ep[:2], -em[:2])
     np.testing.assert_allclose(ep[2], em[2])
+
+
+def test_pol_vector_direction_array_and_reversed_k():
+    rng = np.random.default_rng(4)
+    st = random_stack(rng, n_layers=2)
+    ctx = make_context(st, 2e15, 1.3 * 2e15 / C)
+    theta = rng.uniform(0.0, 2.0 * np.pi, 6)
+    for q in ("s", "p"):
+        for j in range(ctx.n + 1):
+            for sign in (+1, -1):
+                arr = ctx.pol_vector(q, j, sign, (np.cos(theta), np.sin(theta)))
+                assert arr.shape == (6, 3)
+                for t, row in zip(theta, arr):
+                    one = make_context(st, 2e15, ctx.k, khat=(np.cos(t), np.sin(t)))
+                    np.testing.assert_allclose(row, one.pol_vector(q, j, sign), rtol=0, atol=1e-15)
+                rev = ctx.pol_vector(q, j, sign, (-ctx.khat[0], -ctx.khat[1]))
+                expected = (-ctx.pol_vector("s", j, sign) if q == "s"
+                            else ctx.pol_vector("p", j, -sign))
+                np.testing.assert_array_equal(rev, expected)
 
 
 def test_khat_default_and_validation():
