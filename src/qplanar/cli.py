@@ -229,6 +229,8 @@ def cmd_verify(args) -> int:
     points = _grid_points(args)
     residual, default_tol = _SUITES[args.suite]
     tol = args.tol if args.tol is not None else default_tol
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise UsageError(f"--tol must be finite and >= 0, got {tol}")
     if args.suite == "green":
         # The identity covers both polarizations: one check per (omega, k).
         points = list(dict.fromkeys((om, k, "-") for om, k, _q in points))

@@ -12,16 +12,17 @@ sum_q e_q c_q(k) e_q is a trigonometric polynomial of degree <= 2 in the
 k-direction angle, so an 8-point DFT recovers its Fourier modes exactly
 and each mode integrates against e^{i k.rho} to a Bessel function J_n.
 Only the radial k-integral is numerical (adaptive panel-doubling
-Gauss-Legendre).
+Gauss-Legendre), evaluated in blocks of k-nodes: one Bessel table and one
+matrix product per angular mode and block.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import AccuracyError, ConfigError
 from .iorel import io_matrix
@@ -31,6 +32,12 @@ from .stack import Stack
 
 _N_THETA = 8
 _MODES = (-2, -1, 0, 1, 2)
+_THETA = 2.0 * math.pi * np.arange(_N_THETA) / _N_THETA
+_KHAT = (np.cos(_THETA), np.sin(_THETA))
+_DFT = np.exp(-1j * np.outer(_MODES, _THETA)) / _N_THETA   # (5, 8): mean of f e^{-in theta}
+# Mode n integrates to i^n J_n(k rho), and J_{-n} = (-1)^n J_n: the factor on J_|n|.
+_BESSEL_PHASE = (-1.0, 1j, 1.0, 1j, -1.0)
+_NODE_BLOCK = 64   # k-nodes per block; bounds the mode and Bessel tables whatever the rule
 
 # kind -> (left vector, right vector, (row, col) into S, or into phi[layer - 1]
 # for the Phi kinds); vectors are tagged (region 0 / n / layer j, direction).
@@ -70,31 +77,23 @@ def _tensor_modes(stack: Stack, omega: float, kind: str, layer: int, k: float) -
     """Exact angular Fourier modes T_hat[q][n] (2, 5, 3, 3) of the k-space tensor."""
     ctx = make_context(stack, omega, k)
     left_tag, right_tag, entry = _KINDS[kind]
-    theta = 2.0 * math.pi * np.arange(_N_THETA) / _N_THETA
-    khat = (np.cos(theta), np.sin(theta))
     region = {"0": 0, "n": ctx.n, "j": layer}
-    modes = np.zeros((2, len(_MODES), 3, 3), dtype=complex)
+    modes = np.empty((2, len(_MODES), 3, 3), dtype=complex)
     for iq, q in enumerate(("s", "p")):
         io = io_matrix(scatter_set(ctx, q))
         c = (io.phi[layer - 1] if kind.startswith("Phi") else io.s_matrix)[entry]
-        lv, rv = (ctx.pol_vector(q, region[tag[0]], 1 if tag[1] == "+" else -1, khat)
+        lv, rv = (ctx.pol_vector(q, region[tag[0]], 1 if tag[1] == "+" else -1, _KHAT)
                   for tag in (left_tag, right_tag))
         tens = c * np.einsum("ti,tj->tij", lv, rv)
-        for i, n_mode in enumerate(_MODES):
-            phase = np.exp(-1j * n_mode * theta)
-            modes[iq, i] = (tens * phase[:, None, None]).mean(axis=0)
+        modes[iq] = (_DFT @ tens.reshape(_N_THETA, 9)).reshape(len(_MODES), 3, 3)
     return modes
 
 
-def _branch_points(stack: Stack, omega: float) -> list[float]:
-    """k values where a lossless region's beta changes character."""
+def _panel_edges(stack: Stack, omega: float, window: GaussianWindow) -> list[float]:
+    """0, the k values below k_max where a lossless region's beta changes character, k_max."""
     ctx = make_context(stack, omega, 0.0)
-    pts = []
-    for j in range(ctx.n + 1):
-        kj = ctx.kj[j]
-        if kj.imag == 0.0 and kj.real > 0.0:
-            pts.append(kj.real)
-    return sorted(set(pts))
+    pts = {kj.real for kj in ctx.kj if kj.imag == 0.0 and 0.0 < kj.real < window.k_max}
+    return [0.0, *sorted(pts), window.k_max]
 
 
 @dataclass(frozen=True)
@@ -109,6 +108,8 @@ class KernelField:
     phi_dir: float                  # in-plane direction of rho - rho'
     tensor: np.ndarray              # (nr, 3, 3)
     mode_profiles_q: np.ndarray     # (2, 5, nr, 3, 3): per-polarization S_n(rho)
+    nodes_per_panel: int            # Gauss-Legendre nodes per panel of the final rule
+    last_change: float              # relative change that ended the node doubling
 
     @property
     def mode_profiles(self) -> np.ndarray:
@@ -117,16 +118,51 @@ class KernelField:
 
     def tensor_at(self, phi: float) -> np.ndarray:
         """Re-assemble the kernel tensors for another in-plane direction."""
-        out = np.zeros_like(self.tensor)
-        profiles = self.mode_profiles
-        for i, n_mode in enumerate(_MODES):
-            out += profiles[i] * np.exp(1j * n_mode * phi)
-        return out
+        return np.einsum("n,nrij->rij", np.exp(1j * np.multiply(_MODES, phi)), self.mode_profiles)
 
 
-def _gauss_nodes(a: float, b: float, n: int):
+@functools.lru_cache(maxsize=16)
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1] (read-only, cached)."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _bessel_j012(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """J_0, J_1, J_2 on x >= 0, with J_2 = 2 J_1 / x - J_0 from x = 1e-3 up.
+
+    Below, the recurrence cancels (and J_1 / x loses bits at subnormal x), so J_2
+    is its series x^2/8 (1 - x^2/12), 0 at x = 0, to within 3e-15 of J_2.
+    """
+    from scipy.special import j0, j1   # deferred: only the kernels need scipy
+
+    b0, b1 = j0(x), j1(x)
+    xs = np.minimum(x, 1e-3)
+    b2 = np.where(x < 1e-3, xs * xs / 8.0 * (1.0 - xs * xs / 12.0),
+                  2.0 * b1 / np.maximum(x, 1e-3) - b0)
+    return b0, b1, b2
+
+
+def _accumulate(stack: Stack, omega: float, kind: str, layer: int, window: GaussianWindow,
+                rho: np.ndarray, edges: list[float], n_nodes: int) -> np.ndarray:
+    """Mode profiles (2, 5, nr, 3, 3) of the n_nodes-per-panel Gauss-Legendre rule on `edges`."""
+    x, w = _legendre_rule(n_nodes)
+    table = np.empty((_NODE_BLOCK, 2, len(_MODES), 3, 3), dtype=complex)
+    total = np.zeros((len(_MODES), rho.size, 18), dtype=complex)   # (mode, rho, (q, i, j))
+    for a, b in zip(edges, edges[1:]):
+        ks = 0.5 * (b - a) * x + 0.5 * (a + b)
+        wgs = window(ks) * (0.5 * (b - a) * w) * ks / (2.0 * math.pi)
+        for start in range(0, n_nodes, _NODE_BLOCK):
+            kb = ks[start:start + _NODE_BLOCK]
+            block = table[:kb.size]
+            for m, kk in enumerate(kb):
+                block[m] = _tensor_modes(stack, omega, kind, layer, float(kk))
+            block *= wgs[start:start + _NODE_BLOCK, None, None, None, None]
+            bess = _bessel_j012(np.outer(rho, kb))
+            for i, n in enumerate(_MODES):
+                total[i] += _BESSEL_PHASE[i] * (bess[abs(n)] @ block[:, :, i].reshape(-1, 18))
+    return total.reshape(len(_MODES), rho.size, 2, 3, 3).transpose(2, 0, 1, 3, 4)
 
 
 def kernel_radial(stack: Stack, omega: float, kind: str, window: GaussianWindow,
@@ -149,25 +185,12 @@ def kernel_radial(stack: Stack, omega: float, kind: str, window: GaussianWindow,
         raise ConfigError("rho grid is empty")
     if not np.all(np.isfinite(rho) & (rho >= 0.0)):
         raise ConfigError("rho grid must be nonnegative and finite")
-    k_max = window.k_max
-    edges = [0.0] + [b for b in _branch_points(stack, omega) if 0.0 < b < k_max] + [k_max]
-
-    def accumulate(n_nodes: int) -> np.ndarray:
-        total = np.zeros((2, len(_MODES), rho.size, 3, 3), dtype=complex)
-        for a, b in zip(edges, edges[1:]):
-            ks, ws = _gauss_nodes(a, b, n_nodes)
-            for kk, wk in zip(ks, ws):
-                modes = _tensor_modes(stack, omega, kind, layer, float(kk))
-                wg = float(window(kk)) * wk * kk / (2.0 * math.pi)
-                for i, n_mode in enumerate(_MODES):
-                    bess = jv(abs(n_mode), kk * rho)
-                    if n_mode < 0 and n_mode % 2 != 0:
-                        bess = -bess
-                    total[:, i] += (
-                        wg * (1j ** n_mode) * bess[None, :, None, None] * modes[:, i][:, None, :, :]
-                    )
-        return total
-
+    if not (math.isfinite(rel_tol) and rel_tol > 0.0):
+        raise ConfigError(f"rel_tol must be positive and finite, got {rel_tol}")
+    if max_doublings < 1:
+        raise ConfigError(f"max_doublings must be >= 1, got {max_doublings}")
+    accumulate = functools.partial(_accumulate, stack, omega, kind, layer, window, rho,
+                                   _panel_edges(stack, omega, window))
     n_nodes = 24
     prev = accumulate(n_nodes)
     for _ in range(max_doublings):
@@ -183,9 +206,6 @@ def kernel_radial(stack: Stack, omega: float, kind: str, window: GaussianWindow,
             f"radial k-integral did not converge: last change {change:.2e} > {rel_tol:.2e} "
             f"with {n_nodes} nodes/panel; narrow the window or raise max_doublings"
         )
-    summed = prev.sum(axis=0)
-    tensor = np.zeros((rho.size, 3, 3), dtype=complex)
-    for i, n_mode in enumerate(_MODES):
-        tensor += summed[i] * np.exp(1j * n_mode * phi_dir)
-    return KernelField(kind, layer, omega, window, rho, phi_dir, tensor, prev)
+    tensor = np.einsum("n,nrij->rij", np.exp(1j * np.multiply(_MODES, phi_dir)), prev.sum(axis=0))
+    return KernelField(kind, layer, omega, window, rho, phi_dir, tensor, prev, n_nodes, change)
 

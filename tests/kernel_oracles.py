@@ -1,7 +1,9 @@
-"""Round-trip oracles for the windowed coordinate-space kernels.
+"""Oracles for the windowed coordinate-space kernels.
 
 `forward_modes` Hankel-transforms a computed radial kernel back to k-space;
-`kspace_reference` evaluates the windowed k-space tensor it should return.
+`kspace_reference` evaluates the windowed k-space tensor it should return;
+`accumulate_per_node` is the one-node-at-a-time radial quadrature that the
+block-wise `rhokernels._accumulate` must reproduce.
 """
 
 import math
@@ -49,3 +51,27 @@ def kspace_reference(stack: Stack, omega: float, kind: str, window: GaussianWind
             acc += modes[i] * np.exp(1j * n_mode * phi_dir)
         out[m] = float(window(k)) * acc
     return out
+
+
+def accumulate_per_node(stack: Stack, omega: float, kind: str, layer: int, window: GaussianWindow,
+                        rho: np.ndarray, edges: list[float], n_nodes: int) -> np.ndarray:
+    """Per-node reference for `rhokernels._accumulate`: mode profiles (2, 5, nr, 3, 3).
+
+    The same n_nodes-per-panel Gauss-Legendre nodes on `edges`, one node at a
+    time, with `jv` for every angular mode.
+    """
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    total = np.zeros((2, len(_MODES), rho.size, 3, 3), dtype=complex)
+    for a, b in zip(edges, edges[1:]):
+        ks, ws = 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
+        for kk, wk in zip(ks, ws):
+            modes = _tensor_modes(stack, omega, kind, layer, float(kk))
+            wg = float(window(kk)) * wk * kk / (2.0 * math.pi)
+            for i, n_mode in enumerate(_MODES):
+                bess = jv(abs(n_mode), kk * rho)
+                if n_mode < 0 and n_mode % 2 != 0:
+                    bess = -bess
+                total[:, i] += (
+                    wg * (1j ** n_mode) * bess[None, :, None, None] * modes[:, i][:, None, :, :]
+                )
+    return total

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qplanar
 from qplanar.cli import main
 
 SLAB = {
@@ -371,3 +376,20 @@ def test_green_check_node_count_below_two_exits_2(stack_file, capsys, nodes):
                "--nodes", nodes])
     assert rc == 2
     assert "at least 2 quadrature nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["verify", "--suite", "commutators"], ["green-check"]])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tol_must_be_finite_and_nonnegative(stack_file, capsys, command, tol):
+    rc = main([*command, "--stack", stack_file(GREEN), "--omega", "2e15", "--k", "0.5w",
+               f"--tol={tol}"])
+    assert rc == 2
+    assert "--tol must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_cli_import_does_not_load_scipy_special():
+    env = {**os.environ, "PYTHONPATH": str(Path(qplanar.__file__).resolve().parents[1])}
+    code = "import sys, qplanar.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.strip() == "False"

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.special import jv
 
 from conftest import C
-from kernel_oracles import forward_modes, kspace_reference
+from kernel_oracles import accumulate_per_node, forward_modes, kspace_reference
 from qplanar.errors import AccuracyError, ConfigError
-from qplanar.rhokernels import GaussianWindow, kernel_radial
+from qplanar.rhokernels import (
+    KERNEL_KINDS, GaussianWindow, _accumulate, _bessel_j012, _panel_edges, kernel_radial,
+)
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
 
 OMEGA = 2e15
@@ -109,3 +113,73 @@ def test_bad_inputs():
         kernel_radial(st, OMEGA, "R0n", win, np.array([-1e-7]))
     with pytest.raises(ConfigError):
         GaussianWindow(k_w=-1.0)
+
+
+@pytest.mark.parametrize("max_doublings", [0, -1])
+def test_max_doublings_below_one_is_config_error(max_doublings):
+    with pytest.raises(ConfigError, match="max_doublings"):
+        kernel_radial(absorbing_env_stack(), OMEGA, "R0n", GaussianWindow(k_w=1.5 * K0), np.array([0.0]),
+                      max_doublings=max_doublings)
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1e-7])
+def test_bad_rel_tol_is_config_error(rel_tol):
+    with pytest.raises(ConfigError, match="rel_tol"):
+        kernel_radial(absorbing_env_stack(), OMEGA, "R0n", GaussianWindow(k_w=1.5 * K0), np.array([0.0]),
+                      rel_tol=rel_tol)
+
+
+def test_convergence_record():
+    rel_tol = 1e-7
+    field = kernel_radial(absorbing_env_stack(), OMEGA, "R0n", GaussianWindow(k_w=1.5 * K0),
+                          np.linspace(0.0, 5.0 / K0, 10), rel_tol=rel_tol)
+    assert 0.0 <= field.last_change < rel_tol
+    m = round(math.log2(field.nodes_per_panel / 24))
+    assert m >= 1 and field.nodes_per_panel == 24 * 2 ** m
+
+
+def test_bessel_j2_recurrence_matches_jv():
+    # x = 0, subnormal, and small x, where 2 J_1 / x - J_0 cancels or loses bits
+    small = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 1e-20, 1e-8,
+                      1e-4, 9.99e-4])
+    b2 = _bessel_j012(small)[2]
+    assert b2[0] == 0.0
+    np.testing.assert_allclose(b2, jv(2, small), rtol=1e-13, atol=1e-300)
+    x = np.concatenate([np.linspace(1e-3, 2e-3, 101), np.linspace(2e-3, 150.0, 2001)])
+    b0, b1, b2 = _bessel_j012(x)
+    np.testing.assert_allclose(b0, jv(0, x), rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(b1, jv(1, x), rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(b2, jv(2, x), rtol=0.0, atol=1e-15)
+
+
+_CLADDING = st.one_of(
+    st.builds(complex, st.floats(1.0, 3.0), st.just(0.0)),     # lossless: a branch point
+    st.builds(complex, st.floats(1.0, 3.0), st.floats(0.01, 1.0)),
+)
+_LAYER = st.builds(
+    Layer, st.floats(20e-9, 300e-9),
+    st.builds(ConstantEps, st.builds(complex, st.floats(1.0, 6.0), st.floats(0.0, 1.0))),
+)
+
+
+@st.composite
+def kernel_cases(draw):
+    kind = draw(st.sampled_from(KERNEL_KINDS))
+    layers = draw(st.lists(_LAYER, min_size=1 if kind.startswith("Phi") else 0, max_size=3))
+    stack = Stack(ConstantEps(draw(_CLADDING)), tuple(layers), ConstantEps(draw(_CLADDING)))
+    layer = draw(st.integers(1, len(layers))) if kind.startswith("Phi") else 0
+    window = GaussianWindow(k_w=draw(st.floats(0.5, 2.0)) * K0)
+    # rho = 0, k rho ~ 1e-8 across the k range, and two ordinary radii
+    rho = np.array([0.0, 1e-8 / window.k_max, 1e-8 / window.k_w, 0.7 / window.k_w, 4.0 / window.k_w])
+    return stack, kind, layer, window, rho, draw(st.sampled_from([24, 64, 96, 160]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(kernel_cases())
+def test_block_accumulation_matches_per_node_oracle(case):
+    stack, kind, layer, window, rho, n_nodes = case
+    edges = _panel_edges(stack, OMEGA, window)
+    got = _accumulate(stack, OMEGA, kind, layer, window, rho, edges, n_nodes)
+    ref = accumulate_per_node(stack, OMEGA, kind, layer, window, rho, edges, n_nodes)
+    assert np.all(np.isfinite(got))
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
