@@ -24,7 +24,7 @@ from .iorel import AmplitudeVector, IOMatrix, SourceBlock, field_outside, io_mat
 from .modes import ModeContext, Regime, make_context, regime
 from .rhokernels import GaussianWindow, KernelField, kernel_radial
 from .sampler import EmissionEstimate, SamplePlan, sample_emission
-from .scatter import InterfaceCoeffs, ScatterSet, SMatrix, interface_rt, scatter_set, star
+from .scatter import InterfaceCoeffs, ScatterSet, interface_rt, scatter_set
 from .stack import (
     ConstantEps,
     DrudeLorentzEps,
@@ -64,7 +64,6 @@ __all__ = [
     "SamplePlan",
     "ScatterSet",
     "SingularInterfaceError",
-    "SMatrix",
     "SourceBlock",
     "Stack",
     "TabulatedEps",
@@ -90,7 +89,6 @@ __all__ = [
     "regime",
     "sample_emission",
     "scatter_set",
-    "star",
     "unitarity_residual",
     "verify_green_identity",
     "wavefun",

@@ -16,11 +16,11 @@ import sys
 
 import numpy as np
 
-from .commutators import assembled_out, commutator_set, unitarity_residual
+from .commutators import assembled_out, bosonic, bosonize, commutator_set, grazing, unitarity_residual
 from .constants import C_LIGHT, EV, HBAR, n0_scale
 from .errors import ConfigError, QPlanarError, RegimeError, UsageError
 from .greens import verify_green_identity
-from .iorel import io_matrix
+from .iorel import _block2, io_matrix
 from .modes import Regime, make_context, regime
 from .rhokernels import GaussianWindow, KERNEL_KINDS, kernel_radial
 from .sampler import SamplePlan, sample_emission
@@ -33,8 +33,11 @@ SCHEMA_VERSION = 1
 _COMP_NAMES = [a + b for a in "xyz" for b in "xyz"]
 
 
+_FLOAT = "%.12e"   # every float cell; `_FLOAT % x` is byte-identical to f"{x:.12e}"
+
+
 def _fmt(x: float) -> str:
-    return f"{x:.12e}"
+    return _FLOAT % x
 
 
 def _parse_scalar(text: str, omega: float | None = None) -> float:
@@ -103,31 +106,33 @@ def _pols(arg: str) -> list[str]:
     return pols
 
 
-def _grid_points(args) -> list[tuple[float, float, str]]:
-    omegas = _parse_grid(args.omega)
-    points = []
-    for om in omegas:
-        ks = _parse_grid(args.k, omega=om)
-        for k in ks:
-            for q in _pols(args.pol):
-                points.append((om, k, q))
-    if not points:
+def _grid(args) -> tuple[list[tuple[float, np.ndarray]], list[str]]:
+    """[(omega, k array)] in grid order, and the polarizations; an empty grid is a usage error."""
+    grid = [(om, np.array(_parse_grid(args.k, omega=om), dtype=float))
+            for om in _parse_grid(args.omega)]
+    pols = _pols(args.pol)
+    if not pols or not any(ks.size for _, ks in grid):
         raise UsageError("empty sweep grid")
-    return points
+    return grid, pols
 
 
-def _emit(args, header: list[str], rows: list[list[str]], schema: str):
+def _rows(template: str, values: np.ndarray) -> list[str]:
+    """One CSV row per line of `values`, each through one `%` on `template`."""
+    return [template % tuple(v) for v in values.tolist()]
+
+
+def _interleave(groups: list[list[str]]) -> list[str]:
+    """Rows k-major: the i-th row of every group, in group order, then the next i."""
+    return [row for rows in zip(*groups) for row in rows]
+
+
+def _emit(args, header: list[str], rows: list[str], schema: str):
+    name = f"qplanar-{schema}-v{SCHEMA_VERSION}"
     if args.format == "csv":
-        lines = [f"# schema=qplanar-{schema}-v{SCHEMA_VERSION}"]
-        lines.append(",".join(header))
-        lines.extend(",".join(row) for row in rows)
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "schema": f"qplanar-{schema}-v{SCHEMA_VERSION}",
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = "\n".join([f"# schema={name}", ",".join(header), *rows]) + "\n"
+    else:   # no cell holds a comma
+        cells = [dict(zip(header, row.split(","))) for row in rows]
+        text = json.dumps({"schema": name, "rows": cells}, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -137,68 +142,80 @@ def _emit(args, header: list[str], rows: list[list[str]], schema: str):
 
 def cmd_coeffs(args) -> int:
     stack = _load_stack_file(args.stack)
-    points = _grid_points(args)
+    grid, pols = _grid(args)
     n_layers = len(stack.layers)
 
-    header = ["omega_rad_s", "k_inv_m", "pol",
-              "r_0n_re", "r_0n_im", "r_n0_re", "r_n0_im",
-              "t_0n_re", "t_0n_im", "t_n0_re", "t_n0_im"]
-    for j in range(1, n_layers + 1):
-        header += [f"D_L{j}_re", f"D_L{j}_im",
-                   f"phi_0p_L{j}_re", f"phi_0p_L{j}_im", f"phi_0m_L{j}_re", f"phi_0m_L{j}_im",
-                   f"phi_np_L{j}_re", f"phi_np_L{j}_im", f"phi_nm_L{j}_re", f"phi_nm_L{j}_im"]
+    # Per k: r_0n, r_n0, t_0n, t_n0, then per layer D, phi_0+, phi_0-, phi_n+, phi_n-.
+    layer = ("D", "phi_0p", "phi_0m", "phi_np", "phi_nm")
+    names = ["r_0n", "r_n0", "t_0n", "t_n0", *(f"{x}_L{j}" for j in range(1, n_layers + 1) for x in layer)]
+    header = ["omega_rad_s", "k_inv_m", "pol", *(f"{x}_{part}" for x in names for part in ("re", "im"))]
+    floats = ",".join([_FLOAT] * (len(header) - 3))
 
-    def one(point):
-        om, k, q = point
-        ctx = make_context(stack, om, k)
-        ss = scatter_set(ctx, q)
-        zs = [ss.r_0n, ss.r_n0, ss.t_0n, ss.t_n0]
-        for d, phi in zip(ss.d_fp[1:-1], io_matrix(ss).phi):
-            zs += [d, *phi.ravel()]  # D, phi_0+, phi_0-, phi_n+, phi_n-
-        return [_fmt(om), _fmt(k), q] + [_fmt(x) for z in zs for x in (z.real, z.imag)]
-
-    rows = [one(point) for point in points]
+    rows = []
+    for om, ks in grid:
+        ctx = make_context(stack, om, ks)
+        groups = []
+        for q in pols:
+            ss = scatter_set(ctx, q)
+            io = io_matrix(ss)
+            layers = np.concatenate([ss.d_fp[1:-1, :, None], io.phi.reshape(n_layers, ks.size, 4)], -1)
+            z = np.concatenate([io.s_matrix.reshape(ks.size, 4)[:, [0, 3, 2, 1]],
+                                layers.transpose(1, 0, 2).reshape(ks.size, -1)], 1)
+            groups.append(_rows(f"{_fmt(om)},{_FLOAT},{q},{floats}",
+                                np.column_stack([ks, z.view(float)])))
+        rows += _interleave(groups)
     _emit(args, header, rows, "coeffs")
     return 0
 
 
-def _require_vacuum_propagating(ctx) -> None:
-    if not (ctx.eps[0] == 1.0 and ctx.eps[-1] == 1.0 and regime(ctx, 0) is Regime.PROPAGATING):
-        raise RegimeError("suite needs vacuum outer media and a propagating mode")
+def _vacuum_propagating(ctx) -> np.ndarray:
+    vacuum = ctx.eps[0] == 1.0 and ctx.eps[-1] == 1.0
+    return vacuum & (regime(ctx, 0) == Regime.PROPAGATING)
 
 
-# Per-point residuals of the verification suites.  A RegimeError marks a
-# point outside the suite's preconditions: it is skipped, not failed.
-
-def _commutators_residual(ctx, q: str, args) -> float:
-    cs = commutator_set(ctx, q)
-    scale = max(abs(cs.c_in0), abs(cs.c_inN), abs(cs.c_out0), abs(cs.c_outN),
-                1.0 / abs(ctx.beta[0]), 1.0 / abs(ctx.beta[-1]))
-    closed = np.array([[cs.c_out0, cs.cross], [cs.cross.conjugate(), cs.c_outN]])
-    return float(np.max(np.abs(assembled_out(cs) - closed))) / scale
+def _commutator_points(ctx, q: str, ok):
+    """Mask, context and commutator set of the k of `ok` off the (singular) branch points."""
+    ok = ok & ~grazing(ctx)
+    ctx = ctx.select(ok)
+    return ok, ctx, commutator_set(ctx, q)
 
 
-def _unitarity_residual(ctx, q: str, args) -> float:
-    _require_vacuum_propagating(ctx)
-    return unitarity_residual(commutator_set(ctx, q))
+# Per-k residuals of the verification suites: (mask of the k inside the
+# suite's preconditions, residual of each of those k).  Points outside the
+# preconditions are skipped, not failed.
+
+def _commutators_residual(ctx, q: str, args):
+    ok, ctx, cs = _commutator_points(ctx, q, True)
+    scale = np.maximum.reduce([abs(cs.c_in0), abs(cs.c_inN), abs(cs.c_out0), abs(cs.c_outN),
+                               1.0 / abs(ctx.beta[0]), 1.0 / abs(ctx.beta[-1])])
+    closed = _block2(cs.c_out0, cs.cross, np.conj(cs.cross), cs.c_outN)
+    return ok, np.max(np.abs(assembled_out(cs) - closed), axis=(-2, -1)) / scale
 
 
-def _kirchhoff_residual(ctx, q: str, args) -> float:
-    _require_vacuum_propagating(ctx)  # before commutator_set: skipped points cost nothing
-    cs = commutator_set(ctx, q)
-    return max(kirchhoff_residual(ctx, q, args.temp, side, cs=cs)
-               for side in (0, ctx.n))
+def _unitarity_residual(ctx, q: str, args):
+    ok, sub, cs = _commutator_points(ctx, q, _vacuum_propagating(ctx))
+    if not bosonic(sub, cs).all():   # outside bosonize's floors: skipped as well
+        ok[ok] = bosonic(sub, cs)
+        ok, sub, cs = _commutator_points(ctx, q, ok)
+    return ok, unitarity_residual(bosonize(sub, cs))
 
 
-def _green_residual(ctx, q: str, args) -> float:
+def _kirchhoff_residual(ctx, q: str, args):
+    ok, ctx, cs = _commutator_points(ctx, q, _vacuum_propagating(ctx))
+    return ok, np.maximum(*(kirchhoff_residual(ctx, q, args.temp, side, cs=cs)
+                            for side in (0, ctx.n)))
+
+
+def _green_residual(ctx, q: str, args):
     try:
-        res = verify_green_identity(ctx, j=0, jp=0, z=0.0, zp=0.0, nodes_per_layer=args.nodes)
+        res = [verify_green_identity(ctx.select(i), nodes_per_layer=args.nodes).residual
+               for i in range(ctx.k.size)]
     except RegimeError as exc:
         raise UsageError(str(exc)) from exc
-    return res.residual
+    return np.ones(ctx.k.shape, dtype=bool), np.array(res)
 
 
-# suite -> (per-point residual, default tolerance)
+# suite -> (per-k residuals, default tolerance)
 _SUITES = {
     "commutators": (_commutators_residual, 1e-10),
     "unitarity": (_unitarity_residual, 1e-10),
@@ -207,63 +224,63 @@ _SUITES = {
 }
 
 
-def _skipping_regime_errors(command: str, stack: Stack, points, one) -> tuple[list, int]:
-    """[(point, one(ctx, q))] over the grid, skipping points that raise RegimeError.
-
-    A RegimeError marks a point outside the command's preconditions (e.g. k
-    on a light line); a grid with no point left is a usage error.
-    """
-    done, n_skip = [], 0
-    for om, k, q in points:
-        try:
-            done.append(((om, k, q), one(make_context(stack, om, k), q)))
-        except RegimeError:
-            n_skip += 1
-    if not done:
-        raise UsageError(f"{command}: no grid point satisfies its preconditions")
-    return done, n_skip
-
-
 def cmd_verify(args) -> int:
     stack = _load_stack_file(args.stack)
-    points = _grid_points(args)
+    grid, pols = _grid(args)
     residual, default_tol = _SUITES[args.suite]
     tol = args.tol if args.tol is not None else default_tol
     if not (math.isfinite(tol) and tol >= 0.0):
         raise UsageError(f"--tol must be finite and >= 0, got {tol}")
     if args.suite == "green":
-        # The identity covers both polarizations: one check per (omega, k).
-        points = list(dict.fromkeys((om, k, "-") for om, k, _q in points))
-    done, n_skip = _skipping_regime_errors(f"suite {args.suite}", stack, points,
-                                           lambda ctx, q: residual(ctx, q, args))
-    worst = 0.0
-    worst_pt = None
-    for point, res in done:
-        if res > worst:
-            worst, worst_pt = res, point
-    status = "PASS" if worst <= tol else "FAIL"
-    print(f"suite={args.suite} points={len(done)} skipped={n_skip} "
+        # The identity covers both polarizations: one check per distinct (omega, k).
+        grid = list({om: np.array(list(dict.fromkeys(ks.tolist()))) for om, ks in grid}.items())
+        pols = ["-"]
+    points, residuals, n_skip = [], [], 0
+    for om, ks in grid:
+        ctx = make_context(stack, om, ks)
+        done = np.zeros((ks.size, len(pols)), dtype=bool)
+        res = np.zeros(done.shape)
+        for iq, q in enumerate(pols):
+            ok, r = residual(ctx, q, args)
+            done[:, iq] = ok
+            res[ok, iq] = r
+        n_skip += int(np.count_nonzero(~done))
+        points += [(om, ks[i], pols[iq]) for i, iq in zip(*np.nonzero(done))]
+        residuals += res[done].tolist()
+    if not points:
+        raise UsageError(f"suite {args.suite}: no grid point satisfies its preconditions")
+    # argmax picks the first NaN if there is one: a non-finite residual fails the run.
+    i = int(np.argmax(residuals))
+    worst = residuals[i]
+    status = "PASS" if np.isfinite(worst) and worst <= tol else "FAIL"
+    print(f"suite={args.suite} points={len(points)} skipped={n_skip} "
           f"max_residual={worst:.6e} tol={tol:.1e} status={status}")
-    if status == "FAIL" and worst_pt is not None:
-        om, k, q = worst_pt
+    if status == "FAIL":
+        om, k, q = points[i]
         print(f"worst omega_rad_s={_fmt(om)} k_inv_m={_fmt(k)} pol={q}")
     return 0 if status == "PASS" else 1
 
 
 def cmd_thermal(args) -> int:
     stack = _load_stack_file(args.stack)
-    points = _grid_points(args)
+    grid, pols = _grid(args)
     header = ["omega_rad_s", "k_inv_m", "pol", "side", "temp_K", "occupation",
               "w_n0_normalized", "n0_si"]
-
-    def one(ctx, q):
-        cs = commutator_set(ctx, q)
-        return [emission_w(ctx, q, args.temp, side, cs=cs) for side in (0, ctx.n)]
-
-    done, n_skip = _skipping_regime_errors("thermal", stack, points, one)
-    rows = [[_fmt(om), _fmt(k), q, str(side), _fmt(args.temp), _fmt(bose(om, args.temp)),
-             _fmt(w), _fmt(n0_scale(om))]
-            for (om, k, q), ws in done for side, w in zip((0, stack.n), ws)]
+    rows, n_skip = [], 0
+    for om, ks in grid:
+        ctx = make_context(stack, om, ks)
+        fixed = f"{_fmt(args.temp)},{_fmt(bose(om, args.temp))}"
+        groups = []
+        for q in pols:
+            ok, sub, cs = _commutator_points(ctx, q, True)
+            n_skip += int(np.count_nonzero(~ok))
+            for side in (0, sub.n):
+                w = emission_w(sub, q, args.temp, side, cs=cs)
+                groups.append(_rows(f"{_fmt(om)},{_FLOAT},{q},{side},{fixed},{_FLOAT},"
+                                    f"{_fmt(n0_scale(om))}", np.column_stack([sub.k, w])))
+        rows += _interleave(groups)
+    if not rows:
+        raise UsageError("thermal: no grid point satisfies its preconditions")
     if n_skip:
         print(f"skipped={n_skip}", file=sys.stderr)
     _emit(args, header, rows, "thermal")
@@ -272,17 +289,19 @@ def cmd_thermal(args) -> int:
 
 def cmd_sample(args) -> int:
     stack = _load_stack_file(args.stack)
-    points = _grid_points(args)
+    grid, pols = _grid(args)
     header = ["omega_rad_s", "k_inv_m", "pol", "side", "temp_K", "w_est_n0",
               "stderr_n0", "realizations", "seed"]
     rows = []
-    for om, k, q in points:
-        plan = SamplePlan(omega=om, k=k, q=q, temperature=args.temp,
-                          nodes_per_layer=args.nodes, realizations=args.realizations,
-                          seed=args.seed, side=args.side)
-        est = sample_emission(plan, stack)
-        rows.append([_fmt(om), _fmt(k), q, str(args.side), _fmt(args.temp),
-                     _fmt(est.w), _fmt(est.stderr), str(est.realizations), str(args.seed)])
+    for om, ks in grid:
+        for k in ks.tolist():
+            for q in pols:
+                plan = SamplePlan(omega=om, k=k, q=q, temperature=args.temp,
+                                  nodes_per_layer=args.nodes, realizations=args.realizations,
+                                  seed=args.seed, side=args.side)
+                est = sample_emission(plan, stack)
+                rows.append(f"{_fmt(om)},{_fmt(k)},{q},{args.side},{_fmt(args.temp)},"
+                            f"{_fmt(est.w)},{_fmt(est.stderr)},{est.realizations},{args.seed}")
     _emit(args, header, rows, "sample")
     return 0
 
@@ -299,11 +318,11 @@ def cmd_kernels(args) -> int:
         window = GaussianWindow(k_w=k_w)
         rho = np.linspace(0.0, args.rho_max_over_kw / k_w, args.rho_points)
         field = kernel_radial(stack, om, args.kind, window, rho, layer=args.layer)
-        for i, r in enumerate(field.rho):
-            for ci, comp in enumerate(_COMP_NAMES):
-                val = field.tensor[i, ci // 3, ci % 3]
-                rows.append([args.kind, _fmt(om), _fmt(k_w), _fmt(float(r)), comp,
-                             _fmt(val.real), _fmt(val.imag)])
+        comps = field.tensor.reshape(field.rho.size, 9)
+        rows += _interleave([
+            _rows(f"{args.kind},{_fmt(om)},{_fmt(k_w)},{_FLOAT},{comp},{_FLOAT},{_FLOAT}",
+                  np.column_stack([field.rho, comps[:, ci].real, comps[:, ci].imag]))
+            for ci, comp in enumerate(_COMP_NAMES)])
     _emit(args, header, rows, "kernels")
     return 0
 

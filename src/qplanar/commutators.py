@@ -17,18 +17,17 @@ Theta(0) = 1/2 convention at coincident coordinates; they reduce to the
 textbook vacuum limits (c_out = c_in when propagating, 2 Im r / |beta| when
 evanescent) and are validated against the brute-force assembly from input
 and intraplate pieces, which is the convention-independent oracle.
+Everything is elementwise over the k array of the context (k axes first).
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, PassivityError, RegimeError
-from .iorel import IOMatrix, io_matrix
+from .iorel import IOMatrix, _block2, io_matrix
 from .modes import ModeContext
 from .scatter import ScatterSet, scatter_set
 
@@ -37,33 +36,47 @@ from .scatter import ScatterSet, scatter_set
 DEGENERATE_C_FRACTION = 1e-14
 
 
-def _pqq(ctx: ModeContext, j: int, q: str) -> tuple[float, float, complex]:
-    """(P, Q, Qb) polarization overlaps for region j."""
+def _dagger(m: np.ndarray) -> np.ndarray:   # conjugate transpose of 2x2 blocks
+    return np.conj(m).swapaxes(-1, -2)
+
+
+def _first(mask, *values):
+    """The entries of `values` at the first True of `mask` (all of k.shape)."""
+    i = np.flatnonzero(mask)[0]
+    return tuple(np.ravel(v)[i] for v in values)
+
+
+def _pqq(ctx: ModeContext, j, q: str):
+    """(P, Q, Qb) polarization overlaps for region j (or an array of regions)."""
     if q == "s":
         return 1.0, 1.0, 1.0 + 0.0j
     b = ctx.beta[j]
-    kj = ctx.kj[j]
+    kj = ctx.per_region(ctx.kj, j)
     k2 = ctx.k * ctx.k
     ab2 = abs(b) ** 2
     akj2 = abs(kj) ** 2
     return (ab2 + k2) / akj2, (k2 - ab2) / akj2, (k2 - b * b) / (kj * kj)
 
 
-def c_in_side(ctx: ModeContext, q: str, side: int) -> float:
-    """Input commutator coefficient (N0-normalized) for side 0 or n."""
-    ctx.side_row(side)  # rejects any side but 0 and n
+def _rows(ctx: ModeContext, side) -> np.ndarray:
+    """IO rows of side 0 or n, or of an array of them; any other side is a ConfigError."""
+    return np.reshape([ctx.side_row(s) for s in np.ravel(side)], np.shape(side))
+
+
+def c_in_side(ctx: ModeContext, q: str, side):
+    """Input commutator coefficient (N0-normalized) for side 0 or n (or an array of them)."""
+    _rows(ctx, side)  # rejects any side but 0 and n
     b = ctx.beta[side]
-    p, _, _ = _pqq(ctx, side, q)
-    return b.real / abs(b) ** 2 * p
+    return b.real / abs(b) ** 2 * _pqq(ctx, side, q)[0]
 
 
-def _c_out_closed(ctx: ModeContext, q: str, j: int, r: complex) -> float:
-    """Closed-form output self-commutator of outer region j given the whole-stack r."""
+def _c_out_closed(ctx: ModeContext, q: str, j, r):
+    """Closed-form output self-commutator of outer region(s) j given the whole-stack r."""
     b = ctx.beta[j]
     ab2 = abs(b) ** 2
     if q == "s":
         return (b.real + 2.0 * b.imag * r.imag) / ab2
-    kj = ctx.kj[j]
+    kj = ctx.per_region(ctx.kj, j)
     k2 = ctx.k * ctx.k
     akj2 = abs(kj) ** 2
     p, qq, qb = _pqq(ctx, j, q)
@@ -75,13 +88,12 @@ def _c_out_closed(ctx: ModeContext, q: str, j: int, r: complex) -> float:
     return term_r + term_0 + term_sq
 
 
-def c_out_side(ctx: ModeContext, ss: ScatterSet, side: int) -> float:
-    """Closed-form output self-commutator for side 0 or n."""
-    r = ss.r_n0 if ctx.side_row(side) else ss.r_0n
-    return _c_out_closed(ctx, ss.q, side, r)
+def c_out_side(ctx: ModeContext, ss: ScatterSet, side):
+    """Closed-form output self-commutator for side 0 or n (or an array of them)."""
+    return _c_out_closed(ctx, ss.q, side, np.stack([ss.r_0n, ss.r_n0])[_rows(ctx, side)])
 
 
-def cross_closed(ctx: ModeContext, ss: ScatterSet) -> complex:
+def cross_closed(ctx: ModeContext, ss: ScatterSet):
     """Closed-form commutator between the two output sides, [out(0), out(n)^+]."""
     b0, bn = ctx.beta[0], ctx.beta[ctx.n]
     ab0, abn = abs(b0) ** 2, abs(bn) ** 2
@@ -91,8 +103,7 @@ def cross_closed(ctx: ModeContext, ss: ScatterSet) -> complex:
     k2 = ctx.k * ctx.k
     k0, kn = ctx.kj[0], ctx.kj[ctx.n]
     ak02, akn2 = abs(k0) ** 2, abs(kn) ** 2
-    p0, _, qb0 = _pqq(ctx, 0, "p")
-    pn, _, qbn = _pqq(ctx, ctx.n, "p")
+    (p0, pn), _, (qb0, qbn) = _pqq(ctx, np.array([0, ctx.n]), "p")
     out = tn0 * (k2 * (kn * kn) / (kn * kn).conjugate() - abn) / (bn * akn2)
     out += t0n.conjugate() * (k2 * (k0 * k0).conjugate() / (k0 * k0) - ab0) / (b0.conjugate() * ak02)
     out -= bn.real / abn * tn0 * pn * qbn.conjugate()
@@ -100,178 +111,157 @@ def cross_closed(ctx: ModeContext, ss: ScatterSet) -> complex:
     return out
 
 
-def intraplate_c(ctx: ModeContext, q: str, j: int) -> np.ndarray:
-    """2x2 Hermitian commutator matrix of the layer-j intraplate amplitudes.
+def intraplate_c(ctx: ModeContext, q: str, j) -> np.ndarray:
+    """2x2 Hermitian commutator matrices of the intraplate amplitudes of layer(s) j.
 
-    Rows/columns are ordered (+, -).  Lossless layers (beta'' = 0) and
-    purely evanescent lossless layers give the zero matrix: every entry
-    carries a factor beta'' or sin/sinh that vanishes there.
+    Shape j.shape + k.shape + (2, 2), rows/columns ordered (+, -).  Lossless
+    layers (beta'' = 0) and purely evanescent lossless layers give the zero
+    matrix: every entry carries a factor beta'' or sin/sinh that vanishes there.
     """
-    if not (1 <= j <= ctx.n - 1):
+    if not np.all((1 <= np.asarray(j)) & (np.asarray(j) <= ctx.n - 1)):
         raise ConfigError(f"intraplate layer index must be 1..{ctx.n - 1}, got {j}")
     b = ctx.beta[j]
-    d = ctx.stack.thickness(j)
+    d = ctx.per_region(ctx.d, j)
     ab2 = abs(b) ** 2
     p, qq, _ = _pqq(ctx, j, q)
     bp, bpp = b.real, b.imag
-    cpp = bp / ab2 * math.expm1(2.0 * bpp * d) * p
-    cmm = -bp / ab2 * math.expm1(-2.0 * bpp * d) * p
-    cpm = 1j * bpp / ab2 * (cmath.exp(-2j * bp * d) - 1.0) * qq
-    return np.array([[cpp, cpm], [cpm.conjugate(), cmm]], dtype=complex)
+    cpp = bp / ab2 * np.expm1(2.0 * bpp * d) * p
+    cmm = -bp / ab2 * np.expm1(-2.0 * bpp * d) * p
+    cpm = 1j * bpp / ab2 * (np.exp(-2j * bp * d) - 1.0) * qq
+    return _block2(cpp, cpm, np.conj(cpm), cmm)
 
 
-def intraplate_xi(ctx: ModeContext, q: str, j: int) -> tuple[float, float]:
-    """Normalization pair (xi_+, xi_-) of the intraplate bosonic combinations.
+def intraplate_xi(ctx: ModeContext, q: str, j):
+    """Normalization pair (xi_+, xi_-) of the intraplate bosonic combinations of layer(s) j.
 
-    xi^2 must be >= 0 for a passive layer; a negative value signals a
-    passivity violation and is raised as such.
+    xi^2 must be >= 0 for a passive layer; a negative value beyond rounding
+    signals a passivity violation and is raised as such.
     """
     b = ctx.beta[j]
-    d = ctx.stack.thickness(j)
+    d = ctx.per_region(ctx.d, j)
     p, qq, _ = _pqq(ctx, j, q)
     bp, bpp = b.real, b.imag
-    core_sym = bp * math.sinh(bpp * d) * p
-    core_asym = bpp * math.sin(bp * d) * qq
+    ab2 = abs(b) ** 2
+    core_sym = bp * np.sinh(bpp * d) * p
+    core_asym = bpp * np.sin(bp * d) * qq
     out = []
     for sgn in (+1.0, -1.0):
-        val = 4.0 / abs(b) ** 2 * math.exp(-bpp * d) * (core_sym + sgn * core_asym)
-        if val < 0.0:
-            if val > -1e-15 * max(abs(core_sym), 1e-300) / abs(b) ** 2:
-                val = 0.0
-            else:
-                raise PassivityError(f"xi^2 = {val} < 0 in layer {j} (q={q})")
-        out.append(math.sqrt(val))
+        val = 4.0 / ab2 * np.exp(-bpp * d) * (core_sym + sgn * core_asym)
+        rounding = val > -1e-15 * np.maximum(abs(core_sym), 1e-300) / ab2
+        bad = (val < 0.0) & ~rounding
+        if np.any(bad):
+            value, layer = _first(bad, val, np.broadcast_to(np.reshape(j, np.shape(d)), val.shape))
+            raise PassivityError(f"xi^2 = {value} < 0 in layer {layer} (q={q})")
+        out.append(np.sqrt(np.where(val < 0.0, 0.0, val)))
     return out[0], out[1]
 
 
-def intraplate_tau(ctx: ModeContext, j: int, xi: tuple[float, float]) -> np.ndarray:
-    """2x2 transform from intraplate bosonic operators to amplitude operators.
-
-    `xi` is the layer's :func:`intraplate_xi` pair.  Columns correspond to
-    the bosonic (+, -) combinations; tau tau^+ reconstructs the intraplate
-    commutator matrix.
-    """
+def intraplate_tau(ctx: ModeContext, j, xi) -> np.ndarray:
+    """2x2 transforms from the intraplate bosonic operators of layer(s) j, given their
+    :func:`intraplate_xi` pair, to amplitude operators: tau tau^+ is the commutator matrix."""
     xi_p, xi_m = xi
-    ph = cmath.exp(-1j * ctx.beta[j] * ctx.stack.thickness(j))
-    return 0.5 * np.array([[xi_p * ph, xi_m * ph], [xi_p, -xi_m]], dtype=complex)
+    ph = np.exp(-1j * ctx.beta[j] * ctx.per_region(ctx.d, j))
+    return 0.5 * _block2(xi_p * ph, xi_m * ph, xi_p, -xi_m)
+
+
+def grazing(ctx: ModeContext) -> np.ndarray:
+    """Modes with beta = 0 in some region (k exactly on a branch point), per k."""
+    return np.any(ctx.beta == 0.0, axis=0)
 
 
 @dataclass(frozen=True)
 class CommutatorSet:
-    """All commutator data of one (omega, k, q) mode, N0-normalized."""
+    """Commutator data of one polarization for every k, N0-normalized."""
 
-    q: str
-    omega: float
-    k: float
-    c_in0: float
-    c_inN: float
-    c_out0: float
-    c_outN: float
-    cross: complex
-    cmat: tuple[np.ndarray, ...]      # per layer, 2x2 Hermitian
-    xi: tuple[tuple[float, float], ...]
-    tau: tuple[np.ndarray, ...]
-    scatter: ScatterSet
+    c_in0: np.ndarray    # k.shape
+    c_inN: np.ndarray
+    c_out0: np.ndarray
+    c_outN: np.ndarray
+    cross: np.ndarray    # k.shape, complex
+    cmat: np.ndarray     # (n-1, *k.shape, 2, 2), layer j at [j-1], Hermitian
     io: IOMatrix
 
 
 def commutator_set(ctx: ModeContext, q: str = "s") -> CommutatorSet:
-    """Evaluate every commutator coefficient of one mode from the closed forms."""
-    for j in range(ctx.n + 1):
-        if ctx.beta[j] == 0.0:
-            raise RegimeError(
-                f"beta = 0 in region {j} (grazing mode, k exactly at a branch point); "
-                "commutator coefficients are singular there"
-            )
+    """Evaluate every commutator coefficient of every mode from the closed forms."""
+    if grazing(ctx).any():
+        raise RegimeError("beta = 0 in some region (grazing mode, k exactly at a branch point); "
+                          "commutator coefficients are singular there")
     ss = scatter_set(ctx, q)
-    layers = range(1, ctx.n)
-    xi = tuple(intraplate_xi(ctx, q, j) for j in layers)
-    return CommutatorSet(
-        q=q,
-        omega=ctx.omega,
-        k=ctx.k,
-        c_in0=c_in_side(ctx, q, 0),
-        c_inN=c_in_side(ctx, q, ctx.n),
-        c_out0=c_out_side(ctx, ss, 0),
-        c_outN=c_out_side(ctx, ss, ctx.n),
-        cross=cross_closed(ctx, ss),
-        cmat=tuple(intraplate_c(ctx, q, j) for j in layers),
-        xi=xi,
-        tau=tuple(intraplate_tau(ctx, j, x) for j, x in zip(layers, xi)),
-        scatter=ss,
-        io=io_matrix(ss),
-    )
+    outer = np.array([0, ctx.n])
+    (c_in0, c_inN), (c_out0, c_outN) = c_in_side(ctx, q, outer), c_out_side(ctx, ss, outer)
+    return CommutatorSet(c_in0, c_inN, c_out0, c_outN, cross_closed(ctx, ss),
+                         intraplate_c(ctx, q, np.arange(1, ctx.n)), io_matrix(ss))
 
 
 def assembled_out(cs: CommutatorSet) -> np.ndarray:
-    """Brute-force output commutator matrix S diag(c_in) S^+ + sum_j Phi^(j) C^(j) Phi^(j)+.
+    """Brute-force output commutator matrices S diag(c_in) S^+ + sum_j Phi^(j) C^(j) Phi^(j)+.
 
     Rows and columns are (out0, outN): the diagonal holds the output
     self-commutators of sides 0 and n, entry [0, 1] the cross-side
     commutator [out(0), out(n)^+].  This convention-independent assembly
     from input and intraplate pieces is what the closed forms must match.
     """
-    s = cs.io.s_matrix
-    total = (s * (cs.c_in0, cs.c_inN)) @ s.conjugate().T
-    for phi, cmat in zip(cs.io.phi, cs.cmat):
-        total += phi @ cmat @ phi.conjugate().T
-    return total
+    s, phi = cs.io.s_matrix, cs.io.phi
+    inputs = (s * np.stack([cs.c_in0, cs.c_inN], -1)[..., None, :]) @ _dagger(s)
+    return sum(phi @ cs.cmat @ _dagger(phi), inputs)
 
 
 @dataclass(frozen=True)
 class BosonizedIO:
     """Input-output relation rewritten for canonical bosonic operators."""
 
-    s_matrix: np.ndarray                 # 2x2, rows (out0, outN), cols (in0, inN)
-    phi: tuple[np.ndarray, ...]          # per layer, 2x2: rows (out0, outN), cols (a+, a-)
+    s_matrix: np.ndarray   # k.shape + (2, 2), rows (out0, outN), cols (in0, inN)
+    phi: np.ndarray        # (n-1, *k.shape, 2, 2): rows (out0, outN), cols (a+, a-)
 
     @property
-    def r_0n(self) -> complex:
-        return self.s_matrix[0, 0]
+    def r_0n(self):
+        return self.s_matrix[..., 0, 0]
 
     @property
-    def t_0n(self) -> complex:
-        return self.s_matrix[1, 0]
+    def t_0n(self):
+        return self.s_matrix[..., 1, 0]
 
     @property
-    def t_n0(self) -> complex:
-        return self.s_matrix[0, 1]
+    def t_n0(self):
+        return self.s_matrix[..., 0, 1]
 
     @property
-    def r_n0(self) -> complex:
-        return self.s_matrix[1, 1]
+    def r_n0(self):
+        return self.s_matrix[..., 1, 1]
 
 
-def bosonize(cs: CommutatorSet) -> BosonizedIO:
+def bosonic(ctx: ModeContext, cs: CommutatorSet) -> np.ndarray:
+    """Modes where :func:`bosonize` is defined: c_in above its floor and c_out > 0 on both sides."""
+    floor0, floorN = (DEGENERATE_C_FRACTION / abs(ctx.beta[j]) for j in (0, ctx.n))
+    return (cs.c_in0 > floor0) & (cs.c_inN > floorN) & (cs.c_out0 > 0.0) & (cs.c_outN > 0.0)
+
+
+def bosonize(ctx: ModeContext, cs: CommutatorSet) -> BosonizedIO:
     """Rescale the IO relation so all operators are canonical bosons.
 
     Requires positive input and output commutator coefficients on both
     sides, i.e. propagating or lossy outer media.  In the evanescent-vacuum
     regime c_in vanishes identically and no bosonic input operators exist;
-    that is reported as a RegimeError rather than a numerical blowup.
+    that is reported as a RegimeError rather than a numerical blowup.  The
+    intraplate transforms tau come from the layers' xi pairs, computed here.
     """
-    floors = (DEGENERATE_C_FRACTION / abs(b) for b in (cs.scatter.beta[0], cs.scatter.beta[-1]))
-    f0, fn = floors
-    if cs.c_in0 <= f0 or cs.c_inN <= fn:
+    bad = ~bosonic(ctx, cs)
+    if bad.any():
+        c = _first(bad, cs.c_in0, cs.c_inN, cs.c_out0, cs.c_outN)
         raise RegimeError(
-            "no bosonic input operators exist for evanescent input components "
-            f"(c_in0 = {cs.c_in0:.3e}, c_inN = {cs.c_inN:.3e})"
+            "no bosonic input operators exist for evanescent input components, or an output "
+            "commutator is not positive (c_in0, c_inN, c_out0, c_outN = {:.3e}, {:.3e}, {:.3e}, "
+            "{:.3e})".format(*c)
         )
-    if cs.c_out0 <= 0.0 or cs.c_outN <= 0.0:
-        raise RegimeError(
-            f"output commutator not positive (c_out0 = {cs.c_out0:.3e}, c_outN = {cs.c_outN:.3e})"
-        )
-    out_scale = np.array([1.0 / math.sqrt(cs.c_out0), 1.0 / math.sqrt(cs.c_outN)])[:, None]
-    in_scale = np.array([math.sqrt(cs.c_in0), math.sqrt(cs.c_inN)])
-    phi_tilde = tuple(out_scale * (phi @ tau) for phi, tau in zip(cs.io.phi, cs.tau))
-    return BosonizedIO(out_scale * cs.io.s_matrix * in_scale, phi_tilde)
+    out_scale = (1.0 / np.sqrt(np.stack([cs.c_out0, cs.c_outN], -1)))[..., :, None]
+    in_scale = np.sqrt(np.stack([cs.c_in0, cs.c_inN], -1))[..., None, :]
+    layers = np.arange(1, ctx.n)
+    tau = intraplate_tau(ctx, layers, intraplate_xi(ctx, cs.io.q, layers))
+    return BosonizedIO(out_scale * cs.io.s_matrix * in_scale, out_scale * (cs.io.phi @ tau))
 
 
-def unitarity_residual(cs: CommutatorSet, bos: BosonizedIO | None = None) -> float:
-    """max |S~ S~^+ + sum_j Phi~ Phi~^+ - I| for the bosonized relation."""
-    if bos is None:
-        bos = bosonize(cs)
-    gram = bos.s_matrix @ bos.s_matrix.conjugate().T
-    for ph in bos.phi:
-        gram = gram + ph @ ph.conjugate().T
-    return float(np.max(np.abs(gram - np.eye(2))))
+def unitarity_residual(bos: BosonizedIO):
+    """max |S~ S~^+ + sum_j Phi~ Phi~^+ - I| per mode for the bosonized relation."""
+    gram = sum(bos.phi @ _dagger(bos.phi), bos.s_matrix @ _dagger(bos.s_matrix))
+    return np.max(np.abs(gram - np.eye(2)), axis=(-2, -1))

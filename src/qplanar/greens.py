@@ -29,7 +29,7 @@ _SIGMA = {"p": 1.0, "s": -1.0}
 def _z_range_check(ctx: ModeContext, j: int, z: np.ndarray):
     """Raise ConfigError unless every entry of z lies in region j (NaN never does)."""
     lo = -np.inf if j == 0 else 0.0
-    hi = 0.0 if j == 0 else np.inf if j == ctx.n else ctx.stack.thickness(j)
+    hi = 0.0 if j == 0 else np.inf if j == ctx.n else ctx.d[j]
     bad = ~((lo <= z) & (z <= hi))
     if np.any(bad):
         raise ConfigError(f"z = {z[bad].flat[0]} outside region {j} ({lo} <= z <= {hi})")
@@ -54,7 +54,7 @@ def wavefun(ctx: ModeContext, ss: ScatterSet, j: int, direction: str, z,
     e_minus = ctx.pol_vector(ss.q, j, -1, khat)
     b = ctx.beta[j]
     if direction == ">":
-        zref = (z - ctx.stack.thickness(j))[..., None]
+        zref = (z - ctx.d[j])[..., None]
         return e_plus * np.exp(1j * b * zref) + ss.r_right[j] * e_minus * np.exp(-1j * b * zref)
     if direction == "<":
         z = z[..., None]
@@ -119,7 +119,6 @@ def verify_green_identity(ctx: ModeContext, j: int = 0, jp: int = 0,
     Requires absorbing outer media (Im eps > 0 in regions 0 and n) so the
     tails converge.
     """
-    stack = ctx.stack
     n = ctx.n
     for m in (0, n):
         if ctx.eps[m].imag <= 0.0:
@@ -153,7 +152,7 @@ def verify_green_identity(ctx: ModeContext, j: int = 0, jp: int = 0,
 
     # Interior layers.
     for jpp in range(1, n):
-        d = stack.thickness(jpp)
+        d = ctx.d[jpp]
         pts = {0.0, d}
         if jpp == j and 0.0 < z < d:
             pts.add(z)

@@ -6,6 +6,7 @@ per-layer 2x2 noise couplings add the contribution of the intraplate
 amplitudes.  Every block shares one layout: row `ctx.side_row(side)` is the
 output of that side (0 for side 0, 1 for side n); the columns are the
 inputs (in0, inN) for S and the intraplate amplitudes (E+, E-) for Phi.
+The k axes of the context come before the 2x2 block axes.
 
 Outside the plate the amplitudes obey first-order equations with drift
 +/- i beta and a current source term, which are integrated in closed form
@@ -27,13 +28,20 @@ from .scatter import ScatterSet
 MU0 = 1.0 / (EPS0 * C_LIGHT * C_LIGHT)
 
 
+def _block2(a, b, c, d) -> np.ndarray:
+    """Complex 2x2 blocks [[a, b], [c, d]] over the broadcast leading axes, shape (..., 2, 2)."""
+    out = np.empty(np.broadcast_shapes(*map(np.shape, (a, b, c, d))) + (2, 2), dtype=complex)
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, c, d
+    return out
+
+
 @dataclass(frozen=True)
 class IOMatrix:
-    """Scattering block S and per-layer noise couplings for one (omega, k, q)."""
+    """Scattering block S and per-layer noise couplings of one polarization for every k."""
 
     q: str
-    s_matrix: np.ndarray  # 2x2: rows (out0, outN), cols (in0, inN)
-    phi: np.ndarray       # (n-1, 2, 2), layer j at [j-1]: rows (out0, outN), cols (E+, E-)
+    s_matrix: np.ndarray  # k.shape + (2, 2): rows (out0, outN), cols (in0, inN)
+    phi: np.ndarray       # (n-1, *k.shape, 2, 2), layer j at [j-1]: rows (out0, outN), cols (E+, E-)
 
     @property
     def n_layers(self) -> int:
@@ -47,13 +55,12 @@ def io_matrix(ss: ScatterSet) -> IOMatrix:
     phi_0+ = t_j0 e^{2 i b d} r_jn / D,  phi_0- = t_j0 / D,
     phi_n+ = t_jn e^{i b d} / D,         phi_n- = t_jn e^{i b d} r_j0 / D.
     """
-    s = np.array([[ss.r_0n, ss.t_n0], [ss.t_0n, ss.r_n0]], dtype=complex)
-    phi = np.empty((ss.n - 1, 2, 2), dtype=complex)
-    for j in range(1, ss.n):
-        ph, d = ss.phase[j], ss.d_fp[j]
-        phi[j - 1] = ((ss.t_to0[j] * ph * ph / d * ss.r_right[j], ss.t_to0[j] / d),
-                      (ss.t_toN[j] * ph / d, ss.t_toN[j] * ph / d * ss.r_left[j]))
-    return IOMatrix(q=ss.q, s_matrix=s, phi=phi)
+    layers = slice(1, ss.n)
+    ph, d = ss.phase[layers], ss.d_fp[layers]
+    t0, tn = ss.t_to0[layers], ss.t_toN[layers]
+    phi = _block2(t0 * ph * ph / d * ss.r_right[layers], t0 / d,
+                  tn * ph / d, tn * ph / d * ss.r_left[layers])
+    return IOMatrix(q=ss.q, s_matrix=_block2(ss.r_0n, ss.t_n0, ss.t_0n, ss.r_n0), phi=phi)
 
 
 @dataclass(frozen=True)
@@ -66,14 +73,14 @@ class AmplitudeVector:
 
 
 def mean_out(io: IOMatrix, amps: AmplitudeVector) -> tuple[complex, complex]:
-    """Mean output amplitudes out = S in + sum_j Phi^(j) intra^(j)."""
+    """Mean output amplitudes out = S in + sum_j Phi^(j) intra^(j), one pair per k."""
     if len(amps.intra) != io.n_layers:
         raise ConfigError(
             f"amplitude vector has {len(amps.intra)} intraplate entries, stack has {io.n_layers}"
         )
     intra = np.asarray(amps.intra, dtype=complex).reshape(-1, 2)
-    out = io.s_matrix @ np.array([amps.in0, amps.inN]) + np.einsum("jrc,jc->r", io.phi, intra)
-    return complex(out[0]), complex(out[1])
+    out = io.s_matrix @ np.array([amps.in0, amps.inN]) + np.einsum("j...rc,jc->...r", io.phi, intra)
+    return out[..., 0], out[..., 1]
 
 
 @dataclass(frozen=True)
@@ -89,17 +96,16 @@ class SourceBlock:
             raise ConfigError(f"source block needs z_lo < z_hi, got [{self.z_lo}, {self.z_hi}]")
 
 
-def _segment_integral(c: complex, a: float, b: float) -> complex:
-    """integral_a^b e^{c z} dz, exact."""
-    if c == 0.0:
-        return complex(b - a)
-    return (np.exp(c * b) - np.exp(c * a)) / c
+def _segment_integral(c, a: float, b: float):
+    """integral_a^b e^{c z} dz, exact (elementwise in c)."""
+    safe = np.where(c == 0.0, 1.0, c)
+    return np.where(c == 0.0, b - a, (np.exp(c * b) - np.exp(c * a)) / safe)
 
 
 def field_outside(ctx: ModeContext, side: int, z: float, q: str,
                   e_in_boundary: complex = 0.0, e_out_boundary: complex = 0.0,
                   sources: Sequence[SourceBlock] = ()) -> tuple[complex, complex]:
-    """Input and output amplitudes at position z in a half-space.
+    """Input and output amplitudes at position z in a half-space, one pair per k.
 
     Solves the drift-plus-source propagation away from the boundary plane in
     closed form: homogeneous factors e^{+/- i beta z} plus exact exponential
@@ -133,8 +139,8 @@ def field_outside(ctx: ModeContext, side: int, z: float, q: str,
         if lo >= hi:
             continue
         j_vec = np.array(blk.current, dtype=complex)
-        acc_in += (j_vec @ e_in_pol) * _segment_integral(isb, lo, hi)
-        acc_out += (j_vec @ e_out_pol) * _segment_integral(-isb, lo, hi)
+        acc_in += (e_in_pol @ j_vec) * _segment_integral(isb, lo, hi)
+        acc_out += (e_out_pol @ j_vec) * _segment_integral(-isb, lo, hi)
     e_in = np.exp(-isb * z) * (e_in_boundary + amp * acc_in)
     e_out = np.exp(isb * z) * (e_out_boundary - amp * acc_out)
-    return complex(e_in), complex(e_out)
+    return e_in, e_out

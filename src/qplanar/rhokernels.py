@@ -12,8 +12,8 @@ sum_q e_q c_q(k) e_q is a trigonometric polynomial of degree <= 2 in the
 k-direction angle, so an 8-point DFT recovers its Fourier modes exactly
 and each mode integrates against e^{i k.rho} to a Bessel function J_n.
 Only the radial k-integral is numerical (adaptive panel-doubling
-Gauss-Legendre), evaluated in blocks of k-nodes: one Bessel table and one
-matrix product per angular mode and block.
+Gauss-Legendre), evaluated in blocks of k-nodes: one mode-engine call, one
+Bessel table and one matrix product per angular mode and block.
 """
 
 from __future__ import annotations
@@ -73,19 +73,20 @@ class GaussianWindow:
         return 8.6 * self.k_w
 
 
-def _tensor_modes(stack: Stack, omega: float, kind: str, layer: int, k: float) -> np.ndarray:
-    """Exact angular Fourier modes T_hat[q][n] (2, 5, 3, 3) of the k-space tensor."""
+def _tensor_modes(stack: Stack, omega: float, kind: str, layer: int, k) -> np.ndarray:
+    """Exact angular Fourier modes T_hat[q][n], shape k.shape + (2, 5, 3, 3), of the k-space tensor."""
     ctx = make_context(stack, omega, k)
     left_tag, right_tag, entry = _KINDS[kind]
     region = {"0": 0, "n": ctx.n, "j": layer}
-    modes = np.empty((2, len(_MODES), 3, 3), dtype=complex)
+    modes = np.empty(ctx.k.shape + (2, len(_MODES), 3, 3), dtype=complex)
     for iq, q in enumerate(("s", "p")):
         io = io_matrix(scatter_set(ctx, q))
-        c = (io.phi[layer - 1] if kind.startswith("Phi") else io.s_matrix)[entry]
+        c = (io.phi[layer - 1] if kind.startswith("Phi") else io.s_matrix)[(..., *entry)]
         lv, rv = (ctx.pol_vector(q, region[tag[0]], 1 if tag[1] == "+" else -1, _KHAT)
                   for tag in (left_tag, right_tag))
-        tens = c * np.einsum("ti,tj->tij", lv, rv)
-        modes[iq] = (_DFT @ tens.reshape(_N_THETA, 9)).reshape(len(_MODES), 3, 3)
+        tens = c[..., None, None, None] * (lv[..., :, None] * rv[..., None, :])
+        modes[..., iq, :, :, :] = (_DFT @ tens.reshape(ctx.k.shape + (_N_THETA, 9))).reshape(
+            ctx.k.shape + (len(_MODES), 3, 3))
     return modes
 
 
@@ -148,16 +149,13 @@ def _accumulate(stack: Stack, omega: float, kind: str, layer: int, window: Gauss
                 rho: np.ndarray, edges: list[float], n_nodes: int) -> np.ndarray:
     """Mode profiles (2, 5, nr, 3, 3) of the n_nodes-per-panel Gauss-Legendre rule on `edges`."""
     x, w = _legendre_rule(n_nodes)
-    table = np.empty((_NODE_BLOCK, 2, len(_MODES), 3, 3), dtype=complex)
     total = np.zeros((len(_MODES), rho.size, 18), dtype=complex)   # (mode, rho, (q, i, j))
     for a, b in zip(edges, edges[1:]):
         ks = 0.5 * (b - a) * x + 0.5 * (a + b)
         wgs = window(ks) * (0.5 * (b - a) * w) * ks / (2.0 * math.pi)
         for start in range(0, n_nodes, _NODE_BLOCK):
             kb = ks[start:start + _NODE_BLOCK]
-            block = table[:kb.size]
-            for m, kk in enumerate(kb):
-                block[m] = _tensor_modes(stack, omega, kind, layer, float(kk))
+            block = _tensor_modes(stack, omega, kind, layer, kb)
             block *= wgs[start:start + _NODE_BLOCK, None, None, None, None]
             bess = _bessel_j012(np.outer(rho, kb))
             for i, n in enumerate(_MODES):

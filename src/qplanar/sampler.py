@@ -97,7 +97,7 @@ def sample_emission(plan: SamplePlan, stack: Stack) -> EmissionEstimate:
     weights = []  # (cells, 3) complex, concatenated over layers
     any_lossy = False
     for j in range(1, ctx.n):
-        d = stack.thickness(j)
+        d = ctx.d[j]
         dz = d / m
         z_cells = (np.arange(m) + 0.5) * dz
         beta = ctx.beta[j]

@@ -4,7 +4,8 @@ All multilayer coefficients are assembled by Redheffer star-product
 composition of interface scattering matrices and layer phase factors
 e^{i beta d}.  Only bounded factors enter (|e^{i beta d}| <= 1 for passive
 media), so thick lossy or evanescent layers attenuate gracefully instead of
-overflowing the way transfer matrices do.
+overflowing the way transfer matrices do.  Star products compose element
+by element, so every coefficient is an array over the k of the context.
 
 Conventions (reference planes):
   * r[j->0], t[j->0] are referenced at the left interface of region j
@@ -19,9 +20,11 @@ Conventions (reference planes):
 
 from __future__ import annotations
 
-import cmath
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .constants import C_LIGHT
 from .errors import ConfigError, SingularInterfaceError
@@ -30,44 +33,16 @@ from .modes import ModeContext, POLS
 D_CONDITION_FLOOR = 1e-14
 
 
-class SMatrix(NamedTuple):
-    """2x2 scattering block mapping (in_left, in_right) -> (out_left, out_right)."""
-
-    r_l: complex   # reflection for left-side incidence
-    t_rl: complex  # transmission right -> left
-    t_lr: complex  # transmission left -> right
-    r_r: complex   # reflection for right-side incidence
-
-
-S_IDENTITY = SMatrix(0.0 + 0.0j, 1.0 + 0.0j, 1.0 + 0.0j, 0.0 + 0.0j)
-
-
-def star(a: SMatrix, b: SMatrix) -> SMatrix:
-    """Redheffer star product: composite of sub-stack `a` followed by `b`."""
-    denom = 1.0 - a.r_r * b.r_l
-    if denom == 0.0:
-        raise SingularInterfaceError("star product hit an exact multiple-reflection pole")
-    inv = 1.0 / denom
-    return SMatrix(
-        a.r_l + a.t_rl * b.r_l * a.t_lr * inv,
-        a.t_rl * b.t_rl * inv,
-        b.t_lr * a.t_lr * inv,
-        b.r_r + b.t_lr * a.r_r * b.t_rl * inv,
-    )
-
-
-def propagation(phase: complex) -> SMatrix:
-    """Free flight across a layer; `phase` = e^{i beta d}."""
-    return SMatrix(0.0 + 0.0j, phase, phase, 0.0 + 0.0j)
-
-
 class InterfaceCoeffs(NamedTuple):
     r: complex
     t: complex
 
 
-def interface_rt(ctx: ModeContext, i: int, j: int, q: str) -> InterfaceCoeffs:
+def interface_rt(ctx: ModeContext, i, j, q: str) -> InterfaceCoeffs:
     """Fresnel coefficients for a wave in region i crossing into adjacent region j.
+
+    `i` and `j` may be equal-length index arrays: one interface per entry,
+    on the leading axis of r and t.
 
     s:  r = (beta_i - beta_j) / (beta_i + beta_j),     t = 2 beta_i / (beta_i + beta_j)
     p:  r = (eps_j beta_i - eps_i beta_j) / (eps_j beta_i + eps_i beta_j),
@@ -77,44 +52,53 @@ def interface_rt(ctx: ModeContext, i: int, j: int, q: str) -> InterfaceCoeffs:
     (k_i k_j c^2 / omega^2), never the root of the product, to stay
     continuous in each eps separately.
     """
-    if abs(i - j) != 1:
+    i, j = np.asarray(i), np.asarray(j)
+    if np.any(abs(i - j) != 1):
         raise ConfigError(f"interface_rt needs adjacent regions, got {i}, {j}")
     bi, bj = ctx.beta[i], ctx.beta[j]
     if q == "s":
         den = bi + bj
-        if den == 0.0:
-            raise SingularInterfaceError(f"beta_{i} + beta_{j} = 0")
-        return InterfaceCoeffs((bi - bj) / den, 2.0 * bi / den)
-    if q == "p":
-        ei, ej = ctx.eps[i], ctx.eps[j]
+        what = "beta_{} + beta_{} = 0"
+        num_r, num_t = bi - bj, 2.0 * bi
+    elif q == "p":
+        ei, ej = ctx.per_region(ctx.eps, i), ctx.per_region(ctx.eps, j)
         den = ej * bi + ei * bj
-        if den == 0.0:
-            raise SingularInterfaceError(f"eps-weighted denominator vanishes at interface {i}|{j}")
+        what = "eps-weighted denominator vanishes at interface {}|{}"
+        # sqrt(eps_i eps_j), one value per interface, divided by the real w_c2 exactly
         w_c2 = (ctx.omega / C_LIGHT) ** 2
-        root = ctx.kj[i] * ctx.kj[j] / w_c2
-        return InterfaceCoeffs((ej * bi - ei * bj) / den, 2.0 * bi * root / den)
-    raise ConfigError(f"polarization must be 's' or 'p', got {q!r}")
+        kk = ctx.per_region(ctx.kj, i) * ctx.per_region(ctx.kj, j)
+        num_r, num_t = ej * bi - ei * bj, 2.0 * bi * (kk.real / w_c2 + 1j * (kk.imag / w_c2))
+    else:
+        raise ConfigError(f"polarization must be 's' or 'p', got {q!r}")
+    zero = den == 0.0
+    if zero.any():
+        at = np.unravel_index(np.argmax(zero), zero.shape)[:i.ndim]
+        raise SingularInterfaceError(what.format(i[at], j[at]))
+    # Equal media transmit exactly: t = 1 where the numerator is the denominator.
+    return InterfaceCoeffs(num_r / den, np.where(num_t == den, 1.0, num_t / den))
 
 
 @dataclass(frozen=True)
 class ScatterSet:
-    """Generalized coefficients of one (omega, k, q) mode for every region.
+    """Generalized coefficients of one polarization for every region and k.
 
-    Arrays are indexed by region j = 0..n, with the half-space entries
-    degenerating to r_left[0] = r_right[n] = 0, t identities, D = 1.
+    Arrays are (n+1, *k.shape), indexed by region j = 0..n first, with the
+    half-space entries degenerating to r_left[0] = r_right[n] = 0, t
+    identities, D = 1.  `d_floor` marks the modes whose |D_j| is below the
+    conditioning floor (a guided-mode pole within rounding).
     """
 
     q: str
-    r_left: tuple[complex, ...]    # r[j -> 0 side]
-    r_right: tuple[complex, ...]   # r[j -> n side]
-    t_to0: tuple[complex, ...]     # t[j -> region 0]
-    t_toN: tuple[complex, ...]     # t[j -> region n]
-    t_from0: tuple[complex, ...]   # t[region 0 -> j]
-    t_fromN: tuple[complex, ...]   # t[region n -> j]
-    phase: tuple[complex, ...]     # e^{i beta_j d_j}
-    d_fp: tuple[complex, ...]      # Fabry-Perot denominator D_j
-    beta: tuple[complex, ...]
-    warnings: tuple[str, ...] = ()
+    r_left: np.ndarray    # r[j -> 0 side]
+    r_right: np.ndarray   # r[j -> n side]
+    t_to0: np.ndarray     # t[j -> region 0]
+    t_toN: np.ndarray     # t[j -> region n]
+    t_from0: np.ndarray   # t[region 0 -> j]
+    t_fromN: np.ndarray   # t[region n -> j]
+    phase: np.ndarray     # e^{i beta_j d_j}
+    d_fp: np.ndarray      # Fabry-Perot denominator D_j
+    beta: np.ndarray
+    d_floor: np.ndarray   # bool, |D_j| < D_CONDITION_FLOOR
 
     @property
     def n(self) -> int:
@@ -122,22 +106,22 @@ class ScatterSet:
 
     # Whole-stack coefficients (region-0 / region-n view).
     @property
-    def r_0n(self) -> complex:
+    def r_0n(self):
         return self.r_right[0]
 
     @property
-    def r_n0(self) -> complex:
+    def r_n0(self):
         return self.r_left[self.n]
 
     @property
-    def t_0n(self) -> complex:
+    def t_0n(self):
         return self.t_toN[0]
 
     @property
-    def t_n0(self) -> complex:
+    def t_n0(self):
         return self.t_to0[self.n]
 
-    def xi(self, j: int, jp: int) -> complex:
+    def xi(self, j: int, jp: int):
         """Green-kernel weight pairing field region j with source region jp."""
         n = self.n
         return (
@@ -147,50 +131,54 @@ class ScatterSet:
         )
 
 
+@functools.lru_cache(maxsize=64)
+def _recursion_rows(n: int) -> tuple[np.ndarray, ...]:
+    """Regions (from, to) of the crossings i -> i+1, then i+1 -> i, and per step x (L, R)
+    the region on S's side and the rows of the crossings away from and back to S (read-only)."""
+    i, step = np.arange(n), np.arange(n)[:, None]
+    rows = (np.concatenate([i, i + 1]), np.concatenate([i + 1, i]), np.hstack([step, n - step]),
+            np.hstack([step, 2 * n - 1 - step]), np.hstack([n + step, n - 1 - step]))
+    for r in rows:
+        r.flags.writeable = False
+    return rows
+
+
 def scatter_set(ctx: ModeContext, q: str = "s") -> ScatterSet:
-    """Compose all generalized r/t coefficients for one mode and polarization."""
-    stack = ctx.stack
+    """Compose all generalized r/t coefficients of one polarization for every k."""
     if q not in POLS:
         raise ConfigError(f"polarization must be one of {POLS}, got {q!r}")
-    n = stack.n
-    warns: list[str] = []
+    n = ctx.n
 
-    # Interface S-matrices between consecutive regions and layer phases.
-    interfaces = []
-    for i in range(n):
-        rc = interface_rt(ctx, i, i + 1, q)
-        rc_back = interface_rt(ctx, i + 1, i, q)
-        interfaces.append(SMatrix(rc.r, rc_back.t, rc.t, rc_back.r))
+    phase = np.exp(1j * ctx.beta * ctx.per_region(ctx.d, np.arange(n + 1)))
+    phase[0] = phase[n] = 1.0
 
-    phase = [1.0 + 0.0j]
-    for j in range(1, n):
-        phase.append(cmath.exp(1j * ctx.beta[j] * stack.thickness(j)))
-    phase.append(1.0 + 0.0j)
+    # Redheffer star products over k.  Step t extends the left partial L[t] =
+    # S(0..t) and the mirrored (left-right swapped) right partial R[n-t] =
+    # S(n-t..n) by one block B: the interface crossed away from S (a) and back
+    # (b) after the flight across the region on S's side (phase ph, 1 outside).
+    # With R the reflection of S from its growing side and D = 1 - R r_in,
+    #   (R, t_rl, t_lr)' = (R, t_rl, t_lr) (t_in t_out, t_in, t_out) / D + (r_out, 0, 0),
+    # r_in = r_a ph^2, r_out = -r_a, t_in = t_b ph and t_out = t_a ph.
+    from_i, to_i, side, away, back = _recursion_rows(n)
+    rt = interface_rt(ctx, from_i, to_i, q)
+    ph = phase[side]
+    r_a, t_in, t_out = rt.r[away], ph * rt.t[back], rt.t[away] * ph
+    r_in = ph * r_a * ph
+    factors = np.stack([t_in * t_out, t_in, t_out], axis=1)   # step x (R, t_rl, t_lr) x (L, R)
+    offsets = np.zeros_like(factors)
+    offsets[:, 0] = -r_a
+    state = [np.ones_like(factors[0])]
+    state[0][0] = 0.0
+    for step in range(n):
+        denom = 1.0 - state[-1][0] * r_in[step]
+        if not denom.all():
+            raise SingularInterfaceError("star product hit an exact multiple-reflection pole")
+        state.append(state[-1] * factors[step] / denom + offsets[step])
+    state = np.stack(state)
+    r_left, t_to0, t_from0 = state[:, :, 0].swapaxes(0, 1)
+    r_right, t_toN, t_fromN = state[::-1, :, 1].swapaxes(0, 1)
 
-    # Left partials L[j] = S(0..j); right partials R[j] = S(j..n).
-    left = [S_IDENTITY] * (n + 1)
-    for j in range(1, n + 1):
-        block = interfaces[j - 1] if j == 1 else star(propagation(phase[j - 1]), interfaces[j - 1])
-        left[j] = star(left[j - 1], block)
-    right = [S_IDENTITY] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        block = interfaces[j] if j == n - 1 else star(interfaces[j], propagation(phase[j + 1]))
-        right[j] = star(block, right[j + 1])
-
-    r_left = tuple(left[j].r_r for j in range(n + 1))
-    r_right = tuple(right[j].r_l for j in range(n + 1))
-    t_to0 = tuple(left[j].t_rl for j in range(n + 1))
-    t_from0 = tuple(left[j].t_lr for j in range(n + 1))
-    t_toN = tuple(right[j].t_lr for j in range(n + 1))
-    t_fromN = tuple(right[j].t_rl for j in range(n + 1))
-
-    d_fp = []
-    for j in range(n + 1):
-        d = 1.0 - r_left[j] * r_right[j] * phase[j] * phase[j]
-        if abs(d) < D_CONDITION_FLOOR:
-            warns.append(f"|D_{q}{j}| = {abs(d):.3e} below conditioning floor")
-        d_fp.append(d)
-
+    d_fp = 1.0 - r_left * r_right * phase * phase
     return ScatterSet(
         q=q,
         r_left=r_left,
@@ -199,8 +187,8 @@ def scatter_set(ctx: ModeContext, q: str = "s") -> ScatterSet:
         t_toN=t_toN,
         t_from0=t_from0,
         t_fromN=t_fromN,
-        phase=tuple(phase),
-        d_fp=tuple(d_fp),
+        phase=phase,
+        d_fp=d_fp,
         beta=ctx.beta,
-        warnings=tuple(warns),
+        d_floor=np.abs(d_fp) < D_CONDITION_FLOOR,
     )

@@ -117,10 +117,6 @@ class Stack:
         """Index of the rightmost region (n = 1 for a bare interface)."""
         return len(self.layers) + 1
 
-    @property
-    def n_regions(self) -> int:
-        return len(self.layers) + 2
-
     def thickness(self, j: int) -> float:
         """Thickness of region j, with d_0 = d_n = 0 for the half-spaces."""
         self._check_region(j)
@@ -128,13 +124,10 @@ class Stack:
             return self.layers[j - 1].thickness
         return 0.0
 
-    def material(self, j: int) -> PermittivityModel:
-        self._check_region(j)
-        if j == 0:
-            return self.medium0
-        if j == self.n:
-            return self.mediumN
-        return self.layers[j - 1].material
+    @property
+    def materials(self) -> tuple[PermittivityModel, ...]:
+        """Material of every region 0..n."""
+        return (self.medium0, *(layer.material for layer in self.layers), self.mediumN)
 
     def _check_region(self, j: int):
         if not (0 <= j <= self.n):
@@ -145,7 +138,8 @@ def epsilon(stack: Stack, j: int, omega: float) -> complex:
     """Permittivity of region j at angular frequency omega (rad/s)."""
     if omega <= 0.0:
         raise ConfigError(f"omega must be positive, got {omega}")
-    return stack.material(j)(omega)
+    stack._check_region(j)
+    return stack.materials[j](omega)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .commutators import CommutatorSet, c_in_side, commutator_set
 from .constants import HBAR, K_B
 from .errors import AccuracyError, ConfigError, RegimeError
@@ -37,51 +39,52 @@ def bose(omega: float, temperature: float) -> float:
 
 
 def emission_w(ctx: ModeContext, q: str = "s", temperature: float = 300.0, side: int = 0,
-               cs: CommutatorSet | None = None) -> float:
-    """Spectral intensity of thermal radiation leaving one side (N0-normalized).
+               cs: CommutatorSet | None = None):
+    """Spectral intensity of thermal radiation leaving one side (N0-normalized), per k.
 
     w = n(omega, T) * sum_j phi_side^(j) C^(j) phi_side^(j)+, which expands to
     n sum_j |t_{j/side}/D_j|^2 e^{-2 beta'' d} {c++ + |r_opp|^2 c-- + 2 Re[r_opp c-+]}.
     Lossless stacks give exactly zero (every C^(j) vanishes).  `side` is the
-    outer region index, 0 or ctx.n.
+    outer region index, 0 or ctx.n.  A negative value at any k beyond
+    rounding raises AccuracyError.
     """
     row = ctx.side_row(side)
     if cs is None:
         cs = commutator_set(ctx, q)
     occ = bose(ctx.omega, temperature)
-    total = 0.0 + 0.0j
-    for phi, cmat in zip(cs.io.phi, cs.cmat):
-        total += phi[row] @ cmat @ phi[row].conjugate()
+    v0, v1, c = cs.io.phi[..., row, 0], cs.io.phi[..., row, 1], cs.cmat
+    per_layer = ((v0 * c[..., 0, 0] + v1 * c[..., 1, 0]) * np.conj(v0)
+                 + (v0 * c[..., 0, 1] + v1 * c[..., 1, 1]) * np.conj(v1))
+    total = sum(per_layer, np.zeros(ctx.k.shape, dtype=complex))
     w = occ * total.real
-    scale = max(abs(cs.c_in0), abs(cs.c_inN), abs(total.real), 1e-300)
-    if w < -_NEGATIVE_W_TOL * occ * scale:
-        raise AccuracyError(
-            f"emission spectrum came out negative (w = {w}); convention bug upstream"
-        )
+    scale = np.maximum(np.maximum(abs(cs.c_in0), abs(cs.c_inN)), np.maximum(abs(total.real), 1e-300))
+    negative = np.ravel(w < -_NEGATIVE_W_TOL * occ * scale)
+    if negative.any():
+        raise AccuracyError(f"emission spectrum came out negative (w = {np.ravel(w)[negative][0]}); "
+                            "convention bug upstream")
     return w
 
 
 def kirchhoff_residual(ctx: ModeContext, q: str = "s", temperature: float = 300.0,
-                       side: int = 0, cs: CommutatorSet | None = None) -> float:
-    """Relative gap between emission and the absorptivity budget n c_in (1 - |r|^2 - |t|^2).
+                       side: int = 0, cs: CommutatorSet | None = None):
+    """Relative gap between emission and the absorptivity budget n c_in (1 - |r|^2 - |t|^2), per k.
 
     Valid for vacuum outer media in the propagating regime, where emissivity
     equals absorptivity exactly; evanescent modes take a different balance
     (output noise against 2 Im r / |beta|) and are rejected here.
     """
     row = ctx.side_row(side)
-    for j in (0, ctx.n):
-        if ctx.eps[j] != 1.0 + 0.0j:
-            raise RegimeError("kirchhoff_residual requires vacuum outer media")
-    if regime(ctx, 0) is not Regime.PROPAGATING:
+    if np.any(ctx.eps[[0, ctx.n]] != 1.0):
+        raise RegimeError("kirchhoff_residual requires vacuum outer media")
+    if np.any(regime(ctx, 0) != Regime.PROPAGATING):
         raise RegimeError("kirchhoff_residual requires the propagating regime (omega/c > k)")
     if cs is None:
         cs = commutator_set(ctx, q)
     occ = bose(ctx.omega, temperature)
     w = emission_w(ctx, q, temperature, side, cs=cs)
     s = cs.io.s_matrix
-    c_in = c_in_side(ctx, cs.q, 0)
-    budget = occ * c_in * (1.0 - abs(s[row, 0]) ** 2 - abs(s[row, 1]) ** 2)
+    c_in = c_in_side(ctx, cs.io.q, 0)
+    budget = occ * c_in * (1.0 - abs(s[..., row, 0]) ** 2 - abs(s[..., row, 1]) ** 2)
     # Normalized against the full input budget n c_in, the emissivity scale;
     # a lossless stack (w = budget = 0 up to rounding) then reports ~0.
-    return abs(w - budget) / max(abs(w), occ * c_in, 1e-300)
+    return abs(w - budget) / np.maximum(np.maximum(abs(w), occ * c_in), 1e-300)

@@ -36,7 +36,9 @@ def flip_p_transmission(monkeypatch):
             return ss
 
         def flip(ts, keep):
-            return tuple(t if j == keep else -t for j, t in enumerate(ts))
+            out = -ts
+            out[keep] = ts[keep]
+            return out
 
         return replace(ss, t_to0=flip(ss.t_to0, 0), t_from0=flip(ss.t_from0, 0),
                        t_toN=flip(ss.t_toN, ss.n), t_fromN=flip(ss.t_fromN, ss.n))

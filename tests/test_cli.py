@@ -9,6 +9,7 @@ import pytest
 
 import qplanar
 from qplanar.cli import main
+from qplanar.stack import load_stack
 
 SLAB = {
     "medium0": {"model": "constant", "eps_re": 1.0, "eps_im": 0.0},
@@ -393,3 +394,82 @@ def test_cli_import_does_not_load_scipy_special():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60).stdout
     assert out.strip() == "False"
+
+
+def test_non_finite_residual_fails_verify(stack_file, capsys, monkeypatch):
+    import qplanar.cli
+
+    real = qplanar.cli.unitarity_residual
+
+    def nan_at_last_k(bos):
+        res = np.array(real(bos), dtype=float)
+        res[..., -1] = np.nan
+        return res
+
+    monkeypatch.setattr(qplanar.cli, "unitarity_residual", nan_at_last_k)
+    rc = main(["verify", "--stack", stack_file(LOSSLESS), "--suite", "unitarity",
+               "--omega", "1e15,2e15", "--k", "0,0.5w", "--pol", "s"])
+    assert rc == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].startswith("suite=unitarity points=4 skipped=0 max_residual=nan ")
+    assert lines[0].endswith("status=FAIL")
+    k = 0.5 * 1e15 / 299792458.0
+    assert lines[1] == f"worst omega_rad_s={1e15:.12e} k_inv_m={k:.12e} pol=s"
+
+
+def test_row_template_matches_fstring_formatting():
+    from qplanar.cli import _FLOAT, _rows
+
+    tiny = np.nextafter(0.0, 1.0)
+    values = [-0.0, 0.0, np.nan, np.inf, -np.inf, tiny, -tiny, 2.2250738585072014e-308 / 3,
+              1e300, -1e300, 1e-300, -1e-300, 1.0, 2.0 / 3.0, 123456.789e-20]
+    table = np.array([values, values[::-1]])
+    template = f"s,{_FLOAT},0," + ",".join([_FLOAT] * (len(values) - 1))
+    expected = [f"s,{row[0]:.12e},0," + ",".join(f"{x:.12e}" for x in row[1:])
+                for row in table.tolist()]
+    assert _rows(template, table) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["coeffs"],
+    ["thermal"],
+    ["verify", "--suite", "unitarity"],
+])
+def test_one_engine_call_per_omega(stack_file, capsys, monkeypatch, argv):
+    import qplanar.cli
+
+    calls = []
+    real = qplanar.cli.make_context
+
+    def counting(stack, omega, k, *rest):
+        calls.append(np.size(k))
+        return real(stack, omega, k, *rest)
+
+    monkeypatch.setattr(qplanar.cli, "make_context", counting)
+    rc = main([argv[0], "--stack", stack_file(SLAB), *argv[1:],
+               "--omega", "1e15:3e15:3", "--k", "0:0.9w:7"])
+    assert rc == 0
+    assert calls == [7, 7, 7]
+
+
+def test_kernel_radial_one_engine_call_per_node_block(monkeypatch):
+    import math
+
+    import qplanar.rhokernels as rk
+
+    stack = load_stack(json.dumps(THREE_LAYERS))
+    window = rk.GaussianWindow(k_w=1.5 * 2e15 / 299792458.0)
+    panels = len(rk._panel_edges(stack, 2e15, window)) - 1
+    calls = []
+    real = rk.make_context
+
+    def counting(stack, omega, k, *rest):
+        calls.append(np.size(k))
+        return real(stack, omega, k, *rest)
+
+    monkeypatch.setattr(rk, "make_context", counting)
+    field = rk.kernel_radial(stack, 2e15, "R0n", window, np.linspace(0.0, 5e-6, 7))
+    sizes = [24 * 2 ** i for i in range(round(math.log2(field.nodes_per_panel / 24)) + 1)]
+    blocks = [min(rk._NODE_BLOCK, n - start) for n in sizes
+              for _ in range(panels) for start in range(0, n, rk._NODE_BLOCK)]
+    assert calls == [1] + blocks

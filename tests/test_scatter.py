@@ -3,7 +3,8 @@ import pytest
 
 from conftest import C, quarter_wave_stack, random_mode, random_stack
 from qplanar.modes import make_context
-from qplanar.scatter import S_IDENTITY, interface_rt, propagation, scatter_set, star
+from mode_oracles import S_IDENTITY, SMatrix, propagation, star
+from qplanar.scatter import D_CONDITION_FLOOR, interface_rt, scatter_set
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
 
 
@@ -49,7 +50,7 @@ def test_empty_stack_coefficients():
         ss = scatter_set(ctx, q=q)
         assert ss.r_0n == 0.0
         assert ss.t_0n == 1.0
-        assert ss.d_fp == (1.0 + 0.0j, 1.0 + 0.0j)
+        np.testing.assert_array_equal(ss.d_fp, [1.0 + 0.0j, 1.0 + 0.0j])
 
 
 def test_quarter_wave_slab():
@@ -79,9 +80,10 @@ def test_fabry_perot_denominator_assembly():
         omega, k, q = random_mode(rng)
         ctx = make_context(st, omega, k)
         ss = scatter_set(ctx, q=q)
+        # the same array expression over all regions, so the same rounding
+        expected = 1.0 - ss.r_left * ss.r_right * ss.phase * ss.phase
         for j in range(1, ss.n):
-            expected = 1.0 - ss.r_left[j] * ss.r_right[j] * ss.phase[j] * ss.phase[j]
-            assert ss.d_fp[j] == expected
+            assert ss.d_fp[j] == expected[j]
 
 
 def test_reciprocity_sweep():
@@ -132,8 +134,6 @@ def test_nesting_consistency():
         ss_r = scatter_set(make_context(right, omega, k), q=q)
         sl = (ss_l.r_0n, ss_l.t_n0, ss_l.t_0n, ss_l.r_n0)
         sr = (ss_r.r_0n, ss_r.t_n0, ss_r.t_0n, ss_r.r_n0)
-        from qplanar.scatter import SMatrix
-
         whole = star(star(SMatrix(*sl), propagation(ss.phase[j])), SMatrix(*sr))
         scale = max(1.0, abs(ss.t_0n))
         assert abs(whole.r_l - ss.r_0n) < 1e-12 * scale
@@ -165,7 +165,7 @@ def test_khat_independence():
         b = scatter_set(make_context(st, 2e15, 4e6, khat=(s, s)), q=q)
         assert a.r_0n == b.r_0n
         assert a.t_0n == b.t_0n
-        assert a.d_fp == b.d_fp
+        np.testing.assert_array_equal(a.d_fp, b.d_fp)
 
 
 def test_star_identity_element():
@@ -188,11 +188,12 @@ def test_guided_mode_pole_warns_not_fatal():
     st = Stack(VACUUM, (Layer(float(d_star), ConstantEps(2.25 + 0j)),), VACUUM)
     ss_pole = scatter_set(make_context(st, omega, k), q="s")
     assert abs(ss_pole.d_fp[1]) < 1e-13
-    assert any("conditioning" in w for w in ss_pole.warnings)
+    np.testing.assert_array_equal(ss_pole.d_floor, np.abs(ss_pole.d_fp) < D_CONDITION_FLOOR)
+    assert ss_pole.d_floor.tolist() == [False, True, False]
     assert np.isfinite(ss_pole.t_0n.real)
 
 
 def test_no_warning_far_from_pole():
     st = Stack(VACUUM, (Layer(100e-9, ConstantEps(2.25 + 0j)),), VACUUM)
     ctx = make_context(st, 2e15, 0.0)
-    assert scatter_set(ctx, q="s").warnings == ()
+    assert not scatter_set(ctx, q="s").d_floor.any()

@@ -3,11 +3,12 @@
 import pytest
 
 from conftest import C
-from qplanar.commutators import c_in_side, c_out_side, commutator_set
+from qplanar.commutators import c_in_side, c_out_side
 from qplanar.errors import ConfigError
 from qplanar.iorel import field_outside
 from qplanar.modes import make_context
 from qplanar.sampler import SamplePlan, sample_emission
+from qplanar.scatter import scatter_set
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
 from qplanar.thermal import emission_w, kirchhoff_residual
 
@@ -25,7 +26,7 @@ def _ctx():
 TAKERS = {
     "side_row": lambda side: _ctx().side_row(side),
     "c_in_side": lambda side: c_in_side(_ctx(), "p", side),
-    "c_out_side": lambda side: c_out_side(_ctx(), commutator_set(_ctx(), q="p").scatter, side),
+    "c_out_side": lambda side: c_out_side(_ctx(), scatter_set(_ctx(), q="p"), side),
     "emission_w": lambda side: emission_w(_ctx(), q="p", side=side),
     "kirchhoff_residual": lambda side: kirchhoff_residual(_ctx(), q="p", side=side),
     "sample_emission": lambda side: sample_emission(

@@ -115,7 +115,7 @@ def test_evanescent_emission_balances_output_commutator():
             n = bose(omega, 300.0)
             assert w / n == pytest.approx(cs.c_out0, rel=1e-8)
             assert w / n == pytest.approx(
-                2.0 * cs.scatter.r_0n.imag / abs(ctx.beta[0]), rel=1e-8
+                2.0 * cs.io.s_matrix[0, 0].imag / abs(ctx.beta[0]), rel=1e-8
             )
 
 
