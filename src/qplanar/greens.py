@@ -62,15 +62,15 @@ def wavefun(ctx: ModeContext, ss: ScatterSet, j: int, direction: str, z,
     raise ConfigError(f"direction must be '>' or '<', got {direction!r}")
 
 
-def green_kernel(ctx: ModeContext, j: int = 0, jp: int = 0, z: float = 0.0, zp=0.0,
-                 tie=0.5) -> np.ndarray:
+def green_kernel(ctx: ModeContext, pair: tuple[ScatterSet, ScatterSet], j: int = 0,
+                 jp: int = 0, z: float = 0.0, zp=0.0, tie=0.5) -> np.ndarray:
     """Scattering part of the planar Green kernel, complex 3x3.
 
-    First index follows the field point (region j, coordinate z), second the
-    source point (region jp, zp).  `tie` is the Theta(0) weight used only
-    when j == jp and z == zp: 0.5 symmetric, 1.0 selects the z > z' branch,
-    0.0 the z < z' branch.  `zp` and `tie` may be arrays (broadcast against
-    each other); the result has shape zp.shape + (3, 3).
+    `pair` is the s and p ScatterSet of `ctx`.  First index follows the field
+    point (region j, coordinate z), second the source point (region jp, zp).
+    `tie` is the Theta(0) weight used only when j == jp and z == zp: 0.5
+    symmetric, 1.0 selects the z > z' branch, 0.0 the z < z' branch.  `zp`
+    and `tie` may be arrays, broadcast together; the result is zp.shape + (3, 3).
     """
     zp, tie = np.broadcast_arrays(np.asarray(zp, dtype=float), np.asarray(tie, dtype=float))
     if j != jp:
@@ -82,7 +82,7 @@ def green_kernel(ctx: ModeContext, j: int = 0, jp: int = 0, z: float = 0.0, zp=0
     # Every branch taken evaluates both waves, so wavefun checks z and zp.  A
     # branch whose weight is zero at every node is skipped: its waves grow
     # away from the plate.
-    for ss in (scatter_set(ctx, "s"), scatter_set(ctx, "p")):
+    for ss in pair:
         if np.any(w_up):
             term = (wavefun(ctx, ss, j, ">", z)[:, None]
                     * wavefun(ctx, ss, jp, "<", zp, k_sign=-1)[..., None, :])
@@ -129,11 +129,12 @@ def verify_green_identity(ctx: ModeContext, j: int = 0, jp: int = 0,
     if nodes_per_layer < 2:
         raise ConfigError(f"need at least 2 quadrature nodes per layer, got {nodes_per_layer}")
     w_c2 = (ctx.omega / C_LIGHT) ** 2
+    pair = (scatter_set(ctx, "s"), scatter_set(ctx, "p"))
 
     def integrand(jpp: int, zpp, tie) -> np.ndarray:
         # tie is read only by a factor whose field point shares the region and coordinate.
-        a = green_kernel(ctx, j, jpp, z, zpp, tie)
-        b = green_kernel(ctx, jp, jpp, zp, zpp, tie)
+        a = green_kernel(ctx, pair, j, jpp, z, zpp, tie)
+        b = green_kernel(ctx, pair, jp, jpp, zp, zpp, tie)
         return w_c2 * ctx.eps[jpp].imag * (a @ np.swapaxes(b, -1, -2).conjugate())
 
     def panel(jpp: int, a: float, b: float, m: int) -> np.ndarray:
@@ -173,8 +174,8 @@ def verify_green_identity(ctx: ModeContext, j: int = 0, jp: int = 0,
         lhs += integrand(jpp, far, tie) / (2.0 * ctx.beta[jpp].imag)
 
     # Right-hand side of the identity.
-    g_fwd = green_kernel(ctx, j, jp, z, zp)
-    g_rev = green_kernel(ctx, jp, j, zp, z)
+    g_fwd = green_kernel(ctx, pair, j, jp, z, zp)
+    g_rev = green_kernel(ctx, pair, jp, j, zp, z)
     rhs = (g_fwd - g_rev.conjugate().T) / 2j
     rhs = rhs + (ctx.eps[jp].imag / ctx.eps[jp].conjugate()) * np.outer(g_fwd @ _EZ, _EZ)
     rhs = rhs + (ctx.eps[j].imag / ctx.eps[j]) * np.outer(_EZ, (g_rev @ _EZ).conjugate())

@@ -10,9 +10,13 @@ units as the closed forms, where the per-layer amplitude reduces to
 
 with <f_mu*(z) f_nu(z')> = n(omega,T) delta_mu,nu delta(z - z').
 
+Only noise components with nonzero weight on the output are drawn, so a
+seed gives other estimates than the earlier sampler that drew all three.
+
 Reproducibility contract: streams are Philox counter-based, keyed by
-(seed, realization-block), with a fixed block size, and the blocks are
-reduced in order.  Estimates are bit-identical for a given seed and plan.
+(seed, realization-block) with 0 <= seed < 2**64 and a fixed block size,
+and the blocks are reduced in order.  Estimates are bit-identical for a
+given seed and plan.
 """
 
 from __future__ import annotations
@@ -53,19 +57,20 @@ class EmissionEstimate:
     realizations: int
 
 
-def _block_samples(seed: int, block_index: int, count: int, shape_tail: tuple[int, ...]) -> np.ndarray:
-    """Standard-normal draws for one realization block, independent of chunking."""
-    bitgen = np.random.Philox(key=[np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(block_index)])
-    rng = np.random.Generator(bitgen)
-    return rng.standard_normal(size=(count, *shape_tail))
-
-
-def _block_moments(seed: int, block_index: int, count: int, w_flat: np.ndarray) -> tuple[float, float]:
-    """Sums of |u_out|^2 and |u_out|^4 over one realization block."""
-    draws = _block_samples(seed, block_index, count, (w_flat.size, 2))
-    f = (draws[..., 0] + 1j * draws[..., 1]) / math.sqrt(2.0)
-    w_vals = np.abs(f @ w_flat) ** 2
-    return w_vals.sum(), (w_vals * w_vals).sum()
+def _moments(seed: int, realizations: int, w_flat: np.ndarray) -> tuple[float, float]:
+    """Sums of |u_out|^2 and |u_out|^4 over the realizations, block by block in order."""
+    buf = np.empty((min(BLOCK, realizations), w_flat.size, 2))
+    s1 = s2 = 0.0
+    for idx in range((realizations + BLOCK - 1) // BLOCK):
+        draws = buf[:min(BLOCK, realizations - idx * BLOCK)]
+        rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(idx)]))
+        rng.standard_normal(out=draws)
+        f = draws.view(np.complex128)[..., 0]   # in place: unit circular Gaussians
+        f /= math.sqrt(2.0)
+        w_vals = np.abs(f @ w_flat) ** 2
+        s1 += w_vals.sum()
+        s2 += (w_vals * w_vals).sum()
+    return s1, s2
 
 
 def sample_emission(plan: SamplePlan, stack: Stack) -> EmissionEstimate:
@@ -77,6 +82,8 @@ def sample_emission(plan: SamplePlan, stack: Stack) -> EmissionEstimate:
     """
     if plan.realizations < 1:
         raise ConfigError("need at least one realization")
+    if not 0 <= plan.seed < 2**64:
+        raise ConfigError(f"seed must satisfy 0 <= seed < 2**64, got {plan.seed}")
     ctx = make_context(stack, plan.omega, plan.k)
     row = ctx.side_row(plan.side)
     if ctx.n < 2:
@@ -95,17 +102,13 @@ def sample_emission(plan: SamplePlan, stack: Stack) -> EmissionEstimate:
     # n/dz is folded in as well, scaling each layer's weights by sqrt(n/dz),
     # so the draws stay unit normals.
     weights = []  # (cells, 3) complex, concatenated over layers
-    any_lossy = False
     for j in range(1, ctx.n):
-        d = ctx.d[j]
-        dz = d / m
+        dz = ctx.d[j] / m
         z_cells = (np.arange(m) + 0.5) * dz
         beta = ctx.beta[j]
         epp = ctx.eps[j].imag
         if epp <= 0.0:
             _warnings.warn(f"layer {j} is lossless; it contributes no thermal noise", stacklevel=2)
-        else:
-            any_lossy = True
         pref = -(ctx.omega / C_LIGHT) * math.sqrt(max(epp, 0.0)) / beta * dz
         e_plus = ctx.pol_vector(plan.q, j, +1)
         e_minus = ctx.pol_vector(plan.q, j, -1)
@@ -113,17 +116,13 @@ def sample_emission(plan: SamplePlan, stack: Stack) -> EmissionEstimate:
         w_plus = phi_plus * pref * np.exp(-1j * beta * z_cells)[:, None] * e_plus[None, :]
         w_minus = phi_minus * pref * np.exp(1j * beta * z_cells)[:, None] * e_minus[None, :]
         weights.append((w_plus + w_minus) * math.sqrt(occ / dz))
-    if not any_lossy:
-        _warnings.warn("no lossy layer in the plan; estimate is identically zero", stacklevel=2)
-    w_flat = np.concatenate(weights, axis=0).reshape(-1)  # (cells*3,)
+    # Isotropic noise: a component of zero weight adds nothing and is not drawn.
+    w_flat = np.concatenate(weights, axis=0).reshape(-1)
+    w_flat = w_flat[w_flat != 0]
+    if not w_flat.size:
+        _warnings.warn("no noise couples to the output; estimate is identically zero", stacklevel=2)
 
-    n_blocks = (plan.realizations + BLOCK - 1) // BLOCK
-    s1 = 0.0
-    s2 = 0.0
-    for idx in range(n_blocks):
-        a, b = _block_moments(plan.seed, idx, min(BLOCK, plan.realizations - idx * BLOCK), w_flat)
-        s1 += a
-        s2 += b
+    s1, s2 = _moments(plan.seed, plan.realizations, w_flat)
     n_real = plan.realizations
     mean = s1 / n_real
     if n_real > 1:

@@ -309,6 +309,36 @@ def test_sample_side_n_row_matches_library(stack_file, capsys):
     assert lines[2].split(",") == expected
 
 
+# Philox takes the seed as one 64-bit key word: out-of-range seeds used to alias.
+@pytest.mark.parametrize("seed,rc_expected", [(-1, 2), (2**64, 2), (2**64 - 1, 0)])
+def test_sample_seed_must_fit_one_key_word(stack_file, capsys, seed, rc_expected):
+    rc = main(["sample", "--stack", stack_file(SLAB), "--omega", "2e15", "--k", "0.5w",
+               "--pol", "s", "--realizations", "100", "--seed", str(seed)])
+    assert rc == rc_expected
+    captured = capsys.readouterr()
+    if rc_expected:
+        assert "seed must satisfy 0 <= seed < 2**64" in captured.err
+    else:
+        assert captured.out.strip().endswith(f",100,{seed}")
+
+
+def test_green_suite_builds_one_scatter_pair_per_point(stack_file, capsys, monkeypatch):
+    import qplanar.greens
+
+    calls = []
+    real = qplanar.greens.scatter_set
+
+    def counting(ctx, q="s"):
+        calls.append(q)
+        return real(ctx, q)
+
+    monkeypatch.setattr(qplanar.greens, "scatter_set", counting)
+    rc = main(["verify", "--suite", "green", "--stack", stack_file(GREEN),
+               "--omega", "1e15:3e15:3", "--k", "0,0.8w", "--nodes", "40"])
+    assert rc == 0
+    assert calls == ["s", "p"] * 6
+
+
 @pytest.mark.parametrize("doc,rc_expected", [(GREEN, 0), (SLAB, 2)])
 def test_green_check_is_verify_green_alias(stack_file, capsys, doc, rc_expected):
     grid = ["--stack", stack_file(doc), "--omega", "1e15,2e15", "--k", "0,0.8w"]

@@ -11,6 +11,10 @@ from qplanar.scatter import scatter_set
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
 
 
+def pair(ctx):
+    return scatter_set(ctx, "s"), scatter_set(ctx, "p")
+
+
 def uniform_ctx(eps, omega=2e15, k_frac=0.6):
     st = Stack(ConstantEps(eps), (), ConstantEps(eps))
     return make_context(st, omega, k_frac * omega / C)
@@ -71,13 +75,14 @@ def test_homogeneous_medium_kernel():
     ctx = uniform_ctx(eps)
     b = ctx.beta[0]
     z, zp = -50e-9, -180e-9
-    g = green_kernel(ctx, j=0, jp=0, z=z, zp=zp)
+    ss = pair(ctx)
+    g = green_kernel(ctx, ss, j=0, jp=0, z=z, zp=zp)
     es = ctx.pol_vector("s", 0, +1)
     ep = ctx.pol_vector("p", 0, +1)
     expected = 0.5j / b * np.exp(1j * b * (z - zp)) * (np.outer(es, es) + np.outer(ep, ep))
     np.testing.assert_allclose(g, expected, rtol=1e-13)
     # mirrored ordering uses the downward waves
-    g2 = green_kernel(ctx, j=0, jp=0, z=zp, zp=z)
+    g2 = green_kernel(ctx, ss, j=0, jp=0, z=zp, zp=z)
     em = ctx.pol_vector("p", 0, -1)
     expected2 = 0.5j / b * np.exp(1j * b * (z - zp)) * (np.outer(es, es) + np.outer(em, em))
     np.testing.assert_allclose(g2, expected2, rtol=1e-13)
@@ -102,8 +107,8 @@ def test_reciprocity_randomized():
             return float(rng.uniform(0, st.thickness(region)))
 
         z, zp = coord(j), coord(jp)
-        g1 = green_kernel(fwd, j=j, jp=jp, z=z, zp=zp)
-        g2 = green_kernel(rev, j=jp, jp=j, z=zp, zp=z)
+        g1 = green_kernel(fwd, pair(fwd), j=j, jp=jp, z=z, zp=zp)
+        g2 = green_kernel(rev, pair(rev), j=jp, jp=j, z=zp, zp=z)
         scale = np.abs(g1).max()
         assert np.abs(g1 - g2.T).max() < 1e-12 * scale
 
@@ -130,8 +135,9 @@ def test_kernel_on_node_array_matches_scalar_calls():
         if jp == j:
             zp[3] = z  # a node on the field point, where tie is read
         tie = rng.choice([0.0, 0.5, 1.0], size=7)
-        g = green_kernel(ctx, j, jp, z, zp, tie)
-        stacked = np.stack([green_kernel(ctx, j, jp, z, float(a), float(t)) for a, t in zip(zp, tie)])
+        ss = pair(ctx)
+        g = green_kernel(ctx, ss, j, jp, z, zp, tie)
+        stacked = np.stack([green_kernel(ctx, ss, j, jp, z, float(a), float(t)) for a, t in zip(zp, tie)])
         assert g.shape == (7, 3, 3)
         assert np.abs(g - stacked).max() <= 1e-15 * np.abs(stacked).max(), (trial, j, jp)
 
@@ -143,8 +149,9 @@ def test_far_field_is_outgoing():
     ctx = make_context(st, 2e15, 0.4 * 2e15 / C)
     zp = 80e-9
     z1, z2 = -1.0e-6, -3.5e-6
-    g1 = green_kernel(ctx, j=0, jp=1, z=z1, zp=zp)
-    g2 = green_kernel(ctx, j=0, jp=1, z=z2, zp=zp)
+    ss = pair(ctx)
+    g1 = green_kernel(ctx, ss, j=0, jp=1, z=z1, zp=zp)
+    g2 = green_kernel(ctx, ss, j=0, jp=1, z=z2, zp=zp)
     ratio = np.exp(-1j * ctx.beta[0] * (z2 - z1))
     np.testing.assert_allclose(g2, g1 * ratio, rtol=1e-12)
 
@@ -154,17 +161,18 @@ def test_same_region_jump_matches_theta_discontinuity():
     ctx = make_context(st, 2e15, 3e6)
     z = 90e-9
     eps_z = 1e-15
-    above = green_kernel(ctx, j=1, jp=1, z=z + eps_z, zp=z)
-    below = green_kernel(ctx, j=1, jp=1, z=z - eps_z, zp=z)
-    upper = green_kernel(ctx, j=1, jp=1, z=z, zp=z, tie=1.0)
-    lower = green_kernel(ctx, j=1, jp=1, z=z, zp=z, tie=0.0)
+    ss = pair(ctx)
+    above = green_kernel(ctx, ss, j=1, jp=1, z=z + eps_z, zp=z)
+    below = green_kernel(ctx, ss, j=1, jp=1, z=z - eps_z, zp=z)
+    upper = green_kernel(ctx, ss, j=1, jp=1, z=z, zp=z, tie=1.0)
+    lower = green_kernel(ctx, ss, j=1, jp=1, z=z, zp=z, tie=0.0)
     jump_limits = above - below
     jump_exact = upper - lower
     assert np.isfinite(jump_exact).all()
     assert np.abs(jump_exact).max() > 0.0
     assert np.abs(jump_limits - jump_exact).max() < 1e-7 * np.abs(jump_exact).max()
     # the symmetric value is the average of the one-sided ones
-    sym = green_kernel(ctx, j=1, jp=1, z=z, zp=z)
+    sym = green_kernel(ctx, ss, j=1, jp=1, z=z, zp=z)
     np.testing.assert_allclose(sym, 0.5 * (upper + lower), rtol=1e-14)
 
 

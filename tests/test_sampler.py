@@ -1,9 +1,13 @@
+import math
+
+import numpy as np
 import pytest
 
 from conftest import C
+from qplanar import sampler
 from qplanar.errors import ConfigError
 from qplanar.modes import make_context
-from qplanar.sampler import SamplePlan, sample_emission
+from qplanar.sampler import BLOCK, SamplePlan, sample_emission
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
 from qplanar.thermal import emission_w
 
@@ -103,3 +107,66 @@ def test_bad_plans_rejected():
         sample_emission(SamplePlan(omega=OMEGA, k=1e6, nodes_per_layer=1), st)
     with pytest.raises(ConfigError):
         sample_emission(SamplePlan(omega=OMEGA, k=1e6), Stack(VACUUM, (), VACUUM))
+
+
+def fresh_array_moments(seed, realizations, w):
+    """Reference block loop: fresh draws per block, then (re + 1j im) / sqrt(2)."""
+    s1 = s2 = 0.0
+    for idx in range((realizations + BLOCK - 1) // BLOCK):
+        rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(idx)]))
+        draws = rng.standard_normal(size=(min(BLOCK, realizations - idx * BLOCK), w.size, 2))
+        f = (draws[..., 0] + 1j * draws[..., 1]) / math.sqrt(2.0)
+        w_vals = np.abs(f @ w) ** 2
+        s1 += w_vals.sum()
+        s2 += (w_vals * w_vals).sum()
+    return s1, s2
+
+
+def coupled_weights(monkeypatch, plan, stack):
+    """The compacted weight vector that `sample_emission` hands to its block loop."""
+    seen = []
+    with monkeypatch.context() as m:
+        m.setattr(sampler, "_moments", lambda seed, n, w: seen.append(w) or (0.0, 0.0))
+        sample_emission(plan, stack)
+    return seen[0]
+
+
+LOSSY_LOSSLESS_LOSSY = Stack(
+    VACUUM,
+    (Layer(120e-9, ConstantEps(2 + 0.4j)), Layer(90e-9, ConstantEps(2.25 + 0j)),
+     Layer(150e-9, ConstantEps(3 + 0.3j))),
+    VACUUM,
+)
+
+
+@pytest.mark.filterwarnings("ignore:layer 2 is lossless")
+@pytest.mark.parametrize("realizations", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
+def test_block_loop_bit_identical_to_fresh_arrays(monkeypatch, realizations):
+    plan = SamplePlan(omega=OMEGA, k=0.5 * OMEGA / C, q="p", nodes_per_layer=16,
+                      realizations=realizations, seed=21, side=4)
+    w = coupled_weights(monkeypatch, plan, LOSSY_LOSSLESS_LOSSY)
+    assert sampler._moments(plan.seed, realizations, w) == fresh_array_moments(plan.seed, realizations, w)
+
+
+# complex draws per z-cell of a lossy layer: s keeps y; p keeps x and z, only x at k = 0
+@pytest.mark.parametrize("q,k_frac,per_cell", [("s", 0.5, 1), ("s", 0.0, 1), ("p", 0.5, 2),
+                                               ("p", 0.0, 1)])
+def test_draws_only_coupled_components(monkeypatch, q, k_frac, per_cell):
+    m = 16
+    plan = SamplePlan(omega=OMEGA, k=k_frac * OMEGA / C, q=q, nodes_per_layer=m,
+                      realizations=100, seed=1)
+    with pytest.warns(UserWarning, match="layer 2 is lossless"):
+        w = coupled_weights(monkeypatch, plan, LOSSY_LOSSLESS_LOSSY)
+    assert w.size == per_cell * m * 2   # the lossless middle layer draws nothing
+    assert np.all(w != 0)
+
+
+def test_lossless_layer_between_lossy_ones():
+    st = LOSSY_LOSSLESS_LOSSY
+    k = 0.5 * OMEGA / C
+    w_ref = emission_w(make_context(st, OMEGA, k), q="p", temperature=300.0, side=0)
+    plan = SamplePlan(omega=OMEGA, k=k, q="p", temperature=300.0,
+                      nodes_per_layer=64, realizations=50_000, seed=8)
+    with pytest.warns(UserWarning, match="layer 2 is lossless"):
+        est = sample_emission(plan, st)
+    assert abs(est.w - w_ref) < 3.0 * est.stderr
