@@ -201,9 +201,9 @@ def _unitarity_residual(ctx, q: str, args):
 
 
 def _kirchhoff_residual(ctx, q: str, args):
-    ok, ctx, cs = _commutator_points(ctx, q, _vacuum_propagating(ctx))
-    return ok, np.maximum(*(kirchhoff_residual(ctx, q, args.temp, side, cs=cs)
-                            for side in (0, ctx.n)))
+    ok = _vacuum_propagating(ctx) & ~grazing(ctx)
+    sub = ctx.select(ok)
+    return ok, kirchhoff_residual(sub, q, args.temp, [0, sub.n]).max(axis=0)
 
 
 def _green_residual(ctx, q: str, args):
@@ -269,13 +269,13 @@ def cmd_thermal(args) -> int:
     rows, n_skip = [], 0
     for om, ks in grid:
         ctx = make_context(stack, om, ks)
+        ok = ~grazing(ctx)
+        sub, sides = ctx.select(ok), (0, ctx.n)
+        n_skip += int(np.count_nonzero(~ok)) * len(pols)
         fixed = f"{_fmt(args.temp)},{_fmt(bose(om, args.temp))}"
         groups = []
         for q in pols:
-            ok, sub, cs = _commutator_points(ctx, q, True)
-            n_skip += int(np.count_nonzero(~ok))
-            for side in (0, sub.n):
-                w = emission_w(sub, q, args.temp, side, cs=cs)
+            for side, w in zip(sides, emission_w(sub, q, args.temp, sides)):
                 groups.append(_rows(f"{_fmt(om)},{_FLOAT},{q},{side},{fixed},{_FLOAT},"
                                     f"{_fmt(n0_scale(om))}", np.column_stack([sub.k, w])))
         rows += _interleave(groups)
@@ -344,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--pol", default="s,p", help="polarizations, e.g. s,p")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--seed", type=int, default=12345)
         p.add_argument("--temp", type=float, default=300.0, help="temperature in K")
 
     def suite_options(p):
@@ -368,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="Monte Carlo emission estimates")
     common(p)
     p.add_argument("--realizations", type=int, default=20000)
+    p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--nodes", type=int, default=64, help="z-nodes per layer")
     p.add_argument("--side", type=int, default=0,
                    help="outer region the emission leaves through: 0 or n (the last region)")

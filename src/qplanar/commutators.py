@@ -214,22 +214,6 @@ class BosonizedIO:
     s_matrix: np.ndarray   # k.shape + (2, 2), rows (out0, outN), cols (in0, inN)
     phi: np.ndarray        # (n-1, *k.shape, 2, 2): rows (out0, outN), cols (a+, a-)
 
-    @property
-    def r_0n(self):
-        return self.s_matrix[..., 0, 0]
-
-    @property
-    def t_0n(self):
-        return self.s_matrix[..., 1, 0]
-
-    @property
-    def t_n0(self):
-        return self.s_matrix[..., 0, 1]
-
-    @property
-    def r_n0(self):
-        return self.s_matrix[..., 1, 1]
-
 
 def bosonic(ctx: ModeContext, cs: CommutatorSet) -> np.ndarray:
     """Modes where :func:`bosonize` is defined: c_in above its floor and c_out > 0 on both sides."""

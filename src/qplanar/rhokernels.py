@@ -106,8 +106,6 @@ class KernelField:
     omega: float
     window: GaussianWindow
     rho: np.ndarray                 # (nr,)
-    phi_dir: float                  # in-plane direction of rho - rho'
-    tensor: np.ndarray              # (nr, 3, 3)
     mode_profiles_q: np.ndarray     # (2, 5, nr, 3, 3): per-polarization S_n(rho)
     nodes_per_panel: int            # Gauss-Legendre nodes per panel of the final rule
     last_change: float              # relative change that ended the node doubling
@@ -117,8 +115,13 @@ class KernelField:
         """Polarization-summed radial mode profiles (5, nr, 3, 3)."""
         return self.mode_profiles_q.sum(axis=0)
 
+    @property
+    def tensor(self) -> np.ndarray:
+        """Kernel tensors (nr, 3, 3) for rho - rho' along x (in-plane direction 0)."""
+        return self.tensor_at(0.0)
+
     def tensor_at(self, phi: float) -> np.ndarray:
-        """Re-assemble the kernel tensors for another in-plane direction."""
+        """Kernel tensors (nr, 3, 3) for rho - rho' at in-plane angle phi."""
         return np.einsum("n,nrij->rij", np.exp(1j * np.multiply(_MODES, phi)), self.mode_profiles)
 
 
@@ -164,8 +167,8 @@ def _accumulate(stack: Stack, omega: float, kind: str, layer: int, window: Gauss
 
 
 def kernel_radial(stack: Stack, omega: float, kind: str, window: GaussianWindow,
-                  rho: np.ndarray, layer: int = 0, phi_dir: float = 0.0,
-                  rel_tol: float = 1e-7, max_doublings: int = 9) -> KernelField:
+                  rho: np.ndarray, layer: int = 0, rel_tol: float = 1e-7,
+                  max_doublings: int = 9) -> KernelField:
     """Windowed kernel W * kernel on the radial grid `rho`.
 
     The radial k-integral runs over panels split at the window support edge
@@ -204,6 +207,5 @@ def kernel_radial(stack: Stack, omega: float, kind: str, window: GaussianWindow,
             f"radial k-integral did not converge: last change {change:.2e} > {rel_tol:.2e} "
             f"with {n_nodes} nodes/panel; narrow the window or raise max_doublings"
         )
-    tensor = np.einsum("n,nrij->rij", np.exp(1j * np.multiply(_MODES, phi_dir)), prev.sum(axis=0))
-    return KernelField(kind, layer, omega, window, rho, phi_dir, tensor, prev, n_nodes, change)
+    return KernelField(kind, layer, omega, window, rho, prev, n_nodes, change)
 

@@ -148,6 +148,12 @@ def scatter_set(ctx: ModeContext, q: str = "s") -> ScatterSet:
     if q not in POLS:
         raise ConfigError(f"polarization must be one of {POLS}, got {q!r}")
     n = ctx.n
+    # beta_j = 0 in a layer puts r = -1 on both its faces: an exact pole that rounding may miss.
+    branch = ctx.beta[1:n] == 0.0
+    if branch.any():
+        j, *at = np.unravel_index(np.argmax(branch), branch.shape)
+        raise SingularInterfaceError(f"beta = 0 in layer {j + 1} at k = {float(ctx.k[tuple(at)])!r} "
+                                     "(branch point of a lossless layer): multiple-reflection pole")
 
     phase = np.exp(1j * ctx.beta * ctx.per_region(ctx.d, np.arange(n + 1)))
     phase[0] = phase[n] = 1.0

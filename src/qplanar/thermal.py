@@ -12,10 +12,12 @@ import math
 
 import numpy as np
 
-from .commutators import CommutatorSet, c_in_side, commutator_set
+from .commutators import _rows, c_in_side, grazing, intraplate_c
 from .constants import HBAR, K_B
 from .errors import AccuracyError, ConfigError, RegimeError
+from .iorel import io_matrix
 from .modes import ModeContext, Regime, regime
+from .scatter import scatter_set
 
 _NEGATIVE_W_TOL = 1e-10
 
@@ -38,53 +40,58 @@ def bose(omega: float, temperature: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def emission_w(ctx: ModeContext, q: str = "s", temperature: float = 300.0, side: int = 0,
-               cs: CommutatorSet | None = None):
+def _emission(ctx: ModeContext, q: str, temperature: float, side):
+    """Emission w of `side` (side axes first, then k), the S rows of `side` and c_in of side 0."""
+    rows = _rows(ctx, side)
+    if grazing(ctx).any():
+        raise RegimeError("beta = 0 in some region (grazing mode, k exactly at a branch point); "
+                          "the noise couplings are singular there")
+    io = io_matrix(scatter_set(ctx, q))
+    c_in0, c_inN = c_in_side(ctx, q, np.array([0, ctx.n]))
+    c = intraplate_c(ctx, q, np.arange(1, ctx.n))
+    v0, v1 = np.moveaxis(io.phi, (-1, -2), (0, 1))[:, rows]   # Phi rows of `side`: (*side, n-1, *k)
+    per_layer = ((v0 * c[..., 0, 0] + v1 * c[..., 1, 0]) * np.conj(v0)
+                 + (v0 * c[..., 0, 1] + v1 * c[..., 1, 1]) * np.conj(v1))
+    total = sum(np.moveaxis(per_layer, rows.ndim, 0), np.zeros(rows.shape + ctx.k.shape, dtype=complex))
+    occ = bose(ctx.omega, temperature)
+    w = occ * total.real
+    scale = np.maximum(np.maximum(abs(c_in0), abs(c_inN)), np.maximum(abs(total.real), 1e-300))
+    negative = np.ravel(w < -_NEGATIVE_W_TOL * occ * scale)
+    if negative.any():
+        raise AccuracyError(f"emission spectrum came out negative (w = {np.ravel(w)[negative][0]}); "
+                            "convention bug upstream")
+    return w, np.moveaxis(io.s_matrix, -2, 0)[rows], c_in0
+
+
+def emission_w(ctx: ModeContext, q: str = "s", temperature: float = 300.0, side=0):
     """Spectral intensity of thermal radiation leaving one side (N0-normalized), per k.
 
     w = n(omega, T) * sum_j phi_side^(j) C^(j) phi_side^(j)+, which expands to
     n sum_j |t_{j/side}/D_j|^2 e^{-2 beta'' d} {c++ + |r_opp|^2 c-- + 2 Re[r_opp c-+]}.
     Lossless stacks give exactly zero (every C^(j) vanishes).  `side` is the
-    outer region index, 0 or ctx.n.  A negative value at any k beyond
-    rounding raises AccuracyError.
+    outer region index, 0 or ctx.n, or an array of them: the result has the
+    side axes first, then the k axes.  A grazing k (beta = 0 in some region)
+    raises RegimeError; a negative value at any k beyond rounding raises
+    AccuracyError.
     """
-    row = ctx.side_row(side)
-    if cs is None:
-        cs = commutator_set(ctx, q)
-    occ = bose(ctx.omega, temperature)
-    v0, v1, c = cs.io.phi[..., row, 0], cs.io.phi[..., row, 1], cs.cmat
-    per_layer = ((v0 * c[..., 0, 0] + v1 * c[..., 1, 0]) * np.conj(v0)
-                 + (v0 * c[..., 0, 1] + v1 * c[..., 1, 1]) * np.conj(v1))
-    total = sum(per_layer, np.zeros(ctx.k.shape, dtype=complex))
-    w = occ * total.real
-    scale = np.maximum(np.maximum(abs(cs.c_in0), abs(cs.c_inN)), np.maximum(abs(total.real), 1e-300))
-    negative = np.ravel(w < -_NEGATIVE_W_TOL * occ * scale)
-    if negative.any():
-        raise AccuracyError(f"emission spectrum came out negative (w = {np.ravel(w)[negative][0]}); "
-                            "convention bug upstream")
-    return w
+    return _emission(ctx, q, temperature, side)[0]
 
 
-def kirchhoff_residual(ctx: ModeContext, q: str = "s", temperature: float = 300.0,
-                       side: int = 0, cs: CommutatorSet | None = None):
+def kirchhoff_residual(ctx: ModeContext, q: str = "s", temperature: float = 300.0, side=0):
     """Relative gap between emission and the absorptivity budget n c_in (1 - |r|^2 - |t|^2), per k.
 
     Valid for vacuum outer media in the propagating regime, where emissivity
     equals absorptivity exactly; evanescent modes take a different balance
-    (output noise against 2 Im r / |beta|) and are rejected here.
+    (output noise against 2 Im r / |beta|) and are rejected here.  `side`
+    is taken as in :func:`emission_w`.
     """
-    row = ctx.side_row(side)
     if np.any(ctx.eps[[0, ctx.n]] != 1.0):
         raise RegimeError("kirchhoff_residual requires vacuum outer media")
     if np.any(regime(ctx, 0) != Regime.PROPAGATING):
         raise RegimeError("kirchhoff_residual requires the propagating regime (omega/c > k)")
-    if cs is None:
-        cs = commutator_set(ctx, q)
+    w, s, c_in = _emission(ctx, q, temperature, side)
     occ = bose(ctx.omega, temperature)
-    w = emission_w(ctx, q, temperature, side, cs=cs)
-    s = cs.io.s_matrix
-    c_in = c_in_side(ctx, cs.io.q, 0)
-    budget = occ * c_in * (1.0 - abs(s[..., row, 0]) ** 2 - abs(s[..., row, 1]) ** 2)
+    budget = occ * c_in * (1.0 - abs(s[..., 0]) ** 2 - abs(s[..., 1]) ** 2)
     # Normalized against the full input budget n c_in, the emissivity scale;
     # a lossless stack (w = budget = 0 up to rounding) then reports ~0.
     return abs(w - budget) / np.maximum(np.maximum(abs(w), occ * c_in), 1e-300)

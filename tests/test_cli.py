@@ -9,6 +9,7 @@ import pytest
 
 import qplanar
 from qplanar.cli import main
+from qplanar.modes import make_context
 from qplanar.stack import load_stack
 
 SLAB = {
@@ -254,6 +255,7 @@ def test_tabulated_omega_out_of_range_is_config_error(stack_file, capsys):
 def _negate_intraplate_at(monkeypatch, omega):
     """Make the layer commutator matrices negative at one frequency."""
     import qplanar.commutators
+    import qplanar.thermal
 
     real = qplanar.commutators.intraplate_c
 
@@ -262,6 +264,7 @@ def _negate_intraplate_at(monkeypatch, omega):
         return -cmat if ctx.omega == omega else cmat
 
     monkeypatch.setattr(qplanar.commutators, "intraplate_c", patched)
+    monkeypatch.setattr(qplanar.thermal, "intraplate_c", patched)
 
 
 def test_negative_emission_exits_1_with_error(stack_file, capsys, monkeypatch):
@@ -503,3 +506,35 @@ def test_kernel_radial_one_engine_call_per_node_block(monkeypatch):
     blocks = [min(rk._NODE_BLOCK, n - start) for n in sizes
               for _ in range(panels) for start in range(0, n, rk._NODE_BLOCK)]
     assert calls == [1] + blocks
+
+
+def test_coeffs_at_a_lossless_layer_branch_point_exits_1(stack_file, capsys):
+    k1 = float(make_context(load_stack(json.dumps(LOSSLESS)), 2e15, 0.0).kj[1].real)
+    rc = main(["coeffs", "--stack", stack_file(LOSSLESS), "--omega", "2e15", "--k", f"0,{k1!r}"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: beta = 0 in layer 1 at k = {k1!r} ")
+
+
+@pytest.mark.parametrize("argv", [["thermal"], ["verify", "--suite", "kirchhoff"]])
+def test_thermal_paths_make_one_scatter_set_per_omega_and_pol(stack_file, capsys, monkeypatch, argv):
+    import qplanar.commutators
+    import qplanar.thermal
+
+    calls = []
+    real = qplanar.thermal.scatter_set
+
+    def counting(ctx, q="s"):
+        calls.append((ctx.omega, q))
+        return real(ctx, q)
+
+    for module in (qplanar.cli, qplanar.commutators, qplanar.thermal):
+        monkeypatch.setattr(module, "scatter_set", counting)
+    for module, name in [(qplanar.cli, "commutator_set"), (qplanar.commutators, "commutator_set"),
+                         (qplanar.commutators, "c_out_side"), (qplanar.commutators, "cross_closed")]:
+        monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
+    rc = main([argv[0], "--stack", stack_file(SLAB), *argv[1:],
+               "--omega", "1e15:3e15:3", "--k", "0:0.9w:7"])
+    assert rc == 0
+    assert calls == [(om, q) for om in np.linspace(1e15, 3e15, 3) for q in ("s", "p")]

@@ -212,7 +212,7 @@ def test_bosonize_lossy_outer_media():
         cs = commutator_set(ctx, q=q)
         bos = bosonize(ctx, cs)
         # modified coefficients differ from the bare ones for lossy outer media
-        assert abs(bos.r_0n) != pytest.approx(abs(cs.io.s_matrix[0][0]), rel=1e-6)
+        assert abs(bos.s_matrix[..., 0, 0]) != pytest.approx(abs(cs.io.s_matrix[0][0]), rel=1e-6)
         # diagonal of the bosonized Gram matrix is exactly the closure identity
         gram = bos.s_matrix @ bos.s_matrix.conjugate().T
         for ph in bos.phi:

@@ -73,9 +73,10 @@ def test_engine_matches_scalar_oracle(case):
     beta = _per_k([m.beta for m in modes])
     _close(ctx.beta, beta, _largest(beta))
     # At k = k_j of a lossless layer r = -1 exactly on both of its faces: an
-    # exact multiple-reflection pole, where rounding decides whether the
-    # denominator test fires.  Adjacent regions with beta = 0 both are an
-    # exact interface pole (see test_exact_poles_raise_for_the_batch).
+    # exact multiple-reflection pole, where scatter_set raises (see
+    # test_lossless_layer_branch_point_raises_for_the_batch).  Adjacent regions
+    # with beta = 0 both are an exact interface pole (see
+    # test_exact_poles_raise_for_the_batch).
     zero = ctx.beta == 0.0
     pole = np.any(zero[1:-1], axis=0) | np.any(zero[:-1] & zero[1:], axis=0)
     ctx = ctx.select(~pole)
@@ -131,7 +132,7 @@ def test_engine_matches_scalar_oracle(case):
         for side in (0, ctx.n):
             w_ref = np.array([oracle.emission_w(m, q, 300.0, side) for m in kept])
             w_scale = max(bose(omega, 300.0) * scale, _largest(w_ref))
-            _close(emission_w(sub, q, 300.0, side, cs=cs)[sub_keep], w_ref, w_scale, w_scale * inv_d)
+            _close(emission_w(sub, q, 300.0, side)[sub_keep], w_ref, w_scale, w_scale * inv_d)
 
 
 def test_exact_poles_raise_for_the_batch():
@@ -147,6 +148,29 @@ def test_exact_poles_raise_for_the_batch():
         with pytest.raises(SingularInterfaceError):
             oracle.scatter_set(oracle.make_context(equal, omega, k_eq), q)
     assert k_eq == pytest.approx(k1, rel=1e-15)
+
+
+def test_lossless_layer_branch_point_raises_for_the_batch():
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        n_layers = int(rng.integers(1, 4))
+        lossless = rng.random(n_layers) < 0.5
+        lossless[rng.integers(n_layers)] = True
+        layers = tuple(Layer(float(rng.uniform(20e-9, 400e-9)),
+                             ConstantEps(complex(rng.uniform(1.0, 6.0), 0.0 if free else rng.uniform(0.01, 1.0))))
+                       for free in lossless)
+        clad = [ConstantEps(complex(rng.uniform(1.0, 3.0), rng.choice([0.0, rng.uniform(1e-3, 1.0)])))
+                for _ in range(2)]
+        stack = Stack(clad[0], layers, clad[1])
+        omega = float(rng.uniform(1e15, 3e15))
+        j = int(rng.choice(np.flatnonzero(lossless))) + 1
+        k = float(make_context(stack, omega, 0.0).kj[j].real)
+        for q in ("s", "p"):
+            for ks in (k, np.array([0.0, 0.5 * k, k, 2.0 * k])):
+                with pytest.raises(SingularInterfaceError, match=r"beta = 0 in layer \d+ at k = "):
+                    scatter_set(make_context(stack, omega, ks), q)
+            ss = scatter_set(make_context(stack, omega, np.nextafter(k, [-np.inf, np.inf])), q)
+            assert all(np.isfinite(getattr(ss, name)).all() for name in SCATTER)
 
 
 def test_scalar_k_is_a_zero_d_array():

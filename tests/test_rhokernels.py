@@ -74,7 +74,7 @@ def test_rotational_covariance():
     st = absorbing_env_stack()
     win = GaussianWindow(k_w=1.5 * K0)
     rho = np.linspace(0.0, 5.0 / K0, 12)
-    field = kernel_radial(st, OMEGA, "T0n", win, rho, phi_dir=0.0)
+    field = kernel_radial(st, OMEGA, "T0n", win, rho)
     rotated = field.tensor_at(math.pi / 2.0)
     rot = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     expected = np.einsum("ab,rbc,dc->rad", rot, field.tensor, rot)

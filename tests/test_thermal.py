@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import C
+from conftest import C, random_stack
 from qplanar.commutators import commutator_set
 from qplanar.errors import RegimeError
 from qplanar.modes import make_context
@@ -61,7 +61,7 @@ def test_emission_matches_kirchhoff_budget():
     for q in ("s", "p"):
         for side in (0, ctx.n):
             cs = commutator_set(ctx, q=q)
-            w = emission_w(ctx, q=q, temperature=300.0, side=side, cs=cs)
+            w = emission_w(ctx, q=q, temperature=300.0, side=side)
             s = cs.io.s_matrix
             row = s[0] if side == 0 else s[1]
             budget = bose(omega, 300.0) * cs.c_in0 * (
@@ -111,7 +111,7 @@ def test_evanescent_emission_balances_output_commutator():
         ctx = make_context(st, omega, f * omega / C)
         for q in ("s", "p"):
             cs = commutator_set(ctx, q=q)
-            w = emission_w(ctx, q=q, temperature=300.0, side=0, cs=cs)
+            w = emission_w(ctx, q=q, temperature=300.0, side=0)
             n = bose(omega, 300.0)
             assert w / n == pytest.approx(cs.c_out0, rel=1e-8)
             assert w / n == pytest.approx(
@@ -127,3 +127,32 @@ def test_emission_monotone_in_temperature():
     vals = [emission_w(ctx, q="p", temperature=t, side=0) for t in temps]
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert all(v >= 0.0 for v in vals)
+
+
+def test_side_arrays_match_scalar_side_calls_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for trial in range(24):
+        vacuum = trial % 2 == 0
+        st = random_stack(rng, n_layers=int(rng.integers(0, 5)), outer="vacuum" if vacuum else "mixed")
+        omega = float(rng.uniform(1e15, 3e15))
+        ctx = make_context(st, omega, rng.uniform(0.0, 0.95 if vacuum else 2.5, 9) * omega / C)
+        sides = [0, ctx.n]
+        for q in ("s", "p"):
+            for f in (emission_w, kirchhoff_residual) if vacuum else (emission_w,):
+                both = f(ctx, q, 300.0, sides)
+                assert both.shape == (2, 9)
+                np.testing.assert_array_equal(both, [f(ctx, q, 300.0, side) for side in sides])
+            column = emission_w(ctx, q, 300.0, [[0], [ctx.n]])
+            np.testing.assert_array_equal(column, emission_w(ctx, q, 300.0, sides)[:, None])
+
+
+def test_emission_raises_at_a_grazing_k():
+    st = Stack(VACUUM, (Layer(150e-9, ConstantEps(2.25 + 0j)), Layer(200e-9, ConstantEps(2 + 0.5j))),
+               VACUUM)
+    omega = 2e15
+    kj = make_context(st, omega, 0.0).kj.real
+    for k in kj[:2]:   # the vacuum light line and the lossless layer's branch point
+        ctx = make_context(st, omega, np.array([0.3 * kj[0], k]))
+        for q in ("s", "p"):
+            with pytest.raises(RegimeError, match="grazing"):
+                emission_w(ctx, q, 300.0, [0, ctx.n])
