@@ -10,6 +10,7 @@ formatted with a fixed %.12e and rows are emitted in deterministic order
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -34,6 +35,8 @@ _COMP_NAMES = [a + b for a in "xyz" for b in "xyz"]
 
 
 _FLOAT = "%.12e"   # every float cell; `_FLOAT % x` is byte-identical to f"{x:.12e}"
+_SLOT = 21         # bytes per cell slot; the widest cell, "-d.dddddddddddde-ddd", has 20
+_PAD = b"\xff"     # fills the unused bytes of a slot; UTF-8 text never holds this byte
 
 
 def _fmt(x: float) -> str:
@@ -116,9 +119,87 @@ def _grid(args) -> tuple[list[tuple[float, np.ndarray]], list[str]]:
     return grid, pols
 
 
+@functools.cache
+def _cell_tables() -> tuple[np.ndarray, ...]:
+    """Tables of `_rows`, built on first use.
+
+    10**k for k in [-300, 305], each correctly rounded by `float`; the words
+    "0000".."9999"; the prefix words "d." and "-d." at lead digit + 10 * sign;
+    and per exponent in [-300, 305] the word "e+dd" or "e-dd" and its third digit.
+    """
+    exps = [b"e%+03d" % e for e in range(-300, 306)]
+    return (np.array([float(f"1e{k}") for k in range(-300, 306)]),
+            np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), "<u4"),
+            np.frombuffer(b"".join(b"%d.\xff\xff" % d for d in range(10))
+                          + b"".join(b"-%d.\xff" % d for d in range(10)), "<u4"),
+            np.frombuffer(b"".join(x[:4] for x in exps), "<u4"),
+            np.frombuffer(b"".join(x[4:] or _PAD for x in exps), np.uint8))
+
+
+@functools.lru_cache(maxsize=256)
+def _row_layout(template: str) -> tuple[int, bytes, int, int]:
+    """Cells, literal bytes, first slot column and slot stride of a row template.
+
+    A row is the leading literal, then per cell a slot of `_SLOT` bytes and
+    the literal after the cell, padded to the longest such literal so that
+    the slots sit at one stride, then a newline.
+    """
+    if "%" in template.replace(_FLOAT, "") or "\n" in template:
+        raise ValueError(f"a row template is one line of text and {_FLOAT} cells: {template!r}")
+    pieces = [p.encode() for p in template.split(_FLOAT)]
+    width = max(map(len, pieces[1:]), default=0)
+    row = pieces[0] + b"".join(_PAD * _SLOT + p.ljust(width, _PAD) for p in pieces[1:]) + b"\n"
+    return len(pieces) - 1, row, len(pieces[0]), _SLOT + width
+
+
 def _rows(template: str, values: np.ndarray) -> list[str]:
-    """One CSV row per line of `values`, each through one `%` on `template`."""
-    return [template % tuple(v) for v in values.tolist()]
+    """One CSV row per line of `values`, byte-identical to `template % tuple(row)`.
+
+    `template` is one line of literal text (no `%`) around `_FLOAT` cells.
+    A cell x with 1e-290 <= |x| <= 1e300 takes e = floor(log10 |x|), fixed by
+    one where needed, and y = |x| * 10**(12 - e) in [1e12, 1e13): two
+    correctly rounded factors and one product put y within 2.3e-3 of its
+    exact value.  So unless y lies within 5e-3 of a rounding tie, rint(y) is
+    the correctly rounded 13-digit significand, written by word gathers from
+    `_cell_tables`.  All other cells (ties, zeros, NaN, inf, extreme
+    magnitudes) go through `%`.
+    """
+    n, row, start, stride = _row_layout(template)
+    x = np.asarray(values, dtype=float).reshape(len(values), n)
+    pow10, digits, prefix, exp_word, exp_last = _cell_tables()
+    a = np.abs(x)
+    fast = (a >= 1e-290) & (a <= 1e300)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    y = a * pow10[312 - e]
+    e += y >= 1e13
+    e -= y < 1e12
+    y = a * pow10[312 - e]
+    d = np.rint(y)
+    fast &= (y >= 1e12) & (y < 1e13) & (np.abs(y - d) < 0.495)
+    slow = ~fast
+    d[slow] = 1e12           # any valid digits; `%` overwrites these cells
+    carry = d == 1e13        # 9.9999999999996e(e) rounds to 1.000000000000e(e+1)
+    d[carry] = 1e12
+    e += carry
+    hi = np.floor(d / 1e8)   # exact: integer quotients below 2**44
+    lo = d - hi * 1e8
+    lead = np.floor(hi / 1e4)
+    mid = np.floor(lo / 1e4)
+
+    buf = np.frombuffer(bytearray(row * len(x)), np.uint8).reshape(len(x), len(row))
+    slots = buf[:, start:start + n * stride].reshape(len(x), n, stride)
+    words = slots[..., :_SLOT - 1].view("<u4")
+    words[..., 0] = prefix[lead.astype(np.intp) + 10 * np.signbit(x)]
+    words[..., 1] = digits[(hi - lead * 1e4).astype(np.intp)]
+    words[..., 2] = digits[mid.astype(np.intp)]
+    words[..., 3] = digits[(lo - mid * 1e4).astype(np.intp)]
+    words[..., 4] = exp_word[e + 300]
+    slots[..., _SLOT - 1] = exp_last[e + 300]
+    if slow.any():
+        cells = b"".join((_FLOAT % v).encode().ljust(_SLOT, _PAD) for v in x[slow].tolist())
+        slots[slow, :_SLOT] = np.frombuffer(cells, np.uint8).reshape(-1, _SLOT)
+    return buf.tobytes().translate(None, _PAD).decode().split("\n")[:-1]
 
 
 def _interleave(groups: list[list[str]]) -> list[str]:
@@ -134,8 +215,11 @@ def _emit(args, header: list[str], rows: list[str], schema: str):
         cells = [dict(zip(header, row.split(","))) for row in rows]
         text = json.dumps({"schema": name, "rows": cells}, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output file {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -294,14 +378,18 @@ def cmd_sample(args) -> int:
               "stderr_n0", "realizations", "seed"]
     rows = []
     for om, ks in grid:
-        for k in ks.tolist():
-            for q in pols:
+        cells = np.empty((len(pols), ks.size, 3))   # k, w, stderr
+        for i, k in enumerate(ks.tolist()):
+            for iq, q in enumerate(pols):
                 plan = SamplePlan(omega=om, k=k, q=q, temperature=args.temp,
                                   nodes_per_layer=args.nodes, realizations=args.realizations,
                                   seed=args.seed, side=args.side)
                 est = sample_emission(plan, stack)
-                rows.append(f"{_fmt(om)},{_fmt(k)},{q},{args.side},{_fmt(args.temp)},"
-                            f"{_fmt(est.w)},{_fmt(est.stderr)},{est.realizations},{args.seed}")
+                cells[iq, i] = k, est.w, est.stderr
+        rows += _interleave([
+            _rows(f"{_fmt(om)},{_FLOAT},{q},{args.side},{_fmt(args.temp)},{_FLOAT},{_FLOAT},"
+                  f"{args.realizations},{args.seed}", cells[iq])
+            for iq, q in enumerate(pols)])
     _emit(args, header, rows, "sample")
     return 0
 

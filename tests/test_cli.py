@@ -214,6 +214,21 @@ def test_missing_stack_file_usage_error(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("target", ["missing/out.txt", "."])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--omega", "2e15", "--k", "0,0.5w"],
+    ["kernels", "--omega", "2e15", "--kw", "1.5w", "--rho-points", "5"],
+])
+def test_unwritable_out_usage_error(stack_file, tmp_path, capsys, argv, fmt, target):
+    out = tmp_path / target   # a missing directory, or a directory itself
+    rc = main([*argv, "--stack", stack_file(SLAB), "--format", fmt, "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write output file {out}: ")
+
+
 def test_unit_conversions(stack_file, capsys):
     # 1 eV and the equivalent rad/s give identical rows
     ev_rads = 1.602176634e-19 / 1.054571817e-34
