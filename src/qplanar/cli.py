@@ -146,7 +146,7 @@ def _row_layout(template: str) -> tuple[int, bytes, int, int]:
     """
     if "%" in template.replace(_FLOAT, "") or "\n" in template:
         raise ValueError(f"a row template is one line of text and {_FLOAT} cells: {template!r}")
-    pieces = [p.encode() for p in template.split(_FLOAT)]
+    pieces = [p.encode(errors="surrogatepass") for p in template.split(_FLOAT)]
     width = max(map(len, pieces[1:]), default=0)
     row = pieces[0] + b"".join(_PAD * _SLOT + p.ljust(width, _PAD) for p in pieces[1:]) + b"\n"
     return len(pieces) - 1, row, len(pieces[0]), _SLOT + width
@@ -155,7 +155,8 @@ def _row_layout(template: str) -> tuple[int, bytes, int, int]:
 def _rows(template: str, values: np.ndarray) -> list[str]:
     """One CSV row per line of `values`, byte-identical to `template % tuple(row)`.
 
-    `template` is one line of literal text (no `%`) around `_FLOAT` cells.
+    `template` is one line of literal text (no `%`) around `_FLOAT` cells;
+    lone surrogates in it pass through unchanged, as they do through `%`.
     A cell x with 1e-290 <= |x| <= 1e300 takes e = floor(log10 |x|), fixed by
     one where needed, and y = |x| * 10**(12 - e) in [1e12, 1e13): two
     correctly rounded factors and one product put y within 2.3e-3 of its
@@ -199,7 +200,7 @@ def _rows(template: str, values: np.ndarray) -> list[str]:
     if slow.any():
         cells = b"".join((_FLOAT % v).encode().ljust(_SLOT, _PAD) for v in x[slow].tolist())
         slots[slow, :_SLOT] = np.frombuffer(cells, np.uint8).reshape(-1, _SLOT)
-    return buf.tobytes().translate(None, _PAD).decode().split("\n")[:-1]
+    return buf.tobytes().translate(None, _PAD).decode(errors="surrogatepass").split("\n")[:-1]
 
 
 def _interleave(groups: list[list[str]]) -> list[str]:

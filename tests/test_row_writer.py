@@ -82,6 +82,12 @@ def test_template_shapes(template, rows):
     assert _rows(template, table) == _oracle(template, table)
 
 
+def test_lone_surrogates_pass_through():
+    template = f"\ud800,{_FLOAT},\udc80{_FLOAT}\ud83d\ude00"
+    table = np.array([[1.5, -2.25e-7], [np.nan, 3.0]])
+    assert _rows(template, table) == _oracle(template, table)
+
+
 @pytest.mark.parametrize("template", ["%d", f"{_FLOAT}%%", f"a\n{_FLOAT}"])
 def test_templates_other_than_one_line_of_cells_are_refused(template):
     with pytest.raises(ValueError):
