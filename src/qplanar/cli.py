@@ -136,7 +136,6 @@ def _cell_tables() -> tuple[np.ndarray, ...]:
             np.frombuffer(b"".join(x[4:] or _PAD for x in exps), np.uint8))
 
 
-@functools.lru_cache(maxsize=256)
 def _row_layout(template: str) -> tuple[int, bytes, int, int]:
     """Cells, literal bytes, first slot column and slot stride of a row template.
 
@@ -144,18 +143,19 @@ def _row_layout(template: str) -> tuple[int, bytes, int, int]:
     the literal after the cell, padded to the longest such literal so that
     the slots sit at one stride, then a newline.
     """
-    if "%" in template.replace(_FLOAT, "") or "\n" in template:
-        raise ValueError(f"a row template is one line of text and {_FLOAT} cells: {template!r}")
-    pieces = [p.encode(errors="surrogatepass") for p in template.split(_FLOAT)]
+    if "%" in template.replace(_FLOAT, ""):
+        raise ValueError(f"a row template is literal text and {_FLOAT} cells: {template!r}")
+    pieces = template.encode(errors="surrogatepass").split(_FLOAT.encode())
     width = max(map(len, pieces[1:]), default=0)
-    row = pieces[0] + b"".join(_PAD * _SLOT + p.ljust(width, _PAD) for p in pieces[1:]) + b"\n"
+    row = pieces[0] + b"".join([_PAD * _SLOT + p.ljust(width, _PAD) for p in pieces[1:]]) + b"\n"
     return len(pieces) - 1, row, len(pieces[0]), _SLOT + width
 
 
 def _rows(template: str, values: np.ndarray) -> list[str]:
-    """One CSV row per line of `values`, byte-identical to `template % tuple(row)`.
+    """The lines of `template % tuple(row)` for each row of `values`, byte for byte.
 
-    `template` is one line of literal text (no `%`) around `_FLOAT` cells;
+    `template` is literal text (no `%`) around `_FLOAT` cells, one CSV row
+    per line, so one call writes the rows of several groups interleaved;
     lone surrogates in it pass through unchanged, as they do through `%`.
     A cell x with 1e-290 <= |x| <= 1e300 takes e = floor(log10 |x|), fixed by
     one where needed, and y = |x| * 10**(12 - e) in [1e12, 1e13): two
@@ -203,11 +203,6 @@ def _rows(template: str, values: np.ndarray) -> list[str]:
     return buf.tobytes().translate(None, _PAD).decode(errors="surrogatepass").split("\n")[:-1]
 
 
-def _interleave(groups: list[list[str]]) -> list[str]:
-    """Rows k-major: the i-th row of every group, in group order, then the next i."""
-    return [row for rows in zip(*groups) for row in rows]
-
-
 def _emit(args, header: list[str], rows: list[str], schema: str):
     name = f"qplanar-{schema}-v{SCHEMA_VERSION}"
     if args.format == "csv":
@@ -235,20 +230,21 @@ def cmd_coeffs(args) -> int:
     names = ["r_0n", "r_n0", "t_0n", "t_n0", *(f"{x}_L{j}" for j in range(1, n_layers + 1) for x in layer)]
     header = ["omega_rad_s", "k_inv_m", "pol", *(f"{x}_{part}" for x in names for part in ("re", "im"))]
     floats = ",".join([_FLOAT] * (len(header) - 3))
+    template = "\n".join(f"{_FLOAT},{_FLOAT},{q},{floats}" for q in pols)
 
     rows = []
     for om, ks in grid:
         ctx = make_context(stack, om, ks)
-        groups = []
-        for q in pols:
+        cells = np.empty((ks.size, len(pols), len(header) - 1))   # omega, k, then the floats
+        cells[..., 0], cells[..., 1] = om, ks[:, None]
+        for iq, q in enumerate(pols):
             ss = scatter_set(ctx, q)
             io = io_matrix(ss)
             layers = np.concatenate([ss.d_fp[1:-1, :, None], io.phi.reshape(n_layers, ks.size, 4)], -1)
             z = np.concatenate([io.s_matrix.reshape(ks.size, 4)[:, [0, 3, 2, 1]],
                                 layers.transpose(1, 0, 2).reshape(ks.size, -1)], 1)
-            groups.append(_rows(f"{_fmt(om)},{_FLOAT},{q},{floats}",
-                                np.column_stack([ks, z.view(float)])))
-        rows += _interleave(groups)
+            cells[:, iq, 2:] = z.view(float)
+        rows += _rows(template, cells)
     _emit(args, header, rows, "coeffs")
     return 0
 
@@ -351,19 +347,21 @@ def cmd_thermal(args) -> int:
     grid, pols = _grid(args)
     header = ["omega_rad_s", "k_inv_m", "pol", "side", "temp_K", "occupation",
               "w_n0_normalized", "n0_si"]
+    sides = (0, stack.n)
+    template = "\n".join(f"{_FLOAT},{_FLOAT},{q},{side},{_FLOAT},{_FLOAT},{_FLOAT},{_FLOAT}"
+                         for q in pols for side in sides)
     rows, n_skip = [], 0
     for om, ks in grid:
         ctx = make_context(stack, om, ks)
         ok = ~grazing(ctx)
-        sub, sides = ctx.select(ok), (0, ctx.n)
+        sub = ctx.select(ok)
         n_skip += int(np.count_nonzero(~ok)) * len(pols)
-        fixed = f"{_fmt(args.temp)},{_fmt(bose(om, args.temp))}"
-        groups = []
-        for q in pols:
-            for side, w in zip(sides, emission_w(sub, q, args.temp, sides)):
-                groups.append(_rows(f"{_fmt(om)},{_FLOAT},{q},{side},{fixed},{_FLOAT},"
-                                    f"{_fmt(n0_scale(om))}", np.column_stack([sub.k, w])))
-        rows += _interleave(groups)
+        cells = np.empty((sub.k.size, len(pols), len(sides), 6))   # the float columns of header
+        cells[..., 0], cells[..., 1], cells[..., 2] = om, sub.k[:, None, None], args.temp
+        cells[..., 3], cells[..., 5] = bose(om, args.temp), n0_scale(om)
+        for iq, q in enumerate(pols):
+            cells[:, iq, :, 4] = emission_w(sub, q, args.temp, sides).T
+        rows += _rows(template, cells)
     if not rows:
         raise UsageError("thermal: no grid point satisfies its preconditions")
     if n_skip:
@@ -377,20 +375,20 @@ def cmd_sample(args) -> int:
     grid, pols = _grid(args)
     header = ["omega_rad_s", "k_inv_m", "pol", "side", "temp_K", "w_est_n0",
               "stderr_n0", "realizations", "seed"]
+    template = "\n".join(f"{_FLOAT},{_FLOAT},{q},{args.side},{_FLOAT},{_FLOAT},{_FLOAT},"
+                         f"{args.realizations},{args.seed}" for q in pols)
     rows = []
     for om, ks in grid:
-        cells = np.empty((len(pols), ks.size, 3))   # k, w, stderr
+        cells = np.empty((ks.size, len(pols), 5))   # omega, k, temp, w, stderr
+        cells[..., 0], cells[..., 1], cells[..., 2] = om, ks[:, None], args.temp
         for i, k in enumerate(ks.tolist()):
             for iq, q in enumerate(pols):
                 plan = SamplePlan(omega=om, k=k, q=q, temperature=args.temp,
                                   nodes_per_layer=args.nodes, realizations=args.realizations,
                                   seed=args.seed, side=args.side)
                 est = sample_emission(plan, stack)
-                cells[iq, i] = k, est.w, est.stderr
-        rows += _interleave([
-            _rows(f"{_fmt(om)},{_FLOAT},{q},{args.side},{_fmt(args.temp)},{_FLOAT},{_FLOAT},"
-                  f"{args.realizations},{args.seed}", cells[iq])
-            for iq, q in enumerate(pols)])
+                cells[i, iq, 3:] = est.w, est.stderr
+        rows += _rows(template, cells)
     _emit(args, header, rows, "sample")
     return 0
 
@@ -401,6 +399,8 @@ def cmd_kernels(args) -> int:
     stack = _load_stack_file(args.stack)
     omegas = _parse_grid(args.omega)
     header = ["kind", "omega_rad_s", "k_w_inv_m", "rho_m", "comp", "re", "im"]
+    template = "\n".join(f"{args.kind},{_FLOAT},{_FLOAT},{_FLOAT},{comp},{_FLOAT},{_FLOAT}"
+                         for comp in _COMP_NAMES)
     rows = []
     for om in omegas:
         k_w = _parse_scalar(args.kw, omega=om)
@@ -408,10 +408,10 @@ def cmd_kernels(args) -> int:
         rho = np.linspace(0.0, args.rho_max_over_kw / k_w, args.rho_points)
         field = kernel_radial(stack, om, args.kind, window, rho, layer=args.layer)
         comps = field.tensor.reshape(field.rho.size, 9)
-        rows += _interleave([
-            _rows(f"{args.kind},{_fmt(om)},{_fmt(k_w)},{_FLOAT},{comp},{_FLOAT},{_FLOAT}",
-                  np.column_stack([field.rho, comps[:, ci].real, comps[:, ci].imag]))
-            for ci, comp in enumerate(_COMP_NAMES)])
+        cells = np.empty((field.rho.size, 9, 5))   # omega, k_w, rho, re, im
+        cells[..., 0], cells[..., 1], cells[..., 2] = om, k_w, field.rho[:, None]
+        cells[..., 3], cells[..., 4] = comps.real, comps.imag
+        rows += _rows(template, cells)
     _emit(args, header, rows, "kernels")
     return 0
 
