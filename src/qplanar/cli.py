@@ -1,6 +1,7 @@
 """Batch front-end: sweeps, verification suites, and plot-ready tables.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error.
+Exit codes: 0 success, 1 verification or accuracy failure (e.g. a non-finite
+emission or sampler weight), 2 usage/config error.
 Output tables are byte-stable for fixed inputs and seed: floats are
 formatted with a fixed %.12e and rows are emitted in deterministic order
 (omega-major, then k, then polarization).  Wherever a command takes a
@@ -457,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--realizations", type=int, default=20000)
     p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--nodes", type=int, default=64, help="z-nodes per layer")
+    p.add_argument("--nodes", type=int, default=64,
+                   help="z-nodes per layer of the midpoint rule for the layer amplitude covariance")
     p.add_argument("--side", type=int, default=0,
                    help="outer region the emission leaves through: 0 or n (the last region)")
     p.set_defaults(func=cmd_sample)

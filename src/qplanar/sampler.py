@@ -1,17 +1,21 @@
 """Monte Carlo oracle for the thermal emission spectra.
 
-Samples the intraplate Langevin noise on a z-grid as complex circular
-Gaussians, quadratures the layer amplitudes with the midpoint rule, pushes
-them through the noise-coupling rows of the IO relation, and estimates the
-output spectral intensity.  Everything is done in the same N0-normalized
-units as the closed forms, where the per-layer amplitude reduces to
+Draws the intraplate Langevin noise as the two layer amplitudes of each
+lossy layer and coupled Cartesian component, with the covariance the
+midpoint rule gives them on a z-grid, pushes them through the
+noise-coupling rows of the IO relation, and estimates the output spectral
+intensity.  Everything is done in the same N0-normalized units as the
+closed forms, where the per-layer amplitude reduces to
 
     u_(+/-) = -(omega/c) sqrt(eps''_j) / beta_j * int_0^d e^{-/+ i beta z} f(z).e_(+/-) dz
 
 with <f_mu*(z) f_nu(z')> = n(omega,T) delta_mu,nu delta(z - z').
 
-Only noise components with nonzero weight on the output are drawn, so a
-seed gives other estimates than the earlier sampler that drew all three.
+The grid's nodes set the midpoint-rule quadrature of each layer's 2 x 2
+amplitude covariance, not the number of draws: a realization draws two
+unit circular Gaussians per (lossy layer, coupled component), whatever the
+node count.  The estimator has the law of one draw per (z-cell,
+component), but a seed gives other estimates than that earlier sampler.
 
 Reproducibility contract: streams are Philox counter-based, keyed by
 (seed, realization-block) with 0 <= seed < 2**64 and a fixed block size,
@@ -28,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT
-from .errors import ConfigError
+from .errors import AccuracyError, ConfigError
 from .iorel import io_matrix
 from .modes import make_context
 from .scatter import scatter_set
@@ -78,7 +82,8 @@ def sample_emission(plan: SamplePlan, stack: Stack) -> EmissionEstimate:
 
     The estimator is the sample mean of |u_out|^2 over realizations; the
     standard error is the usual sqrt(var / N).  With T = 0 every variance is
-    zero and the estimate is exactly zero.
+    zero and the estimate is exactly zero.  A layer whose mode amplitudes
+    overflow (too thick or too lossy) raises AccuracyError.
     """
     if plan.realizations < 1:
         raise ConfigError("need at least one realization")
@@ -96,28 +101,38 @@ def sample_emission(plan: SamplePlan, stack: Stack) -> EmissionEstimate:
     if occ == 0.0:
         return EmissionEstimate(0.0, 0.0, plan.realizations)
 
-    # Per-cell weights: u_lambda = sum_cells w_cell(lambda) (f_cell . e_lambda),
-    # folded with the phi row of the requested side so the output is a single
-    # weighted sum over all cells and Cartesian components.  The cell variance
-    # n/dz is folded in as well, scaling each layer's weights by sqrt(n/dz),
-    # so the draws stay unit normals.
-    weights = []  # (cells, 3) complex, concatenated over layers
+    # Layer amplitudes.  Over the cell midpoints z_c of layer j, every column of
+    # the per-cell weights is W_j = [a b] C_j with the mode vectors
+    # a = e^{-i beta z_c}, b = e^{+i beta z_c} and C_j the 2 x 3 coefficients of
+    # the two modes (phi row of the requested side, polarization vector, the
+    # prefactor and the cell variance n/dz).  With the thin QR [a b] = Q R,
+    # W_j^T f = (Q^H W_j)^T (Q^T f) = (R C_j)^T g, and g = Q^T f is again iid
+    # unit circular Gaussian: two draws per coupled component give u the law
+    # of one draw per (cell, component), and the nodes only set the
+    # midpoint-rule quadrature of the 2 x 2 amplitude covariance, the Gram
+    # matrix [a b]^H [a b] = R^H R.
+    weights = []   # (2, 3) complex per lossy layer
     for j in range(1, ctx.n):
-        dz = ctx.d[j] / m
-        z_cells = (np.arange(m) + 0.5) * dz
-        beta = ctx.beta[j]
         epp = ctx.eps[j].imag
         if epp <= 0.0:
             _warnings.warn(f"layer {j} is lossless; it contributes no thermal noise", stacklevel=2)
-        pref = -(ctx.omega / C_LIGHT) * math.sqrt(max(epp, 0.0)) / beta * dz
-        e_plus = ctx.pol_vector(plan.q, j, +1)
-        e_minus = ctx.pol_vector(plan.q, j, -1)
+            continue
+        dz = ctx.d[j] / m
+        z_cells = (np.arange(m) + 0.5) * dz
+        beta = ctx.beta[j]
+        pref = -(ctx.omega / C_LIGHT) * math.sqrt(epp) / beta * dz * math.sqrt(occ / dz)
         phi_plus, phi_minus = io.phi[j - 1][row]
-        w_plus = phi_plus * pref * np.exp(-1j * beta * z_cells)[:, None] * e_plus[None, :]
-        w_minus = phi_minus * pref * np.exp(1j * beta * z_cells)[:, None] * e_minus[None, :]
-        weights.append((w_plus + w_minus) * math.sqrt(occ / dz))
+        coeffs = pref * np.stack([phi_plus * ctx.pol_vector(plan.q, j, +1),
+                                  phi_minus * ctx.pol_vector(plan.q, j, -1)])
+        modes = np.exp(np.multiply.outer(z_cells, [-1j * beta, 1j * beta]))
+        v = np.linalg.qr(modes, mode="r") @ coeffs
+        if not np.isfinite(v).all():
+            raise AccuracyError(f"sampler weights are not finite at omega = {plan.omega:.6e} "
+                                f"rad/s, k = {plan.k:.6e} 1/m: the mode amplitudes of layer {j} "
+                                "overflow")
+        weights.append(v)
     # Isotropic noise: a component of zero weight adds nothing and is not drawn.
-    w_flat = np.concatenate(weights, axis=0).reshape(-1)
+    w_flat = np.array(weights, dtype=complex).reshape(-1)
     w_flat = w_flat[w_flat != 0]
     if not w_flat.size:
         _warnings.warn("no noise couples to the output; estimate is identically zero", stacklevel=2)

@@ -52,9 +52,16 @@ def _emission(ctx: ModeContext, q: str, temperature: float, side):
     v0, v1 = np.moveaxis(io.phi, (-1, -2), (0, 1))[:, rows]   # Phi rows of `side`: (*side, n-1, *k)
     per_layer = ((v0 * c[..., 0, 0] + v1 * c[..., 1, 0]) * np.conj(v0)
                  + (v0 * c[..., 0, 1] + v1 * c[..., 1, 1]) * np.conj(v1))
-    total = sum(np.moveaxis(per_layer, rows.ndim, 0), np.zeros(rows.shape + ctx.k.shape, dtype=complex))
+    per_layer = np.moveaxis(per_layer, rows.ndim, 0)   # (n-1, *side, *k)
+    total = sum(per_layer, np.zeros(rows.shape + ctx.k.shape, dtype=complex))
     occ = bose(ctx.omega, temperature)
     w = occ * total.real
+    if not np.isfinite(w).all():
+        at = np.unravel_index(np.argmax(~np.isfinite(w)), w.shape)
+        j = 1 + int(np.argmax(~np.isfinite(per_layer[(slice(None), *at)])))
+        raise AccuracyError(f"emission is not finite at omega = {ctx.omega:.6e} rad/s, "
+                            f"k = {ctx.k[at[rows.ndim:]]:.6e} 1/m: the noise coupling of layer {j} "
+                            "overflows")
     scale = np.maximum(np.maximum(abs(c_in0), abs(c_inN)), np.maximum(abs(total.real), 1e-300))
     negative = np.ravel(w < -_NEGATIVE_W_TOL * occ * scale)
     if negative.any():

@@ -300,6 +300,31 @@ def test_kirchhoff_suite_accuracy_error_fails_run(stack_file, capsys, monkeypatc
     assert "error: emission spectrum came out negative" in captured.err
 
 
+# 40 um of eps = -10 + 1i: e^{2 beta'' d} overflows the unscaled intraplate amplitudes.
+THICK_METAL = {
+    "medium0": {"model": "constant", "eps_re": 1.0, "eps_im": 0.0},
+    "layers": [
+        {"thickness_m": 4e-5, "material": {"model": "constant", "eps_re": -10.0, "eps_im": 1.0}}
+    ],
+    "mediumN": {"model": "constant", "eps_re": 1.0, "eps_im": 0.0},
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command,what", [("thermal", "emission is"),
+                                          ("sample", "sampler weights are")])
+@pytest.mark.parametrize("pol", ["s", "p"])
+def test_overflowing_layer_exits_1_instead_of_nan(stack_file, capsys, command, what, pol):
+    rc = main([command, "--stack", stack_file(THICK_METAL), "--omega", "2e15", "--k", "0.5w",
+               "--pol", pol])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "nan" not in captured.out
+    assert captured.err.startswith(f"error: {what} not finite at omega = 2.000000e+15 rad/s, "
+                                   "k = 3.335641e+06 1/m: ")
+    assert "layer 1" in captured.err
+
+
 @pytest.mark.parametrize("side", ["1", "5", "-1"])
 def test_sample_side_must_be_an_outer_region(stack_file, capsys, side):
     rc = main(["sample", "--stack", stack_file(THREE_LAYERS), "--omega", "2e15",

@@ -6,10 +6,12 @@ import pytest
 from conftest import C
 from qplanar import sampler
 from qplanar.errors import ConfigError
+from qplanar.iorel import io_matrix
 from qplanar.modes import make_context
 from qplanar.sampler import BLOCK, SamplePlan, sample_emission
+from qplanar.scatter import scatter_set
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
-from qplanar.thermal import emission_w
+from qplanar.thermal import bose, emission_w
 
 OMEGA = 2e15
 
@@ -148,17 +150,83 @@ def test_block_loop_bit_identical_to_fresh_arrays(monkeypatch, realizations):
     assert sampler._moments(plan.seed, realizations, w) == fresh_array_moments(plan.seed, realizations, w)
 
 
-# complex draws per z-cell of a lossy layer: s keeps y; p keeps x and z, only x at k = 0
-@pytest.mark.parametrize("q,k_frac,per_cell", [("s", 0.5, 1), ("s", 0.0, 1), ("p", 0.5, 2),
-                                               ("p", 0.0, 1)])
-def test_draws_only_coupled_components(monkeypatch, q, k_frac, per_cell):
-    m = 16
-    plan = SamplePlan(omega=OMEGA, k=k_frac * OMEGA / C, q=q, nodes_per_layer=m,
+# coupled components per lossy layer: s keeps y; p keeps x and z, only x at k = 0
+@pytest.mark.parametrize("q,k_frac,components", [("s", 0.5, 1), ("s", 0.0, 1), ("p", 0.5, 2),
+                                                 ("p", 0.0, 1)])
+def test_draws_only_coupled_components(monkeypatch, q, k_frac, components):
+    plan = SamplePlan(omega=OMEGA, k=k_frac * OMEGA / C, q=q, nodes_per_layer=16,
                       realizations=100, seed=1)
     with pytest.warns(UserWarning, match="layer 2 is lossless"):
         w = coupled_weights(monkeypatch, plan, LOSSY_LOSSLESS_LOSSY)
-    assert w.size == per_cell * m * 2   # the lossless middle layer draws nothing
+    # two layer amplitudes per coupled component (s 2, p 4, p at k = 0 2 per
+    # lossy layer) in each of the two lossy layers; the lossless one draws nothing
+    assert w.size == 2 * components * 2
     assert np.all(w != 0)
+
+
+@pytest.mark.filterwarnings("ignore:layer 2 is lossless")
+@pytest.mark.parametrize("q", ["s", "p"])
+def test_draw_count_does_not_grow_with_nodes(monkeypatch, q):
+    sizes = [coupled_weights(monkeypatch, SamplePlan(omega=OMEGA, k=0.5 * OMEGA / C, q=q,
+                                                     nodes_per_layer=m, realizations=1),
+                             LOSSY_LOSSLESS_LOSSY).size
+             for m in (16, 4096)]
+    assert sizes[0] == sizes[1]
+
+
+def cell_weights(plan, stack):
+    """Oracle: one weight per (z-cell, component), u = sum_cells w_cell . f_cell.
+
+    The cell variance n/dz is folded into the weights, so the draws they
+    multiply are unit circular Gaussians; the variance of u is sum |w|^2.
+    """
+    ctx = make_context(stack, plan.omega, plan.k)
+    row = ctx.side_row(plan.side)
+    phi = io_matrix(scatter_set(ctx, plan.q)).phi
+    occ = bose(plan.omega, plan.temperature)
+    m = plan.nodes_per_layer
+    weights = []
+    for j in range(1, ctx.n):
+        dz = ctx.d[j] / m
+        z_cells = (np.arange(m) + 0.5) * dz
+        beta = ctx.beta[j]
+        pref = -(ctx.omega / C) * math.sqrt(max(ctx.eps[j].imag, 0.0)) / beta * dz
+        phi_plus, phi_minus = phi[j - 1][row]
+        e_plus, e_minus = ctx.pol_vector(plan.q, j, +1), ctx.pol_vector(plan.q, j, -1)
+        w_plus = phi_plus * pref * np.exp(-1j * beta * z_cells)[:, None] * e_plus
+        w_minus = phi_minus * pref * np.exp(1j * beta * z_cells)[:, None] * e_minus
+        weights.append((w_plus + w_minus) * math.sqrt(occ / dz))
+    return np.concatenate(weights).reshape(-1)
+
+
+def random_passive_stack(rng):
+    def eps(lossy):
+        return ConstantEps(complex(rng.uniform(1.0, 6.0), rng.uniform(0.02, 2.0) if lossy else 0.0))
+
+    def clad():
+        return eps(True) if rng.random() < 0.5 else VACUUM
+
+    layers = tuple(Layer(rng.uniform(20e-9, 300e-9), eps(rng.random() < 0.7))
+                   for _ in range(rng.integers(1, 5)))
+    return Stack(clad(), layers, clad())
+
+
+@pytest.mark.filterwarnings("ignore:layer")
+@pytest.mark.filterwarnings("ignore:no noise couples")
+@pytest.mark.parametrize("case", range(24))
+def test_layer_amplitudes_keep_the_cell_variance(monkeypatch, case):
+    """Two draws per (lossy layer, component) give u the variance of one draw per cell."""
+    rng = np.random.default_rng(1000 + case)
+    st = random_passive_stack(rng)
+    for q in ("s", "p"):
+        for k_frac in (0.0, 1.5):
+            for side in (0, st.n):
+                m = int(rng.integers(2, 65))
+                plan = SamplePlan(omega=OMEGA, k=k_frac * OMEGA / C, q=q, nodes_per_layer=m,
+                                  realizations=1, side=side)
+                v = coupled_weights(monkeypatch, plan, st)
+                ref = np.sum(abs(cell_weights(plan, st)) ** 2)
+                assert abs(np.sum(abs(v) ** 2) - ref) <= 1e-13 * ref, (q, k_frac, side, m)
 
 
 def test_lossless_layer_between_lossy_ones():

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import C, random_stack
 from qplanar.commutators import commutator_set
-from qplanar.errors import RegimeError
+from qplanar.errors import AccuracyError, RegimeError
 from qplanar.modes import make_context
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
 from qplanar.thermal import bose, emission_w, kirchhoff_residual
@@ -156,3 +156,14 @@ def test_emission_raises_at_a_grazing_k():
         for q in ("s", "p"):
             with pytest.raises(RegimeError, match="grazing"):
                 emission_w(ctx, q, 300.0, [0, ctx.n])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_layer_raises_naming_the_point_and_layer():
+    # layer 2 is 40 um of eps = -10 + 1i: its intraplate amplitudes overflow
+    st = Stack(VACUUM, (Layer(200e-9, ConstantEps(2 + 0.5j)), Layer(4e-5, ConstantEps(-10 + 1j))),
+               VACUUM)
+    ctx = make_context(st, 2e15, np.array([1e5, 3.3e6]))
+    with pytest.raises(AccuracyError, match=r"omega = 2\.000000e\+15 rad/s, k = 1\.000000e\+05 "
+                                            r"1/m: the noise coupling of layer 2 overflows"):
+        emission_w(ctx, q="p", side=[0, st.n])
