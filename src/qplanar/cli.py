@@ -39,6 +39,10 @@ _FLOAT = "%.12e"   # every float cell; `_FLOAT % x` is byte-identical to f"{x:.1
 _SLOT = 21         # bytes per cell slot; the widest cell, "-d.dddddddddddde-ddd", has 20
 _PAD = b"\xff"     # fills the unused bytes of a slot; UTF-8 text never holds this byte
 
+# Cells per engine call: 10 per mode, region and polarization (a `coeffs` row has 10 per
+# layer), or 9 per mode and node of the Green quadrature.
+_CHUNK_CELLS = 1 << 16
+
 
 def _fmt(x: float) -> str:
     return _FLOAT % x
@@ -110,14 +114,23 @@ def _pols(arg: str) -> list[str]:
     return pols
 
 
-def _grid(args) -> tuple[list[tuple[float, np.ndarray]], list[str]]:
-    """[(omega, k array)] in grid order, and the polarizations; an empty grid is a usage error."""
-    grid = [(om, np.array(_parse_grid(args.k, omega=om), dtype=float))
-            for om in _parse_grid(args.omega)]
+def _grid(args) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Flat omega and k arrays of the modes in grid order, and the polarizations; k is
+    parsed at each omega (`w`, `deg`).  An empty grid is a usage error."""
+    grid = [(om, _parse_grid(args.k, omega=om)) for om in _parse_grid(args.omega)]
+    omega = np.array([om for om, ks in grid for _ in ks], dtype=float)
+    k = np.array([kk for _, ks in grid for kk in ks], dtype=float)
     pols = _pols(args.pol)
-    if not pols or not any(ks.size for _, ks in grid):
+    if not pols or not k.size:
         raise UsageError("empty sweep grid")
-    return grid, pols
+    return omega, k, pols
+
+
+def _contexts(stack: Stack, omega: np.ndarray, k: np.ndarray, cells_per_mode: int):
+    """Contexts of runs of consecutive modes, of _CHUNK_CELLS cells at most (one mode at least)."""
+    step = max(1, _CHUNK_CELLS // max(1, cells_per_mode))
+    for start in range(0, k.size, step):
+        yield make_context(stack, omega[start:start + step], k[start:start + step])
 
 
 @functools.cache
@@ -223,7 +236,7 @@ def _emit(args, header: list[str], rows: list[str], schema: str):
 
 def cmd_coeffs(args) -> int:
     stack = _load_stack_file(args.stack)
-    grid, pols = _grid(args)
+    omega, k, pols = _grid(args)
     n_layers = len(stack.layers)
 
     # Per k: r_0n, r_n0, t_0n, t_n0, then per layer D, phi_0+, phi_0-, phi_n+, phi_n-.
@@ -233,26 +246,30 @@ def cmd_coeffs(args) -> int:
     floats = ",".join([_FLOAT] * (len(header) - 3))
     template = "\n".join(f"{_FLOAT},{_FLOAT},{q},{floats}" for q in pols)
 
-    rows = []
-    for om, ks in grid:
-        ctx = make_context(stack, om, ks)
-        cells = np.empty((ks.size, len(pols), len(header) - 1))   # omega, k, then the floats
-        cells[..., 0], cells[..., 1] = om, ks[:, None]
+    rows, n_floor = [], 0
+    for ctx in _contexts(stack, omega, k, 10 * (stack.n + 1) * len(pols)):
+        m = ctx.k.size
+        cells = np.empty((m, len(pols), len(header) - 1))   # omega, k, then the floats
+        cells[..., 0], cells[..., 1] = ctx.omega[:, None], ctx.k[:, None]
         for iq, q in enumerate(pols):
             ss = scatter_set(ctx, q)
             io = io_matrix(ss)
-            layers = np.concatenate([ss.d_fp[1:-1, :, None], io.phi.reshape(n_layers, ks.size, 4)], -1)
-            z = np.concatenate([io.s_matrix.reshape(ks.size, 4)[:, [0, 3, 2, 1]],
-                                layers.transpose(1, 0, 2).reshape(ks.size, -1)], 1)
+            n_floor += int(np.count_nonzero(ss.d_floor.any(axis=0)))
+            layers = np.concatenate([ss.d_fp[1:-1, :, None], io.phi.reshape(n_layers, m, 4)], -1)
+            z = np.concatenate([io.s_matrix.reshape(m, 4)[:, [0, 3, 2, 1]],
+                                layers.transpose(1, 0, 2).reshape(m, -1)], 1)
             cells[:, iq, 2:] = z.view(float)
-        rows += _rows(template, cells)
+        # One `_rows` call per omega: its transient memory grows with its cells.
+        for block in np.split(cells, np.flatnonzero(np.diff(ctx.omega)) + 1):
+            rows += _rows(template, block)
+    if n_floor:
+        print(f"d_floor={n_floor}", file=sys.stderr)
     _emit(args, header, rows, "coeffs")
     return 0
 
 
 def _vacuum_propagating(ctx) -> np.ndarray:
-    vacuum = ctx.eps[0] == 1.0 and ctx.eps[-1] == 1.0
-    return vacuum & (regime(ctx, 0) == Regime.PROPAGATING)
+    return (ctx.eps[0] == 1.0) & (ctx.eps[-1] == 1.0) & (regime(ctx, 0) == Regime.PROPAGATING)
 
 
 def _commutator_points(ctx, q: str, ok):
@@ -290,11 +307,10 @@ def _kirchhoff_residual(ctx, q: str, args):
 
 def _green_residual(ctx, q: str, args):
     try:
-        res = [verify_green_identity(ctx.select(i), nodes_per_layer=args.nodes).residual
-               for i in range(ctx.k.size)]
+        res = verify_green_identity(ctx, nodes_per_layer=args.nodes).residual
     except RegimeError as exc:
         raise UsageError(str(exc)) from exc
-    return np.ones(ctx.k.shape, dtype=bool), np.array(res)
+    return np.ones(ctx.k.shape, dtype=bool), res
 
 
 # suite -> (per-k residuals, default tolerance)
@@ -308,26 +324,28 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     stack = _load_stack_file(args.stack)
-    grid, pols = _grid(args)
+    omega, k, pols = _grid(args)
     residual, default_tol = _SUITES[args.suite]
     tol = args.tol if args.tol is not None else default_tol
     if not (math.isfinite(tol) and tol >= 0.0):
         raise UsageError(f"--tol must be finite and >= 0, got {tol}")
+    cells = 10 * (stack.n + 1) * len(pols)
     if args.suite == "green":
         # The identity covers both polarizations: one check per distinct (omega, k).
-        grid = list({om: np.array(list(dict.fromkeys(ks.tolist()))) for om, ks in grid}.items())
+        omega, k = np.array(list(dict.fromkeys(zip(omega.tolist(), k.tolist())))).T
         pols = ["-"]
+        cells = 9 * (args.nodes + 1)
     points, residuals, n_skip = [], [], 0
-    for om, ks in grid:
-        ctx = make_context(stack, om, ks)
-        done = np.zeros((ks.size, len(pols)), dtype=bool)
+    for ctx in _contexts(stack, omega, k, cells):
+        done = np.zeros((ctx.k.size, len(pols)), dtype=bool)
         res = np.zeros(done.shape)
         for iq, q in enumerate(pols):
             ok, r = residual(ctx, q, args)
             done[:, iq] = ok
             res[ok, iq] = r
         n_skip += int(np.count_nonzero(~done))
-        points += [(om, ks[i], pols[iq]) for i, iq in zip(*np.nonzero(done))]
+        i, iq = np.nonzero(done)
+        points += zip(ctx.omega[i], ctx.k[i], iq)
         residuals += res[done].tolist()
     if not points:
         raise UsageError(f"suite {args.suite}: no grid point satisfies its preconditions")
@@ -338,28 +356,27 @@ def cmd_verify(args) -> int:
     print(f"suite={args.suite} points={len(points)} skipped={n_skip} "
           f"max_residual={worst:.6e} tol={tol:.1e} status={status}")
     if status == "FAIL":
-        om, k, q = points[i]
-        print(f"worst omega_rad_s={_fmt(om)} k_inv_m={_fmt(k)} pol={q}")
+        om, kk, iq = points[i]
+        print(f"worst omega_rad_s={_fmt(om)} k_inv_m={_fmt(kk)} pol={pols[iq]}")
     return 0 if status == "PASS" else 1
 
 
 def cmd_thermal(args) -> int:
     stack = _load_stack_file(args.stack)
-    grid, pols = _grid(args)
+    omega, k, pols = _grid(args)
     header = ["omega_rad_s", "k_inv_m", "pol", "side", "temp_K", "occupation",
               "w_n0_normalized", "n0_si"]
     sides = (0, stack.n)
     template = "\n".join(f"{_FLOAT},{_FLOAT},{q},{side},{_FLOAT},{_FLOAT},{_FLOAT},{_FLOAT}"
                          for q in pols for side in sides)
     rows, n_skip = [], 0
-    for om, ks in grid:
-        ctx = make_context(stack, om, ks)
+    for ctx in _contexts(stack, omega, k, 10 * (stack.n + 1) * len(pols)):
         ok = ~grazing(ctx)
         sub = ctx.select(ok)
         n_skip += int(np.count_nonzero(~ok)) * len(pols)
         cells = np.empty((sub.k.size, len(pols), len(sides), 6))   # the float columns of header
-        cells[..., 0], cells[..., 1], cells[..., 2] = om, sub.k[:, None, None], args.temp
-        cells[..., 3], cells[..., 5] = bose(om, args.temp), n0_scale(om)
+        per_mode = np.stack([sub.omega, sub.k, bose(sub.omega, args.temp), n0_scale(sub.omega)], -1)
+        cells[..., [0, 1, 3, 5]], cells[..., 2] = per_mode[:, None, None], args.temp
         for iq, q in enumerate(pols):
             cells[:, iq, :, 4] = emission_w(sub, q, args.temp, sides).T
         rows += _rows(template, cells)
@@ -373,24 +390,21 @@ def cmd_thermal(args) -> int:
 
 def cmd_sample(args) -> int:
     stack = _load_stack_file(args.stack)
-    grid, pols = _grid(args)
+    omega, k, pols = _grid(args)
     header = ["omega_rad_s", "k_inv_m", "pol", "side", "temp_K", "w_est_n0",
               "stderr_n0", "realizations", "seed"]
     template = "\n".join(f"{_FLOAT},{_FLOAT},{q},{args.side},{_FLOAT},{_FLOAT},{_FLOAT},"
                          f"{args.realizations},{args.seed}" for q in pols)
-    rows = []
-    for om, ks in grid:
-        cells = np.empty((ks.size, len(pols), 5))   # omega, k, temp, w, stderr
-        cells[..., 0], cells[..., 1], cells[..., 2] = om, ks[:, None], args.temp
-        for i, k in enumerate(ks.tolist()):
-            for iq, q in enumerate(pols):
-                plan = SamplePlan(omega=om, k=k, q=q, temperature=args.temp,
-                                  nodes_per_layer=args.nodes, realizations=args.realizations,
-                                  seed=args.seed, side=args.side)
-                est = sample_emission(plan, stack)
-                cells[i, iq, 3:] = est.w, est.stderr
-        rows += _rows(template, cells)
-    _emit(args, header, rows, "sample")
+    cells = np.empty((k.size, len(pols), 5))   # omega, k, temp, w, stderr
+    cells[..., 0], cells[..., 1], cells[..., 2] = omega[:, None], k[:, None], args.temp
+    for i, (om, kk) in enumerate(zip(omega.tolist(), k.tolist())):
+        for iq, q in enumerate(pols):
+            plan = SamplePlan(omega=om, k=kk, q=q, temperature=args.temp,
+                              nodes_per_layer=args.nodes, realizations=args.realizations,
+                              seed=args.seed, side=args.side)
+            est = sample_emission(plan, stack)
+            cells[i, iq, 3:] = est.w, est.stderr
+    _emit(args, header, _rows(template, cells), "sample")
     return 0
 
 

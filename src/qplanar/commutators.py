@@ -40,18 +40,12 @@ def _dagger(m: np.ndarray) -> np.ndarray:   # conjugate transpose of 2x2 blocks
     return np.conj(m).swapaxes(-1, -2)
 
 
-def _first(mask, *values):
-    """The entries of `values` at the first True of `mask` (all of k.shape)."""
-    i = np.flatnonzero(mask)[0]
-    return tuple(np.ravel(v)[i] for v in values)
-
-
 def _pqq(ctx: ModeContext, j, q: str):
     """(P, Q, Qb) polarization overlaps for region j (or an array of regions)."""
     if q == "s":
         return 1.0, 1.0, 1.0 + 0.0j
     b = ctx.beta[j]
-    kj = ctx.per_region(ctx.kj, j)
+    kj = ctx.kj[j]
     k2 = ctx.k * ctx.k
     ab2 = abs(b) ** 2
     akj2 = abs(kj) ** 2
@@ -76,7 +70,7 @@ def _c_out_closed(ctx: ModeContext, q: str, j, r):
     ab2 = abs(b) ** 2
     if q == "s":
         return (b.real + 2.0 * b.imag * r.imag) / ab2
-    kj = ctx.per_region(ctx.kj, j)
+    kj = ctx.kj[j]
     k2 = ctx.k * ctx.k
     akj2 = abs(kj) ** 2
     p, qq, qb = _pqq(ctx, j, q)
@@ -150,8 +144,10 @@ def intraplate_xi(ctx: ModeContext, q: str, j):
         rounding = val > -1e-15 * np.maximum(abs(core_sym), 1e-300) / ab2
         bad = (val < 0.0) & ~rounding
         if np.any(bad):
-            value, layer = _first(bad, val, np.broadcast_to(np.reshape(j, np.shape(d)), val.shape))
-            raise PassivityError(f"xi^2 = {value} < 0 in layer {layer} (q={q})")
+            at = np.unravel_index(np.argmax(bad), bad.shape)
+            layer = np.asarray(j)[at[:np.ndim(j)]]
+            raise PassivityError(f"xi^2 = {val[at]} < 0 in layer {layer} (q={q}) "
+                                 f"at {ctx.mode(at[np.ndim(j):])}")
         out.append(np.sqrt(np.where(val < 0.0, 0.0, val)))
     return out[0], out[1]
 
@@ -232,11 +228,12 @@ def bosonize(ctx: ModeContext, cs: CommutatorSet) -> BosonizedIO:
     """
     bad = ~bosonic(ctx, cs)
     if bad.any():
-        c = _first(bad, cs.c_in0, cs.c_inN, cs.c_out0, cs.c_outN)
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        c = (cs.c_in0[at], cs.c_inN[at], cs.c_out0[at], cs.c_outN[at])
         raise RegimeError(
             "no bosonic input operators exist for evanescent input components, or an output "
             "commutator is not positive (c_in0, c_inN, c_out0, c_outN = {:.3e}, {:.3e}, {:.3e}, "
-            "{:.3e})".format(*c)
+            "{:.3e}) at {}".format(*c, ctx.mode(at))
         )
     out_scale = (1.0 / np.sqrt(np.stack([cs.c_out0, cs.c_outN], -1)))[..., :, None]
     in_scale = np.sqrt(np.stack([cs.c_in0, cs.c_inN], -1))[..., None, :]

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .commutators import _dagger
 from .constants import C_LIGHT
 from .errors import ConfigError, RegimeError
 from .modes import ModeContext
@@ -44,33 +45,38 @@ def wavefun(ctx: ModeContext, ss: ScatterSet, j: int, direction: str, z,
     direction '<' : leftward wave referenced at the left interface,
         e_- e^{-i beta z} + r[j->0] e_+ e^{i beta z}
 
-    `z` may be an array; the result has shape z.shape + (3,).  k_sign = -1
-    evaluates the polarization vectors at -k.
+    `z` may be an array; the result has shape k.shape + z.shape + (3,), one
+    wave per mode of the context.  k_sign = -1 evaluates the polarization
+    vectors at -k.
     """
     z = np.asarray(z, dtype=float)
     _z_range_check(ctx, j, z)
     khat = (k_sign * ctx.khat[0], k_sign * ctx.khat[1])
-    e_plus = ctx.pol_vector(ss.q, j, +1, khat)
-    e_minus = ctx.pol_vector(ss.q, j, -1, khat)
-    b = ctx.beta[j]
+    lead = ctx.k.shape + (1,) * z.ndim
+    e_plus = ctx.pol_vector(ss.q, j, +1, khat).reshape(lead + (3,))
+    e_minus = ctx.pol_vector(ss.q, j, -1, khat).reshape(lead + (3,))
+    b = ctx.beta[j].reshape(lead + (1,))
     if direction == ">":
         zref = (z - ctx.d[j])[..., None]
-        return e_plus * np.exp(1j * b * zref) + ss.r_right[j] * e_minus * np.exp(-1j * b * zref)
+        r = ss.r_right[j].reshape(lead + (1,))
+        return e_plus * np.exp(1j * b * zref) + r * e_minus * np.exp(-1j * b * zref)
     if direction == "<":
         z = z[..., None]
-        return e_minus * np.exp(-1j * b * z) + ss.r_left[j] * e_plus * np.exp(1j * b * z)
+        r = ss.r_left[j].reshape(lead + (1,))
+        return e_minus * np.exp(-1j * b * z) + r * e_plus * np.exp(1j * b * z)
     raise ConfigError(f"direction must be '>' or '<', got {direction!r}")
 
 
 def green_kernel(ctx: ModeContext, pair: tuple[ScatterSet, ScatterSet], j: int = 0,
                  jp: int = 0, z: float = 0.0, zp=0.0, tie=0.5) -> np.ndarray:
-    """Scattering part of the planar Green kernel, complex 3x3.
+    """Scattering part of the planar Green kernel, complex 3x3 per mode.
 
     `pair` is the s and p ScatterSet of `ctx`.  First index follows the field
     point (region j, coordinate z), second the source point (region jp, zp).
     `tie` is the Theta(0) weight used only when j == jp and z == zp: 0.5
     symmetric, 1.0 selects the z > z' branch, 0.0 the z < z' branch.  `zp`
-    and `tie` may be arrays, broadcast together; the result is zp.shape + (3, 3).
+    and `tie` may be arrays, broadcast together; the result is
+    k.shape + zp.shape + (3, 3).
     """
     zp, tie = np.broadcast_arrays(np.asarray(zp, dtype=float), np.asarray(tie, dtype=float))
     if j != jp:
@@ -78,64 +84,71 @@ def green_kernel(ctx: ModeContext, pair: tuple[ScatterSet, ScatterSet], j: int =
     else:
         w_up = np.where(z > zp, 1.0, np.where(z < zp, 0.0, tie))
     w_dn = 1.0 - w_up
-    out = np.zeros(zp.shape + (3, 3), dtype=complex)
+    out = np.zeros(ctx.k.shape + zp.shape + (3, 3), dtype=complex)
+    lead = ctx.k.shape + (1,) * zp.ndim   # per-mode values against the zp axes
     # Every branch taken evaluates both waves, so wavefun checks z and zp.  A
     # branch whose weight is zero at every node is skipped: its waves grow
     # away from the plate.
     for ss in pair:
         if np.any(w_up):
-            term = (wavefun(ctx, ss, j, ">", z)[:, None]
+            term = (wavefun(ctx, ss, j, ">", z).reshape(lead + (3, 1))
                     * wavefun(ctx, ss, jp, "<", zp, k_sign=-1)[..., None, :])
-            out += np.asarray(w_up * _SIGMA[ss.q] * ss.xi(j, jp))[..., None, None] * term
+            weight = w_up * _SIGMA[ss.q] * ss.xi(j, jp).reshape(lead)
+            out += weight[..., None, None] * term
         if np.any(w_dn):
-            term = (wavefun(ctx, ss, j, "<", z)[:, None]
+            term = (wavefun(ctx, ss, j, "<", z).reshape(lead + (3, 1))
                     * wavefun(ctx, ss, jp, ">", zp, k_sign=-1)[..., None, :])
-            out += np.asarray(w_dn * _SIGMA[ss.q] * ss.xi(jp, j))[..., None, None] * term
+            weight = w_dn * _SIGMA[ss.q] * ss.xi(jp, j).reshape(lead)
+            out += weight[..., None, None] * term
     return 0.5j * out
 
 
 @dataclass(frozen=True)
 class GreenIdentityResult:
-    lhs: np.ndarray
-    rhs: np.ndarray
-    residual: float
+    lhs: np.ndarray        # k.shape + (3, 3)
+    rhs: np.ndarray        # k.shape + (3, 3)
+    residual: np.ndarray   # k.shape: max |lhs - rhs| over the larger of max |lhs|, max |rhs|
 
 
 def verify_green_identity(ctx: ModeContext, j: int = 0, jp: int = 0,
                           z: float = 0.0, zp: float = 0.0,
                           nodes_per_layer: int = 200) -> GreenIdentityResult:
-    """Numerically verify the absorption integral identity for the kernel.
+    """Numerically verify the absorption integral identity for the kernel, at every mode of ctx.
 
     lhs: sum over all regions of int dz'' (w/c)^2 eps'' g^(j,j'')(z, z'')
     contracted with g^(j',j'')*(z', z''); the semi-infinite outer-region
     tails are integrated in closed form (the integrand is a single decaying
     exponential there), interior layers by composite Simpson with
     `nodes_per_layer` (>= 2) subintervals per layer, split at interior field
-    points so the step-function kink never sits inside a panel.
+    points so the step-function kink never sits inside a panel.  The z''
+    nodes depend only on the thicknesses, so all modes share them: each
+    panel is one `green_kernel` call per field point for the whole context.
 
     rhs: (g - g^+)/2i at the field points plus the two eps''/eps boundary
     terms, with the symmetric Theta convention at coincident coordinates.
 
-    Requires absorbing outer media (Im eps > 0 in regions 0 and n) so the
-    tails converge.
+    Requires absorbing outer media (Im eps > 0 in regions 0 and n) at every
+    mode, so the tails converge.
     """
     n = ctx.n
     for m in (0, n):
-        if ctx.eps[m].imag <= 0.0:
+        lossless = ctx.eps[m].imag <= 0.0
+        if lossless.any():
+            at = np.unravel_index(np.argmax(lossless), lossless.shape)
             raise RegimeError(
-                f"outer region {m} has Im eps = {ctx.eps[m].imag}; the identity's "
-                "semi-infinite integrals need Im eps > 0 in both outer media"
+                f"outer region {m} has Im eps = {ctx.eps[m][at].imag} at {ctx.mode(at)}; the "
+                "identity's semi-infinite integrals need Im eps > 0 in both outer media"
             )
     if nodes_per_layer < 2:
         raise ConfigError(f"need at least 2 quadrature nodes per layer, got {nodes_per_layer}")
     w_c2 = (ctx.omega / C_LIGHT) ** 2
     pair = (scatter_set(ctx, "s"), scatter_set(ctx, "p"))
 
-    def integrand(jpp: int, zpp, tie) -> np.ndarray:
+    def integrand(jpp: int, zpp: np.ndarray, tie) -> np.ndarray:
         # tie is read only by a factor whose field point shares the region and coordinate.
         a = green_kernel(ctx, pair, j, jpp, z, zpp, tie)
         b = green_kernel(ctx, pair, jp, jpp, zp, zpp, tie)
-        return w_c2 * ctx.eps[jpp].imag * (a @ np.swapaxes(b, -1, -2).conjugate())
+        return (w_c2 * ctx.eps[jpp].imag)[..., None, None, None] * (a @ _dagger(b))
 
     def panel(jpp: int, a: float, b: float, m: int) -> np.ndarray:
         """Composite Simpson over [a, b] in region jpp with m (rounded up to even) subintervals."""
@@ -147,9 +160,10 @@ def verify_green_identity(ctx: ModeContext, j: int = 0, jp: int = 0,
         # A node on a field point is approached from inside [a, b]: it takes
         # the side of the panel it closes.
         vals = integrand(jpp, nodes, nodes == b)
-        return np.tensordot(weights * ((b - a) / m / 3.0), vals, axes=1)
+        # A sum over the node axis adds each mode's nodes in order, whatever the other modes.
+        return np.sum(vals * (weights * ((b - a) / m / 3.0))[:, None, None], axis=-3)
 
-    lhs = np.zeros((3, 3), dtype=complex)
+    lhs = np.zeros(ctx.k.shape + (3, 3), dtype=complex)
 
     # Interior layers.
     for jpp in range(1, n):
@@ -171,14 +185,17 @@ def verify_green_identity(ctx: ModeContext, j: int = 0, jp: int = 0,
         for a, b in zip(edges, edges[1:]):
             lhs += panel(jpp, a, b, max(8, nodes_per_layer))
         far, tie = (edges[0], 1.0) if jpp == 0 else (edges[-1], 0.0)
-        lhs += integrand(jpp, far, tie) / (2.0 * ctx.beta[jpp].imag)
+        tail = integrand(jpp, np.array([far]), tie)[..., 0, :, :]
+        lhs += tail / (2.0 * ctx.beta[jpp].imag)[..., None, None]
 
     # Right-hand side of the identity.
     g_fwd = green_kernel(ctx, pair, j, jp, z, zp)
     g_rev = green_kernel(ctx, pair, jp, j, zp, z)
-    rhs = (g_fwd - g_rev.conjugate().T) / 2j
-    rhs = rhs + (ctx.eps[jp].imag / ctx.eps[jp].conjugate()) * np.outer(g_fwd @ _EZ, _EZ)
-    rhs = rhs + (ctx.eps[j].imag / ctx.eps[j]) * np.outer(_EZ, (g_rev @ _EZ).conjugate())
-    scale = max(float(np.max(np.abs(rhs))), float(np.max(np.abs(lhs))), 1e-300)
-    residual = float(np.max(np.abs(lhs - rhs))) / scale
+    rhs = (g_fwd - _dagger(g_rev)) / 2j
+    fwd_z = (g_fwd @ _EZ)[..., :, None] * _EZ
+    rev_z = _EZ[:, None] * (g_rev @ _EZ).conjugate()[..., None, :]
+    rhs = rhs + (ctx.eps[jp].imag / ctx.eps[jp].conjugate())[..., None, None] * fwd_z
+    rhs = rhs + (ctx.eps[j].imag / ctx.eps[j])[..., None, None] * rev_z
+    largest = np.maximum(np.max(np.abs(rhs), axis=(-2, -1)), np.max(np.abs(lhs), axis=(-2, -1)))
+    residual = np.max(np.abs(lhs - rhs), axis=(-2, -1)) / np.maximum(largest, 1e-300)
     return GreenIdentityResult(lhs, rhs, residual)

@@ -10,8 +10,9 @@ relative accuracy next to a light line, where k_j^2 - k^2 would cancel.
 For exactly lossless media with k > k_j the argument of the root is
 negative real; there the branch is selected explicitly as +i sqrt(|.|) so
 no signed-zero ambiguity of the principal root can leak in.  Every
-function takes an array of k at one omega (a single mode is a 0-d array);
-per-region quantities carry the region axis first.
+function takes an array of modes (omega, k), omega broadcast against k (a
+single mode is a 0-d array); per-region quantities carry the region axis
+first, then the k axes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .constants import C_LIGHT
+from .constants import C_LIGHT, per_omega
 from .errors import ConfigError
 from .stack import Stack
 
@@ -33,11 +34,12 @@ POLS = ("s", "p")
 
 def upper_sqrt(z):
     """Elementwise square root with Re, Im >= 0 for Im z >= 0; on the real axis
-    (Im z = +0 or -0) negatives map exactly to +i sqrt(|z|), the rest to sqrt(z) + 0i."""
-    z = np.asarray(z, dtype=complex)
-    root = np.sqrt(np.abs(z.real))
-    on_axis = np.where(z.real < 0.0, root * 1j, root + 0j)
-    return np.where(z.imag == 0.0, on_axis, np.sqrt(z))
+    (Im z = +0 or -0) negatives map exactly to +i sqrt(|z|), the rest to sqrt(z) + 0i.
+
+    Adding +0 turns an imaginary -0 into +0 and leaves every other entry as it
+    is; the principal root of x + 0i is exactly sqrt(x) + 0i, or +i sqrt(-x) for x < 0.
+    """
+    return np.sqrt(np.asarray(z, dtype=complex) + 0.0)
 
 
 class Regime(Enum):
@@ -48,28 +50,34 @@ class Regime(Enum):
 
 @dataclass(frozen=True)
 class ModeContext:
-    """Kinematic bundle for the modes (omega, k) of one k array over all regions of a stack."""
+    """Kinematic bundle for the modes (omega, k) of one array over all regions of a stack."""
 
     stack: Stack
-    omega: float                  # rad/s
+    omega: np.ndarray             # rad/s, k.shape
     k: np.ndarray                 # 1/m, any shape; 0-d for a single mode
     khat: tuple[float, float]     # unit in-plane direction of the k-vector
-    eps: np.ndarray               # (n+1,) per region
-    kj: np.ndarray                # (n+1,) per region
+    eps: np.ndarray               # (n+1, *k.shape)
+    kj: np.ndarray                # (n+1, *k.shape)
     beta: np.ndarray              # (n+1, *k.shape)
     d: np.ndarray                 # (n+1,) thicknesses, 0 for the half-spaces
 
     @property
     def n(self) -> int:
-        return len(self.eps) - 1
+        return len(self.d) - 1
 
     def per_region(self, values: np.ndarray, j) -> np.ndarray:
-        """values[j] of a per-region array (eps, kj, d), shaped to broadcast against beta[j]."""
+        """values[j] of an array over the regions alone (d), shaped to broadcast against beta[j]."""
         return values[j].reshape(np.shape(j) + (1,) * self.k.ndim)
 
     def select(self, idx) -> ModeContext:
-        """The modes k[idx] of this context; `idx` indexes the k axes."""
-        return replace(self, k=self.k[idx], beta=self.beta[(slice(None), *np.index_exp[idx])])
+        """The modes [idx] of this context; `idx` indexes the k axes."""
+        at = (slice(None), *np.index_exp[idx])
+        return replace(self, omega=self.omega[idx], k=self.k[idx], eps=self.eps[at],
+                       kj=self.kj[at], beta=self.beta[at])
+
+    def mode(self, at) -> str:
+        """The mode at index `at` of the k axes, as 'omega = ... rad/s, k = ... 1/m'."""
+        return f"omega = {self.omega[at]:.6e} rad/s, k = {self.k[at]:.6e} 1/m"
 
     def side_row(self, side: int) -> int:
         """Row (0 or 1) of outer region `side` in the IO relation; side must be 0 or n."""
@@ -93,17 +101,25 @@ class ModeContext:
             lead = self.k.shape + (1,) * kx.ndim
             b = (-self.beta[j] if sign > 0 else self.beta[j]).reshape(lead)
             out[..., 0], out[..., 1], out[..., 2] = b * kx, b * ky, self.k.reshape(lead)
-            out /= self.kj[j]
+            out /= self.kj[j].reshape(lead + (1,))
         else:
             raise ConfigError(f"polarization must be 's' or 'p', got {q!r}")
         return out
 
 
-def make_context(stack: Stack, omega: float, k, khat=X_HAT) -> ModeContext:
-    """Evaluate eps_j, k_j, beta_j for every region of the stack at omega and every k."""
-    if not (math.isfinite(omega) and omega > 0.0):
-        raise ConfigError(f"omega must be positive and finite, got {omega}")
-    k = np.asarray(k, dtype=float)
+def make_context(stack: Stack, omega, k, khat=X_HAT) -> ModeContext:
+    """Evaluate eps_j, k_j, beta_j for every region of the stack at every mode (omega, k), omega
+    broadcast against k; the materials run once per distinct omega, one float at a time."""
+    def regions(w: float) -> list[complex]:
+        if not 0.0 < w < math.inf:
+            raise ConfigError(f"omega must be positive and finite, got {w}")
+        return [material(w) for material in stack.materials]
+
+    omega, k = np.asarray(omega, dtype=float), np.asarray(k, dtype=float)
+    grid = np.empty((2, *np.broadcast(omega, k).shape))
+    grid[0], grid[1] = omega, k
+    omega, k = grid
+    eps = per_omega(regions, omega)
     bad = ~(np.isfinite(k) & (k >= 0.0))
     if bad.any():
         raise ConfigError(f"k must be nonnegative and finite, got {k[bad].flat[0]}")
@@ -111,11 +127,9 @@ def make_context(stack: Stack, omega: float, k, khat=X_HAT) -> ModeContext:
     norm = math.hypot(kx, ky)
     if abs(norm - 1.0) > 1e-12:
         raise ConfigError(f"khat must be a unit vector, |khat| = {norm}")
-    eps = np.array([material(omega) for material in stack.materials], dtype=complex)
     w_c = omega / C_LIGHT
     kj = upper_sqrt(eps * w_c * w_c)
-    kjb = kj.reshape(kj.shape + (1,) * k.ndim)
-    beta = upper_sqrt((kjb - k) * (kjb + k))
+    beta = upper_sqrt((kj - k) * (kj + k))
     d = np.array([0.0, *(layer.thickness for layer in stack.layers), 0.0])
     return ModeContext(stack, omega, k, (kx, ky), eps, kj, beta, d)
 

@@ -61,19 +61,20 @@ def interface_rt(ctx: ModeContext, i, j, q: str) -> InterfaceCoeffs:
         what = "beta_{} + beta_{} = 0"
         num_r, num_t = bi - bj, 2.0 * bi
     elif q == "p":
-        ei, ej = ctx.per_region(ctx.eps, i), ctx.per_region(ctx.eps, j)
+        ei, ej = ctx.eps[i], ctx.eps[j]
         den = ej * bi + ei * bj
         what = "eps-weighted denominator vanishes at interface {}|{}"
-        # sqrt(eps_i eps_j), one value per interface, divided by the real w_c2 exactly
+        # sqrt(eps_i eps_j), one value per interface and mode, divided by the real w_c2 exactly
         w_c2 = (ctx.omega / C_LIGHT) ** 2
-        kk = ctx.per_region(ctx.kj, i) * ctx.per_region(ctx.kj, j)
+        kk = ctx.kj[i] * ctx.kj[j]
         num_r, num_t = ej * bi - ei * bj, 2.0 * bi * (kk.real / w_c2 + 1j * (kk.imag / w_c2))
     else:
         raise ConfigError(f"polarization must be 's' or 'p', got {q!r}")
     zero = den == 0.0
     if zero.any():
-        at = np.unravel_index(np.argmax(zero), zero.shape)[:i.ndim]
-        raise SingularInterfaceError(what.format(i[at], j[at]))
+        at = np.unravel_index(np.argmax(zero), zero.shape)
+        raise SingularInterfaceError(what.format(i[at[:i.ndim]], j[at[:i.ndim]])
+                                     + f" at {ctx.mode(at[i.ndim:])}")
     # Equal media transmit exactly: t = 1 where the numerator is the denominator.
     return InterfaceCoeffs(num_r / den, np.where(num_t == den, 1.0, num_t / den))
 
@@ -152,8 +153,10 @@ def scatter_set(ctx: ModeContext, q: str = "s") -> ScatterSet:
     branch = ctx.beta[1:n] == 0.0
     if branch.any():
         j, *at = np.unravel_index(np.argmax(branch), branch.shape)
-        raise SingularInterfaceError(f"beta = 0 in layer {j + 1} at k = {float(ctx.k[tuple(at)])!r} "
-                                     "(branch point of a lossless layer): multiple-reflection pole")
+        at = tuple(at)
+        raise SingularInterfaceError(f"beta = 0 in layer {j + 1} at k = {float(ctx.k[at])!r} 1/m, "
+                                     f"omega = {float(ctx.omega[at])!r} rad/s (branch point of a "
+                                     "lossless layer): multiple-reflection pole")
 
     phase = np.exp(1j * ctx.beta * ctx.per_region(ctx.d, np.arange(n + 1)))
     phase[0] = phase[n] = 1.0
@@ -178,7 +181,9 @@ def scatter_set(ctx: ModeContext, q: str = "s") -> ScatterSet:
     for step in range(n):
         denom = 1.0 - state[-1][0] * r_in[step]
         if not denom.all():
-            raise SingularInterfaceError("star product hit an exact multiple-reflection pole")
+            at = np.unravel_index(np.argmax(denom == 0.0), denom.shape)[1:]
+            raise SingularInterfaceError("star product hit an exact multiple-reflection pole "
+                                         f"at {ctx.mode(at)}")
         state.append(state[-1] * factors[step] / denom + offsets[step])
     state = np.stack(state)
     r_left, t_to0, t_from0 = state[:, :, 0].swapaxes(0, 1)

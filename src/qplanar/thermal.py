@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .commutators import _rows, c_in_side, grazing, intraplate_c
-from .constants import HBAR, K_B
+from .constants import HBAR, K_B, per_omega
 from .errors import AccuracyError, ConfigError, RegimeError
 from .iorel import io_matrix
 from .modes import ModeContext, Regime, regime
@@ -22,22 +22,22 @@ from .scatter import scatter_set
 _NEGATIVE_W_TOL = 1e-10
 
 
-def bose(omega: float, temperature: float) -> float:
-    """Bose-Einstein occupation 1 / (exp(hbar omega / kB T) - 1); T = 0 gives 0.
+def bose(omega, temperature: float) -> np.ndarray:
+    """Bose-Einstein occupation 1 / (exp(hbar omega / kB T) - 1) per entry of omega; T = 0 gives 0.
 
     Evaluated through expm1 so the Rayleigh-Jeans regime hbar omega << kB T
     keeps full relative accuracy.
     """
-    if omega <= 0.0:
-        raise ConfigError(f"omega must be positive, got {omega}")
     if not (math.isfinite(temperature) and temperature >= 0.0):
         raise ConfigError(f"temperature must be nonnegative and finite, got {temperature}")
-    if temperature == 0.0:
-        return 0.0
-    x = HBAR * omega / (K_B * temperature)
-    if x > 700.0:
-        return math.exp(-x)
-    return 1.0 / math.expm1(x)
+
+    def occupation(w: float) -> float:
+        if not w > 0.0:
+            raise ConfigError(f"omega must be positive, got {w}")
+        x = HBAR * w / (K_B * temperature) if temperature > 0.0 else math.inf
+        return math.exp(-x) if x > 700.0 else 1.0 / math.expm1(x)
+
+    return per_omega(occupation, omega)
 
 
 def _emission(ctx: ModeContext, q: str, temperature: float, side):
@@ -59,14 +59,14 @@ def _emission(ctx: ModeContext, q: str, temperature: float, side):
     if not np.isfinite(w).all():
         at = np.unravel_index(np.argmax(~np.isfinite(w)), w.shape)
         j = 1 + int(np.argmax(~np.isfinite(per_layer[(slice(None), *at)])))
-        raise AccuracyError(f"emission is not finite at omega = {ctx.omega:.6e} rad/s, "
-                            f"k = {ctx.k[at[rows.ndim:]]:.6e} 1/m: the noise coupling of layer {j} "
-                            "overflows")
+        raise AccuracyError(f"emission is not finite at {ctx.mode(at[rows.ndim:])}: the noise "
+                            f"coupling of layer {j} overflows")
     scale = np.maximum(np.maximum(abs(c_in0), abs(c_inN)), np.maximum(abs(total.real), 1e-300))
-    negative = np.ravel(w < -_NEGATIVE_W_TOL * occ * scale)
+    negative = w < -_NEGATIVE_W_TOL * occ * scale
     if negative.any():
-        raise AccuracyError(f"emission spectrum came out negative (w = {np.ravel(w)[negative][0]}); "
-                            "convention bug upstream")
+        at = np.unravel_index(np.argmax(negative), w.shape)
+        raise AccuracyError(f"emission spectrum came out negative (w = {w[at]} at "
+                            f"{ctx.mode(at[rows.ndim:])}); convention bug upstream")
     return w, np.moveaxis(io.s_matrix, -2, 0)[rows], c_in0
 
 

@@ -276,7 +276,7 @@ def _negate_intraplate_at(monkeypatch, omega):
 
     def patched(ctx, q, j):
         cmat = real(ctx, q, j)
-        return -cmat if ctx.omega == omega else cmat
+        return np.where((ctx.omega == omega)[..., None, None], -cmat, cmat)
 
     monkeypatch.setattr(qplanar.commutators, "intraplate_c", patched)
     monkeypatch.setattr(qplanar.thermal, "intraplate_c", patched)
@@ -365,21 +365,31 @@ def test_sample_seed_must_fit_one_key_word(stack_file, capsys, seed, rc_expected
         assert captured.out.strip().endswith(f",100,{seed}")
 
 
-def test_green_suite_builds_one_scatter_pair_per_point(stack_file, capsys, monkeypatch):
+def test_green_suite_builds_one_scatter_pair_per_chunk(stack_file, capsys, monkeypatch):
+    # 3 omega x 2 k fit one chunk: one ScatterSet pair, and one green_kernel
+    # call per panel and field point for all six modes together.
     import qplanar.greens
 
-    calls = []
-    real = qplanar.greens.scatter_set
+    calls, kernels = [], []
+    real_scatter, real_kernel = qplanar.greens.scatter_set, qplanar.greens.green_kernel
 
-    def counting(ctx, q="s"):
-        calls.append(q)
-        return real(ctx, q)
+    def counting_scatter(ctx, q="s"):
+        calls.append((ctx.k.size, q))
+        return real_scatter(ctx, q)
 
-    monkeypatch.setattr(qplanar.greens, "scatter_set", counting)
+    def counting_kernel(ctx, *args, **kwargs):
+        kernels.append(ctx.k.size)
+        return real_kernel(ctx, *args, **kwargs)
+
+    monkeypatch.setattr(qplanar.greens, "scatter_set", counting_scatter)
+    monkeypatch.setattr(qplanar.greens, "green_kernel", counting_kernel)
     rc = main(["verify", "--suite", "green", "--stack", stack_file(GREEN),
                "--omega", "1e15:3e15:3", "--k", "0,0.8w", "--nodes", "40"])
     assert rc == 0
-    assert calls == ["s", "p"] * 6
+    assert capsys.readouterr().out.startswith("suite=green points=6 skipped=0 ")
+    assert calls == [(6, "s"), (6, "p")]
+    assert 0 < len(kernels) <= 12
+    assert set(kernels) == {6}
 
 
 @pytest.mark.parametrize("doc,rc_expected", [(GREEN, 0), (SLAB, 2)])
@@ -444,7 +454,7 @@ def test_non_finite_inputs_exit_2(stack_file, capsys, args):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("nodes", ["0", "-3"])
+@pytest.mark.parametrize("nodes", ["0", "-1", "-3"])
 def test_green_check_node_count_below_two_exits_2(stack_file, capsys, nodes):
     rc = main(["green-check", "--stack", stack_file(GREEN), "--omega", "2e15", "--k", "0.5w",
                "--nodes", nodes])
@@ -474,12 +484,12 @@ def test_non_finite_residual_fails_verify(stack_file, capsys, monkeypatch):
 
     real = qplanar.cli.unitarity_residual
 
-    def nan_at_last_k(bos):
+    def nan_at_every_other_mode(bos):
         res = np.array(real(bos), dtype=float)
-        res[..., -1] = np.nan
+        res[..., 1::2] = np.nan
         return res
 
-    monkeypatch.setattr(qplanar.cli, "unitarity_residual", nan_at_last_k)
+    monkeypatch.setattr(qplanar.cli, "unitarity_residual", nan_at_every_other_mode)
     rc = main(["verify", "--stack", stack_file(LOSSLESS), "--suite", "unitarity",
                "--omega", "1e15,2e15", "--k", "0,0.5w", "--pol", "s"])
     assert rc == 1
@@ -508,21 +518,35 @@ def test_row_template_matches_fstring_formatting():
     ["thermal"],
     ["verify", "--suite", "unitarity"],
 ])
-def test_one_engine_call_per_omega(stack_file, capsys, monkeypatch, argv):
+def test_one_engine_call_per_chunk(stack_file, capsys, monkeypatch, argv):
+    # 3 omega x 7 k in w units (so k differs per omega) fit one chunk.
     import qplanar.cli
 
     calls = []
     real = qplanar.cli.make_context
 
     def counting(stack, omega, k, *rest):
-        calls.append(np.size(k))
+        calls.append((np.size(omega), np.size(k)))
         return real(stack, omega, k, *rest)
 
     monkeypatch.setattr(qplanar.cli, "make_context", counting)
     rc = main([argv[0], "--stack", stack_file(SLAB), *argv[1:],
                "--omega", "1e15:3e15:3", "--k", "0:0.9w:7"])
     assert rc == 0
-    assert calls == [7, 7, 7]
+    assert calls == [(21, 21)]
+
+
+def test_contexts_split_consecutive_modes_by_cells(monkeypatch):
+    import qplanar.cli
+
+    monkeypatch.setattr(qplanar.cli, "_CHUNK_CELLS", 100)
+    stack = load_stack(json.dumps(SLAB))
+    omega, k = np.repeat([1e15, 2e15], 4)[:7], np.arange(7.0) * 1e6
+    chunks = list(qplanar.cli._contexts(stack, omega, k, 30))
+    assert [c.k.tolist() for c in chunks] == [k[:3].tolist(), k[3:6].tolist(), k[6:].tolist()]
+    assert [c.omega.tolist() for c in chunks] == [omega[:3].tolist(), omega[3:6].tolist(),
+                                                  omega[6:].tolist()]
+    assert [c.k.size for c in qplanar.cli._contexts(stack, omega, k, 1000)] == [1] * 7
 
 
 def test_kernel_radial_one_engine_call_per_node_block(monkeypatch):
@@ -558,7 +582,7 @@ def test_coeffs_at_a_lossless_layer_branch_point_exits_1(stack_file, capsys):
 
 
 @pytest.mark.parametrize("argv", [["thermal"], ["verify", "--suite", "kirchhoff"]])
-def test_thermal_paths_make_one_scatter_set_per_omega_and_pol(stack_file, capsys, monkeypatch, argv):
+def test_thermal_paths_make_one_scatter_set_per_chunk_and_pol(stack_file, capsys, monkeypatch, argv):
     import qplanar.commutators
     import qplanar.thermal
 
@@ -566,7 +590,7 @@ def test_thermal_paths_make_one_scatter_set_per_omega_and_pol(stack_file, capsys
     real = qplanar.thermal.scatter_set
 
     def counting(ctx, q="s"):
-        calls.append((ctx.omega, q))
+        calls.append((np.unique(ctx.omega).size, ctx.k.size, q))
         return real(ctx, q)
 
     for module in (qplanar.cli, qplanar.commutators, qplanar.thermal):
@@ -577,4 +601,4 @@ def test_thermal_paths_make_one_scatter_set_per_omega_and_pol(stack_file, capsys
     rc = main([argv[0], "--stack", stack_file(SLAB), *argv[1:],
                "--omega", "1e15:3e15:3", "--k", "0:0.9w:7"])
     assert rc == 0
-    assert calls == [(om, q) for om in np.linspace(1e15, 3e15, 3) for q in ("s", "p")]
+    assert calls == [(3, 21, "s"), (3, 21, "p")]

@@ -84,7 +84,7 @@ def test_engine_matches_scalar_oracle(case):
     # denominators cancel to 1e-4..1e-8, compounding over equal layers, so the
     # coefficients there are ill-conditioned: they stay in the batch and must
     # be finite, and the other k are compared with the oracle.
-    keep = ~np.any(np.abs(ctx.beta[1:-1]) < 1e-3 * np.abs(ctx.kj[1:-1, None]), axis=0)
+    keep = ~np.any(np.abs(ctx.beta[1:-1]) < 1e-3 * np.abs(ctx.kj[1:-1]), axis=0)
     modes = [m for m, p in zip(modes, pole) if not p]
     modes = [m for m, kept in zip(modes, keep) if kept]
     for q in ("s", "p"):
