@@ -90,16 +90,11 @@ def green_kernel(ctx: ModeContext, pair: tuple[ScatterSet, ScatterSet], j: int =
     # branch whose weight is zero at every node is skipped: its waves grow
     # away from the plate.
     for ss in pair:
-        if np.any(w_up):
-            term = (wavefun(ctx, ss, j, ">", z).reshape(lead + (3, 1))
-                    * wavefun(ctx, ss, jp, "<", zp, k_sign=-1)[..., None, :])
-            weight = w_up * _SIGMA[ss.q] * ss.xi(j, jp).reshape(lead)
-            out += weight[..., None, None] * term
-        if np.any(w_dn):
-            term = (wavefun(ctx, ss, j, "<", z).reshape(lead + (3, 1))
-                    * wavefun(ctx, ss, jp, ">", zp, k_sign=-1)[..., None, :])
-            weight = w_dn * _SIGMA[ss.q] * ss.xi(jp, j).reshape(lead)
-            out += weight[..., None, None] * term
+        for w, field, source, xi in ((w_up, ">", "<", ss.xi(j, jp)), (w_dn, "<", ">", ss.xi(jp, j))):
+            if np.any(w):
+                term = (wavefun(ctx, ss, j, field, z).reshape(lead + (3, 1))
+                        * wavefun(ctx, ss, jp, source, zp, k_sign=-1)[..., None, :])
+                out += (w * _SIGMA[ss.q] * xi.reshape(lead))[..., None, None] * term
     return 0.5j * out
 
 
