@@ -119,7 +119,7 @@ def make_context(stack: Stack, omega, k, khat=X_HAT) -> ModeContext:
     grid = np.empty((2, *np.broadcast(omega, k).shape))
     grid[0], grid[1] = omega, k
     omega, k = grid
-    eps = per_omega(regions, omega)
+    eps = per_omega(regions, omega).reshape(len(stack.materials), *omega.shape)   # also when empty
     bad = ~(np.isfinite(k) & (k >= 0.0))
     if bad.any():
         raise ConfigError(f"k must be nonnegative and finite, got {k[bad].flat[0]}")

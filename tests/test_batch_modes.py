@@ -33,6 +33,7 @@ _CLADDING = st.one_of(st.just(ConstantEps(1.0 + 0j)),
                                                        st.floats(1e-3, 1.0))),
                       _TABULATED)
 _LAYER = st.builds(Layer, st.floats(20e-9, 400e-9), _MATERIAL)
+_METAL = DrudeLorentzEps(2.0, ((3.0, 2.4e15, 1.5e14),))
 
 
 @st.composite
@@ -103,6 +104,20 @@ def test_one_multi_omega_context_equals_per_omega_contexts(case):
     if np.all(batch.eps[[0, -1]].imag > 0.0):
         for part in ("lhs", "rhs"):
             check(lambda c: getattr(verify_green_identity(c, nodes_per_layer=16), part))
+
+
+def test_omega_broadcasts_against_k_and_an_empty_batch_keeps_its_region_axis():
+    stack = Stack(ConstantEps(1.0 + 0j), (Layer(2e-7, _METAL),), ConstantEps(1.0 + 0j))
+    k = np.linspace(0.0, 3e6, 3)
+    grid = make_context(stack, np.array([[1e15], [2e15]]), k)
+    assert grid.omega.shape == grid.k.shape == (2, 3) and grid.eps.shape == (3, 2, 3)
+    for row, om in enumerate((1e15, 2e15)):
+        one = make_context(stack, om, k)
+        np.testing.assert_array_equal(grid.beta[:, row], one.beta)
+        np.testing.assert_array_equal(emission_w(grid, "p")[row], emission_w(one, "p"))
+    empty = make_context(stack, 2e15, np.array([]))
+    assert empty.eps.shape == empty.kj.shape == empty.beta.shape == (3, 0)
+    assert scatter_set(empty, "p").r_0n.shape == emission_w(empty, "s", 300.0, [0, 2]).shape[1:] == (0,)
 
 
 def _scalar_bose(omega: float, temperature: float) -> float:
@@ -234,7 +249,7 @@ def test_coeffs_reports_fabry_perot_floor_hits_on_stderr(tmp_path, capsys):
 
 def test_green_identity_of_a_mode_does_not_depend_on_its_batch():
     # The absorbing-clad 3-layer stack and 5 omega x 4 k grid of the benchmark's green-check.
-    metal = Layer(4e-8, DrudeLorentzEps(2.0, ((3.0, 2.4e15, 1.5e14),)))
+    metal = Layer(4e-8, _METAL)
     clad = ConstantEps(1.5 + 0.3j)
     stack = Stack(clad, (metal, Layer(1.2e-7, ConstantEps(2.5 + 0.2j)), metal), clad)
     omega = np.repeat(np.linspace(1.2e15, 2.8e15, 5), 4)
