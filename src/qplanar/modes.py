@@ -109,17 +109,19 @@ class ModeContext:
 
 def make_context(stack: Stack, omega, k, khat=X_HAT) -> ModeContext:
     """Evaluate eps_j, k_j, beta_j for every region of the stack at every mode (omega, k), omega
-    broadcast against k; the materials run once per distinct omega, one float at a time."""
-    def regions(w: float) -> list[complex]:
+    broadcast against k; eps_j and k_j are evaluated per distinct omega, one float at a time."""
+    def regions(w: float) -> np.ndarray:   # eps_j, then k_j, of every region
         if not 0.0 < w < math.inf:
             raise ConfigError(f"omega must be positive and finite, got {w}")
-        return [material(w) for material in stack.materials]
+        eps = np.array([material(w) for material in stack.materials], dtype=complex)
+        w_c = w / C_LIGHT
+        return np.concatenate([eps, upper_sqrt(eps * w_c * w_c)])
 
     omega, k = np.asarray(omega, dtype=float), np.asarray(k, dtype=float)
     grid = np.empty((2, *np.broadcast(omega, k).shape))
     grid[0], grid[1] = omega, k
     omega, k = grid
-    eps = per_omega(regions, omega).reshape(len(stack.materials), *omega.shape)   # also when empty
+    eps, kj = per_omega(regions, omega).reshape(2, len(stack.materials), *omega.shape)
     bad = ~(np.isfinite(k) & (k >= 0.0))
     if bad.any():
         raise ConfigError(f"k must be nonnegative and finite, got {k[bad].flat[0]}")
@@ -127,8 +129,6 @@ def make_context(stack: Stack, omega, k, khat=X_HAT) -> ModeContext:
     norm = math.hypot(kx, ky)
     if abs(norm - 1.0) > 1e-12:
         raise ConfigError(f"khat must be a unit vector, |khat| = {norm}")
-    w_c = omega / C_LIGHT
-    kj = upper_sqrt(eps * w_c * w_c)
     beta = upper_sqrt((kj - k) * (kj + k))
     d = np.array([0.0, *(layer.thickness for layer in stack.layers), 0.0])
     return ModeContext(stack, omega, k, (kx, ky), eps, kj, beta, d)
