@@ -20,7 +20,9 @@ def per_omega(f, omega) -> np.ndarray:
     """
     omega = np.asarray(omega, dtype=float)
     values = np.array(sorted(set(omega.ravel().tolist())))
-    return np.array([f(w) for w in values]).T[..., np.searchsorted(values, omega)]
+    # take() returns a C-ordered array; indexing the transposed table would not, and slows every
+    # ufunc downstream.
+    return np.take(np.array([f(w) for w in values]).T, np.searchsorted(values, omega), axis=-1)
 
 
 def n0_scale(omega) -> np.ndarray:
