@@ -12,8 +12,8 @@ sum_q e_q c_q(k) e_q is a trigonometric polynomial of degree <= 2 in the
 k-direction angle, so an 8-point DFT recovers its Fourier modes exactly
 and each mode integrates against e^{i k.rho} to a Bessel function J_n.
 Only the radial k-integral is numerical (adaptive panel-doubling
-Gauss-Legendre), evaluated in blocks of k-nodes: one mode-engine call, one
-Bessel table and one matrix product per angular mode and block.
+Gauss-Legendre), in blocks of the whole rule's k-nodes that may cross panel
+edges: one mode-engine call and three real J_0, J_1, J_2 products per block.
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ _MODES = (-2, -1, 0, 1, 2)
 _THETA = 2.0 * math.pi * np.arange(_N_THETA) / _N_THETA
 _KHAT = (np.cos(_THETA), np.sin(_THETA))
 _DFT = np.exp(-1j * np.outer(_MODES, _THETA)) / _N_THETA   # (5, 8): mean of f e^{-in theta}
-# Mode n integrates to i^n J_n(k rho), and J_{-n} = (-1)^n J_n: the factor on J_|n|.
-_BESSEL_PHASE = (-1.0, 1j, 1.0, 1j, -1.0)
-_NODE_BLOCK = 64   # k-nodes per block; bounds the mode and Bessel tables whatever the rule
+_BESSEL_PHASE = np.array([-1.0, 1j, 1.0, 1j, -1.0])   # mode n integrates to i^n J_n = i^|n| J_|n|
+_ORDER = (2, 1, 3, 0, 4)   # _MODES as (0, -1, 1, -2, 2): the modes on J_0, J_1, J_2 in turn
+_NODE_BLOCK = 256   # k-nodes per engine call, across panel edges; bounds the tables whatever the rule
 
 # kind -> (left vector, right vector, (row, col) into S, or into phi[layer - 1]
 # for the Phi kinds); vectors are tagged (region 0 / n / layer j, direction).
@@ -142,9 +142,10 @@ def _bessel_j012(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     from scipy.special import j0, j1   # deferred: only the kernels need scipy
 
     b0, b1 = j0(x), j1(x)
-    xs = np.minimum(x, 1e-3)
-    b2 = np.where(x < 1e-3, xs * xs / 8.0 * (1.0 - xs * xs / 12.0),
-                  2.0 * b1 / np.maximum(x, 1e-3) - b0)
+    with np.errstate(invalid="ignore"):   # 0 / 0 at x = 0, overwritten below
+        b2 = 2.0 * b1 / x - b0
+    small = x < 1e-3
+    b2[small] = x[small] ** 2 / 8.0 * (1.0 - x[small] ** 2 / 12.0)
     return b0, b1, b2
 
 
@@ -152,18 +153,17 @@ def _accumulate(stack: Stack, omega: float, kind: str, layer: int, window: Gauss
                 rho: np.ndarray, edges: list[float], n_nodes: int) -> np.ndarray:
     """Mode profiles (2, 5, nr, 3, 3) of the n_nodes-per-panel Gauss-Legendre rule on `edges`."""
     x, w = _legendre_rule(n_nodes)
-    total = np.zeros((len(_MODES), rho.size, 18), dtype=complex)   # (mode, rho, (q, i, j))
-    for a, b in zip(edges, edges[1:]):
-        ks = 0.5 * (b - a) * x + 0.5 * (a + b)
-        wgs = window(ks) * (0.5 * (b - a) * w) * ks / (2.0 * math.pi)
-        for start in range(0, n_nodes, _NODE_BLOCK):
-            kb = ks[start:start + _NODE_BLOCK]
-            block = _tensor_modes(stack, omega, kind, layer, kb)
-            block *= wgs[start:start + _NODE_BLOCK, None, None, None, None]
-            bess = _bessel_j012(np.outer(rho, kb))
-            for i, n in enumerate(_MODES):
-                total[i] += _BESSEL_PHASE[i] * (bess[abs(n)] @ block[:, :, i].reshape(-1, 18))
-    return total.reshape(len(_MODES), rho.size, 2, 3, 3).transpose(2, 0, 1, 3, 4)
+    a, b = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
+    ks = (0.5 * (b - a) * x + 0.5 * (a + b)).ravel()
+    wgs = window(ks) * (0.5 * (b - a) * w).ravel() * ks / (2.0 * math.pi)
+    total = np.zeros((rho.size, 36 * len(_MODES)))   # (rho, mode in _ORDER, q, i, j, re/im)
+    for kb, wb in np.split(np.stack([ks, wgs]), range(_NODE_BLOCK, ks.size, _NODE_BLOCK), axis=1):
+        block = _tensor_modes(stack, omega, kind, layer, kb) * wb[:, None, None, None, None]
+        cols = np.take(block.transpose(0, 2, 1, 3, 4), _ORDER, axis=1).reshape(kb.size, -1).view(float)
+        bess = _bessel_j012(np.outer(rho, kb))
+        total += np.hstack([j @ c for j, c in zip(bess, np.split(cols, (36, 108), axis=1))])
+    profiles = total.view(complex).reshape(rho.size, len(_MODES), 2, 3, 3)[:, np.argsort(_ORDER)]
+    return (profiles * _BESSEL_PHASE[:, None, None, None]).transpose(2, 1, 0, 3, 4)
 
 
 def kernel_radial(stack: Stack, omega: float, kind: str, window: GaussianWindow,

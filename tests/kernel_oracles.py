@@ -3,14 +3,15 @@
 `forward_modes` Hankel-transforms a computed radial kernel back to k-space;
 `kspace_reference` evaluates the windowed k-space tensor it should return;
 `accumulate_per_node` is the one-node-at-a-time radial quadrature that the
-block-wise `rhokernels._accumulate` must reproduce.
+block-wise `rhokernels._accumulate` must reproduce; `bessel_j012_where` is the
+two-branch J_0, J_1, J_2 table that `rhokernels._bessel_j012` must equal bit for bit.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.special import jv
+from scipy.special import j0, j1, jv
 
 from qplanar.rhokernels import _MODES, GaussianWindow, KernelField, _tensor_modes
 from qplanar.stack import Stack
@@ -72,3 +73,12 @@ def accumulate_per_node(stack: Stack, omega: float, kind: str, layer: int, windo
                     wg * (1j ** n_mode) * bess[None, :, None, None] * modes[:, i][:, None, :, :]
                 )
     return total
+
+
+def bessel_j012_where(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """J_0, J_1, J_2 with both J_2 branches (series below x = 1e-3, recurrence above) on all of x."""
+    b0, b1 = j0(x), j1(x)
+    xs = np.minimum(x, 1e-3)
+    b2 = np.where(x < 1e-3, xs * xs / 8.0 * (1.0 - xs * xs / 12.0),
+                  2.0 * b1 / np.maximum(x, 1e-3) - b0)
+    return b0, b1, b2

@@ -549,7 +549,7 @@ def test_contexts_split_consecutive_modes_by_cells(monkeypatch):
     assert [c.k.size for c in qplanar.cli._contexts(stack, omega, k, 1000)] == [1] * 7
 
 
-def test_kernel_radial_one_engine_call_per_node_block(monkeypatch):
+def test_kernel_radial_one_engine_call_per_rule_block(monkeypatch):
     import math
 
     import qplanar.rhokernels as rk
@@ -567,9 +567,8 @@ def test_kernel_radial_one_engine_call_per_node_block(monkeypatch):
     monkeypatch.setattr(rk, "make_context", counting)
     field = rk.kernel_radial(stack, 2e15, "R0n", window, np.linspace(0.0, 5e-6, 7))
     sizes = [24 * 2 ** i for i in range(round(math.log2(field.nodes_per_panel / 24)) + 1)]
-    blocks = [min(rk._NODE_BLOCK, n - start) for n in sizes
-              for _ in range(panels) for start in range(0, n, rk._NODE_BLOCK)]
-    assert calls == [1] + blocks
+    block = rk._NODE_BLOCK
+    assert calls == [1] + [min(block, panels * n - s) for n in sizes for s in range(0, panels * n, block)]
 
 
 def test_coeffs_at_a_lossless_layer_branch_point_exits_1(stack_file, capsys):

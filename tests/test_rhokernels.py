@@ -6,12 +6,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import jv
 
 from conftest import C
-from kernel_oracles import accumulate_per_node, forward_modes, kspace_reference
+import qplanar.rhokernels as rk
+from kernel_oracles import accumulate_per_node, bessel_j012_where, forward_modes, kspace_reference
 from qplanar.errors import AccuracyError, ConfigError
 from qplanar.rhokernels import (
     KERNEL_KINDS, GaussianWindow, _accumulate, _bessel_j012, _panel_edges, kernel_radial,
 )
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
+
+# The kernels divide by k rho = 0 on purpose; no NumPy warning may leave them.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 OMEGA = 2e15
 K0 = OMEGA / C
@@ -150,6 +154,47 @@ def test_bessel_j2_recurrence_matches_jv():
     np.testing.assert_allclose(b0, jv(0, x), rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(b1, jv(1, x), rtol=0.0, atol=1e-15)
     np.testing.assert_allclose(b2, jv(2, x), rtol=0.0, atol=1e-15)
+
+
+def test_bessel_j012_equals_two_branch_oracle_bit_for_bit():
+    edge = np.nextafter(1e-3, [0.0, 1.0])
+    x = np.concatenate([[0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 1e-8, 1e-3],
+                        edge, np.logspace(-12, 3, 2000)])
+    rng = np.random.default_rng(5)
+    for table in (x, np.outer(rng.uniform(0.0, 2e-6, 40), rng.uniform(0.0, 4e7, 64))):
+        for got, ref in zip(_bessel_j012(table), bessel_j012_where(table)):
+            assert got.shape == ref.shape
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def branch_point_stack():
+    # lossless claddings of two indices: panels [0, k0], [k0, 1.5 k0], [1.5 k0, k_max]
+    return Stack(VACUUM, (Layer(150e-9, ConstantEps(3 + 0.4j)),), ConstantEps(2.25))
+
+
+@pytest.mark.parametrize("block", [1, 7, 50])
+def test_node_blocks_across_panel_edges_match_per_node_oracle(monkeypatch, block):
+    stack, window = branch_point_stack(), GaussianWindow(k_w=1.5 * K0)
+    rho = np.array([0.0, 1e-8 / window.k_max, 0.7 / window.k_w, 4.0 / window.k_w])
+    edges = _panel_edges(stack, OMEGA, window)
+    assert len(edges) == 4
+    monkeypatch.setattr(rk, "_NODE_BLOCK", block)
+    for kind, layer in (("R0n", 0), ("Phi0-", 1)):
+        got = _accumulate(stack, OMEGA, kind, layer, window, rho, edges, 24)
+        ref = accumulate_per_node(stack, OMEGA, kind, layer, window, rho, edges, 24)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_kernel_radial_does_not_depend_on_the_node_block(monkeypatch):
+    stack, window = branch_point_stack(), GaussianWindow(k_w=1.5 * K0)
+    rho = np.linspace(0.0, 6.0 / K0, 9)
+    ref = kernel_radial(stack, OMEGA, "R0n", window, rho, rel_tol=1e-5)
+    for block in (1, 7, 50):
+        monkeypatch.setattr(rk, "_NODE_BLOCK", block)
+        field = kernel_radial(stack, OMEGA, "R0n", window, rho, rel_tol=1e-5)
+        assert field.nodes_per_panel == ref.nodes_per_panel
+        diff = np.abs(field.mode_profiles_q - ref.mode_profiles_q).max()
+        assert diff <= 1e-13 * np.abs(ref.mode_profiles_q).max()
 
 
 _CLADDING = st.one_of(
