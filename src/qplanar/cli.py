@@ -176,8 +176,8 @@ def _rows(template: str, values: np.ndarray) -> list[str]:
     correctly rounded factors and one product put y within 2.3e-3 of its
     exact value.  So unless y lies within 5e-3 of a rounding tie, rint(y) is
     the correctly rounded 13-digit significand, written by word gathers from
-    `_cell_tables`.  All other cells (ties, zeros, NaN, inf, extreme
-    magnitudes) go through `%`.
+    `_cell_tables`; so are +0.0 and -0.0.  All other cells (ties, NaN, inf,
+    extreme magnitudes) go through `%`.
     """
     n, row, start, stride = _row_layout(template)
     x = np.asarray(values, dtype=float).reshape(len(values), n)
@@ -191,9 +191,9 @@ def _rows(template: str, values: np.ndarray) -> list[str]:
     e -= y < 1e12
     y = a * pow10[312 - e]
     d = np.rint(y)
-    fast &= (y >= 1e12) & (y < 1e13) & (np.abs(y - d) < 0.495)
+    fast = fast & (y >= 1e12) & (y < 1e13) & (np.abs(y - d) < 0.495) | (x == 0.0)
     slow = ~fast
-    d[slow] = 1e12           # any valid digits; `%` overwrites these cells
+    d[slow], d[x == 0.0] = 1e12, 0.0   # any valid digits, as `%` overwrites these cells; +/-0.0 (e = 0)
     carry = d == 1e13        # 9.9999999999996e(e) rounds to 1.000000000000e(e+1)
     d[carry] = 1e12
     e += carry

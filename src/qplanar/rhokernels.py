@@ -7,12 +7,11 @@ k-integrand is multiplied by an explicit apodization W(k) (Gaussian by
 default) and the result is the kernel convolved with the window's
 transform.  That is the documented semantics, not an approximation knob.
 
-The angular integral is done exactly: for fixed |k| every tensor entry of
-sum_q e_q c_q(k) e_q is a trigonometric polynomial of degree <= 2 in the
-k-direction angle, so an 8-point DFT recovers its Fourier modes exactly
-and each mode integrates against e^{i k.rho} to a Bessel function J_n.
-Only the radial k-integral is numerical (adaptive panel-doubling
-Gauss-Legendre), in blocks of the whole rule's k-nodes that may cross panel
+The angular integral is exact: with TE vectors w(theta) = (sin, -cos, 0) and TM
+vectors a u(theta) + g z, u(theta) = (cos, sin, 0), the k-space tensor is five
+functions of |k| times five dyads of fixed angular modes |n| <= 2, and mode n
+integrates against e^{i k.rho} to i^n J_n.  The radial k-integral is adaptive
+panel-doubling Gauss-Legendre in blocks of the whole rule's k-nodes, across panel
 edges: one mode-engine call and three real J_0, J_1, J_2 products per block.
 """
 
@@ -30,13 +29,7 @@ from .modes import make_context
 from .scatter import scatter_set
 from .stack import Stack
 
-_N_THETA = 8
 _MODES = (-2, -1, 0, 1, 2)
-_THETA = 2.0 * math.pi * np.arange(_N_THETA) / _N_THETA
-_KHAT = (np.cos(_THETA), np.sin(_THETA))
-_DFT = np.exp(-1j * np.outer(_MODES, _THETA)) / _N_THETA   # (5, 8): mean of f e^{-in theta}
-_BESSEL_PHASE = np.array([-1.0, 1j, 1.0, 1j, -1.0])   # mode n integrates to i^n J_n = i^|n| J_|n|
-_ORDER = (2, 1, 3, 0, 4)   # _MODES as (0, -1, 1, -2, 2): the modes on J_0, J_1, J_2 in turn
 _NODE_BLOCK = 256   # k-nodes per engine call, across panel edges; bounds the tables whatever the rule
 
 # kind -> (left vector, right vector, (row, col) into S, or into phi[layer - 1]
@@ -52,6 +45,16 @@ _KINDS = {
     "Phin-": ("n+", "j-", (1, 1)),
 }
 KERNEL_KINDS = tuple(_KINDS)
+
+# u(theta), w(theta) and z as Fourier series in theta: row m + 1 is the coefficient of e^{i m theta}.
+# _PATTERN (7, 90) takes the J_0 integrals of `_columns` 0-2, the J_1 of 3-4 and the J_2 of 1-2 to the
+# (q, n, i, j) profiles: each column's dyad in its q at |n| = J order, times i^|n|; all entries exact.
+_U = np.array([[0.5, 0.5j, 0.0], [0.0, 0.0, 0.0], [0.5, -0.5j, 0.0]])
+_W, _Z = _U * [[1j], [0.0], [-1j]], np.outer([0.0, 1.0, 0.0], [0.0, 0.0, 1.0])
+_PATTERN = np.einsum("cq,cn,nab,cai,cbj->cqnij", np.eye(2)[[1, 0, 1, 1, 1, 0, 1]],
+                     (np.abs(_MODES) == np.c_[[0, 0, 0, 1, 1, 2, 2]]) * 1j ** np.abs(_MODES),
+                     np.add.outer(range(3), range(3)) == np.arange(5)[:, None, None],   # n = a + b - 2
+                     [_Z, _W, _U, _U, _Z, _W, _U], [_Z, _W, _U, _Z, _U, _W, _U]).reshape(7, -1)
 
 
 @dataclass(frozen=True)
@@ -73,21 +76,17 @@ class GaussianWindow:
         return 8.6 * self.k_w
 
 
-def _tensor_modes(stack: Stack, omega: float, kind: str, layer: int, k) -> np.ndarray:
-    """Exact angular Fourier modes T_hat[q][n], shape k.shape + (2, 5, 3, 3), of the k-space tensor."""
+def _columns(stack: Stack, omega: float, kind: str, layer: int, k) -> np.ndarray:
+    """k.shape + (5,): the factors c_p g_l g_r, c_s, c_p a_l a_r, c_p a_l g_r and c_p g_l a_r of the
+    dyads z z, w w, u u, u z and z u in the k-space tensor c_s w w + c_p L R, L, R = a u + g z."""
     ctx = make_context(stack, omega, k)
-    left_tag, right_tag, entry = _KINDS[kind]
+    left, right, entry = _KINDS[kind]
+    c_s, c_p = ((io.phi[layer - 1] if kind.startswith("Phi") else io.s_matrix)[(..., *entry)]
+                for io in (io_matrix(scatter_set(ctx, q)) for q in ("s", "p")))
     region = {"0": 0, "n": ctx.n, "j": layer}
-    modes = np.empty(ctx.k.shape + (2, len(_MODES), 3, 3), dtype=complex)
-    for iq, q in enumerate(("s", "p")):
-        io = io_matrix(scatter_set(ctx, q))
-        c = (io.phi[layer - 1] if kind.startswith("Phi") else io.s_matrix)[(..., *entry)]
-        lv, rv = (ctx.pol_vector(q, region[tag[0]], 1 if tag[1] == "+" else -1, _KHAT)
-                  for tag in (left_tag, right_tag))
-        tens = c[..., None, None, None] * (lv[..., :, None] * rv[..., None, :])
-        modes[..., iq, :, :, :] = (_DFT @ tens.reshape(ctx.k.shape + (_N_THETA, 9))).reshape(
-            ctx.k.shape + (len(_MODES), 3, 3))
-    return modes
+    tm = (ctx.pol_vector("p", region[t[0]], 1 if t[1] == "+" else -1) for t in (left, right))
+    (a_l, _, g_l), (a_r, _, g_r) = (np.moveaxis(v, -1, 0) for v in tm)   # a u + g z is (a, 0, g) along x
+    return np.stack([c_p * g_l * g_r, c_s, c_p * a_l * a_r, c_p * a_l * g_r, c_p * g_l * a_r], axis=-1)
 
 
 def _panel_edges(stack: Stack, omega: float, window: GaussianWindow) -> list[float]:
@@ -156,14 +155,13 @@ def _accumulate(stack: Stack, omega: float, kind: str, layer: int, window: Gauss
     a, b = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
     ks = (0.5 * (b - a) * x + 0.5 * (a + b)).ravel()
     wgs = window(ks) * (0.5 * (b - a) * w).ravel() * ks / (2.0 * math.pi)
-    total = np.zeros((rho.size, 36 * len(_MODES)))   # (rho, mode in _ORDER, q, i, j, re/im)
+    total = np.zeros((rho.size, 14))   # (rho, the 7 integrals of `_PATTERN`, re/im)
     for kb, wb in np.split(np.stack([ks, wgs]), range(_NODE_BLOCK, ks.size, _NODE_BLOCK), axis=1):
-        block = _tensor_modes(stack, omega, kind, layer, kb) * wb[:, None, None, None, None]
-        cols = np.take(block.transpose(0, 2, 1, 3, 4), _ORDER, axis=1).reshape(kb.size, -1).view(float)
+        cols = (_columns(stack, omega, kind, layer, kb) * wb[:, None]).view(float)
         bess = _bessel_j012(np.outer(rho, kb))
-        total += np.hstack([j @ c for j, c in zip(bess, np.split(cols, (36, 108), axis=1))])
-    profiles = total.view(complex).reshape(rho.size, len(_MODES), 2, 3, 3)[:, np.argsort(_ORDER)]
-    return (profiles * _BESSEL_PHASE[:, None, None, None]).transpose(2, 1, 0, 3, 4)
+        total += np.hstack([bess[0] @ cols[:, :6], bess[1] @ cols[:, 6:], bess[2] @ cols[:, 2:6]])
+    profiles = total.view(complex) @ _PATTERN + 0.0   # + 0.0: symmetry zeros as +0.0, not -0.0
+    return profiles.reshape(rho.size, 2, len(_MODES), 3, 3).transpose(1, 2, 0, 3, 4)
 
 
 def kernel_radial(stack: Stack, omega: float, kind: str, window: GaussianWindow,

@@ -13,6 +13,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError, FrequencyRangeError, PassivityError
 
 _PASSIVITY_TOL = 0.0  # Im eps must be >= 0 exactly; models guarantee it by construction
@@ -54,7 +56,7 @@ class DrudeLorentzEps:
                 raise ConfigError(f"oscillator {m}: omega0 and gamma must be positive")
 
     def __call__(self, omega: float) -> complex:
-        eps = complex(self.eps_inf)
+        eps, omega = complex(self.eps_inf), np.float64(omega)   # NumPy's rounding for any float omega
         for s, w0, g in self.oscillators:
             eps += s * w0 * w0 / (w0 * w0 - omega * omega - 1j * g * omega)
         return eps

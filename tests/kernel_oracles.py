@@ -1,6 +1,8 @@
 """Oracles for the windowed coordinate-space kernels.
 
 `forward_modes` Hankel-transforms a computed radial kernel back to k-space;
+`tensor_modes_dft` takes the angular modes of the k-space tensor by an 8-point
+DFT of its dyads, which the closed-form modes of `rhokernels` must match;
 `kspace_reference` evaluates the windowed k-space tensor it should return;
 `accumulate_per_node` is the one-node-at-a-time radial quadrature that the
 block-wise `rhokernels._accumulate` must reproduce; `bessel_j012_where` is the
@@ -13,8 +15,38 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.special import j0, j1, jv
 
-from qplanar.rhokernels import _MODES, GaussianWindow, KernelField, _tensor_modes
+from qplanar.iorel import io_matrix
+from qplanar.modes import make_context
+from qplanar.rhokernels import _KINDS, _MODES, GaussianWindow, KernelField
+from qplanar.scatter import scatter_set
 from qplanar.stack import Stack
+
+_N_THETA = 8
+_THETA = 2.0 * math.pi * np.arange(_N_THETA) / _N_THETA
+_DFT = np.exp(-1j * np.outer(_MODES, _THETA)) / _N_THETA   # (5, 8): mean of f e^{-in theta}
+
+
+def tensor_modes_dft(stack: Stack, omega: float, kind: str, layer: int, k) -> np.ndarray:
+    """Angular Fourier modes T_hat[q][n], shape k.shape + (2, 5, 3, 3), of the k-space tensor.
+
+    Builds c_q L R from `ModeContext.pol_vector` on 8 directions theta and takes
+    its modes |n| <= 2 (the tensor's only ones) by an 8-point DFT, which is exact
+    for a trigonometric polynomial of degree 2.
+    """
+    ctx = make_context(stack, omega, k)
+    left_tag, right_tag, entry = _KINDS[kind]
+    region = {"0": 0, "n": ctx.n, "j": layer}
+    modes = np.empty(ctx.k.shape + (2, len(_MODES), 3, 3), dtype=complex)
+    for iq, q in enumerate(("s", "p")):
+        io = io_matrix(scatter_set(ctx, q))
+        c = (io.phi[layer - 1] if kind.startswith("Phi") else io.s_matrix)[(..., *entry)]
+        lv, rv = (ctx.pol_vector(q, region[tag[0]], 1 if tag[1] == "+" else -1,
+                                 (np.cos(_THETA), np.sin(_THETA)))
+                  for tag in (left_tag, right_tag))
+        tens = c[..., None, None, None] * (lv[..., :, None] * rv[..., None, :])
+        modes[..., iq, :, :, :] = (_DFT @ tens.reshape(ctx.k.shape + (_N_THETA, 9))).reshape(
+            ctx.k.shape + (len(_MODES), 3, 3))
+    return modes
 
 
 def forward_modes(field: KernelField, k_samples: np.ndarray) -> np.ndarray:
@@ -46,7 +78,7 @@ def kspace_reference(stack: Stack, omega: float, kind: str, window: GaussianWind
     """Windowed k-space tensors W(k) sum_q e c e at theta_k = 0."""
     out = np.zeros((len(k_samples), 3, 3), dtype=complex)
     for m, k in enumerate(k_samples):
-        modes = _tensor_modes(stack, omega, kind, layer, float(k)).sum(axis=0)
+        modes = tensor_modes_dft(stack, omega, kind, layer, float(k)).sum(axis=0)
         out[m] = float(window(k)) * modes.sum(axis=0)
     return out
 
@@ -63,7 +95,7 @@ def accumulate_per_node(stack: Stack, omega: float, kind: str, layer: int, windo
     for a, b in zip(edges, edges[1:]):
         ks, ws = 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
         for kk, wk in zip(ks, ws):
-            modes = _tensor_modes(stack, omega, kind, layer, float(kk))
+            modes = tensor_modes_dft(stack, omega, kind, layer, float(kk))
             wg = float(window(kk)) * wk * kk / (2.0 * math.pi)
             for i, n_mode in enumerate(_MODES):
                 bess = jv(abs(n_mode), kk * rho)

@@ -7,12 +7,17 @@ from scipy.special import jv
 
 from conftest import C
 import qplanar.rhokernels as rk
-from kernel_oracles import accumulate_per_node, bessel_j012_where, forward_modes, kspace_reference
-from qplanar.errors import AccuracyError, ConfigError
-from qplanar.rhokernels import (
-    KERNEL_KINDS, GaussianWindow, _accumulate, _bessel_j012, _panel_edges, kernel_radial,
+from kernel_oracles import (
+    accumulate_per_node, bessel_j012_where, forward_modes, kspace_reference, tensor_modes_dft,
 )
-from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
+from qplanar.cli import main
+from qplanar.errors import AccuracyError, ConfigError
+from qplanar.modes import make_context
+from qplanar.rhokernels import (
+    _MODES, _PATTERN, KERNEL_KINDS, GaussianWindow, _accumulate, _bessel_j012, _columns, _panel_edges,
+    kernel_radial,
+)
+from qplanar.stack import ConstantEps, Layer, Stack, VACUUM, dump_stack
 
 # The kernels divide by k rho = 0 on purpose; no NumPy warning may leave them.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -170,6 +175,49 @@ def test_bessel_j012_equals_two_branch_oracle_bit_for_bit():
 def branch_point_stack():
     # lossless claddings of two indices: panels [0, k0], [k0, 1.5 k0], [1.5 k0, k_max]
     return Stack(VACUUM, (Layer(150e-9, ConstantEps(3 + 0.4j)),), ConstantEps(2.25))
+
+
+def closed_form_modes(stack, kind, layer, k):
+    """Per-node angular modes (k, 2, 5, 3, 3) of the closed form, without the i^|n| of the Bessel integral."""
+    cols = _columns(stack, OMEGA, kind, layer, k)[..., [0, 1, 2, 3, 4, 1, 2]]   # on J_0, J_1, J_2 in turn
+    modes = (cols @ _PATTERN).reshape(k.shape + (2, len(_MODES), 3, 3))
+    return modes / (1j ** np.abs(_MODES))[:, None, None]
+
+
+def lossless_clad_stack():
+    return Stack(VACUUM, (Layer(150e-9, ConstantEps(3 + 0.4j)), Layer(80e-9, ConstantEps(2 + 0.1j))),
+                 ConstantEps(2.25))
+
+
+@pytest.mark.parametrize("stack", [lossless_clad_stack(), absorbing_env_stack()], ids=["lossless", "lossy"])
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_closed_form_modes_match_the_dft_oracle(stack, kind):
+    layer = 1 if kind.startswith("Phi") else 0
+    lines = [kj.real for kj in make_context(stack, OMEGA, 0.0).kj if kj.imag == 0.0]
+    ks = [0.0, 1e-3 * K0, 0.37 * K0, 1.3 * K0, GaussianWindow(k_w=1.5 * K0).k_max]
+    ks += [x for kl in lines for x in (np.nextafter(kl, 0.0), kl, np.nextafter(kl, np.inf))]
+    for k in ks:
+        ref = tensor_modes_dft(stack, OMEGA, kind, layer, np.array([k]))
+        got = closed_form_modes(stack, kind, layer, np.array([k]))
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max(), k
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_symmetry_zeros_are_exact_and_positive(kind, tmp_path, capsys):
+    stack, layer = lossless_clad_stack(), 1 if kind.startswith("Phi") else 0
+    field = kernel_radial(stack, OMEGA, kind, GaussianWindow(k_w=1.5 * K0), np.linspace(0.0, 8.0 / K0, 17),
+                          layer=layer)
+    for part in (field.mode_profiles_q.real, field.mode_profiles_q.imag):
+        assert not np.signbit(part[part == 0.0]).any()
+    s_part = field.mode_profiles_q[0]
+    assert np.all(s_part[[1, 3]] == 0.0)   # n = -1, 1
+    assert np.all(s_part[..., 2, :] == 0.0) and np.all(s_part[..., :, 2] == 0.0)
+    (tmp_path / "stack.json").write_text(dump_stack(stack))
+    argv = ["kernels", "--stack", str(tmp_path / "stack.json"), "--omega", repr(OMEGA), "--kw", "1.5w",
+            "--kind", kind, "--layer", str(layer), "--rho-points", "17"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "-0.000000000000e+00" not in out and "0.000000000000e+00" in out
 
 
 @pytest.mark.parametrize("block", [1, 7, 50])

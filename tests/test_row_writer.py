@@ -8,6 +8,9 @@ from hypothesis.extra import numpy as hnp
 
 from qplanar.cli import _FLOAT, _rows
 
+# The writer takes log10 of its cells (zeros and specials replaced first); no NumPy warning may leave it.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 ROW = "x," + ",".join([_FLOAT] * 8) + ",y"
 
 
@@ -69,6 +72,18 @@ def test_powers_of_ten_and_carries():
     carries = [float(f"{c}e{i}") for i in k for c in ("9.9999999999995", "9.99999999999949",
                                                        "9.99999999999951", "9.9999999999999")]
     _check(_with_neighbours([*powers, *carries]))
+
+
+def test_signed_zeros_among_normal_cells_and_ties():
+    # +0.0 and -0.0 take the array path; their neighbours here are ordinary and tie-prone cells
+    rng = np.random.default_rng(11)
+    normal = rng.standard_normal(600) * 10.0 ** rng.integers(-20, 20, 600)
+    ties = 10.0 ** rng.integers(-3, 3, 600) * (rng.integers(10**12, 10**13, 600) + 0.5)
+    values = np.concatenate([normal, ties, np.zeros(600), -np.zeros(600)])
+    table = rng.permutation(values).reshape(-1, 8)
+    assert _rows(ROW, table) == _oracle(ROW, table)
+    assert _rows(ROW, np.zeros((2, 8))) == ["x," + ",".join(["0.000000000000e+00"] * 8) + ",y"] * 2
+    assert _rows(_FLOAT, np.array([[-0.0]])) == ["-0.000000000000e+00"]
 
 
 @pytest.mark.parametrize("template", [

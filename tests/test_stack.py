@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qplanar.errors import ConfigError, FrequencyRangeError, PassivityError
+from qplanar.modes import make_context
 from qplanar.stack import (
     ConstantEps,
     DrudeLorentzEps,
@@ -90,6 +91,16 @@ def test_drude_lorentz_on_resonance():
     # at omega = omega0 the oscillator contributes i s w0 / g exactly
     expected = 1.5 + 1j * s * w0 / g
     assert m(w0) == pytest.approx(expected, rel=1e-14)
+
+
+def test_epsilon_equals_the_mode_engine_bit_for_bit():
+    # the benchmark's Drude-Lorentz oscillator: a Python float and a NumPy float omega round alike
+    st = Stack(VACUUM, (Layer(40e-9, DrudeLorentzEps(2.0, ((3.0, 2.4e15, 1.5e14),))),), VACUUM)
+    omegas = np.linspace(1e15, 3e15, 2001)
+    ref = make_context(st, omegas, 0.0).eps[1]
+    for to_float in (float, np.float64):
+        got = np.array([epsilon(st, 1, to_float(w)) for w in omegas.tolist()])
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 def test_tabulated_midpoint_interpolation():
