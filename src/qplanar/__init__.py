@@ -23,7 +23,7 @@ from .greens import GreenIdentityResult, green_kernel, verify_green_identity, wa
 from .iorel import AmplitudeVector, IOMatrix, SourceBlock, field_outside, io_matrix, mean_out
 from .modes import ModeContext, Regime, make_context, regime
 from .rhokernels import GaussianWindow, KernelField, kernel_radial
-from .sampler import EmissionEstimate, SamplePlan, sample_emission
+from .sampler import sample_emission
 from .scatter import InterfaceCoeffs, ScatterSet, interface_rt, scatter_set
 from .stack import (
     ConstantEps,
@@ -48,7 +48,6 @@ __all__ = [
     "ConfigError",
     "ConstantEps",
     "DrudeLorentzEps",
-    "EmissionEstimate",
     "FrequencyRangeError",
     "GaussianWindow",
     "GreenIdentityResult",
@@ -61,7 +60,6 @@ __all__ = [
     "QPlanarError",
     "Regime",
     "RegimeError",
-    "SamplePlan",
     "ScatterSet",
     "SingularInterfaceError",
     "SourceBlock",

@@ -25,7 +25,7 @@ from .greens import verify_green_identity
 from .iorel import _block2, io_matrix
 from .modes import Regime, make_context, regime
 from .rhokernels import GaussianWindow, KERNEL_KINDS, kernel_radial
-from .sampler import SamplePlan, sample_emission
+from .sampler import sample_emission
 from .scatter import scatter_set
 from .stack import Stack, load_stack
 from .thermal import bose, emission_w, kirchhoff_residual
@@ -40,7 +40,8 @@ _SLOT = 21         # bytes per cell slot; the widest cell, "-d.dddddddddddde-ddd
 _PAD = b"\xff"     # fills the unused bytes of a slot; UTF-8 text never holds this byte
 
 # Cells per engine call: 10 per mode, region and polarization (a `coeffs` row has 10 per
-# layer), or 9 per mode and node of the Green quadrature.
+# layer), 9 per mode and node of the Green quadrature, and 2 per mode and node of the
+# sampler's mode vectors.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -395,16 +396,16 @@ def cmd_sample(args) -> int:
               "stderr_n0", "realizations", "seed"]
     template = "\n".join(f"{_FLOAT},{_FLOAT},{q},{args.side},{_FLOAT},{_FLOAT},{_FLOAT},"
                          f"{args.realizations},{args.seed}" for q in pols)
-    cells = np.empty((k.size, len(pols), 5))   # omega, k, temp, w, stderr
-    cells[..., 0], cells[..., 1], cells[..., 2] = omega[:, None], k[:, None], args.temp
-    for i, (om, kk) in enumerate(zip(omega.tolist(), k.tolist())):
+    rows = []
+    for ctx in _contexts(stack, omega, k, max(10 * (stack.n + 1), 2 * (args.nodes + 1))):
+        cells = np.empty((ctx.k.size, len(pols), 5))   # omega, k, temp, w, stderr
+        cells[..., 0], cells[..., 1], cells[..., 2] = ctx.omega[:, None], ctx.k[:, None], args.temp
         for iq, q in enumerate(pols):
-            plan = SamplePlan(omega=om, k=kk, q=q, temperature=args.temp,
-                              nodes_per_layer=args.nodes, realizations=args.realizations,
-                              seed=args.seed, side=args.side)
-            est = sample_emission(plan, stack)
-            cells[i, iq, 3:] = est.w, est.stderr
-    _emit(args, header, _rows(template, cells), "sample")
+            est = sample_emission(ctx, q, args.temp, args.side, nodes_per_layer=args.nodes,
+                                  realizations=args.realizations, seed=args.seed)
+            cells[:, iq, 3:] = np.stack(est, -1)
+        rows += _rows(template, cells)
+    _emit(args, header, rows, "sample")
     return 0
 
 

@@ -52,14 +52,10 @@ def _pqq(ctx: ModeContext, j, q: str):
     return (ab2 + k2) / akj2, (k2 - ab2) / akj2, (k2 - b * b) / (kj * kj)
 
 
-def _rows(ctx: ModeContext, side) -> np.ndarray:
-    """IO rows of side 0 or n, or of an array of them; any other side is a ConfigError."""
-    return np.reshape([ctx.side_row(s) for s in np.ravel(side)], np.shape(side))
-
-
 def c_in_side(ctx: ModeContext, q: str, side):
     """Input commutator coefficient (N0-normalized) for side 0 or n (or an array of them)."""
-    _rows(ctx, side)  # rejects any side but 0 and n
+    ctx.side_row(side)  # rejects any side but 0 and n
+    _require_off_grazing(ctx)
     b = ctx.beta[side]
     return b.real / abs(b) ** 2 * _pqq(ctx, side, q)[0]
 
@@ -84,11 +80,14 @@ def _c_out_closed(ctx: ModeContext, q: str, j, r):
 
 def c_out_side(ctx: ModeContext, ss: ScatterSet, side):
     """Closed-form output self-commutator for side 0 or n (or an array of them)."""
-    return _c_out_closed(ctx, ss.q, side, np.stack([ss.r_0n, ss.r_n0])[_rows(ctx, side)])
+    rows = ctx.side_row(side)
+    _require_off_grazing(ctx)
+    return _c_out_closed(ctx, ss.q, side, np.stack([ss.r_0n, ss.r_n0])[rows])
 
 
 def cross_closed(ctx: ModeContext, ss: ScatterSet):
     """Closed-form commutator between the two output sides, [out(0), out(n)^+]."""
+    _require_off_grazing(ctx)
     b0, bn = ctx.beta[0], ctx.beta[ctx.n]
     ab0, abn = abs(b0) ** 2, abs(bn) ** 2
     t0n, tn0 = ss.t_0n, ss.t_n0
@@ -165,6 +164,15 @@ def grazing(ctx: ModeContext) -> np.ndarray:
     return np.any(ctx.beta == 0.0, axis=0)
 
 
+def _require_off_grazing(ctx: ModeContext) -> None:
+    """Raise RegimeError at the first grazing mode: the noise couplings divide 0/0 there."""
+    at_branch = grazing(ctx)
+    if at_branch.any():
+        at = np.unravel_index(np.argmax(at_branch), at_branch.shape)
+        raise RegimeError(f"beta = 0 in some region at {ctx.mode(at)} (grazing mode, k exactly "
+                          "at a branch point); the commutator coefficients are singular there")
+
+
 @dataclass(frozen=True)
 class CommutatorSet:
     """Commutator data of one polarization for every k, N0-normalized."""
@@ -180,9 +188,7 @@ class CommutatorSet:
 
 def commutator_set(ctx: ModeContext, q: str = "s") -> CommutatorSet:
     """Evaluate every commutator coefficient of every mode from the closed forms."""
-    if grazing(ctx).any():
-        raise RegimeError("beta = 0 in some region (grazing mode, k exactly at a branch point); "
-                          "commutator coefficients are singular there")
+    _require_off_grazing(ctx)
     ss = scatter_set(ctx, q)
     outer = np.array([0, ctx.n])
     (c_in0, c_inN), (c_out0, c_outN) = c_in_side(ctx, q, outer), c_out_side(ctx, ss, outer)

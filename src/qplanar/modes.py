@@ -79,11 +79,14 @@ class ModeContext:
         """The mode at index `at` of the k axes, as 'omega = ... rad/s, k = ... 1/m'."""
         return f"omega = {self.omega[at]:.6e} rad/s, k = {self.k[at]:.6e} 1/m"
 
-    def side_row(self, side: int) -> int:
-        """Row (0 or 1) of outer region `side` in the IO relation; side must be 0 or n."""
-        if side not in (0, self.n):
-            raise ConfigError(f"side must be 0 or {self.n}, got {side}")
-        return 0 if side == 0 else 1
+    def side_row(self, side) -> np.ndarray:
+        """Row (0 or 1) of outer region `side` in the IO relation, per entry of an array of
+        sides (0-d for one side); any side but 0 and n is a ConfigError."""
+        side = np.asarray(side)
+        bad = (side != 0) & (side != self.n)
+        if bad.any():
+            raise ConfigError(f"side must be 0 or {self.n}, got {side[bad].flat[0]}")
+        return (side == self.n).astype(np.intp)
 
     def pol_vector(self, q: str, j: int, sign: int, khat=None) -> np.ndarray:
         """Polarization vector e_q,sign in region j, shape k.shape + np.shape(kx) + (3,).

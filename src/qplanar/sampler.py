@@ -19,46 +19,26 @@ component), but a seed gives other estimates than that earlier sampler.
 
 Reproducibility contract: streams are Philox counter-based, keyed by
 (seed, realization-block) with 0 <= seed < 2**64 and a fixed block size,
-and the blocks are reduced in order.  Estimates are bit-identical for a
-given seed and plan.
+and the blocks are reduced in order.  Every mode draws the same streams,
+so its estimate is bit-identical for a given seed and set of arguments,
+whatever batch of modes it is in.
 """
 
 from __future__ import annotations
 
 import math
 import warnings as _warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import C_LIGHT
 from .errors import AccuracyError, ConfigError
 from .iorel import io_matrix
-from .modes import make_context
+from .modes import ModeContext
 from .scatter import scatter_set
-from .stack import Stack
 from .thermal import bose
 
 BLOCK = 2048  # realizations per RNG block; part of the determinism contract
-
-
-@dataclass(frozen=True)
-class SamplePlan:
-    omega: float
-    k: float
-    q: str = "s"
-    temperature: float = 300.0
-    nodes_per_layer: int = 64
-    realizations: int = 10_000
-    seed: int = 12345
-    side: int = 0  # outer region the emission leaves through: 0 or n
-
-
-@dataclass(frozen=True)
-class EmissionEstimate:
-    w: float
-    stderr: float
-    realizations: int
 
 
 def _moments(seed: int, realizations: int, w_flat: np.ndarray) -> tuple[float, float]:
@@ -77,29 +57,34 @@ def _moments(seed: int, realizations: int, w_flat: np.ndarray) -> tuple[float, f
     return s1, s2
 
 
-def sample_emission(plan: SamplePlan, stack: Stack) -> EmissionEstimate:
-    """Estimate the outgoing thermal intensity (N0-normalized) and its standard error.
+def sample_emission(ctx: ModeContext, q: str = "s", temperature: float = 300.0, side: int = 0, *,
+                    nodes_per_layer: int = 64, realizations: int = 10_000, seed: int = 12345):
+    """Estimate the outgoing thermal intensity (N0-normalized) and its standard error, per k.
 
-    The estimator is the sample mean of |u_out|^2 over realizations; the
-    standard error is the usual sqrt(var / N).  With T = 0 every variance is
-    zero and the estimate is exactly zero.  A layer whose mode amplitudes
-    overflow (too thick or too lossy) raises AccuracyError.
+    Returns the arrays (w, stderr), each of shape ctx.k.shape.  The estimate
+    of a mode is the sample mean of |u_out|^2 over its realizations; the
+    standard error is the usual sqrt(var / N).  `side` is the outer region
+    the emission leaves through, 0 or ctx.n.  Where n(omega, T) = 0 (T = 0)
+    every variance is zero and the estimate is exactly zero.  A layer whose
+    mode amplitudes overflow (too thick or too lossy) raises AccuracyError.
     """
-    if plan.realizations < 1:
+    if realizations < 1:
         raise ConfigError("need at least one realization")
-    if not 0 <= plan.seed < 2**64:
-        raise ConfigError(f"seed must satisfy 0 <= seed < 2**64, got {plan.seed}")
-    ctx = make_context(stack, plan.omega, plan.k)
-    row = ctx.side_row(plan.side)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must satisfy 0 <= seed < 2**64, got {seed}")
+    row = ctx.side_row(side)
     if ctx.n < 2:
         raise ConfigError("sampling needs at least one interior layer")
-    m = plan.nodes_per_layer
-    if m < 2:
+    if nodes_per_layer < 2:
         raise ConfigError("at least 2 nodes per layer")
-    io = io_matrix(scatter_set(ctx, plan.q))
-    occ = bose(plan.omega, plan.temperature)
-    if occ == 0.0:
-        return EmissionEstimate(0.0, 0.0, plan.realizations)
+    io = io_matrix(scatter_set(ctx, q))
+    occ = bose(ctx.omega, temperature)
+    w, stderr = np.zeros(ctx.k.shape), np.zeros(ctx.k.shape)
+    live = occ != 0.0
+    if not live.any():
+        return w, stderr
+    sub, occ = ctx.select(live), occ[live]
+    phi = io.phi[:, live, row]   # (n-1, modes, 2): (phi_+, phi_-) of each layer on `side`
 
     # Layer amplitudes.  Over the cell midpoints z_c of layer j, every column of
     # the per-cell weights is W_j = [a b] C_j with the mode vectors
@@ -110,39 +95,44 @@ def sample_emission(plan: SamplePlan, stack: Stack) -> EmissionEstimate:
     # unit circular Gaussian: two draws per coupled component give u the law
     # of one draw per (cell, component), and the nodes only set the
     # midpoint-rule quadrature of the 2 x 2 amplitude covariance, the Gram
-    # matrix [a b]^H [a b] = R^H R.
-    weights = []   # (2, 3) complex per lossy layer
+    # matrix [a b]^H [a b] = R^H R.  A lossless layer keeps zero weights.
+    weights = np.zeros((sub.k.size, ctx.n - 1, 2, 3), dtype=complex)
     for j in range(1, ctx.n):
-        epp = ctx.eps[j].imag
-        if epp <= 0.0:
+        epp = sub.eps[j].imag
+        lossy = epp > 0.0
+        if not lossy.all():
             _warnings.warn(f"layer {j} is lossless; it contributes no thermal noise", stacklevel=2)
+        if not lossy.any():
             continue
-        dz = ctx.d[j] / m
-        z_cells = (np.arange(m) + 0.5) * dz
-        beta = ctx.beta[j]
-        pref = -(ctx.omega / C_LIGHT) * math.sqrt(epp) / beta * dz * math.sqrt(occ / dz)
-        phi_plus, phi_minus = io.phi[j - 1][row]
-        coeffs = pref * np.stack([phi_plus * ctx.pol_vector(plan.q, j, +1),
-                                  phi_minus * ctx.pol_vector(plan.q, j, -1)])
-        modes = np.exp(np.multiply.outer(z_cells, [-1j * beta, 1j * beta]))
-        v = np.linalg.qr(modes, mode="r") @ coeffs
-        if not np.isfinite(v).all():
-            raise AccuracyError(f"sampler weights are not finite at omega = {plan.omega:.6e} "
-                                f"rad/s, k = {plan.k:.6e} 1/m: the mode amplitudes of layer {j} "
-                                "overflow")
-        weights.append(v)
-    # Isotropic noise: a component of zero weight adds nothing and is not drawn.
-    w_flat = np.array(weights, dtype=complex).reshape(-1)
-    w_flat = w_flat[w_flat != 0]
-    if not w_flat.size:
-        _warnings.warn("no noise couples to the output; estimate is identically zero", stacklevel=2)
+        dz = ctx.d[j] / nodes_per_layer
+        z_cells = (np.arange(nodes_per_layer) + 0.5) * dz
+        beta = sub.beta[j][lossy]
+        pref = (-(sub.omega[lossy] / C_LIGHT) * np.sqrt(epp[lossy]) / beta * dz
+                * np.sqrt(occ[lossy] / dz))
+        pol = np.stack([sub.pol_vector(q, j, +1)[lossy], sub.pol_vector(q, j, -1)[lossy]], 1)
+        # pref * (phi * pol), in this order: (pref * phi) * pol moves some p estimates by
+        # 1 ulp, and a seed's estimates are part of the reproducibility contract.
+        coeffs = pref[:, None, None] * (phi[j - 1][lossy][..., None] * pol)
+        modes = np.exp(z_cells[:, None] * np.multiply.outer(beta, [-1j, 1j])[:, None, :])
+        weights[lossy, j - 1] = np.linalg.qr(modes, mode="r") @ coeffs
+    bad = ~np.isfinite(weights).all(axis=(-2, -1))
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise AccuracyError(f"sampler weights are not finite at {sub.mode(i)}: the mode "
+                            f"amplitudes of layer {j + 1} overflow")
 
-    s1, s2 = _moments(plan.seed, plan.realizations, w_flat)
-    n_real = plan.realizations
-    mean = s1 / n_real
-    if n_real > 1:
-        var = max(s2 / n_real - mean * mean, 0.0) * n_real / (n_real - 1)
-        stderr = math.sqrt(var / n_real)
+    moments = np.empty((sub.k.size, 2))
+    for i, v in enumerate(weights.reshape(sub.k.size, -1)):
+        # Isotropic noise: a component of zero weight adds nothing and is not drawn.
+        moments[i] = _moments(seed, realizations, v[v != 0])
+    if np.all(weights == 0, axis=(1, 2, 3)).any():
+        _warnings.warn("no noise couples to the output; estimate is identically zero", stacklevel=2)
+    n = realizations
+    mean = moments[:, 0] / n
+    w[live] = mean
+    if n > 1:
+        var = np.maximum(moments[:, 1] / n - mean * mean, 0.0) * n / (n - 1)
+        stderr[live] = np.sqrt(var / n)
     else:
-        stderr = math.inf
-    return EmissionEstimate(mean, stderr, n_real)
+        stderr[live] = math.inf
+    return w, stderr

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .commutators import _rows, c_in_side, grazing, intraplate_c
+from .commutators import _require_off_grazing, c_in_side, intraplate_c
 from .constants import HBAR, K_B, per_omega
 from .errors import AccuracyError, ConfigError, RegimeError
 from .iorel import io_matrix
@@ -42,10 +42,8 @@ def bose(omega, temperature: float) -> np.ndarray:
 
 def _emission(ctx: ModeContext, q: str, temperature: float, side):
     """Emission w of `side` (side axes first, then k), the S rows of `side` and c_in of side 0."""
-    rows = _rows(ctx, side)
-    if grazing(ctx).any():
-        raise RegimeError("beta = 0 in some region (grazing mode, k exactly at a branch point); "
-                          "the noise couplings are singular there")
+    rows = ctx.side_row(side)
+    _require_off_grazing(ctx)
     io = io_matrix(scatter_set(ctx, q))
     c_in0, c_inN = c_in_side(ctx, q, np.array([0, ctx.n]))
     c = intraplate_c(ctx, q, np.arange(1, ctx.n))

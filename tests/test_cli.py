@@ -335,7 +335,7 @@ def test_sample_side_must_be_an_outer_region(stack_file, capsys, side):
 
 def test_sample_side_n_row_matches_library(stack_file, capsys):
     from qplanar.cli import _fmt
-    from qplanar.sampler import SamplePlan, sample_emission
+    from qplanar.sampler import sample_emission
     from qplanar.stack import load_stack
 
     rc = main(["sample", "--stack", stack_file(THREE_LAYERS), "--omega", "2e15",
@@ -344,11 +344,10 @@ def test_sample_side_n_row_matches_library(stack_file, capsys):
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     k = 0.5 * 2e15 / 299792458.0
-    est = sample_emission(SamplePlan(omega=2e15, k=k, q="p", temperature=300.0,
-                                     nodes_per_layer=64, realizations=3000, seed=9, side=4),
-                          load_stack(json.dumps(THREE_LAYERS)))
-    expected = [_fmt(2e15), _fmt(k), "p", "4", _fmt(300.0), _fmt(est.w), _fmt(est.stderr),
-                "3000", "9"]
+    w, stderr = sample_emission(make_context(load_stack(json.dumps(THREE_LAYERS)), 2e15, k), q="p",
+                                temperature=300.0, side=4, nodes_per_layer=64, realizations=3000,
+                                seed=9)
+    expected = [_fmt(2e15), _fmt(k), "p", "4", _fmt(300.0), _fmt(w), _fmt(stderr), "3000", "9"]
     assert lines[2].split(",") == expected
 
 
@@ -517,6 +516,7 @@ def test_row_template_matches_fstring_formatting():
     ["coeffs"],
     ["thermal"],
     ["verify", "--suite", "unitarity"],
+    ["sample", "--realizations", "100"],
 ])
 def test_one_engine_call_per_chunk(stack_file, capsys, monkeypatch, argv):
     # 3 omega x 7 k in w units (so k differs per omega) fit one chunk.
@@ -534,6 +534,37 @@ def test_one_engine_call_per_chunk(stack_file, capsys, monkeypatch, argv):
                "--omega", "1e15:3e15:3", "--k", "0:0.9w:7"])
     assert rc == 0
     assert calls == [(21, 21)]
+
+
+@pytest.mark.parametrize("nodes,sizes", [(24, [2, 2, 2, 1]), (49, [1] * 7)])
+def test_sample_chunks_scale_with_the_node_count(stack_file, capsys, monkeypatch, nodes, sizes):
+    # 2 cells per mode and node + 1, at least 10 per region (50 here): 100 cells hold two
+    # modes at 24 nodes, one at 49.  Each chunk makes one context and one sampler call per
+    # polarization, and the table does not depend on the chunks.
+    import qplanar.cli
+
+    argv = ["sample", "--stack", stack_file(THREE_LAYERS), "--omega", "2e15", "--k", "0:1.4w:7",
+            "--nodes", str(nodes), "--realizations", "300", "--side", "4"]
+    assert main(argv) == 0
+    unchunked = capsys.readouterr().out
+    contexts, samples = [], []
+    real_context, real_sample = qplanar.cli.make_context, qplanar.cli.sample_emission
+
+    def counting_context(stack, omega, k, *rest):
+        contexts.append(np.size(k))
+        return real_context(stack, omega, k, *rest)
+
+    def counting_sample(ctx, q, *args, **kwargs):
+        samples.append((ctx.k.size, q))
+        return real_sample(ctx, q, *args, **kwargs)
+
+    monkeypatch.setattr(qplanar.cli, "_CHUNK_CELLS", 100)
+    monkeypatch.setattr(qplanar.cli, "make_context", counting_context)
+    monkeypatch.setattr(qplanar.cli, "sample_emission", counting_sample)
+    assert main(argv) == 0
+    assert contexts == sizes
+    assert samples == [(size, q) for size in sizes for q in "sp"]
+    assert capsys.readouterr().out == unchunked
 
 
 def test_contexts_split_consecutive_modes_by_cells(monkeypatch):

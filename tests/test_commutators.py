@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from conftest import C, random_mode, random_stack
 from qplanar.commutators import (
     assembled_out,
     bosonize,
+    c_in_side,
+    c_out_side,
     commutator_set,
     cross_closed,
     intraplate_tau,
@@ -302,3 +306,11 @@ def test_grazing_mode_rejected():
     assert ctx.beta[0] == 0.0
     with pytest.raises(RegimeError, match="grazing"):
         commutator_set(ctx, q="s")
+    # The closed forms divide 0/0 there: each raises first, naming the mode.
+    st = Stack(VACUUM, (Layer(200e-9, ConstantEps(2 + 0.5j)),), VACUUM)
+    ctx = make_context(st, omega, np.array([0.5, 1.0]) * omega / C)
+    ss = scatter_set(ctx, "p")
+    for closed in (lambda: c_in_side(ctx, "p", 0), lambda: c_out_side(ctx, ss, ctx.n),
+                   lambda: cross_closed(ctx, ss), lambda: commutator_set(ctx, "p")):
+        with pytest.raises(RegimeError, match=re.escape(f"at {ctx.mode(1)} (grazing mode")):
+            closed()

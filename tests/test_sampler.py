@@ -8,7 +8,7 @@ from qplanar import sampler
 from qplanar.errors import ConfigError
 from qplanar.iorel import io_matrix
 from qplanar.modes import make_context
-from qplanar.sampler import BLOCK, SamplePlan, sample_emission
+from qplanar.sampler import BLOCK, sample_emission
 from qplanar.scatter import scatter_set
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
 from qplanar.thermal import bose, emission_w
@@ -28,11 +28,10 @@ def test_estimate_matches_closed_form(k_frac, q, far):
     ctx = make_context(st, OMEGA, k)
     side = ctx.n if far else 0
     w_ref = emission_w(ctx, q=q, temperature=300.0, side=side)
-    plan = SamplePlan(omega=OMEGA, k=k, q=q, temperature=300.0,
-                      nodes_per_layer=64, realizations=50_000, seed=1234, side=side)
-    est = sample_emission(plan, st)
-    assert est.stderr > 0.0
-    assert abs(est.w - w_ref) < 3.0 * est.stderr
+    w, stderr = sample_emission(ctx, q, 300.0, side, nodes_per_layer=64, realizations=50_000,
+                                seed=1234)
+    assert stderr > 0.0
+    assert abs(w - w_ref) < 3.0 * stderr
 
 
 def test_multilayer_estimate():
@@ -42,31 +41,30 @@ def test_multilayer_estimate():
     k = 0.5 * OMEGA / C
     ctx = make_context(st, OMEGA, k)
     w_ref = emission_w(ctx, q="p", temperature=350.0, side=ctx.n)
-    plan = SamplePlan(omega=OMEGA, k=k, q="p", temperature=350.0,
-                      nodes_per_layer=64, realizations=50_000, seed=5, side=ctx.n)
-    est = sample_emission(plan, st)
-    assert abs(est.w - w_ref) < 3.0 * est.stderr
+    w, stderr = sample_emission(ctx, "p", 350.0, ctx.n, nodes_per_layer=64, realizations=50_000,
+                                seed=5)
+    assert abs(w - w_ref) < 3.0 * stderr
 
 
 def test_zero_temperature_exact_zero():
-    plan = SamplePlan(omega=OMEGA, k=1e6, temperature=0.0, realizations=100, seed=1)
-    est = sample_emission(plan, absorbing_slab())
-    assert est.w == 0.0 and est.stderr == 0.0
+    w, stderr = sample_emission(make_context(absorbing_slab(), OMEGA, 1e6), temperature=0.0,
+                                realizations=100, seed=1)
+    assert w == 0.0 and stderr == 0.0
 
 
 def test_different_seeds_differ():
-    st = absorbing_slab()
-    a = sample_emission(SamplePlan(omega=OMEGA, k=1e6, realizations=5000, seed=1), st)
-    b = sample_emission(SamplePlan(omega=OMEGA, k=1e6, realizations=5000, seed=2), st)
-    assert a.w != b.w
+    ctx = make_context(absorbing_slab(), OMEGA, 1e6)
+    a, _ = sample_emission(ctx, realizations=5000, seed=1)
+    b, _ = sample_emission(ctx, realizations=5000, seed=2)
+    assert a != b
 
 
 def test_stderr_scaling_with_realizations():
-    st = absorbing_slab()
-    a = sample_emission(SamplePlan(omega=OMEGA, k=1e6, realizations=20_000, seed=3), st)
-    b = sample_emission(SamplePlan(omega=OMEGA, k=1e6, realizations=80_000, seed=3), st)
+    ctx = make_context(absorbing_slab(), OMEGA, 1e6)
+    _, a = sample_emission(ctx, realizations=20_000, seed=3)
+    _, b = sample_emission(ctx, realizations=80_000, seed=3)
     # doubling N twice halves the standard error, within statistical scatter
-    ratio = a.stderr / b.stderr
+    ratio = a / b
     assert 2.0 * 0.8 < ratio < 2.0 * 1.2
 
 
@@ -78,37 +76,32 @@ def test_node_refinement_bias_below_stderr():
     k = 0.4 * OMEGA / C
     ctx = make_context(st, OMEGA, k)
     w_ref = emission_w(ctx, q="s", temperature=300.0, side=0)
-    plans = [
-        SamplePlan(omega=OMEGA, k=k, q="s", temperature=300.0,
-                   nodes_per_layer=m, realizations=100_000, seed=11)
-        for m in (2, 8, 64)
-    ]
-    ests = [sample_emission(p, st) for p in plans]
-    errs = [abs(e.w - w_ref) for e in ests]
-    assert errs[0] > 10.0 * ests[0].stderr      # coarse grid is visibly biased
+    ests = [sample_emission(ctx, "s", 300.0, nodes_per_layer=m, realizations=100_000, seed=11)
+            for m in (2, 8, 64)]
+    errs = [abs(w - w_ref) for w, _ in ests]
+    assert errs[0] > 10.0 * ests[0][1]          # coarse grid is visibly biased
     assert errs[1] < errs[0]
     assert errs[2] < errs[0]
-    assert errs[2] < 3.0 * ests[2].stderr       # 64-node bias below the noise
+    assert errs[2] < 3.0 * ests[2][1]           # 64-node bias below the noise
 
 
 def test_lossless_layer_warns():
     st = Stack(VACUUM, (Layer(100e-9, ConstantEps(2.25 + 0j)),), VACUUM)
-    plan = SamplePlan(omega=OMEGA, k=1e6, realizations=10, seed=1)
     with pytest.warns(UserWarning) as record:
-        est = sample_emission(plan, st)
-    messages = [str(w.message) for w in record]
+        w, _ = sample_emission(make_context(st, OMEGA, 1e6), realizations=10, seed=1)
+    messages = [str(r.message) for r in record]
     assert any("lossless" in m for m in messages)
-    assert est.w == 0.0
+    assert w == 0.0
 
 
 def test_bad_plans_rejected():
-    st = absorbing_slab()
+    ctx = make_context(absorbing_slab(), OMEGA, 1e6)
     with pytest.raises(ConfigError):
-        sample_emission(SamplePlan(omega=OMEGA, k=1e6, realizations=0), st)
+        sample_emission(ctx, realizations=0)
     with pytest.raises(ConfigError):
-        sample_emission(SamplePlan(omega=OMEGA, k=1e6, nodes_per_layer=1), st)
+        sample_emission(ctx, nodes_per_layer=1)
     with pytest.raises(ConfigError):
-        sample_emission(SamplePlan(omega=OMEGA, k=1e6), Stack(VACUUM, (), VACUUM))
+        sample_emission(make_context(Stack(VACUUM, (), VACUUM), OMEGA, 1e6))
 
 
 def fresh_array_moments(seed, realizations, w):
@@ -124,13 +117,13 @@ def fresh_array_moments(seed, realizations, w):
     return s1, s2
 
 
-def coupled_weights(monkeypatch, plan, stack):
-    """The compacted weight vector that `sample_emission` hands to its block loop."""
+def coupled_weights(monkeypatch, ctx, **kwargs):
+    """The compacted weight vector that `sample_emission` hands to its block loop for each mode."""
     seen = []
     with monkeypatch.context() as m:
         m.setattr(sampler, "_moments", lambda seed, n, w: seen.append(w) or (0.0, 0.0))
-        sample_emission(plan, stack)
-    return seen[0]
+        sample_emission(ctx, **kwargs)
+    return seen
 
 
 LOSSY_LOSSLESS_LOSSY = Stack(
@@ -144,20 +137,19 @@ LOSSY_LOSSLESS_LOSSY = Stack(
 @pytest.mark.filterwarnings("ignore:layer 2 is lossless")
 @pytest.mark.parametrize("realizations", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
 def test_block_loop_bit_identical_to_fresh_arrays(monkeypatch, realizations):
-    plan = SamplePlan(omega=OMEGA, k=0.5 * OMEGA / C, q="p", nodes_per_layer=16,
-                      realizations=realizations, seed=21, side=4)
-    w = coupled_weights(monkeypatch, plan, LOSSY_LOSSLESS_LOSSY)
-    assert sampler._moments(plan.seed, realizations, w) == fresh_array_moments(plan.seed, realizations, w)
+    ctx = make_context(LOSSY_LOSSLESS_LOSSY, OMEGA, 0.5 * OMEGA / C)
+    [w] = coupled_weights(monkeypatch, ctx, q="p", side=4, nodes_per_layer=16,
+                          realizations=realizations, seed=21)
+    assert sampler._moments(21, realizations, w) == fresh_array_moments(21, realizations, w)
 
 
 # coupled components per lossy layer: s keeps y; p keeps x and z, only x at k = 0
 @pytest.mark.parametrize("q,k_frac,components", [("s", 0.5, 1), ("s", 0.0, 1), ("p", 0.5, 2),
                                                  ("p", 0.0, 1)])
 def test_draws_only_coupled_components(monkeypatch, q, k_frac, components):
-    plan = SamplePlan(omega=OMEGA, k=k_frac * OMEGA / C, q=q, nodes_per_layer=16,
-                      realizations=100, seed=1)
+    ctx = make_context(LOSSY_LOSSLESS_LOSSY, OMEGA, k_frac * OMEGA / C)
     with pytest.warns(UserWarning, match="layer 2 is lossless"):
-        w = coupled_weights(monkeypatch, plan, LOSSY_LOSSLESS_LOSSY)
+        [w] = coupled_weights(monkeypatch, ctx, q=q, nodes_per_layer=16, realizations=100, seed=1)
     # two layer amplitudes per coupled component (s 2, p 4, p at k = 0 2 per
     # lossy layer) in each of the two lossy layers; the lossless one draws nothing
     assert w.size == 2 * components * 2
@@ -167,24 +159,21 @@ def test_draws_only_coupled_components(monkeypatch, q, k_frac, components):
 @pytest.mark.filterwarnings("ignore:layer 2 is lossless")
 @pytest.mark.parametrize("q", ["s", "p"])
 def test_draw_count_does_not_grow_with_nodes(monkeypatch, q):
-    sizes = [coupled_weights(monkeypatch, SamplePlan(omega=OMEGA, k=0.5 * OMEGA / C, q=q,
-                                                     nodes_per_layer=m, realizations=1),
-                             LOSSY_LOSSLESS_LOSSY).size
+    ctx = make_context(LOSSY_LOSSLESS_LOSSY, OMEGA, 0.5 * OMEGA / C)
+    sizes = [coupled_weights(monkeypatch, ctx, q=q, nodes_per_layer=m, realizations=1)[0].size
              for m in (16, 4096)]
     assert sizes[0] == sizes[1]
 
 
-def cell_weights(plan, stack):
+def cell_weights(ctx, q, side, m, temperature=300.0):
     """Oracle: one weight per (z-cell, component), u = sum_cells w_cell . f_cell.
 
     The cell variance n/dz is folded into the weights, so the draws they
     multiply are unit circular Gaussians; the variance of u is sum |w|^2.
     """
-    ctx = make_context(stack, plan.omega, plan.k)
-    row = ctx.side_row(plan.side)
-    phi = io_matrix(scatter_set(ctx, plan.q)).phi
-    occ = bose(plan.omega, plan.temperature)
-    m = plan.nodes_per_layer
+    row = ctx.side_row(side)
+    phi = io_matrix(scatter_set(ctx, q)).phi
+    occ = bose(ctx.omega, temperature)
     weights = []
     for j in range(1, ctx.n):
         dz = ctx.d[j] / m
@@ -192,7 +181,7 @@ def cell_weights(plan, stack):
         beta = ctx.beta[j]
         pref = -(ctx.omega / C) * math.sqrt(max(ctx.eps[j].imag, 0.0)) / beta * dz
         phi_plus, phi_minus = phi[j - 1][row]
-        e_plus, e_minus = ctx.pol_vector(plan.q, j, +1), ctx.pol_vector(plan.q, j, -1)
+        e_plus, e_minus = ctx.pol_vector(q, j, +1), ctx.pol_vector(q, j, -1)
         w_plus = phi_plus * pref * np.exp(-1j * beta * z_cells)[:, None] * e_plus
         w_minus = phi_minus * pref * np.exp(1j * beta * z_cells)[:, None] * e_minus
         weights.append((w_plus + w_minus) * math.sqrt(occ / dz))
@@ -222,19 +211,41 @@ def test_layer_amplitudes_keep_the_cell_variance(monkeypatch, case):
         for k_frac in (0.0, 1.5):
             for side in (0, st.n):
                 m = int(rng.integers(2, 65))
-                plan = SamplePlan(omega=OMEGA, k=k_frac * OMEGA / C, q=q, nodes_per_layer=m,
-                                  realizations=1, side=side)
-                v = coupled_weights(monkeypatch, plan, st)
-                ref = np.sum(abs(cell_weights(plan, st)) ** 2)
+                ctx = make_context(st, OMEGA, k_frac * OMEGA / C)
+                [v] = coupled_weights(monkeypatch, ctx, q=q, side=side, nodes_per_layer=m,
+                                      realizations=1)
+                ref = np.sum(abs(cell_weights(ctx, q, side, m)) ** 2)
                 assert abs(np.sum(abs(v) ** 2) - ref) <= 1e-13 * ref, (q, k_frac, side, m)
 
 
 def test_lossless_layer_between_lossy_ones():
     st = LOSSY_LOSSLESS_LOSSY
-    k = 0.5 * OMEGA / C
-    w_ref = emission_w(make_context(st, OMEGA, k), q="p", temperature=300.0, side=0)
-    plan = SamplePlan(omega=OMEGA, k=k, q="p", temperature=300.0,
-                      nodes_per_layer=64, realizations=50_000, seed=8)
+    ctx = make_context(st, OMEGA, 0.5 * OMEGA / C)
+    w_ref = emission_w(ctx, q="p", temperature=300.0, side=0)
     with pytest.warns(UserWarning, match="layer 2 is lossless"):
-        est = sample_emission(plan, st)
-    assert abs(est.w - w_ref) < 3.0 * est.stderr
+        w, stderr = sample_emission(ctx, "p", 300.0, nodes_per_layer=64, realizations=50_000,
+                                    seed=8)
+    assert abs(w - w_ref) < 3.0 * stderr
+
+
+@pytest.mark.filterwarnings("ignore:layer 2 is lossless")
+@pytest.mark.parametrize("q", ["s", "p"])
+def test_batch_equals_one_call_per_mode(q):
+    """Each mode of a batch draws its own streams: its estimate is the one-mode call's, bit for bit.
+
+    The grid holds k = 0, propagating and evanescent k at several omega, and one omega whose
+    occupation underflows to exactly 0 at 300 K next to modes that sample.
+    """
+    st = LOSSY_LOSSLESS_LOSSY
+    omega = np.array([1.3e15, 2e15, 3.1e15, 5e17])[:, None]
+    k = np.array([0.0, 0.4, 0.9, 1.6]) * omega / C
+    batch = make_context(st, omega, k)
+    for side in (0, st.n):
+        w, stderr = sample_emission(batch, q, 300.0, side, nodes_per_layer=24, realizations=500,
+                                    seed=3)
+        assert w.shape == stderr.shape == k.shape
+        assert np.all(w[:3] > 0.0) and np.all(w[3] == 0.0) and np.all(stderr[3] == 0.0)
+        for at in np.ndindex(k.shape):
+            one = sample_emission(make_context(st, omega[at[0], 0], k[at]), q, 300.0, side,
+                                  nodes_per_layer=24, realizations=500, seed=3)
+            assert (w[at].tobytes(), stderr[at].tobytes()) == (one[0].tobytes(), one[1].tobytes())

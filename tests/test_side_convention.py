@@ -7,7 +7,7 @@ from qplanar.commutators import c_in_side, c_out_side
 from qplanar.errors import ConfigError
 from qplanar.iorel import field_outside
 from qplanar.modes import make_context
-from qplanar.sampler import SamplePlan, sample_emission
+from qplanar.sampler import sample_emission
 from qplanar.scatter import scatter_set
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
 from qplanar.thermal import emission_w, kirchhoff_residual
@@ -29,8 +29,7 @@ TAKERS = {
     "c_out_side": lambda side: c_out_side(_ctx(), scatter_set(_ctx(), q="p"), side),
     "emission_w": lambda side: emission_w(_ctx(), q="p", side=side),
     "kirchhoff_residual": lambda side: kirchhoff_residual(_ctx(), q="p", side=side),
-    "sample_emission": lambda side: sample_emission(
-        SamplePlan(omega=OMEGA, k=K, q="p", realizations=10, side=side), STACK),
+    "sample_emission": lambda side: sample_emission(_ctx(), q="p", side=side, realizations=10),
     "field_outside": lambda side: field_outside(_ctx(), side, 0.0, "p"),
 }
 
