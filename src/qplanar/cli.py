@@ -138,12 +138,16 @@ def _contexts(stack: Stack, omega: np.ndarray, k: np.ndarray, cells_per_mode: in
 def _cell_tables() -> tuple[np.ndarray, ...]:
     """Tables of `_rows`, built on first use.
 
-    10**k for k in [-300, 305], each correctly rounded by `float`; the words
-    "0000".."9999"; the prefix words "d." and "-d." at lead digit + 10 * sign;
-    and per exponent in [-300, 305] the word "e+dd" or "e-dd" and its third digit.
+    10**k for k in [-300, 305], each correctly rounded by `float`, and the
+    correctly rounded error 10**k minus that float; the words "0000".."9999";
+    the prefix words "d." and "-d." at lead digit + 10 * sign; and per
+    exponent in [-300, 305] the word "e+dd" or "e-dd" and its third digit.
     """
     exps = [b"e%+03d" % e for e in range(-300, 306)]
-    return (np.array([float(f"1e{k}") for k in range(-300, 306)]),
+    pow10 = [float(f"1e{k}") for k in range(-300, 306)]
+    return (np.array(pow10),
+            np.array([(10 ** max(k, 0) * d - n * 10 ** max(-k, 0)) / (d * 10 ** max(-k, 0))
+                      for k, (n, d) in zip(range(-300, 306), map(float.as_integer_ratio, pow10))]),
             np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), "<u4"),
             np.frombuffer(b"".join(b"%d.\xff\xff" % d for d in range(10))
                           + b"".join(b"-%d.\xff" % d for d in range(10)), "<u4"),
@@ -166,33 +170,47 @@ def _row_layout(template: str) -> tuple[int, bytes, int, int]:
     return len(pieces) - 1, row, len(pieces[0]), _SLOT + width
 
 
-def _rows(template: str, values: np.ndarray) -> list[str]:
-    """The lines of `template % tuple(row)` for each row of `values`, byte for byte.
+def _rows(template: str, values: np.ndarray) -> str:
+    """`template % tuple(row)` plus a newline per row of `values`, as one text, byte for byte.
 
     `template` is literal text (no `%`) around `_FLOAT` cells, one CSV row
     per line, so one call writes the rows of several groups interleaved;
     lone surrogates in it pass through unchanged, as they do through `%`.
     A cell x with 1e-290 <= |x| <= 1e300 takes e = floor(log10 |x|), fixed by
-    one where needed, and y = |x| * 10**(12 - e) in [1e12, 1e13): two
-    correctly rounded factors and one product put y within 2.3e-3 of its
-    exact value.  So unless y lies within 5e-3 of a rounding tie, rint(y) is
-    the correctly rounded 13-digit significand, written by word gathers from
-    `_cell_tables`; so are +0.0 and -0.0.  All other cells (ties, NaN, inf,
-    extreme magnitudes) go through `%`.
+    one where needed, p = 10**(12 - e) correctly rounded, y = |x| * p in
+    [1e12, 1e13) and d = rint(y).  The exact remainder |x| * 10**(12 - e) - d
+    is within 2.3e-3 of y - d, so d is the correctly rounded significand unless
+    |y - d| >= 0.495.  There the remainder is summed as (y - d) + (|x| * p - y)
+    + |x| * (10**(12 - e) - p): Dekker's error-free product on a bit-mask split
+    (no overflow) and the error table, within 1e-10, and d moves by one past
+    +-0.5.  The digits are word gathers from `_cell_tables`, as are +0.0 and
+    -0.0.  All other cells (within 1e-9 of a tie, NaN, inf, extreme
+    magnitudes) go through `%`.
     """
     n, row, start, stride = _row_layout(template)
     x = np.asarray(values, dtype=float).reshape(len(values), n)
-    pow10, digits, prefix, exp_word, exp_last = _cell_tables()
+    pow10, pow10_error, digits, prefix, exp_word, exp_last = _cell_tables()
     a = np.abs(x)
     fast = (a >= 1e-290) & (a <= 1e300)
     a[~fast] = 1.0
     e = np.floor(np.log10(a)).astype(np.intp)
-    y = a * pow10[312 - e]
-    e += y >= 1e13
-    e -= y < 1e12
-    y = a * pow10[312 - e]
+    y = a * (p := pow10[312 - e])
+    if not ((y >= 1e12) & (y < 1e13)).all():   # log10 left e one off somewhere
+        e += y >= 1e13
+        e -= y < 1e12
+        y = a * (p := pow10[312 - e])
+        fast &= (y >= 1e12) & (y < 1e13)
     d = np.rint(y)
-    fast = fast & (y >= 1e12) & (y < 1e13) & (np.abs(y - d) < 0.495) | (x == 0.0)
+    near = np.flatnonzero(fast & (np.abs(y - d) >= 0.495))
+    if near.size:
+        v = np.stack([a.flat[near], p.flat[near]])
+        top = (v.view(np.uint64) & np.uint64(0xFFFF_FFFF_F800_0000)).view(float)   # 26 bits
+        (ah, ph), (al, pl), yn, dn = top, v - top, y.flat[near], d.flat[near]
+        r = (yn - dn) + (((ah * ph - yn) + ah * pl + al * ph) + al * pl) \
+            + v[0] * pow10_error[312 - e.flat[near]]
+        d.flat[near] = dn + (r > 0.5) - (r < -0.5)
+        fast.flat[near] = np.abs(np.abs(r) - 0.5) >= 1e-9
+    fast |= x == 0.0
     slow = ~fast
     d[slow], d[x == 0.0] = 1e12, 0.0   # any valid digits, as `%` overwrites these cells; +/-0.0 (e = 0)
     carry = d == 1e13        # 9.9999999999996e(e) rounds to 1.000000000000e(e+1)
@@ -203,7 +221,9 @@ def _rows(template: str, values: np.ndarray) -> list[str]:
     lead = np.floor(hi / 1e4)
     mid = np.floor(lo / 1e4)
 
-    buf = np.frombuffer(bytearray(row * len(x)), np.uint8).reshape(len(x), len(row))
+    text = bytearray(len(x) * len(row))
+    buf = np.frombuffer(text, np.uint8).reshape(len(x), len(row))
+    buf[:] = np.frombuffer(row, np.uint8)
     slots = buf[:, start:start + n * stride].reshape(len(x), n, stride)
     words = slots[..., :_SLOT - 1].view("<u4")
     words[..., 0] = prefix[lead.astype(np.intp) + 10 * np.signbit(x)]
@@ -215,15 +235,15 @@ def _rows(template: str, values: np.ndarray) -> list[str]:
     if slow.any():
         cells = b"".join((_FLOAT % v).encode().ljust(_SLOT, _PAD) for v in x[slow].tolist())
         slots[slow, :_SLOT] = np.frombuffer(cells, np.uint8).reshape(-1, _SLOT)
-    return buf.tobytes().translate(None, _PAD).decode(errors="surrogatepass").split("\n")[:-1]
+    return text.translate(None, _PAD).decode(errors="surrogatepass")
 
 
-def _emit(args, header: list[str], rows: list[str], schema: str):
+def _emit(args, header: list[str], blocks: list[str], schema: str):
     name = f"qplanar-{schema}-v{SCHEMA_VERSION}"
     if args.format == "csv":
-        text = "\n".join([f"# schema={name}", ",".join(header), *rows]) + "\n"
+        text = "".join([f"# schema={name}\n", ",".join(header), "\n", *blocks])
     else:   # no cell holds a comma
-        cells = [dict(zip(header, row.split(","))) for row in rows]
+        cells = [dict(zip(header, row.split(","))) for row in "".join(blocks).split("\n")[:-1]]
         text = json.dumps({"schema": name, "rows": cells}, indent=2) + "\n"
     if args.out:
         try:
@@ -247,7 +267,7 @@ def cmd_coeffs(args) -> int:
     floats = ",".join([_FLOAT] * (len(header) - 3))
     template = "\n".join(f"{_FLOAT},{_FLOAT},{q},{floats}" for q in pols)
 
-    rows, n_floor = [], 0
+    blocks, n_floor = [], 0
     for ctx in _contexts(stack, omega, k, 10 * (stack.n + 1) * len(pols)):
         m = ctx.k.size
         cells = np.empty((m, len(pols), len(header) - 1))   # omega, k, then the floats
@@ -260,12 +280,10 @@ def cmd_coeffs(args) -> int:
             z = np.concatenate([io.s_matrix.reshape(m, 4)[:, [0, 3, 2, 1]],
                                 layers.transpose(1, 0, 2).reshape(m, -1)], 1)
             cells[:, iq, 2:] = z.view(float)
-        # One `_rows` call per omega: its transient memory grows with its cells.
-        for block in np.split(cells, np.flatnonzero(np.diff(ctx.omega)) + 1):
-            rows += _rows(template, block)
+        blocks.append(_rows(template, cells))
     if n_floor:
         print(f"d_floor={n_floor}", file=sys.stderr)
-    _emit(args, header, rows, "coeffs")
+    _emit(args, header, blocks, "coeffs")
     return 0
 
 
@@ -370,7 +388,7 @@ def cmd_thermal(args) -> int:
     sides = (0, stack.n)
     template = "\n".join(f"{_FLOAT},{_FLOAT},{q},{side},{_FLOAT},{_FLOAT},{_FLOAT},{_FLOAT}"
                          for q in pols for side in sides)
-    rows, n_skip = [], 0
+    blocks, n_skip = [], 0
     for ctx in _contexts(stack, omega, k, 10 * (stack.n + 1) * len(pols)):
         ok = ~grazing(ctx)
         sub = ctx.select(ok)
@@ -380,12 +398,12 @@ def cmd_thermal(args) -> int:
         cells[..., [0, 1, 3, 5]], cells[..., 2] = per_mode[:, None, None], args.temp
         for iq, q in enumerate(pols):
             cells[:, iq, :, 4] = emission_w(sub, q, args.temp, sides).T
-        rows += _rows(template, cells)
-    if not rows:
+        blocks.append(_rows(template, cells))
+    if not any(blocks):   # a chunk whose modes were all skipped gives ""
         raise UsageError("thermal: no grid point satisfies its preconditions")
     if n_skip:
         print(f"skipped={n_skip}", file=sys.stderr)
-    _emit(args, header, rows, "thermal")
+    _emit(args, header, blocks, "thermal")
     return 0
 
 
@@ -396,7 +414,7 @@ def cmd_sample(args) -> int:
               "stderr_n0", "realizations", "seed"]
     template = "\n".join(f"{_FLOAT},{_FLOAT},{q},{args.side},{_FLOAT},{_FLOAT},{_FLOAT},"
                          f"{args.realizations},{args.seed}" for q in pols)
-    rows = []
+    blocks = []
     for ctx in _contexts(stack, omega, k, max(10 * (stack.n + 1), 2 * (args.nodes + 1))):
         cells = np.empty((ctx.k.size, len(pols), 5))   # omega, k, temp, w, stderr
         cells[..., 0], cells[..., 1], cells[..., 2] = ctx.omega[:, None], ctx.k[:, None], args.temp
@@ -404,8 +422,8 @@ def cmd_sample(args) -> int:
             est = sample_emission(ctx, q, args.temp, args.side, nodes_per_layer=args.nodes,
                                   realizations=args.realizations, seed=args.seed)
             cells[:, iq, 3:] = np.stack(est, -1)
-        rows += _rows(template, cells)
-    _emit(args, header, rows, "sample")
+        blocks.append(_rows(template, cells))
+    _emit(args, header, blocks, "sample")
     return 0
 
 
@@ -417,7 +435,7 @@ def cmd_kernels(args) -> int:
     header = ["kind", "omega_rad_s", "k_w_inv_m", "rho_m", "comp", "re", "im"]
     template = "\n".join(f"{args.kind},{_FLOAT},{_FLOAT},{_FLOAT},{comp},{_FLOAT},{_FLOAT}"
                          for comp in _COMP_NAMES)
-    rows = []
+    blocks = []
     for om in omegas:
         k_w = _parse_scalar(args.kw, omega=om)
         window = GaussianWindow(k_w=k_w)
@@ -427,11 +445,12 @@ def cmd_kernels(args) -> int:
         cells = np.empty((field.rho.size, 9, 5))   # omega, k_w, rho, re, im
         cells[..., 0], cells[..., 1], cells[..., 2] = om, k_w, field.rho[:, None]
         cells[..., 3], cells[..., 4] = comps.real, comps.imag
-        rows += _rows(template, cells)
-    _emit(args, header, rows, "kernels")
+        blocks.append(_rows(template, cells))
+    _emit(args, header, blocks, "kernels")
     return 0
 
 
+@functools.cache   # one parser per process: `parse_args` leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qplanar",

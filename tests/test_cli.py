@@ -429,6 +429,23 @@ def test_thermal_all_points_skipped_exits_2(stack_file, capsys):
     assert "no grid point" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra,chunk_cells", [(["--format", "json"], None), ([], 100)])
+def test_thermal_all_points_skipped_in_json_and_in_every_chunk_exits_2(
+        stack_file, capsys, monkeypatch, extra, chunk_cells):
+    # k = omega/c grazes at every omega.  The table is one empty text per chunk: one chunk
+    # of three modes, or with 100 cells per chunk (40 per mode) chunks of two and one.
+    import qplanar.cli
+
+    if chunk_cells:
+        monkeypatch.setattr(qplanar.cli, "_CHUNK_CELLS", chunk_cells)
+    rc = main(["thermal", "--stack", stack_file(SLAB), "--omega", "1e15,2e15,3e15", "--k", "1w",
+               *extra])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "no grid point" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("points", ["0", "-1"])
 def test_kernels_rho_points_below_one_exits_2(stack_file, capsys, points):
     rc = main(["kernels", "--stack", stack_file(SLAB), "--omega", "2e15",
@@ -507,9 +524,64 @@ def test_row_template_matches_fstring_formatting():
               1e300, -1e300, 1e-300, -1e-300, 1.0, 2.0 / 3.0, 123456.789e-20]
     table = np.array([values, values[::-1]])
     template = f"s,{_FLOAT},0," + ",".join([_FLOAT] * (len(values) - 1))
-    expected = [f"s,{row[0]:.12e},0," + ",".join(f"{x:.12e}" for x in row[1:])
-                for row in table.tolist()]
+    expected = "".join(f"s,{row[0]:.12e},0," + ",".join(f"{x:.12e}" for x in row[1:]) + "\n"
+                       for row in table.tolist())
     assert _rows(template, table) == expected
+
+
+def _percent_rows(template, values):
+    """The row writer's contract, one `%` per row."""
+    rows = np.asarray(values, dtype=float).reshape(len(values), -1).tolist()
+    return "".join(template % tuple(row) + "\n" for row in rows)
+
+
+FIVE_LAYERS = dict(THREE_LAYERS, layers=THREE_LAYERS["layers"] + SLAB["layers"] + LOSSLESS["layers"])
+_TABLE_GRID = ["--omega", "1e15:3e15:3", "--k", "0.05w:1.65w:9", "--pol", "s,p"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv,doc,chunk_cells", [
+    (["coeffs", *_TABLE_GRID], SLAB, None),
+    (["coeffs", *_TABLE_GRID], SLAB, 100),
+    (["coeffs", *_TABLE_GRID], FIVE_LAYERS, None),
+    (["coeffs", *_TABLE_GRID], FIVE_LAYERS, 100),
+    (["thermal", *_TABLE_GRID], SLAB, None),
+    (["sample", *_TABLE_GRID, "--realizations", "200", "--nodes", "16"], SLAB, None),
+    (["kernels", "--omega", "2e15", "--kw", "1.5w", "--rho-points", "7"], THREE_LAYERS, None),
+])
+def test_tables_are_the_bytes_of_one_percent_per_row(stack_file, capsys, monkeypatch, argv, doc,
+                                                     chunk_cells, fmt):
+    import qplanar.cli
+
+    if chunk_cells:
+        monkeypatch.setattr(qplanar.cli, "_CHUNK_CELLS", chunk_cells)
+    argv = [argv[0], "--stack", stack_file(doc), *argv[1:], "--format", fmt]
+    assert main(argv) == 0
+    written = capsys.readouterr().out
+    monkeypatch.setattr(qplanar.cli, "_rows", _percent_rows)
+    assert main(argv) == 0
+    assert written == capsys.readouterr().out
+    assert written.count("e+") > 20   # a table, not an empty one
+
+
+def test_the_parser_is_built_once_and_survives_failed_calls(stack_file, capsys):
+    import qplanar.cli
+
+    path = stack_file(SLAB)
+    good = ["verify", "--stack", path, "--suite", "commutators", "--omega", "1e15,2e15",
+            "--k", "0,0.5w"]
+    assert qplanar.cli.build_parser() is qplanar.cli.build_parser()
+    with pytest.raises(SystemExit) as exc:   # argparse's usage error
+        main(["green-check", "--stack", path, "--format", "xml"])
+    assert exc.value.code == 2
+    assert main(["coeffs", "--stack", path, "--omega", "1e15", "--k", "1xyz"]) == 2
+    capsys.readouterr()
+    assert main(good) == 0
+    reused = capsys.readouterr().out
+    qplanar.cli.build_parser.cache_clear()
+    assert main(good) == 0
+    assert capsys.readouterr().out == reused
+    assert reused.startswith("suite=commutators points=8 ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,4 +1,6 @@
-"""The CSV row writer `cli._rows` against `template % tuple(row)`, byte for byte."""
+"""The CSV row writer `cli._rows` against `template % tuple(row)` per row, byte for byte."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import qplanar.cli
 from qplanar.cli import _FLOAT, _rows
 
 # The writer takes log10 of its cells (zeros and specials replaced first); no NumPy warning may leave it.
@@ -15,12 +18,7 @@ ROW = "x," + ",".join([_FLOAT] * 8) + ",y"
 
 
 def _oracle(template, values):
-    return [template % tuple(v) for v in values.tolist()]
-
-
-def _lines(template, values):
-    """The oracle's rows cut at their newlines: what `_rows` gives for a template of several lines."""
-    return [line for row in _oracle(template, values) for line in row.split("\n")]
+    return "".join(template % tuple(v) + "\n" for v in values.tolist())
 
 
 def _with_neighbours(values) -> np.ndarray:
@@ -48,7 +46,7 @@ def test_any_floats_any_template(data):
     template = _FLOAT.join(literals)
     shape = (data.draw(st.integers(0, 5)), len(literals) - 1)
     values = data.draw(hnp.arrays(np.float64, shape, elements=st.floats()))
-    assert _rows(template, values) == _lines(template, values)
+    assert _rows(template, values) == _oracle(template, values)
 
 
 def test_random_bit_patterns():
@@ -74,6 +72,62 @@ def test_powers_of_ten_and_carries():
     _check(_with_neighbours([*powers, *carries]))
 
 
+def _near_ties(rng, exponents, per_exponent=12) -> list[float]:
+    """Per exponent e, x in [10**e, 10**(e+1)) with |x| * 10**(12 - e) within 0.01 of a
+    rounding tie, ties themselves left out; each twelfth significand is 9999999999999, so
+    rounding up carries to 10**13."""
+    e = np.repeat(exponents, per_exponent)
+    m = rng.integers(10**12, 10**13, e.size)
+    m[::per_exponent] = 10**13 - 1
+    frac = rng.integers(490_000_000, 510_000_001, e.size)   # nine digits after the point
+    near = [(float(f"{a}{b:09d}e{k - 21}"), k)
+            for a, b, k in zip(m.tolist(), frac.tolist(), e.tolist())]
+    return [x for x, k in near if Fraction(x) * Fraction(10) ** (12 - k) % 1 != Fraction(1, 2)]
+
+
+def _exact_ties(rng) -> list[float]:
+    """Floats x = (d + 1/2) * 10**(e - 12), d a 13-digit integer: every tie a float can hold."""
+    ties = []
+    for e in range(-7, 16):
+        q = 5 ** max(0, 12 - e)   # odd * 10**(e - 12) / 2 is a binary fraction if q | odd
+        for t in rng.integers(2 * 10**12 // q, 2 * 10**13 // q, 40).tolist():
+            tie = Fraction(q * (t | 1), 2) * Fraction(10) ** (e - 12)
+            if 10**12 <= tie * Fraction(10) ** (12 - e) < 10**13 and Fraction(float(tie)) == tie:
+                ties.append(float(tie))
+    return ties
+
+
+def test_near_ties_at_every_exponent_of_the_array_path():
+    rng = np.random.default_rng(15)
+    _check(_with_neighbours([*_near_ties(rng, np.arange(-290, 301)), 1e-290, 1e300]))
+
+
+def test_exact_ties_round_half_even_like_percent():
+    ties = _exact_ties(np.random.default_rng(16))
+    assert len(ties) > 300
+    _check(_with_neighbours(ties))
+    assert _rows(f"{_FLOAT},{_FLOAT}", np.array([[1234567890122.5, -1234567890123.5]])) == \
+        "1.234567890122e+12,-1.234567890124e+12\n"
+
+
+def test_only_ties_and_special_cells_take_percent(monkeypatch):
+    calls = []
+
+    class CountingFloat(str):
+        def __mod__(self, value):
+            calls.append(value)
+            return str.__mod__(self, value)
+
+    monkeypatch.setattr(qplanar.cli, "_FLOAT", CountingFloat(_FLOAT))
+    rng = np.random.default_rng(17)
+    near = _near_ties(rng, np.arange(-290, 300))
+    _check([*near, *(-np.array(near))])
+    assert calls == []
+    special = [*_exact_ties(rng), np.nan, np.inf, -np.inf, 1e-291, 2e300, 5e-324]
+    _check(rng.permutation(np.array([*near, *special])))
+    assert sorted(map(repr, calls)) == sorted(map(repr, special))
+
+
 def test_signed_zeros_among_normal_cells_and_ties():
     # +0.0 and -0.0 take the array path; their neighbours here are ordinary and tie-prone cells
     rng = np.random.default_rng(11)
@@ -82,8 +136,8 @@ def test_signed_zeros_among_normal_cells_and_ties():
     values = np.concatenate([normal, ties, np.zeros(600), -np.zeros(600)])
     table = rng.permutation(values).reshape(-1, 8)
     assert _rows(ROW, table) == _oracle(ROW, table)
-    assert _rows(ROW, np.zeros((2, 8))) == ["x," + ",".join(["0.000000000000e+00"] * 8) + ",y"] * 2
-    assert _rows(_FLOAT, np.array([[-0.0]])) == ["-0.000000000000e+00"]
+    assert _rows(ROW, np.zeros((2, 8))) == ("x," + ",".join(["0.000000000000e+00"] * 8) + ",y\n") * 2
+    assert _rows(_FLOAT, np.array([[-0.0]])) == "-0.000000000000e+00\n"
 
 
 @pytest.mark.parametrize("template", [
@@ -102,7 +156,7 @@ def test_template_shapes(template, rows):
     rng = np.random.default_rng(rows)
     table = rng.standard_normal((rows, template.count(_FLOAT))) * 10.0 ** rng.integers(-30, 30)
     table.flat[::3] = [0.0, np.nan, -np.inf, 5e-324]   # repeated over every third cell
-    assert _rows(template, table) == _lines(template, table)
+    assert _rows(template, table) == _oracle(template, table)
 
 
 def test_lone_surrogates_pass_through():
