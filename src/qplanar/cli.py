@@ -418,10 +418,9 @@ def cmd_sample(args) -> int:
     for ctx in _contexts(stack, omega, k, max(10 * (stack.n + 1), 2 * (args.nodes + 1))):
         cells = np.empty((ctx.k.size, len(pols), 5))   # omega, k, temp, w, stderr
         cells[..., 0], cells[..., 1], cells[..., 2] = ctx.omega[:, None], ctx.k[:, None], args.temp
-        for iq, q in enumerate(pols):
-            est = sample_emission(ctx, q, args.temp, args.side, nodes_per_layer=args.nodes,
-                                  realizations=args.realizations, seed=args.seed)
-            cells[:, iq, 3:] = np.stack(est, -1)
+        est = sample_emission(ctx, pols, args.temp, args.side, nodes_per_layer=args.nodes,
+                              realizations=args.realizations, seed=args.seed)
+        cells[..., 3:] = np.stack(est, -1).swapaxes(0, 1)
         blocks.append(_rows(template, cells))
     _emit(args, header, blocks, "sample")
     return 0

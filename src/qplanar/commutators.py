@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, PassivityError, RegimeError
-from .iorel import IOMatrix, _block2, io_matrix
+from .iorel import IOMatrix, _block2, _matmul2, io_matrix
 from .modes import ModeContext
 from .scatter import ScatterSet, scatter_set
 
@@ -205,8 +205,8 @@ def assembled_out(cs: CommutatorSet) -> np.ndarray:
     from input and intraplate pieces is what the closed forms must match.
     """
     s, phi = cs.io.s_matrix, cs.io.phi
-    inputs = (s * np.stack([cs.c_in0, cs.c_inN], -1)[..., None, :]) @ _dagger(s)
-    return sum(phi @ cs.cmat @ _dagger(phi), inputs)
+    inputs = _matmul2(s * np.stack([cs.c_in0, cs.c_inN], -1)[..., None, :], _dagger(s))
+    return sum(_matmul2(_matmul2(phi, cs.cmat), _dagger(phi)), inputs)
 
 
 @dataclass(frozen=True)
@@ -245,10 +245,10 @@ def bosonize(ctx: ModeContext, cs: CommutatorSet) -> BosonizedIO:
     in_scale = np.sqrt(np.stack([cs.c_in0, cs.c_inN], -1))[..., None, :]
     layers = np.arange(1, ctx.n)
     tau = intraplate_tau(ctx, layers, intraplate_xi(ctx, cs.io.q, layers))
-    return BosonizedIO(out_scale * cs.io.s_matrix * in_scale, out_scale * (cs.io.phi @ tau))
+    return BosonizedIO(out_scale * cs.io.s_matrix * in_scale, out_scale * _matmul2(cs.io.phi, tau))
 
 
 def unitarity_residual(bos: BosonizedIO):
     """max |S~ S~^+ + sum_j Phi~ Phi~^+ - I| per mode for the bosonized relation."""
-    gram = sum(bos.phi @ _dagger(bos.phi), bos.s_matrix @ _dagger(bos.s_matrix))
+    gram = sum(_matmul2(bos.phi, _dagger(bos.phi)), _matmul2(bos.s_matrix, _dagger(bos.s_matrix)))
     return np.max(np.abs(gram - np.eye(2)), axis=(-2, -1))

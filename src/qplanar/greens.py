@@ -9,6 +9,11 @@ At coincident same-region coordinates the step functions are taken
 symmetric, Theta(0) = 1/2; the one-sided values are available through the
 `tie` argument.  The symmetric convention is the one under which the
 absorption integral identity holds pointwise at the boundary planes.
+
+The identity's quadrature evaluates the kernel on whole node arrays, one
+call per panel and field point for every mode of a context; at coincident
+field points a single call serves both factors and both kernels of the
+right-hand side.
 """
 
 from __future__ import annotations
@@ -117,7 +122,8 @@ def verify_green_identity(ctx: ModeContext, j: int = 0, jp: int = 0,
     `nodes_per_layer` (>= 2) subintervals per layer, split at interior field
     points so the step-function kink never sits inside a panel.  The z''
     nodes depend only on the thicknesses, so all modes share them: each
-    panel is one `green_kernel` call per field point for the whole context.
+    panel is one `green_kernel` call per field point for the whole context,
+    and one call in all where (j, z) == (jp, zp).
 
     rhs: (g - g^+)/2i at the field points plus the two eps''/eps boundary
     terms, with the symmetric Theta convention at coincident coordinates.
@@ -139,11 +145,19 @@ def verify_green_identity(ctx: ModeContext, j: int = 0, jp: int = 0,
     w_c2 = (ctx.omega / C_LIGHT) ** 2
     pair = (scatter_set(ctx, "s"), scatter_set(ctx, "p"))
 
+    coincident = (j, z) == (jp, zp)   # then both factors, and g and g_rev below, are one call
+
     def integrand(jpp: int, zpp: np.ndarray, tie) -> np.ndarray:
         # tie is read only by a factor whose field point shares the region and coordinate.
         a = green_kernel(ctx, pair, j, jpp, z, zpp, tie)
-        b = green_kernel(ctx, pair, jp, jpp, zp, zpp, tie)
-        return (w_c2 * ctx.eps[jpp].imag)[..., None, None, None] * (a @ _dagger(b))
+        b = a if coincident else green_kernel(ctx, pair, jp, jpp, zp, zpp, tie)
+        # a b^+ entry by entry, (a b^+)[r, c] = sum_m a[r, m] b[c, m]^*, in order of m.
+        bc = b.conjugate()
+        ab = a[..., :, None, 0] * bc[..., None, :, 0]
+        ab += a[..., :, None, 1] * bc[..., None, :, 1]
+        ab += a[..., :, None, 2] * bc[..., None, :, 2]
+        ab *= (w_c2 * ctx.eps[jpp].imag)[..., None, None, None]
+        return ab
 
     def panel(jpp: int, a: float, b: float, m: int) -> np.ndarray:
         """Composite Simpson over [a, b] in region jpp with m (rounded up to even) subintervals."""
@@ -185,7 +199,7 @@ def verify_green_identity(ctx: ModeContext, j: int = 0, jp: int = 0,
 
     # Right-hand side of the identity.
     g_fwd = green_kernel(ctx, pair, j, jp, z, zp)
-    g_rev = green_kernel(ctx, pair, jp, j, zp, z)
+    g_rev = g_fwd if coincident else green_kernel(ctx, pair, jp, j, zp, z)
     rhs = (g_fwd - _dagger(g_rev)) / 2j
     fwd_z = (g_fwd @ _EZ)[..., :, None] * _EZ
     rev_z = _EZ[:, None] * (g_rev @ _EZ).conjugate()[..., None, :]

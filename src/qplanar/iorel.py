@@ -35,6 +35,15 @@ def _block2(a, b, c, d) -> np.ndarray:
     return out
 
 
+def _matmul2(x, y) -> np.ndarray:
+    """Products x @ y of complex 2x2 blocks over the broadcast leading axes, entry by entry
+    (several times faster than a stacked @ on 2x2 blocks)."""
+    (x00, x01), (x10, x11) = np.moveaxis(x, (-2, -1), (0, 1))
+    (y00, y01), (y10, y11) = np.moveaxis(y, (-2, -1), (0, 1))
+    return _block2(x00 * y00 + x01 * y10, x00 * y01 + x01 * y11,
+                   x10 * y00 + x11 * y10, x10 * y01 + x11 * y11)
+
+
 @dataclass(frozen=True)
 class IOMatrix:
     """Scattering block S and per-layer noise couplings of one polarization for every k."""

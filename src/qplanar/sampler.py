@@ -19,9 +19,13 @@ component), but a seed gives other estimates than that earlier sampler.
 
 Reproducibility contract: streams are Philox counter-based, keyed by
 (seed, realization-block) with 0 <= seed < 2**64 and a fixed block size,
-and the blocks are reduced in order.  Every mode draws the same streams,
-so its estimate is bit-identical for a given seed and set of arguments,
-whatever batch of modes it is in.
+and the blocks are reduced in order.  Every mode and polarization reads the
+same streams.  A call draws each block once, as wide as its widest coupled
+weight vector; the normal stream of a key is sequential, so a vector of
+width w reads, as a prefix of that draw, exactly the block a draw of width
+w alone would give.  An estimate is therefore bit-identical for a given
+seed and set of arguments, whatever batch of modes and polarizations it is
+in.
 """
 
 from __future__ import annotations
@@ -41,32 +45,42 @@ from .thermal import bose
 BLOCK = 2048  # realizations per RNG block; part of the determinism contract
 
 
-def _moments(seed: int, realizations: int, w_flat: np.ndarray) -> tuple[float, float]:
-    """Sums of |u_out|^2 and |u_out|^4 over the realizations, block by block in order."""
-    buf = np.empty((min(BLOCK, realizations), w_flat.size, 2))
-    s1 = s2 = 0.0
+def _moments(seed: int, realizations: int, vectors: list[np.ndarray]) -> np.ndarray:
+    """Sums of |u_out|^2 and |u_out|^4 over the realizations, shape (len(vectors), 2).
+
+    Each (seed, block) is drawn once, as wide as the widest weight vector; a
+    vector of width w reads the first nb * w unit circular Gaussians of the
+    block's nb realizations as an (nb, w) array.  Blocks are reduced in order.
+    """
+    width = max((v.size for v in vectors), default=0)
+    buf = np.empty(min(BLOCK, realizations) * width * 2)
+    sums = np.zeros((len(vectors), 2))
     for idx in range((realizations + BLOCK - 1) // BLOCK):
-        draws = buf[:min(BLOCK, realizations - idx * BLOCK)]
+        nb = min(BLOCK, realizations - idx * BLOCK)
+        draws = buf[:nb * width * 2]
         rng = np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(idx)]))
         rng.standard_normal(out=draws)
-        f = draws.view(np.complex128)[..., 0]   # in place: unit circular Gaussians
+        f = draws.view(np.complex128)   # in place: unit circular Gaussians
         f /= math.sqrt(2.0)
-        w_vals = np.abs(f @ w_flat) ** 2
-        s1 += w_vals.sum()
-        s2 += (w_vals * w_vals).sum()
-    return s1, s2
+        for i, v in enumerate(vectors):
+            w_vals = np.abs(f[:nb * v.size].reshape(nb, v.size) @ v) ** 2
+            sums[i, 0] += w_vals.sum()
+            sums[i, 1] += (w_vals * w_vals).sum()
+    return sums
 
 
-def sample_emission(ctx: ModeContext, q: str = "s", temperature: float = 300.0, side: int = 0, *,
+def sample_emission(ctx: ModeContext, q="s", temperature: float = 300.0, side: int = 0, *,
                     nodes_per_layer: int = 64, realizations: int = 10_000, seed: int = 12345):
     """Estimate the outgoing thermal intensity (N0-normalized) and its standard error, per k.
 
-    Returns the arrays (w, stderr), each of shape ctx.k.shape.  The estimate
-    of a mode is the sample mean of |u_out|^2 over its realizations; the
-    standard error is the usual sqrt(var / N).  `side` is the outer region
-    the emission leaves through, 0 or ctx.n.  Where n(omega, T) = 0 (T = 0)
-    every variance is zero and the estimate is exactly zero.  A layer whose
-    mode amplitudes overflow (too thick or too lossy) raises AccuracyError.
+    Returns the arrays (w, stderr), each of shape ctx.k.shape.  `q` is "s",
+    "p" or a sequence of them; a sequence puts the polarization axis first,
+    shape (len(q), *ctx.k.shape).  The estimate of a mode is the sample mean
+    of |u_out|^2 over its realizations; the standard error is the usual
+    sqrt(var / N).  `side` is the outer region the emission leaves through,
+    0 or ctx.n.  Where n(omega, T) = 0 (T = 0) every variance is zero and
+    the estimate is exactly zero.  A layer whose mode amplitudes overflow
+    (too thick or too lossy) raises AccuracyError.
     """
     if realizations < 1:
         raise ConfigError("need at least one realization")
@@ -77,14 +91,15 @@ def sample_emission(ctx: ModeContext, q: str = "s", temperature: float = 300.0, 
         raise ConfigError("sampling needs at least one interior layer")
     if nodes_per_layer < 2:
         raise ConfigError("at least 2 nodes per layer")
-    io = io_matrix(scatter_set(ctx, q))
+    pols = (q,) if isinstance(q, str) else tuple(q)
+    phis = [io_matrix(scatter_set(ctx, p)).phi for p in pols]
     occ = bose(ctx.omega, temperature)
-    w, stderr = np.zeros(ctx.k.shape), np.zeros(ctx.k.shape)
+    w = np.zeros(ctx.k.shape if isinstance(q, str) else (len(pols),) + ctx.k.shape)
+    stderr = np.zeros(w.shape)
     live = occ != 0.0
     if not live.any():
         return w, stderr
     sub, occ = ctx.select(live), occ[live]
-    phi = io.phi[:, live, row]   # (n-1, modes, 2): (phi_+, phi_-) of each layer on `side`
 
     # Layer amplitudes.  Over the cell midpoints z_c of layer j, every column of
     # the per-cell weights is W_j = [a b] C_j with the mode vectors
@@ -95,8 +110,9 @@ def sample_emission(ctx: ModeContext, q: str = "s", temperature: float = 300.0, 
     # unit circular Gaussian: two draws per coupled component give u the law
     # of one draw per (cell, component), and the nodes only set the
     # midpoint-rule quadrature of the 2 x 2 amplitude covariance, the Gram
-    # matrix [a b]^H [a b] = R^H R.  A lossless layer keeps zero weights.
-    weights = np.zeros((sub.k.size, ctx.n - 1, 2, 3), dtype=complex)
+    # matrix [a b]^H [a b] = R^H R.  R does not depend on the polarization.
+    # A lossless layer keeps zero weights.
+    weights = np.zeros((len(pols), sub.k.size, ctx.n - 1, 2, 3), dtype=complex)
     for j in range(1, ctx.n):
         epp = sub.eps[j].imag
         lossy = epp > 0.0
@@ -109,30 +125,35 @@ def sample_emission(ctx: ModeContext, q: str = "s", temperature: float = 300.0, 
         beta = sub.beta[j][lossy]
         pref = (-(sub.omega[lossy] / C_LIGHT) * np.sqrt(epp[lossy]) / beta * dz
                 * np.sqrt(occ[lossy] / dz))
-        pol = np.stack([sub.pol_vector(q, j, +1)[lossy], sub.pol_vector(q, j, -1)[lossy]], 1)
-        # pref * (phi * pol), in this order: (pref * phi) * pol moves some p estimates by
-        # 1 ulp, and a seed's estimates are part of the reproducibility contract.
-        coeffs = pref[:, None, None] * (phi[j - 1][lossy][..., None] * pol)
-        modes = np.exp(z_cells[:, None] * np.multiply.outer(beta, [-1j, 1j])[:, None, :])
-        weights[lossy, j - 1] = np.linalg.qr(modes, mode="r") @ coeffs
+        # An overflowing layer leaves inf or NaN in its weights; the check below raises on them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            modes = np.exp(z_cells[:, None] * np.multiply.outer(beta, [-1j, 1j])[:, None, :])
+            r = np.linalg.qr(modes, mode="r")
+        for iq, (p, phi) in enumerate(zip(pols, phis)):
+            pol = np.stack([sub.pol_vector(p, j, +1)[lossy], sub.pol_vector(p, j, -1)[lossy]], 1)
+            # pref * (phi * pol), in this order: (pref * phi) * pol moves some p estimates by
+            # 1 ulp, and a seed's estimates are part of the reproducibility contract.
+            coeffs = pref[:, None, None] * (phi[j - 1, live, row][lossy][..., None] * pol)
+            with np.errstate(invalid="ignore"):
+                weights[iq, lossy, j - 1] = r @ coeffs
     bad = ~np.isfinite(weights).all(axis=(-2, -1))
     if bad.any():
-        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        _, i, j = np.unravel_index(np.argmax(bad), bad.shape)
         raise AccuracyError(f"sampler weights are not finite at {sub.mode(i)}: the mode "
                             f"amplitudes of layer {j + 1} overflow")
 
-    moments = np.empty((sub.k.size, 2))
-    for i, v in enumerate(weights.reshape(sub.k.size, -1)):
-        # Isotropic noise: a component of zero weight adds nothing and is not drawn.
-        moments[i] = _moments(seed, realizations, v[v != 0])
-    if np.all(weights == 0, axis=(1, 2, 3)).any():
+    # Isotropic noise: a component of zero weight adds nothing and is not drawn.
+    vectors = [v[v != 0] for v in weights.reshape(len(pols) * sub.k.size, -1)]
+    moments = _moments(seed, realizations, vectors).reshape(len(pols), sub.k.size, 2)
+    if np.all(weights == 0, axis=(2, 3, 4)).any():
         _warnings.warn("no noise couples to the output; estimate is identically zero", stacklevel=2)
     n = realizations
-    mean = moments[:, 0] / n
-    w[live] = mean
+    mean = moments[..., 0] / n
+    by_pol = (len(pols),) + ctx.k.shape   # views of w and stderr with the polarization axis
+    w.reshape(by_pol)[:, live] = mean
     if n > 1:
-        var = np.maximum(moments[:, 1] / n - mean * mean, 0.0) * n / (n - 1)
-        stderr[live] = np.sqrt(var / n)
+        var = np.maximum(moments[..., 1] / n - mean * mean, 0.0) * n / (n - 1)
+        stderr.reshape(by_pol)[:, live] = np.sqrt(var / n)
     else:
-        stderr[live] = math.inf
+        stderr.reshape(by_pol)[:, live] = math.inf
     return w, stderr

@@ -7,6 +7,10 @@ with beta_j = sqrt((k_j - k)(k_j + k)).  `make_context`, `interface_rt`,
 `io_matrix`, `commutators` (the closed forms) and `emission_w` mirror the
 engine stage by stage; only `Stack`, `epsilon`, `bose` and the constants
 are shared with it.
+
+`assembled_out` and `gram` are the exception: they take the engine's
+arrays (k axes first) and form the 2x2 block products with a stacked `@`,
+the oracle of the engine's entry-by-entry products.
 """
 
 import cmath
@@ -217,3 +221,17 @@ def emission_w(m: Mode, q: str, temperature: float, side: int) -> float:
     if w < -1e-10 * occ * max(abs(cs["c_in0"]), abs(cs["c_inN"]), abs(total.real), 1e-300):
         raise AccuracyError("emission spectrum came out negative")
     return w
+
+
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return np.conj(m).swapaxes(-1, -2)
+
+
+def assembled_out(s: np.ndarray, c_in: np.ndarray, phi: np.ndarray, cmat: np.ndarray) -> np.ndarray:
+    """S diag(c_in) S^+ + sum_j Phi^(j) C^(j) Phi^(j)+ with a stacked @; c_in is (..., 2)."""
+    return sum(phi @ cmat @ _dagger(phi), (s * c_in[..., None, :]) @ _dagger(s))
+
+
+def gram(s: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """S S^+ + sum_j Phi^(j) Phi^(j)+ with a stacked @."""
+    return sum(phi @ _dagger(phi), s @ _dagger(s))

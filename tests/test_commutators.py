@@ -3,9 +3,11 @@ import re
 import numpy as np
 import pytest
 
+import mode_oracles as oracle
 from conftest import C, random_mode, random_stack
 from qplanar.commutators import (
     assembled_out,
+    bosonic,
     bosonize,
     c_in_side,
     c_out_side,
@@ -314,3 +316,34 @@ def test_grazing_mode_rejected():
                    lambda: cross_closed(ctx, ss), lambda: commutator_set(ctx, "p")):
         with pytest.raises(RegimeError, match=re.escape(f"at {ctx.mode(1)} (grazing mode")):
             closed()
+
+
+def test_entrywise_2x2_products_match_stacked_matmul():
+    """assembled_out, bosonize and unitarity_residual form their 2x2 products entry by entry;
+    the stacked-@ oracle agrees within 1e-15 of the sum of the products' magnitudes."""
+    rng = np.random.default_rng(29)
+    for trial in range(40):
+        st = random_stack(rng)
+        omega = rng.uniform(1e15, 3e15, 16)
+        ctx = make_context(st, omega, rng.uniform(0.0, 2.5, 16) * omega / C)
+        for q in ("s", "p"):
+            cs = commutator_set(ctx, q=q)
+            s, phi, c_in = cs.io.s_matrix, cs.io.phi, np.stack([cs.c_in0, cs.c_inN], -1)
+            scale = np.max(oracle.assembled_out(abs(s), abs(c_in), abs(phi), abs(cs.cmat)),
+                           axis=(-2, -1))
+            ref = oracle.assembled_out(s, c_in, phi, cs.cmat)
+            assert np.all(np.max(abs(assembled_out(cs) - ref), axis=(-2, -1)) <= 1e-15 * scale)
+
+            ok = bosonic(ctx, cs)
+            sub = ctx.select(ok)
+            cs_sub = commutator_set(sub, q=q)
+            bos = bosonize(sub, cs_sub)
+            layers = np.arange(1, sub.n)
+            tau = intraplate_tau(sub, layers, intraplate_xi(sub, q, layers))
+            out_scale = 1.0 / np.sqrt(np.stack([cs_sub.c_out0, cs_sub.c_outN], -1))[..., :, None]
+            ref_phi = out_scale * (cs_sub.io.phi @ tau)
+            phi_scale = np.max(out_scale * (abs(cs_sub.io.phi) @ abs(tau)), axis=(-2, -1))
+            assert np.all(np.max(abs(bos.phi - ref_phi), axis=(-2, -1)) <= 1e-15 * phi_scale)
+            gram_scale = np.max(oracle.gram(abs(bos.s_matrix), abs(bos.phi)), axis=(-2, -1))
+            ref_res = np.max(abs(oracle.gram(bos.s_matrix, bos.phi) - np.eye(2)), axis=(-2, -1))
+            assert np.all(abs(unitarity_residual(bos) - ref_res) <= 1e-15 * gram_scale)

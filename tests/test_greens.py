@@ -236,3 +236,77 @@ def test_identity_requires_absorbing_outer_media():
     ctx = make_context(st, 2e15, 1e6)
     with pytest.raises(RegimeError, match="Im eps"):
         verify_green_identity(ctx)
+
+
+def identity_at_origin_both_factors(ctx, nodes):
+    """Test-side identity at (j, z) = (jp, zp) = (0, 0): both kernel factors of every node and
+    both g and g_rev are their own calls, and every 3x3 product is a stacked @."""
+    w_c2 = (ctx.omega / C) ** 2
+    ss = pair(ctx)
+
+    def integrand(jpp, zpp, tie):
+        a = green_kernel(ctx, ss, 0, jpp, 0.0, zpp, tie)
+        b = green_kernel(ctx, ss, 0, jpp, 0.0, zpp, tie)
+        return (w_c2 * ctx.eps[jpp].imag)[..., None, None, None] * (a @ np.conj(b).swapaxes(-1, -2))
+
+    lhs = np.zeros(ctx.k.shape + (3, 3), dtype=complex)
+    for jpp in range(1, ctx.n):   # no field point inside: one Simpson panel per layer
+        m = max(4, nodes) + max(4, nodes) % 2
+        zpp = np.linspace(0.0, ctx.d[jpp], m + 1)
+        weights = np.full(m + 1, 2.0)
+        weights[1::2] = 4.0
+        weights[0] = weights[-1] = 1.0
+        vals = integrand(jpp, zpp, zpp == ctx.d[jpp])
+        lhs += np.sum(vals * (weights * (ctx.d[jpp] / m / 3.0))[:, None, None], axis=-3)
+    for jpp, tie in ((0, 1.0), (ctx.n, 0.0)):   # both tails start at the field point z'' = 0
+        tail = integrand(jpp, np.array([0.0]), tie)[..., 0, :, :]
+        lhs += tail / (2.0 * ctx.beta[jpp].imag)[..., None, None]
+    g_fwd = green_kernel(ctx, ss, 0, 0, 0.0, 0.0)
+    g_rev = green_kernel(ctx, ss, 0, 0, 0.0, 0.0)
+    ez = np.array([0.0, 0.0, 1.0])
+    rhs = (g_fwd - np.conj(g_rev).swapaxes(-1, -2)) / 2j
+    fwd_z = (g_fwd @ ez)[..., :, None] * ez
+    rev_z = ez[:, None] * (g_rev @ ez).conj()[..., None, :]
+    rhs = rhs + (ctx.eps[0].imag / ctx.eps[0].conjugate())[..., None, None] * fwd_z
+    rhs = rhs + (ctx.eps[0].imag / ctx.eps[0])[..., None, None] * rev_z
+    largest = np.maximum(np.abs(lhs).max(axis=(-2, -1)), np.abs(rhs).max(axis=(-2, -1)))
+    return lhs, rhs, np.abs(lhs - rhs).max(axis=(-2, -1)) / largest
+
+
+@pytest.mark.parametrize("stack", [
+    GREEN_STACK,
+    Stack(ConstantEps(1.5 + 0.3j),
+          (Layer(40e-9, ConstantEps(-4 + 1j)), Layer(120e-9, ConstantEps(2.5 + 0.2j)),
+           Layer(40e-9, ConstantEps(-4 + 1j))),
+          ConstantEps(2 + 0.1j)),
+])
+def test_identity_at_coincident_points_matches_both_factor_evaluation(stack):
+    omega = np.repeat([1.2e15, 2e15, 2.8e15], 4)
+    ctx = make_context(stack, omega, np.tile([0.0, 0.6, 1.1, 1.6], 3) * omega / C)
+    res = verify_green_identity(ctx, nodes_per_layer=50)
+    lhs, rhs, residual = identity_at_origin_both_factors(ctx, 50)
+    scale = np.maximum(np.abs(lhs).max(axis=(-2, -1)), np.abs(rhs).max(axis=(-2, -1)))
+    assert np.all(np.abs(res.lhs - lhs).max(axis=(-2, -1)) <= 1e-14 * scale)
+    assert np.all(np.abs(res.rhs - rhs).max(axis=(-2, -1)) <= 1e-14 * scale)
+    assert np.all(np.abs(res.residual - residual) <= 1e-14)
+
+
+def test_identity_at_distinct_points_evaluates_both_factors(monkeypatch):
+    import qplanar.greens
+
+    fields = []
+    real = qplanar.greens.green_kernel
+
+    def counting(ctx, ss, j, jp, z, zp, tie=0.5):
+        fields.append((j, z))
+        return real(ctx, ss, j, jp, z, zp, tie)
+
+    monkeypatch.setattr(qplanar.greens, "green_kernel", counting)
+    clad = ConstantEps(1 + 0.03j)
+    st = Stack(clad, (Layer(200e-9, ConstantEps(2 + 0.2j)),), clad)
+    ctx = make_context(st, 2e15, 0.7 * 2e15 / C)
+    res = verify_green_identity(ctx, j=0, jp=1, z=-50e-9, zp=80e-9, nodes_per_layer=200)
+    assert res.residual < 1e-8
+    # one factor per field point at each panel and tail, and g and g_rev
+    assert fields.count((0, -50e-9)) == fields.count((1, 80e-9)) > 1
+    assert len(fields) == 2 * fields.count((0, -50e-9))

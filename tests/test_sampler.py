@@ -118,10 +118,16 @@ def fresh_array_moments(seed, realizations, w):
 
 
 def coupled_weights(monkeypatch, ctx, **kwargs):
-    """The compacted weight vector that `sample_emission` hands to its block loop for each mode."""
+    """The compacted weight vectors that `sample_emission` hands to its block loop, one per
+    polarization and mode, polarizations first."""
     seen = []
+
+    def record(seed, n, vectors):
+        seen.extend(vectors)
+        return np.zeros((len(vectors), 2))
+
     with monkeypatch.context() as m:
-        m.setattr(sampler, "_moments", lambda seed, n, w: seen.append(w) or (0.0, 0.0))
+        m.setattr(sampler, "_moments", record)
         sample_emission(ctx, **kwargs)
     return seen
 
@@ -140,7 +146,24 @@ def test_block_loop_bit_identical_to_fresh_arrays(monkeypatch, realizations):
     ctx = make_context(LOSSY_LOSSLESS_LOSSY, OMEGA, 0.5 * OMEGA / C)
     [w] = coupled_weights(monkeypatch, ctx, q="p", side=4, nodes_per_layer=16,
                           realizations=realizations, seed=21)
-    assert sampler._moments(21, realizations, w) == fresh_array_moments(21, realizations, w)
+    [got] = sampler._moments(21, realizations, [w])
+    assert tuple(got) == fresh_array_moments(21, realizations, w)
+
+
+@pytest.mark.filterwarnings("ignore:layer 2 is lossless")
+@pytest.mark.parametrize("realizations", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
+def test_shared_draws_equal_fresh_arrays_at_every_width(monkeypatch, realizations):
+    """One draw per block, as wide as the widest vector, gives each vector the sums of its own
+    fresh draws, bit for bit."""
+    ctx = make_context(LOSSY_LOSSLESS_LOSSY, OMEGA, np.array([0.0, 0.5]) * OMEGA / C)
+    vectors = coupled_weights(monkeypatch, ctx, q=("s", "p"), side=4, nodes_per_layer=16,
+                              realizations=realizations, seed=21)
+    vectors.insert(2, np.zeros(0, dtype=complex))
+    vectors.append(vectors[-1][:3])
+    assert [v.size for v in vectors] == [4, 4, 0, 4, 8, 3]
+    sums = sampler._moments(21, realizations, vectors)
+    for v, got in zip(vectors, sums):
+        assert tuple(got) == fresh_array_moments(21, realizations, v)
 
 
 # coupled components per lossy layer: s keeps y; p keeps x and z, only x at k = 0
@@ -249,3 +272,21 @@ def test_batch_equals_one_call_per_mode(q):
             one = sample_emission(make_context(st, omega[at[0], 0], k[at]), q, 300.0, side,
                                   nodes_per_layer=24, realizations=500, seed=3)
             assert (w[at].tobytes(), stderr[at].tobytes()) == (one[0].tobytes(), one[1].tobytes())
+
+
+@pytest.mark.filterwarnings("ignore:layer 2 is lossless")
+def test_polarization_sequence_equals_one_call_per_polarization():
+    """q = ("s", "p") puts the polarization axis first and shares the draws: each polarization's
+    estimates are its own call's, bit for bit, on the grid of the batch test above."""
+    st = LOSSY_LOSSLESS_LOSSY
+    omega = np.array([1.3e15, 2e15, 3.1e15, 5e17])[:, None]
+    k = np.array([0.0, 0.4, 0.9, 1.6]) * omega / C
+    batch = make_context(st, omega, k)
+    for side in (0, st.n):
+        w, stderr = sample_emission(batch, ("s", "p"), 300.0, side, nodes_per_layer=24,
+                                    realizations=BLOCK + 5, seed=3)
+        assert w.shape == stderr.shape == (2,) + k.shape
+        for iq, q in enumerate("sp"):
+            one = sample_emission(batch, q, 300.0, side, nodes_per_layer=24,
+                                  realizations=BLOCK + 5, seed=3)
+            assert (w[iq].tobytes(), stderr[iq].tobytes()) == (one[0].tobytes(), one[1].tobytes())
