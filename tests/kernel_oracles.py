@@ -17,7 +17,7 @@ from scipy.special import j0, j1, jv
 
 from qplanar.iorel import io_matrix
 from qplanar.modes import make_context
-from qplanar.rhokernels import _KINDS, _MODES, GaussianWindow, KernelField
+from qplanar.rhokernels import _KINDS, _MODES, GaussianWindow, KernelField, _legendre_rule
 from qplanar.scatter import scatter_set
 from qplanar.stack import Stack
 
@@ -87,10 +87,11 @@ def accumulate_per_node(stack: Stack, omega: float, kind: str, layer: int, windo
                         rho: np.ndarray, edges: list[float], n_nodes: int) -> np.ndarray:
     """Per-node reference for `rhokernels._accumulate`: mode profiles (2, 5, nr, 3, 3).
 
-    The same n_nodes-per-panel Gauss-Legendre nodes on `edges`, one node at a
+    The same n_nodes-per-panel Gauss-Legendre nodes on `edges` (the rule itself
+    is checked against an mpmath reference in `test_rhokernels`), one node at a
     time, with `jv` for every angular mode.
     """
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _legendre_rule(n_nodes)
     total = np.zeros((2, len(_MODES), rho.size, 3, 3), dtype=complex)
     for a, b in zip(edges, edges[1:]):
         ks, ws = 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,9 +168,68 @@ def test_bessel_j012_equals_two_branch_oracle_bit_for_bit():
                         edge, np.logspace(-12, 3, 2000)])
     rng = np.random.default_rng(5)
     for table in (x, np.outer(rng.uniform(0.0, 2e-6, 40), rng.uniform(0.0, 4e7, 64))):
-        for got, ref in zip(_bessel_j012(table), bessel_j012_where(table)):
-            assert got.shape == ref.shape
-            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        # also written into strided views of a wider buffer, as `_accumulate` does for a short block
+        buf = np.full((3, *table.shape[:-1], table.shape[-1] + 5), np.nan)
+        for got in (_bessel_j012(table), _bessel_j012(table, buf[..., :table.shape[-1]])):
+            for b, ref in zip(got, bessel_j012_where(table)):
+                assert b.shape == ref.shape
+                assert np.array_equal(b.view(np.int64), ref.view(np.int64))
+
+
+def mp_legendre_node(mp, n, x0):
+    """The root of P_n next to x0 and its Gauss weight, by Newton's method at mpmath's precision."""
+    x = mp.mpf(float(x0))
+    for _ in range(8):
+        p0, p1 = mp.mpf(1), x
+        for j in range(1, n):
+            p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+        dp = n * (p0 - x * p1) / (1 - x * x)
+        dx = p1 / dp
+        x -= dx
+        if abs(dx) < mp.mpf(10) ** -38:
+            break
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+# Every node at n = 24, 25 and 96; the 2 central and 3 outermost nodes at n = 1536.
+@pytest.mark.parametrize("n, picks", [(24, range(24)), (25, range(25)), (96, range(96)),
+                                      (1536, [767, 768, 1533, 1534, 1535])])
+def test_legendre_rule_matches_mpmath_newton_reference(n, picks):
+    mp = pytest.importorskip("mpmath")
+    x, w = rk._legendre_rule(n)
+    with mp.workdps(40):
+        for i in picks:
+            ref_x, ref_w = mp_legendre_node(mp, n, x[i])
+            assert abs(x[i] - ref_x) <= 3e-16
+            assert abs(w[i] - ref_w) <= 1e-10 * ref_w   # numpy's leggauss: 1.5e-8 at n = 1536's ends
+
+
+# Newton leaves the middle node of n = 59 at 6e-64, not 0
+@pytest.mark.parametrize("n", [1, 2, 3, 24, 25, 59, 1536])
+def test_legendre_rule_is_symmetric_and_sums_to_two(n):
+    x, w = rk._legendre_rule(n)
+    assert x.shape == w.shape == (n,)
+    assert not (x.flags.writeable or w.flags.writeable)
+    assert -1.0 < x[0] and np.all(np.diff(x) > 0.0)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(w.sum() - 2.0) <= 1e-15
+
+
+def test_legendre_rule_integrates_even_monomials_exactly():
+    x, w = rk._legendre_rule(24)
+    for j in range(24):   # x^(2j) up to degree 46 = 2n - 2
+        assert abs(w @ x ** (2 * j) - 2.0 / (2 * j + 1)) <= 1e-15
+
+
+def test_legendre_rule_memory_is_linear_in_n():
+    # numpy's dense leggauss(6144) solves a 6144 x 6144 eigenproblem: hundreds of MB
+    tracemalloc.start()
+    try:
+        rk._legendre_rule.__wrapped__(6144)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20, peak
 
 
 def branch_point_stack():
