@@ -22,7 +22,7 @@ from .commutators import assembled_out, bosonic, bosonize, commutator_set, grazi
 from .constants import C_LIGHT, EV, HBAR, n0_scale
 from .errors import ConfigError, QPlanarError, RegimeError, UsageError
 from .greens import verify_green_identity
-from .iorel import _block2, io_matrix
+from .iorel import _block2, phi_at_front
 from .modes import Regime, make_context, regime
 from .rhokernels import GaussianWindow, KERNEL_KINDS, kernel_radial
 from .sampler import sample_emission
@@ -274,10 +274,9 @@ def cmd_coeffs(args) -> int:
         cells[..., 0], cells[..., 1] = ctx.omega[:, None], ctx.k[:, None]
         for iq, q in enumerate(pols):
             ss = scatter_set(ctx, q)
-            io = io_matrix(ss)
             n_floor += int(np.count_nonzero(ss.d_floor.any(axis=0)))
-            layers = np.concatenate([ss.d_fp[1:-1, :, None], io.phi.reshape(n_layers, m, 4)], -1)
-            z = np.concatenate([io.s_matrix.reshape(m, 4)[:, [0, 3, 2, 1]],
+            layers = np.concatenate([ss.d_fp[1:-1, :, None], phi_at_front(ss).reshape(n_layers, m, 4)], -1)
+            z = np.concatenate([np.stack([ss.r_0n, ss.r_n0, ss.t_0n, ss.t_n0], -1),
                                 layers.transpose(1, 0, 2).reshape(m, -1)], 1)
             cells[:, iq, 2:] = z.view(float)
         blocks.append(_rows(template, cells))

@@ -104,13 +104,9 @@ def cross_closed(ctx: ModeContext, ss: ScatterSet):
     return out
 
 
-def intraplate_c(ctx: ModeContext, q: str, j) -> np.ndarray:
-    """2x2 Hermitian commutator matrices of the intraplate amplitudes of layer(s) j.
-
-    Shape j.shape + k.shape + (2, 2), rows/columns ordered (+, -).  Lossless
-    layers (beta'' = 0) and purely evanescent lossless layers give the zero
-    matrix: every entry carries a factor beta'' or sin/sinh that vanishes there.
-    """
+def _intraplate_ab(ctx: ModeContext, q: str, j):
+    """(a, b) of the commutator matrix [[a, b], [b, a]] of layer(s) j, E+ at z = d_j and E- at
+    z = 0: a = [E+, E+^+] = [E-, E-^+], b = [E+, E-^+], bounded since every exponential decays."""
     if not np.all((1 <= np.asarray(j)) & (np.asarray(j) <= ctx.n - 1)):
         raise ConfigError(f"intraplate layer index must be 1..{ctx.n - 1}, got {j}")
     b = ctx.beta[j]
@@ -118,45 +114,36 @@ def intraplate_c(ctx: ModeContext, q: str, j) -> np.ndarray:
     ab2 = abs(b) ** 2
     p, qq, _ = _pqq(ctx, j, q)
     bp, bpp = b.real, b.imag
-    cpp = bp / ab2 * np.expm1(2.0 * bpp * d) * p
-    cmm = -bp / ab2 * np.expm1(-2.0 * bpp * d) * p
-    cpm = 1j * bpp / ab2 * (np.exp(-2j * bp * d) - 1.0) * qq
-    return _block2(cpp, cpm, np.conj(cpm), cmm)
+    a = -bp / ab2 * np.expm1(-2.0 * bpp * d) * p
+    return a, 2.0 * bpp * np.sin(bp * d) * np.exp(-bpp * d) * qq / ab2
+
+
+def intraplate_c(ctx: ModeContext, q: str, j) -> np.ndarray:
+    """2x2 commutator matrices [[a, b], [b, a]] of the intraplate amplitudes (+, -) of layer(s) j,
+    shape j.shape + k.shape + (2, 2); zero for lossless layers, where beta' or beta'' is 0."""
+    a, b = _intraplate_ab(ctx, q, j)
+    return _block2(a, b, b, a)
 
 
 def intraplate_xi(ctx: ModeContext, q: str, j):
-    """Normalization pair (xi_+, xi_-) of the intraplate bosonic combinations of layer(s) j.
-
-    xi^2 must be >= 0 for a passive layer; a negative value beyond rounding
-    signals a passivity violation and is raised as such.
-    """
-    b = ctx.beta[j]
-    d = ctx.per_region(ctx.d, j)
-    p, qq, _ = _pqq(ctx, j, q)
-    bp, bpp = b.real, b.imag
-    ab2 = abs(b) ** 2
-    core_sym = bp * np.sinh(bpp * d) * p
-    core_asym = bpp * np.sin(bp * d) * qq
-    out = []
-    for sgn in (+1.0, -1.0):
-        val = 4.0 / ab2 * np.exp(-bpp * d) * (core_sym + sgn * core_asym)
-        rounding = val > -1e-15 * np.maximum(abs(core_sym), 1e-300) / ab2
-        bad = (val < 0.0) & ~rounding
-        if np.any(bad):
-            at = np.unravel_index(np.argmax(bad), bad.shape)
-            layer = np.asarray(j)[at[:np.ndim(j)]]
-            raise PassivityError(f"xi^2 = {val[at]} < 0 in layer {layer} (q={q}) "
-                                 f"at {ctx.mode(at[np.ndim(j):])}")
-        out.append(np.sqrt(np.where(val < 0.0, 0.0, val)))
-    return out[0], out[1]
+    """Normalization pair (xi_+, xi_-) = sqrt(2 (a +/- b)) of the intraplate bosonic
+    combinations of layer(s) j; a negative a +/- b beyond rounding is not passive and raises."""
+    a, b = _intraplate_ab(ctx, q, j)
+    half = np.stack([a + b, a - b])   # the eigenvalues of [[a, b], [b, a]]
+    bad = half < -1e-15 * abs(a)
+    if np.any(bad):
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        nj = 1 + np.ndim(j)
+        raise PassivityError(f"xi^2 = {2.0 * half[at]} < 0 in layer {np.asarray(j)[at[1:nj]]} "
+                             f"(q={q}) at {ctx.mode(at[nj:])}")
+    return tuple(np.sqrt(2.0 * np.maximum(half, 0.0)))
 
 
-def intraplate_tau(ctx: ModeContext, j, xi) -> np.ndarray:
-    """2x2 transforms from the intraplate bosonic operators of layer(s) j, given their
-    :func:`intraplate_xi` pair, to amplitude operators: tau tau^+ is the commutator matrix."""
+def intraplate_tau(xi) -> np.ndarray:
+    """2x2 transforms from the intraplate bosonic operators, given their :func:`intraplate_xi`
+    pair, to the amplitude operators (E+, E-): tau tau^+ is the commutator matrix."""
     xi_p, xi_m = xi
-    ph = np.exp(-1j * ctx.beta[j] * ctx.per_region(ctx.d, j))
-    return 0.5 * _block2(xi_p * ph, xi_m * ph, xi_p, -xi_m)
+    return 0.5 * _block2(xi_p, xi_m, xi_p, -xi_m)
 
 
 def grazing(ctx: ModeContext) -> np.ndarray:
@@ -244,7 +231,7 @@ def bosonize(ctx: ModeContext, cs: CommutatorSet) -> BosonizedIO:
     out_scale = (1.0 / np.sqrt(np.stack([cs.c_out0, cs.c_outN], -1)))[..., :, None]
     in_scale = np.sqrt(np.stack([cs.c_in0, cs.c_inN], -1))[..., None, :]
     layers = np.arange(1, ctx.n)
-    tau = intraplate_tau(ctx, layers, intraplate_xi(ctx, cs.io.q, layers))
+    tau = intraplate_tau(intraplate_xi(ctx, cs.io.q, layers))
     return BosonizedIO(out_scale * cs.io.s_matrix * in_scale, out_scale * _matmul2(cs.io.phi, tau))
 
 

@@ -7,6 +7,9 @@ amplitudes.  Every block shares one layout: row `ctx.side_row(side)` is the
 output of that side (0 for side 0, 1 for side n); the columns are the
 inputs (in0, inN) for S and the intraplate amplitudes (E+, E-) for Phi.
 The k axes of the context come before the 2x2 block axes.
+Each intraplate amplitude is referenced at the layer face it travels toward
+(E+ at z = d_j, E- at z = 0), so no Phi or layer commutator grows with
+e^{beta'' d}; the printed tables keep E+ at z = 0 (:func:`phi_at_front`).
 
 Outside the plate the amplitudes obey first-order equations with drift
 +/- i beta and a current source term, which are integrated in closed form
@@ -52,24 +55,26 @@ class IOMatrix:
     s_matrix: np.ndarray  # k.shape + (2, 2): rows (out0, outN), cols (in0, inN)
     phi: np.ndarray       # (n-1, *k.shape, 2, 2), layer j at [j-1]: rows (out0, outN), cols (E+, E-)
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.phi)
-
 
 def io_matrix(ss: ScatterSet) -> IOMatrix:
     """Assemble the input-output matrix from the generalized coefficients.
 
     S = [[r_0n, t_n0], [t_0n, r_n0]];
-    phi_0+ = t_j0 e^{2 i b d} r_jn / D,  phi_0- = t_j0 / D,
-    phi_n+ = t_jn e^{i b d} / D,         phi_n- = t_jn e^{i b d} r_j0 / D.
+    phi_0+ = t_j0 e^{i b d} r_jn / D,  phi_0- = t_j0 / D,
+    phi_n+ = t_jn / D,                 phi_n- = t_jn e^{i b d} r_j0 / D.
     """
     layers = slice(1, ss.n)
     ph, d = ss.phase[layers], ss.d_fp[layers]
     t0, tn = ss.t_to0[layers], ss.t_toN[layers]
-    phi = _block2(t0 * ph * ph / d * ss.r_right[layers], t0 / d,
-                  tn * ph / d, tn * ph / d * ss.r_left[layers])
+    phi = _block2(t0 * ph / d * ss.r_right[layers], t0 / d, tn / d, tn * ph / d * ss.r_left[layers])
     return IOMatrix(q=ss.q, s_matrix=_block2(ss.r_0n, ss.t_n0, ss.t_0n, ss.r_n0), phi=phi)
+
+
+def phi_at_front(ss: ScatterSet) -> np.ndarray:
+    """Phi of :func:`io_matrix` with E+ at z = 0 of its layer, as printed: E+ column times e^{i b d}."""
+    phi = io_matrix(ss).phi
+    phi[..., 0] *= ss.phase[1:-1, ..., None]
+    return phi
 
 
 @dataclass(frozen=True)
@@ -78,14 +83,14 @@ class AmplitudeVector:
 
     in0: complex = 0.0
     inN: complex = 0.0
-    intra: tuple[tuple[complex, complex], ...] = ()  # per layer (E+, E-)
+    intra: tuple[tuple[complex, complex], ...] = ()  # per layer (E+ at z = d_j, E- at z = 0)
 
 
 def mean_out(io: IOMatrix, amps: AmplitudeVector) -> tuple[complex, complex]:
-    """Mean output amplitudes out = S in + sum_j Phi^(j) intra^(j), one pair per k."""
-    if len(amps.intra) != io.n_layers:
+    """Mean output amplitudes out = S in + sum_j Phi^(j) intra^(j), E+ at z = d_j, one pair per k."""
+    if len(amps.intra) != len(io.phi):
         raise ConfigError(
-            f"amplitude vector has {len(amps.intra)} intraplate entries, stack has {io.n_layers}"
+            f"amplitude vector has {len(amps.intra)} intraplate entries, stack has {len(io.phi)}"
         )
     intra = np.asarray(amps.intra, dtype=complex).reshape(-1, 2)
     out = io.s_matrix @ np.array([amps.in0, amps.inN]) + np.einsum("j...rc,jc->...r", io.phi, intra)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyError, ConfigError
-from .iorel import io_matrix
+from .iorel import io_matrix, phi_at_front
 from .modes import make_context
 from .scatter import scatter_set
 from .stack import Stack
@@ -81,8 +81,8 @@ def _columns(stack: Stack, omega: float, kind: str, layer: int, k) -> np.ndarray
     dyads z z, w w, u u, u z and z u in the k-space tensor c_s w w + c_p L R, L, R = a u + g z."""
     ctx = make_context(stack, omega, k)
     left, right, entry = _KINDS[kind]
-    c_s, c_p = ((io.phi[layer - 1] if kind.startswith("Phi") else io.s_matrix)[(..., *entry)]
-                for io in (io_matrix(scatter_set(ctx, q)) for q in ("s", "p")))
+    c_s, c_p = ((phi_at_front(ss)[layer - 1] if kind.startswith("Phi") else io_matrix(ss).s_matrix)
+                [(..., *entry)] for ss in (scatter_set(ctx, q) for q in ("s", "p")))
     region = {"0": 0, "n": ctx.n, "j": layer}
     tm = (ctx.pol_vector("p", region[t[0]], 1 if t[1] == "+" else -1) for t in (left, right))
     (a_l, _, g_l), (a_r, _, g_r) = (np.moveaxis(v, -1, 0) for v in tm)   # a u + g z is (a, 0, g) along x

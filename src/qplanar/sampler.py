@@ -7,9 +7,10 @@ noise-coupling rows of the IO relation, and estimates the output spectral
 intensity.  Everything is done in the same N0-normalized units as the
 closed forms, where the per-layer amplitude reduces to
 
-    u_(+/-) = -(omega/c) sqrt(eps''_j) / beta_j * int_0^d e^{-/+ i beta z} f(z).e_(+/-) dz
+    u_+ = -(omega/c) sqrt(eps''_j) / beta_j * int_0^d e^{i beta (d - z)} f(z).e_+ dz,
+    u_- = -(omega/c) sqrt(eps''_j) / beta_j * int_0^d e^{i beta z} f(z).e_- dz,
 
-with <f_mu*(z) f_nu(z')> = n(omega,T) delta_mu,nu delta(z - z').
+with <f_mu*(z) f_nu(z')> = n(omega,T) delta_mu,nu delta(z - z'), and E+ at z = d as in Phi.
 
 The grid's nodes set the midpoint-rule quadrature of each layer's 2 x 2
 amplitude covariance, not the number of draws: a realization draws two
@@ -43,6 +44,7 @@ from .scatter import scatter_set
 from .thermal import bose
 
 BLOCK = 2048  # realizations per RNG block; part of the determinism contract
+_MAX_BETA2_DZ = 0.245   # the midpoint rule keeps x / sinh(x) >= 99% of the emission, x = beta'' dz
 
 
 def _moments(seed: int, realizations: int, vectors: list[np.ndarray]) -> np.ndarray:
@@ -79,8 +81,8 @@ def sample_emission(ctx: ModeContext, q="s", temperature: float = 300.0, side: i
     of |u_out|^2 over its realizations; the standard error is the usual
     sqrt(var / N).  `side` is the outer region the emission leaves through,
     0 or ctx.n.  Where n(omega, T) = 0 (T = 0) every variance is zero and
-    the estimate is exactly zero.  A layer whose mode amplitudes overflow
-    (too thick or too lossy) raises AccuracyError.
+    the estimate is exactly zero.  Cells too thick for the midpoint rule warn with
+    the node count that resolves them; a non-finite weight raises AccuracyError.
     """
     if realizations < 1:
         raise ConfigError("need at least one realization")
@@ -103,9 +105,10 @@ def sample_emission(ctx: ModeContext, q="s", temperature: float = 300.0, side: i
 
     # Layer amplitudes.  Over the cell midpoints z_c of layer j, every column of
     # the per-cell weights is W_j = [a b] C_j with the mode vectors
-    # a = e^{-i beta z_c}, b = e^{+i beta z_c} and C_j the 2 x 3 coefficients of
-    # the two modes (phi row of the requested side, polarization vector, the
-    # prefactor and the cell variance n/dz).  With the thin QR [a b] = Q R,
+    # a = e^{i beta (d - z_c)} and b = e^{i beta z_c}, both bounded by 1, and C_j
+    # the 2 x 3 coefficients of the two modes (phi row of the requested side,
+    # polarization vector, the prefactor and the cell variance n/dz).  With the
+    # thin QR [a b] = Q R,
     # W_j^T f = (Q^H W_j)^T (Q^T f) = (R C_j)^T g, and g = Q^T f is again iid
     # unit circular Gaussian: two draws per coupled component give u the law
     # of one draw per (cell, component), and the nodes only set the
@@ -121,26 +124,30 @@ def sample_emission(ctx: ModeContext, q="s", temperature: float = 300.0, side: i
         if not lossy.any():
             continue
         dz = ctx.d[j] / nodes_per_layer
-        z_cells = (np.arange(nodes_per_layer) + 0.5) * dz
         beta = sub.beta[j][lossy]
+        x = np.where(lossy, sub.beta[j].imag, 0.0) * dz
+        if x.max() > _MAX_BETA2_DZ:
+            at = int(np.argmax(x))
+            _warnings.warn(f"layer {j} is under-resolved at {sub.mode(at)}: beta'' dz = {x[at]:.3g} "
+                           f"keeps {x[at] / math.sinh(x[at]):.3g} of its emission; "
+                           f"{math.ceil(nodes_per_layer * x[at] / _MAX_BETA2_DZ)} nodes per layer "
+                           "resolve it", stacklevel=2)
         pref = (-(sub.omega[lossy] / C_LIGHT) * np.sqrt(epp[lossy]) / beta * dz
                 * np.sqrt(occ[lossy] / dz))
-        # An overflowing layer leaves inf or NaN in its weights; the check below raises on them.
-        with np.errstate(over="ignore", invalid="ignore"):
-            modes = np.exp(z_cells[:, None] * np.multiply.outer(beta, [-1j, 1j])[:, None, :])
-            r = np.linalg.qr(modes, mode="r")
+        # At the midpoints, d - z_c is z_c reversed: one exp gives both mode vectors.
+        b = np.exp(np.multiply.outer(1j * beta, (np.arange(nodes_per_layer) + 0.5) * dz))
+        r = np.linalg.qr(np.stack([b[:, ::-1], b], -1), mode="r")
         for iq, (p, phi) in enumerate(zip(pols, phis)):
             pol = np.stack([sub.pol_vector(p, j, +1)[lossy], sub.pol_vector(p, j, -1)[lossy]], 1)
             # pref * (phi * pol), in this order: (pref * phi) * pol moves some p estimates by
             # 1 ulp, and a seed's estimates are part of the reproducibility contract.
             coeffs = pref[:, None, None] * (phi[j - 1, live, row][lossy][..., None] * pol)
-            with np.errstate(invalid="ignore"):
-                weights[iq, lossy, j - 1] = r @ coeffs
+            weights[iq, lossy, j - 1] = r @ coeffs
     bad = ~np.isfinite(weights).all(axis=(-2, -1))
     if bad.any():
         _, i, j = np.unravel_index(np.argmax(bad), bad.shape)
-        raise AccuracyError(f"sampler weights are not finite at {sub.mode(i)}: the mode "
-                            f"amplitudes of layer {j + 1} overflow")
+        raise AccuracyError(f"sampler weights are not finite at {sub.mode(i)}: the noise "
+                            f"coupling of layer {j + 1} is not finite")
 
     # Isotropic noise: a component of zero weight adds nothing and is not drawn.
     vectors = [v[v != 0] for v in weights.reshape(len(pols) * sub.k.size, -1)]

@@ -58,7 +58,7 @@ def _emission(ctx: ModeContext, q: str, temperature: float, side):
         at = np.unravel_index(np.argmax(~np.isfinite(w)), w.shape)
         j = 1 + int(np.argmax(~np.isfinite(per_layer[(slice(None), *at)])))
         raise AccuracyError(f"emission is not finite at {ctx.mode(at[rows.ndim:])}: the noise "
-                            f"coupling of layer {j} overflows")
+                            f"coupling of layer {j} is not finite")
     scale = np.maximum(np.maximum(abs(c_in0), abs(c_inN)), np.maximum(abs(total.real), 1e-300))
     negative = w < -_NEGATIVE_W_TOL * occ * scale
     if negative.any():
@@ -72,9 +72,9 @@ def emission_w(ctx: ModeContext, q: str = "s", temperature: float = 300.0, side=
     """Spectral intensity of thermal radiation leaving one side (N0-normalized), per k.
 
     w = n(omega, T) * sum_j phi_side^(j) C^(j) phi_side^(j)+, which expands to
-    n sum_j |t_{j/side}/D_j|^2 e^{-2 beta'' d} {c++ + |r_opp|^2 c-- + 2 Re[r_opp c-+]}.
-    Lossless stacks give exactly zero (every C^(j) vanishes).  `side` is the
-    outer region index, 0 or ctx.n, or an array of them: the result has the
+    n sum_j |t_{j/side}/D_j|^2 {a (1 + |rho|^2) + 2 b Re rho} with rho = e^{i beta d} r_opp
+    and C^(j) = [[a, b], [b, a]].  Lossless stacks give exactly zero (every C^(j) vanishes).
+    `side` is the outer region index, 0 or ctx.n, or an array of them: the result has the
     side axes first, then the k axes.  A grazing k (beta = 0 in some region)
     raises RegimeError; a negative value at any k beyond rounding raises
     AccuracyError.

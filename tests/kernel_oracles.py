@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.special import j0, j1, jv
 
-from qplanar.iorel import io_matrix
+from qplanar.iorel import io_matrix, phi_at_front
 from qplanar.modes import make_context
 from qplanar.rhokernels import _KINDS, _MODES, GaussianWindow, KernelField, _legendre_rule
 from qplanar.scatter import scatter_set
@@ -38,8 +38,9 @@ def tensor_modes_dft(stack: Stack, omega: float, kind: str, layer: int, k) -> np
     region = {"0": 0, "n": ctx.n, "j": layer}
     modes = np.empty(ctx.k.shape + (2, len(_MODES), 3, 3), dtype=complex)
     for iq, q in enumerate(("s", "p")):
-        io = io_matrix(scatter_set(ctx, q))
-        c = (io.phi[layer - 1] if kind.startswith("Phi") else io.s_matrix)[(..., *entry)]
+        ss = scatter_set(ctx, q)
+        c = (phi_at_front(ss)[layer - 1] if kind.startswith("Phi") else io_matrix(ss).s_matrix)[
+            (..., *entry)]
         lv, rv = (ctx.pol_vector(q, region[tag[0]], 1 if tag[1] == "+" else -1,
                                  (np.cos(_THETA), np.sin(_THETA)))
                   for tag in (left_tag, right_tag))

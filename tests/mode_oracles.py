@@ -135,15 +135,23 @@ def scatter_set(m: Mode, q: str) -> Scatter:
                    tuple(s.t_lr for s in left), tuple(s.t_rl for s in right), tuple(phase), d_fp)
 
 
-def io_matrix(ss: Scatter) -> tuple[np.ndarray, np.ndarray]:
-    """(S 2x2, Phi (n-1, 2, 2)) with rows (out0, outN)."""
+def io_matrix(ss: Scatter, front: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(S 2x2, Phi (n-1, 2, 2)) with rows (out0, outN).
+
+    E+ of layer j is referenced at z = d_j and E- at z = 0; `front` gives the
+    second oracle, the formulas with E+ at z = 0 (which carry e^{2 i beta d}).
+    """
     n = len(ss.r_left) - 1
     s = np.array([[ss.r_right[0], ss.t_to0[n]], [ss.t_toN[0], ss.r_left[n]]], dtype=complex)
     phi = np.empty((n - 1, 2, 2), dtype=complex)
     for j in range(1, n):
         ph, d = ss.phase[j], ss.d_fp[j]
-        phi[j - 1] = ((ss.t_to0[j] * ph * ph / d * ss.r_right[j], ss.t_to0[j] / d),
-                      (ss.t_toN[j] * ph / d, ss.t_toN[j] * ph / d * ss.r_left[j]))
+        if front:
+            phi[j - 1] = ((ss.t_to0[j] * ph * ph / d * ss.r_right[j], ss.t_to0[j] / d),
+                          (ss.t_toN[j] * ph / d, ss.t_toN[j] * ph / d * ss.r_left[j]))
+        else:
+            phi[j - 1] = ((ss.t_to0[j] * ph / d * ss.r_right[j], ss.t_to0[j] / d),
+                          (ss.t_toN[j] / d, ss.t_toN[j] * ph / d * ss.r_left[j]))
     return s, phi
 
 
@@ -184,28 +192,33 @@ def _cross(m: Mode, q: str, t0n: complex, tn0: complex) -> complex:
     return out
 
 
-def _intraplate_c(m: Mode, q: str, j: int) -> np.ndarray:
+def _intraplate_c(m: Mode, q: str, j: int, front: bool = False) -> np.ndarray:
+    """[E, E^+] of layer j on the convention of `io_matrix(ss, front)`."""
     b, d = m.beta[j], m.d[j]
     ab2 = abs(b) ** 2
     p, qq, _ = _pqq(m, j, q)
-    cpp = b.real / ab2 * math.expm1(2.0 * b.imag * d) * p
     cmm = -b.real / ab2 * math.expm1(-2.0 * b.imag * d) * p
+    if not front:
+        cpm = 2.0 * b.imag * math.sin(b.real * d) * math.exp(-b.imag * d) * qq / ab2
+        return np.array([[cmm, cpm], [cpm, cmm]], dtype=complex)
+    cpp = b.real / ab2 * math.expm1(2.0 * b.imag * d) * p
     cpm = 1j * b.imag / ab2 * (cmath.exp(-2j * b.real * d) - 1.0) * qq
     return np.array([[cpp, cpm], [cpm.conjugate(), cmm]], dtype=complex)
 
 
-def commutators(m: Mode, q: str) -> dict:
-    """c_in0, c_inN, c_out0, c_outN, cross, cmat (n-1, 2, 2) and the IO relation of one mode."""
+def commutators(m: Mode, q: str, front: bool = False) -> dict:
+    """c_in0, c_inN, c_out0, c_outN, cross, cmat (n-1, 2, 2) and the IO relation of one mode,
+    with the intraplate amplitudes on the convention of `io_matrix(ss, front)`."""
     if any(b == 0.0 for b in m.beta):
         raise RegimeError("grazing mode")
     ss = scatter_set(m, q)
-    s, phi = io_matrix(ss)
+    s, phi = io_matrix(ss, front)
     c_in = [m.beta[j].real / abs(m.beta[j]) ** 2 * _pqq(m, j, q)[0] for j in (0, m.n)]
     return {
         "c_in0": c_in[0], "c_inN": c_in[1],
         "c_out0": _c_out(m, q, 0, s[0, 0]), "c_outN": _c_out(m, q, m.n, s[1, 1]),
         "cross": _cross(m, q, s[1, 0], s[0, 1]),
-        "cmat": np.array([_intraplate_c(m, q, j) for j in range(1, m.n)]).reshape(-1, 2, 2),
+        "cmat": np.array([_intraplate_c(m, q, j, front) for j in range(1, m.n)]).reshape(-1, 2, 2),
         "s": s, "phi": phi,
     }
 

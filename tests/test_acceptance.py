@@ -248,7 +248,7 @@ def test_criterion_10_intraplate_psd_and_tau():
     for ctx, q in samples:
         cs = commutator_set(ctx, q=q)
         for j, cmat in enumerate(cs.cmat, start=1):
-            tau = intraplate_tau(ctx, j, intraplate_xi(ctx, q, j))
+            tau = intraplate_tau(intraplate_xi(ctx, q, j))
             tr = cmat.trace().real
             if tr > 0.0:
                 worst_psd = max(worst_psd, -np.linalg.eigvalsh(cmat).min() / tr)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -300,42 +301,122 @@ def test_kirchhoff_suite_accuracy_error_fails_run(stack_file, capsys, monkeypatc
     assert "error: emission spectrum came out negative" in captured.err
 
 
-# 40 um of eps = -10 + 1i: e^{2 beta'' d} overflows the unscaled intraplate amplitudes.
-THICK_METAL = {
-    "medium0": {"model": "constant", "eps_re": 1.0, "eps_im": 0.0},
-    "layers": [
-        {"thickness_m": 4e-5, "material": {"model": "constant", "eps_re": -10.0, "eps_im": 1.0}}
-    ],
-    "mediumN": {"model": "constant", "eps_re": 1.0, "eps_im": 0.0},
-}
+def _poison_layer(monkeypatch, layer):
+    """Make the noise coupling of one layer NaN, as an overflow would leave it.
+
+    NaN propagates through the products without a floating-point exception, so
+    a RuntimeWarning on the way to the guard's error line would still fail the test.
+    """
+    import qplanar.sampler
+    import qplanar.thermal
+
+    real_c, real_io = qplanar.thermal.intraplate_c, qplanar.sampler.io_matrix
+
+    def cmat(ctx, q, j):
+        out = real_c(ctx, q, j)
+        out[layer - 1] = np.nan
+        return out
+
+    def io_matrix(ss):
+        io = real_io(ss)
+        io.phi[layer - 1] = np.nan
+        return io
+
+    monkeypatch.setattr(qplanar.thermal, "intraplate_c", cmat)
+    monkeypatch.setattr(qplanar.sampler, "io_matrix", io_matrix)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command,what", [("thermal", "emission is"),
                                           ("sample", "sampler weights are")])
 @pytest.mark.parametrize("pol", ["s", "p"])
-def test_overflowing_layer_exits_1_instead_of_nan(stack_file, capsys, command, what, pol):
-    rc = main([command, "--stack", stack_file(THICK_METAL), "--omega", "2e15", "--k", "0.5w",
+def test_overflowing_layer_exits_1_instead_of_nan(stack_file, capsys, monkeypatch, command, what,
+                                                  pol):
+    _poison_layer(monkeypatch, 2)
+    rc = main([command, "--stack", stack_file(THREE_LAYERS), "--omega", "2e15", "--k", "0.5w",
                "--pol", pol])
     assert rc == 1
     captured = capsys.readouterr()
     assert "nan" not in captured.out
     assert captured.err.startswith(f"error: {what} not finite at omega = 2.000000e+15 rad/s, "
                                    "k = 3.335641e+06 1/m: ")
-    assert "layer 1" in captured.err
+    assert "layer 2 is not finite" in captured.err
 
 
 # No ignore filter: pytest turns a RuntimeWarning into an error, so this shows that none is
 # raised on the way to the error line.
 @pytest.mark.parametrize("pol", ["s", "p", "s,p"])
-def test_overflowing_layer_sample_prints_only_the_error_line(stack_file, capsys, pol):
-    rc = main(["sample", "--stack", stack_file(THICK_METAL), "--omega", "2e15", "--k", "0.5w",
+def test_overflowing_layer_sample_prints_only_the_error_line(stack_file, capsys, monkeypatch, pol):
+    _poison_layer(monkeypatch, 2)
+    rc = main(["sample", "--stack", stack_file(THREE_LAYERS), "--omega", "2e15", "--k", "0.5w",
                "--pol", pol])
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("error: sampler weights are not finite at omega = 2.000000e+15 rad/s, "
-                            "k = 3.335641e+06 1/m: the mode amplitudes of layer 1 overflow\n")
+                            "k = 3.335641e+06 1/m: the noise coupling of layer 2 is not finite\n")
+
+
+def _thick_metal(thickness):
+    """Vacuum | eps = -10 + 1i | vacuum: 2 beta'' d is about 1,700 at 40 um and 42,000 at 1 mm
+    at 2e15 rad/s, far beyond the e^709 that an amplitude referenced at the wrong face overflows at."""
+    return dict(SLAB, layers=[{"thickness_m": thickness, "material": {
+        "model": "constant", "eps_re": -10.0, "eps_im": 1.0}}])
+
+
+def _table(out):
+    header, *rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+    return [dict(zip(header, row)) for row in rows]
+
+
+THICK_GRID = ["--omega", "2e15", "--k", "0.1w:0.9w:9", "--pol", "s,p"]
+
+
+@pytest.mark.parametrize("thickness", [4e-5, 1e-3])
+def test_thick_lossy_slab_is_finite_and_passes_every_suite(stack_file, capsys, thickness):
+    """The intraplate amplitudes of the slab are bounded: thermal is finite and positive, and
+    the kirchhoff, commutators and unitarity suites pass at their tolerances, printing nothing
+    to stderr (no error line, and no RuntimeWarning, which pytest would raise)."""
+    path = stack_file(_thick_metal(thickness))
+    assert main(["thermal", "--stack", path, *THICK_GRID]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    w = np.array([float(r["w_n0_normalized"]) for r in _table(captured.out)])
+    assert w.size == 36 and np.all(np.isfinite(w)) and np.all(w > 0.0)   # 18 modes, 2 sides
+    for suite in ("kirchhoff", "commutators", "unitarity"):
+        assert main(["verify", "--stack", path, "--suite", suite, *THICK_GRID]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        line = dict(f.split("=") for f in captured.out.split())
+        assert (line["points"], line["skipped"], line["status"]) == ("18", "0", "PASS")
+        assert float(line["max_residual"]) <= (1e-12 if suite == "kirchhoff" else float(line["tol"]))
+
+
+@pytest.mark.parametrize("thickness", [4e-5, 1e-3])
+def test_thick_lossy_slab_sample_warns_until_its_cells_resolve_the_decay(stack_file, capsys,
+                                                                         thickness):
+    """At the default 64 nodes the midpoint rule keeps only x / sinh(x) of the emission, with
+    x = beta'' dz in the tens or hundreds: `sample` warns, naming the layer, the mode and the
+    node count that resolves it.  At that count it is silent and within 5 standard errors of
+    the closed-form emission."""
+    path = stack_file(_thick_metal(thickness))
+    mode = ["--omega", "2e15", "--k", "0.5w", "--pol", "s,p"]
+    with pytest.warns(UserWarning, match=r"layer 1 is under-resolved at omega = 2\.000000e\+15 "
+                                         r"rad/s, k = 3\.335641e\+06 1/m") as record:
+        assert main(["sample", "--stack", path, *mode]) == 0
+    capsys.readouterr()
+    [nodes] = {int(str(r.message).split("; ")[1].split()[0]) for r in record}
+    assert main(["thermal", "--stack", path, *mode]) == 0
+    w_ref = [float(r["w_n0_normalized"]) for r in _table(capsys.readouterr().out) if r["side"] == "0"]
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        assert main(["sample", "--stack", path, *mode, "--nodes", str(nodes)]) == 0
+    assert record == []
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    rows = _table(captured.out)
+    assert [r["pol"] for r in rows] == ["s", "p"]
+    for r, ref in zip(rows, w_ref):
+        assert abs(float(r["w_est_n0"]) - ref) <= 5.0 * float(r["stderr_n0"])
 
 
 @pytest.mark.parametrize("side", ["1", "5", "-1"])

@@ -54,14 +54,13 @@ def test_assembled_empty_stack_is_exactly_c_in():
 
 
 def test_tau_inverts_to_bosonic_combinations():
-    # the inverse of tau must be the normalized (e^{i beta d} E+ +/- E-) map
+    # the inverse of tau must be the normalized (E+ +/- E-) map, E+ taken at z = d
     st = Stack(VACUUM, (Layer(180e-9, ConstantEps(2.5 + 0.6j)),), VACUUM)
     ctx = make_context(st, 2e15, 3e6)
     for q in ("s", "p"):
         xi_p, xi_m = intraplate_xi(ctx, q, 1)
-        tau = intraplate_tau(ctx, 1, (xi_p, xi_m))
-        ph = np.exp(1j * ctx.beta[1] * st.thickness(1))
-        expected_inv = np.array([[ph / xi_p, 1.0 / xi_p], [ph / xi_m, -1.0 / xi_m]])
+        tau = intraplate_tau((xi_p, xi_m))
+        expected_inv = np.array([[1.0 / xi_p, 1.0 / xi_p], [1.0 / xi_m, -1.0 / xi_m]])
         np.testing.assert_allclose(np.linalg.inv(tau), expected_inv, rtol=1e-12)
 
 
@@ -182,7 +181,7 @@ def test_tau_reconstructs_intraplate_matrix():
         cs = commutator_set(ctx, q=q)
         for j, cmat in enumerate(cs.cmat, start=1):
             xi_p, xi_m = intraplate_xi(ctx, q, j)
-            tau = intraplate_tau(ctx, j, (xi_p, xi_m))
+            tau = intraplate_tau((xi_p, xi_m))
             assert xi_p >= 0.0 and xi_m >= 0.0
             rec = tau @ tau.conjugate().T
             scale = max(np.abs(cmat).max(), 1e-30 * _scale(ctx, cs))
@@ -339,7 +338,7 @@ def test_entrywise_2x2_products_match_stacked_matmul():
             cs_sub = commutator_set(sub, q=q)
             bos = bosonize(sub, cs_sub)
             layers = np.arange(1, sub.n)
-            tau = intraplate_tau(sub, layers, intraplate_xi(sub, q, layers))
+            tau = intraplate_tau(intraplate_xi(sub, q, layers))
             out_scale = 1.0 / np.sqrt(np.stack([cs_sub.c_out0, cs_sub.c_outN], -1))[..., :, None]
             ref_phi = out_scale * (cs_sub.io.phi @ tau)
             phi_scale = np.max(out_scale * (abs(cs_sub.io.phi) @ abs(tau)), axis=(-2, -1))
@@ -347,3 +346,42 @@ def test_entrywise_2x2_products_match_stacked_matmul():
             gram_scale = np.max(oracle.gram(abs(bos.s_matrix), abs(bos.phi)), axis=(-2, -1))
             ref_res = np.max(abs(oracle.gram(bos.s_matrix, bos.phi) - np.eye(2)), axis=(-2, -1))
             assert np.all(abs(unitarity_residual(bos) - ref_res) <= 1e-15 * gram_scale)
+
+
+def test_far_face_noise_sum_matches_the_front_face_formulas():
+    """sum_j Phi C Phi^+ of the scalar oracle is the same on both conventions: E+ at z = d, and
+    E+ at z = 0 (whose C++ carries e^{2 beta'' d}).  Random passive stacks with thick and
+    negative-eps layers; wherever the front-face formulas are finite they agree within 1e-13
+    of the sum of the front-face products' magnitudes.  Its C+- = i beta''/|beta|^2 (e^{-2i
+    beta' d} - 1) Q enters with the magnitude 2 beta''/|beta|^2 |Q| of its two terms, since
+    they cancel when beta' d is small."""
+    rng = np.random.default_rng(1907)
+    checked = overflowed = 0
+    for _ in range(300):
+        layers = tuple(Layer(float(10.0 ** rng.uniform(-8.0, -4.3)),
+                             ConstantEps(complex(rng.uniform(-20.0, 12.0), 10.0 ** rng.uniform(-6.0, 0.3))))
+                       for _ in range(rng.integers(1, 5)))
+        outer = [VACUUM if rng.random() < 0.5 else ConstantEps(complex(rng.uniform(1.0, 4.0),
+                                                                       rng.uniform(0.0, 1.0)))
+                 for _ in range(2)]
+        omega, k, q = random_mode(rng, 3.0)
+        m = oracle.make_context(Stack(outer[0], layers, outer[1]), omega, k)
+        if any(b == 0.0 for b in m.beta):
+            continue
+        far = oracle.commutators(m, q)
+        try:
+            front = oracle.commutators(m, q, front=True)
+        except OverflowError:   # expm1(2 beta'' d) beyond the float range
+            overflowed += 1
+            continue
+        mags = abs(front["cmat"])
+        for j, mag in enumerate(mags, start=1):
+            mag[0, 1] = mag[1, 0] = 2.0 * m.beta[j].imag / abs(m.beta[j]) ** 2 * abs(oracle._pqq(m, j, q)[1])
+        scale = np.max(sum(abs(phi) @ mag @ abs(phi).T for phi, mag in zip(front["phi"], mags)))
+        if not np.isfinite(scale):
+            overflowed += 1
+            continue
+        sums = [sum(phi @ c @ phi.conj().T for phi, c in zip(cs["phi"], cs["cmat"])) for cs in (far, front)]
+        assert np.max(abs(sums[0] - sums[1])) <= 1e-13 * scale, (m, q)
+        checked += 1
+    assert checked > 200 and overflowed > 0, (checked, overflowed)

@@ -34,13 +34,13 @@ def test_phi_ratio_structure():
         io = io_matrix(ss)
         # the scattering block IS the whole-stack coefficient set
         np.testing.assert_array_equal(io.s_matrix, [[ss.r_0n, ss.t_n0], [ss.t_0n, ss.r_n0]])
+        # E+ at z = d and E- at z = 0: each opposite-column ratio is one layer flight and a
+        # reflection, e^{i beta d} r
         for j, ((p0p, p0m), (pnp, pnm)) in enumerate(io.phi, start=1):
             if abs(ss.r_left[j]) > 1e-12:
-                assert pnp / pnm == pytest.approx(1.0 / ss.r_left[j], rel=1e-10)
+                assert pnp / pnm == pytest.approx(1.0 / (ss.r_left[j] * ss.phase[j]), rel=1e-10)
             if abs(ss.r_right[j]) > 1e-12:
-                assert p0m / p0p == pytest.approx(
-                    1.0 / (ss.r_right[j] * ss.phase[j] ** 2), rel=1e-10
-                )
+                assert p0m / p0p == pytest.approx(1.0 / (ss.r_right[j] * ss.phase[j]), rel=1e-10)
 
 
 def test_io_matrix_quarter_wave_magnitudes():

@@ -1,10 +1,16 @@
+import importlib.util
+import json
 import math
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import C
 from qplanar import sampler
+from qplanar.cli import main
 from qplanar.errors import ConfigError
 from qplanar.iorel import io_matrix
 from qplanar.modes import make_context
@@ -76,8 +82,15 @@ def test_node_refinement_bias_below_stderr():
     k = 0.4 * OMEGA / C
     ctx = make_context(st, OMEGA, k)
     w_ref = emission_w(ctx, q="s", temperature=300.0, side=0)
-    ests = [sample_emission(ctx, "s", 300.0, nodes_per_layer=m, realizations=100_000, seed=11)
-            for m in (2, 8, 64)]
+    ests = []
+    for m in (2, 8, 64):   # beta'' dz = 1.51, 0.378 and 0.047: the coarse two warn
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            ests.append(sample_emission(ctx, "s", 300.0, nodes_per_layer=m, realizations=100_000,
+                                        seed=11))
+        assert [str(r.message).split(":")[0] for r in record] == (
+            ["layer 1 is under-resolved at omega = 2.000000e+15 rad/s, k = 2.668513e+06 1/m"]
+            if m < 64 else [])
     errs = [abs(w - w_ref) for w, _ in ests]
     assert errs[0] > 10.0 * ests[0][1]          # coarse grid is visibly biased
     assert errs[1] < errs[0]
@@ -205,7 +218,7 @@ def cell_weights(ctx, q, side, m, temperature=300.0):
         pref = -(ctx.omega / C) * math.sqrt(max(ctx.eps[j].imag, 0.0)) / beta * dz
         phi_plus, phi_minus = phi[j - 1][row]
         e_plus, e_minus = ctx.pol_vector(q, j, +1), ctx.pol_vector(q, j, -1)
-        w_plus = phi_plus * pref * np.exp(-1j * beta * z_cells)[:, None] * e_plus
+        w_plus = phi_plus * pref * np.exp(1j * beta * (ctx.d[j] - z_cells))[:, None] * e_plus
         w_minus = phi_minus * pref * np.exp(1j * beta * z_cells)[:, None] * e_minus
         weights.append((w_plus + w_minus) * math.sqrt(occ / dz))
     return np.concatenate(weights).reshape(-1)
@@ -290,3 +303,35 @@ def test_polarization_sequence_equals_one_call_per_polarization():
             one = sample_emission(batch, q, 300.0, side, nodes_per_layer=24,
                                   realizations=BLOCK + 5, seed=3)
             assert (w[iq].tobytes(), stderr[iq].tobytes()) == (one[0].tobytes(), one[1].tobytes())
+
+
+def _bench_workloads():
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_golden_and_benchmark_samples_resolve_their_layers(tmp_path, monkeypatch, capsys):
+    """Neither the `sample` golden nor the benchmark's `sample` command at any input seed
+    warns: their node counts resolve the decay of every lossy layer."""
+    from test_golden import CASES
+
+    stack, argv = CASES["sample"]
+    (tmp_path / "golden.json").write_text(json.dumps(stack))
+    runs = [["sample", "--stack", "golden.json", *argv[1:]]]
+    bench = _bench_workloads()
+    for seed in range(bench.N_INPUT_SEEDS):
+        wl = bench.make_workload("certify", seed)
+        wl.write_stacks(tmp_path)
+        runs += [[*c.argv, "--realizations", "100"] for c in wl.commands if c.kind == "sample"]
+    monkeypatch.chdir(tmp_path)
+    assert len(runs) == 1 + bench.N_INPUT_SEEDS
+    for run in runs:
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert main(run) == 0
+        assert record == [], run
+    assert capsys.readouterr().err == ""

@@ -158,12 +158,35 @@ def test_emission_raises_at_a_grazing_k():
                 emission_w(ctx, q, 300.0, [0, ctx.n])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_overflowing_layer_raises_naming_the_point_and_layer():
-    # layer 2 is 40 um of eps = -10 + 1i: its intraplate amplitudes overflow
+def test_overflowing_layer_raises_naming_the_point_and_layer(monkeypatch):
+    # layer 2's noise coupling is made NaN at the second k, as an overflow would leave it
+    import qplanar.thermal
+
+    real = qplanar.thermal.intraplate_c
+
+    def nan_in_layer_2(ctx, q, j):
+        cmat = real(ctx, q, j)
+        cmat[1, 1] = np.nan
+        return cmat
+
+    monkeypatch.setattr(qplanar.thermal, "intraplate_c", nan_in_layer_2)
     st = Stack(VACUUM, (Layer(200e-9, ConstantEps(2 + 0.5j)), Layer(4e-5, ConstantEps(-10 + 1j))),
                VACUUM)
     ctx = make_context(st, 2e15, np.array([1e5, 3.3e6]))
-    with pytest.raises(AccuracyError, match=r"omega = 2\.000000e\+15 rad/s, k = 1\.000000e\+05 "
-                                            r"1/m: the noise coupling of layer 2 overflows"):
+    with pytest.raises(AccuracyError, match=r"omega = 2\.000000e\+15 rad/s, k = 3\.300000e\+06 "
+                                            r"1/m: the noise coupling of layer 2 is not finite"):
         emission_w(ctx, q="p", side=[0, st.n])
+
+
+@pytest.mark.parametrize("thickness", [4e-5, 1e-3])
+def test_thick_lossy_layer_emission_meets_the_kirchhoff_budget(thickness):
+    """A 40 um or 1 mm layer of eps = -10 + 1i, where 2 beta'' d is 10^3 to 10^4: emission is
+    finite and equals the absorptivity budget within 1e-12, behind a thin lossy layer too."""
+    for layers in ((Layer(thickness, ConstantEps(-10 + 1j)),),
+                   (Layer(200e-9, ConstantEps(2 + 0.5j)), Layer(thickness, ConstantEps(-10 + 1j)))):
+        st = Stack(VACUUM, layers, VACUUM)
+        ctx = make_context(st, 2e15, np.linspace(0.1, 0.9, 9) * 2e15 / C)
+        for q in ("s", "p"):
+            w = emission_w(ctx, q, 300.0, [0, st.n])
+            assert np.all(np.isfinite(w)) and np.all(w > 0.0)
+            assert np.max(kirchhoff_residual(ctx, q, 300.0, [0, st.n])) <= 1e-12
