@@ -22,7 +22,7 @@ from .commutators import assembled_out, bosonic, bosonize, commutator_set, grazi
 from .constants import C_LIGHT, EV, HBAR, n0_scale
 from .errors import ConfigError, QPlanarError, RegimeError, UsageError
 from .greens import verify_green_identity
-from .iorel import _block2, phi_at_front
+from .iorel import phi_at_front
 from .modes import Regime, make_context, regime
 from .rhokernels import GaussianWindow, KERNEL_KINDS, kernel_radial
 from .sampler import sample_emission
@@ -303,10 +303,9 @@ def _commutator_points(ctx, q: str, ok):
 
 def _commutators_residual(ctx, q: str, args):
     ok, ctx, cs = _commutator_points(ctx, q, True)
-    scale = np.maximum.reduce([abs(cs.c_in0), abs(cs.c_inN), abs(cs.c_out0), abs(cs.c_outN),
-                               1.0 / abs(ctx.beta[0]), 1.0 / abs(ctx.beta[-1])])
-    closed = _block2(cs.c_out0, cs.cross, np.conj(cs.cross), cs.c_outN)
-    return ok, np.max(np.abs(assembled_out(cs) - closed), axis=(-2, -1)) / scale
+    scales = [abs(cs.c_in), abs(np.diagonal(cs.c_out, 0, -2, -1)), 1.0 / abs(ctx.beta[[0, -1]].T)]
+    scale = np.max(np.concatenate(scales, -1), axis=-1)
+    return ok, np.max(np.abs(assembled_out(cs) - cs.c_out), axis=(-2, -1)) / scale
 
 
 def _unitarity_residual(ctx, q: str, args):

@@ -5,18 +5,23 @@ N0 = (pi hbar / eps0) (omega/c)^2, so it carries units of length and the
 operator identities become dimensionless-tame.  SI values are recovered by
 multiplying with :func:`qplanar.constants.n0_scale`.
 
-Scalar shorthands per region (q = p; all equal 1 for q = s):
+Scalar shorthands per region (q = p; both equal 1 for q = s):
 
     P   = e_p . e_p*          = (|beta|^2 + k^2) / |kj|^2      (real)
     Q   = e_p+ . e_p-*        = (k^2 - |beta|^2) / |kj|^2      (real)
-    Qb  = e_p+ . e_p-         = (k^2 - beta^2) / kj^2          (bilinear)
 
-The closed forms for the output self-commutators and the cross-side
-commutator are obtained from the Green-identity route with the symmetric
-Theta(0) = 1/2 convention at coincident coordinates; they reduce to the
-textbook vacuum limits (c_out = c_in when propagating, 2 Im r / |beta| when
-evanescent) and are validated against the brute-force assembly from input
-and intraplate pieces, which is the convention-independent oracle.
+The output commutators of both outer sides are one Hermitian 2x2 matrix per
+mode, rows and columns (side 0, side n) as in the IO relation:
+
+    C_out = diag(c_in) + S U + (S U)^+,   U = diag(u_0, u_n),
+    c_in_j = P_j beta'_j / |beta_j|^2,    u_j = -i Q_j beta''_j / |beta_j|^2,
+
+with the output self-commutators on the diagonal and [out(0), out(n)^+] at
+[0, 1].  It follows from the Green-identity route with the symmetric
+Theta(0) = 1/2 convention at coincident coordinates, reduces to the textbook
+vacuum limits (c_out = c_in when propagating, 2 Im r / |beta| when
+evanescent) and is validated against the brute-force assembly from input
+and intraplate pieces, the convention-independent oracle.
 Everything is elementwise over the k array of the context (k axes first).
 """
 
@@ -29,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, PassivityError, RegimeError
 from .iorel import IOMatrix, _block2, _matmul2, io_matrix
 from .modes import ModeContext
-from .scatter import ScatterSet, scatter_set
+from .scatter import scatter_set
 
 # Below this fraction of the propagating scale, c_in is treated as zero for
 # bosonization purposes ("effectively evanescent").
@@ -40,68 +45,40 @@ def _dagger(m: np.ndarray) -> np.ndarray:   # conjugate transpose of 2x2 blocks
     return np.conj(m).swapaxes(-1, -2)
 
 
-def _pqq(ctx: ModeContext, j, q: str):
-    """(P, Q, Qb) polarization overlaps for region j (or an array of regions)."""
+def _pq(ctx: ModeContext, j, q: str):
+    """(P, Q) polarization overlaps for region j (or an array of regions)."""
     if q == "s":
-        return 1.0, 1.0, 1.0 + 0.0j
-    b = ctx.beta[j]
-    kj = ctx.kj[j]
-    k2 = ctx.k * ctx.k
+        return 1.0, 1.0
+    k2, ab2, akj2 = ctx.k * ctx.k, abs(ctx.beta[j]) ** 2, abs(ctx.kj[j]) ** 2
+    return (ab2 + k2) / akj2, (k2 - ab2) / akj2
+
+
+def _outer(ctx: ModeContext, q: str):
+    """(c_in, u) of the outer regions, each of shape k.shape + (2,) with side 0, then side n,
+    on the last axis; a grazing mode raises RegimeError."""
+    _require_off_grazing(ctx)
+    outer = np.array([0, ctx.n])
+    b = ctx.beta[outer]
     ab2 = abs(b) ** 2
-    akj2 = abs(kj) ** 2
-    return (ab2 + k2) / akj2, (k2 - ab2) / akj2, (k2 - b * b) / (kj * kj)
+    p, qq = _pq(ctx, outer, q)
+    return np.moveaxis(b.real / ab2 * p, 0, -1), np.moveaxis(-1j * (qq * b.imag / ab2), 0, -1)
 
 
-def c_in_side(ctx: ModeContext, q: str, side):
-    """Input commutator coefficient (N0-normalized) for side 0 or n (or an array of them)."""
-    ctx.side_row(side)  # rejects any side but 0 and n
-    _require_off_grazing(ctx)
-    b = ctx.beta[side]
-    return b.real / abs(b) ** 2 * _pqq(ctx, side, q)[0]
+def _c_out(c_in, u, s) -> np.ndarray:
+    """diag(c_in) + S U + (S U)^+ per mode, exactly Hermitian."""
+    su = s * u[..., None, :]
+    return su + _dagger(su) + c_in[..., None] * np.eye(2)
 
 
-def _c_out_closed(ctx: ModeContext, q: str, j, r):
-    """Closed-form output self-commutator of outer region(s) j given the whole-stack r."""
-    b = ctx.beta[j]
-    ab2 = abs(b) ** 2
-    if q == "s":
-        return (b.real + 2.0 * b.imag * r.imag) / ab2
-    kj = ctx.kj[j]
-    k2 = ctx.k * ctx.k
-    akj2 = abs(kj) ** 2
-    p, qq, qb = _pqq(ctx, j, q)
-    kk = kj * kj
-    ratio = kk / kk.conjugate()
-    term_r = 2.0 * (r * (k2 * ratio - ab2) / (b * akj2)).real
-    term_0 = ((p + qq * qb) / b).real + k2 / akj2 * ((ratio - 1.0) * (1.0 + qb) / b).real
-    term_sq = b.real * p / ab2 * (abs(r) ** 2 - abs(qb + r) ** 2)
-    return term_r + term_0 + term_sq
+def c_in(ctx: ModeContext, q: str) -> np.ndarray:
+    """Input commutator coefficients (N0-normalized), shape k.shape + (2,): side 0, then side n."""
+    return _outer(ctx, q)[0]
 
 
-def c_out_side(ctx: ModeContext, ss: ScatterSet, side):
-    """Closed-form output self-commutator for side 0 or n (or an array of them)."""
-    rows = ctx.side_row(side)
-    _require_off_grazing(ctx)
-    return _c_out_closed(ctx, ss.q, side, np.stack([ss.r_0n, ss.r_n0])[rows])
-
-
-def cross_closed(ctx: ModeContext, ss: ScatterSet):
-    """Closed-form commutator between the two output sides, [out(0), out(n)^+]."""
-    _require_off_grazing(ctx)
-    b0, bn = ctx.beta[0], ctx.beta[ctx.n]
-    ab0, abn = abs(b0) ** 2, abs(bn) ** 2
-    t0n, tn0 = ss.t_0n, ss.t_n0
-    if ss.q == "s":
-        return 1j * b0.imag * t0n.conjugate() / ab0 - 1j * bn.imag * tn0 / abn
-    k2 = ctx.k * ctx.k
-    k0, kn = ctx.kj[0], ctx.kj[ctx.n]
-    ak02, akn2 = abs(k0) ** 2, abs(kn) ** 2
-    (p0, pn), _, (qb0, qbn) = _pqq(ctx, np.array([0, ctx.n]), "p")
-    out = tn0 * (k2 * (kn * kn) / (kn * kn).conjugate() - abn) / (bn * akn2)
-    out += t0n.conjugate() * (k2 * (k0 * k0).conjugate() / (k0 * k0) - ab0) / (b0.conjugate() * ak02)
-    out -= bn.real / abn * tn0 * pn * qbn.conjugate()
-    out -= b0.real / ab0 * t0n.conjugate() * p0 * qb0
-    return out
+def c_out(ctx: ModeContext, io: IOMatrix) -> np.ndarray:
+    """Output commutator matrices (N0-normalized) of the IO relation `io` of `ctx`, shape
+    k.shape + (2, 2): self-commutators on the diagonal, [out(0), out(n)^+] at [0, 1]."""
+    return _c_out(*_outer(ctx, io.q), io.s_matrix)
 
 
 def _intraplate_ab(ctx: ModeContext, q: str, j):
@@ -112,7 +89,7 @@ def _intraplate_ab(ctx: ModeContext, q: str, j):
     b = ctx.beta[j]
     d = ctx.per_region(ctx.d, j)
     ab2 = abs(b) ** 2
-    p, qq, _ = _pqq(ctx, j, q)
+    p, qq = _pq(ctx, j, q)
     bp, bpp = b.real, b.imag
     a = -bp / ab2 * np.expm1(-2.0 * bpp * d) * p
     return a, 2.0 * bpp * np.sin(bp * d) * np.exp(-bpp * d) * qq / ab2
@@ -162,25 +139,20 @@ def _require_off_grazing(ctx: ModeContext) -> None:
 
 @dataclass(frozen=True)
 class CommutatorSet:
-    """Commutator data of one polarization for every k, N0-normalized."""
+    """Commutator data of one polarization for every k, N0-normalized; sides 0, n as in iorel."""
 
-    c_in0: np.ndarray    # k.shape
-    c_inN: np.ndarray
-    c_out0: np.ndarray
-    c_outN: np.ndarray
-    cross: np.ndarray    # k.shape, complex
+    c_in: np.ndarray     # k.shape + (2,)
+    c_out: np.ndarray    # k.shape + (2, 2), Hermitian: diag(c_out0, c_outN), cross at [0, 1]
     cmat: np.ndarray     # (n-1, *k.shape, 2, 2), layer j at [j-1], Hermitian
     io: IOMatrix
 
 
 def commutator_set(ctx: ModeContext, q: str = "s") -> CommutatorSet:
     """Evaluate every commutator coefficient of every mode from the closed forms."""
-    _require_off_grazing(ctx)
-    ss = scatter_set(ctx, q)
-    outer = np.array([0, ctx.n])
-    (c_in0, c_inN), (c_out0, c_outN) = c_in_side(ctx, q, outer), c_out_side(ctx, ss, outer)
-    return CommutatorSet(c_in0, c_inN, c_out0, c_outN, cross_closed(ctx, ss),
-                         intraplate_c(ctx, q, np.arange(1, ctx.n)), io_matrix(ss))
+    cin, u = _outer(ctx, q)
+    io = io_matrix(scatter_set(ctx, q))
+    return CommutatorSet(cin, _c_out(cin, u, io.s_matrix),
+                         intraplate_c(ctx, q, np.arange(1, ctx.n)), io)
 
 
 def assembled_out(cs: CommutatorSet) -> np.ndarray:
@@ -192,7 +164,7 @@ def assembled_out(cs: CommutatorSet) -> np.ndarray:
     from input and intraplate pieces is what the closed forms must match.
     """
     s, phi = cs.io.s_matrix, cs.io.phi
-    inputs = _matmul2(s * np.stack([cs.c_in0, cs.c_inN], -1)[..., None, :], _dagger(s))
+    inputs = _matmul2(s * cs.c_in[..., None, :], _dagger(s))
     return sum(_matmul2(_matmul2(phi, cs.cmat), _dagger(phi)), inputs)
 
 
@@ -206,8 +178,8 @@ class BosonizedIO:
 
 def bosonic(ctx: ModeContext, cs: CommutatorSet) -> np.ndarray:
     """Modes where :func:`bosonize` is defined: c_in above its floor and c_out > 0 on both sides."""
-    floor0, floorN = (DEGENERATE_C_FRACTION / abs(ctx.beta[j]) for j in (0, ctx.n))
-    return (cs.c_in0 > floor0) & (cs.c_inN > floorN) & (cs.c_out0 > 0.0) & (cs.c_outN > 0.0)
+    floor = DEGENERATE_C_FRACTION / abs(np.moveaxis(ctx.beta[[0, ctx.n]], 0, -1))
+    return np.all((cs.c_in > floor) & (np.diagonal(cs.c_out, 0, -2, -1).real > 0.0), axis=-1)
 
 
 def bosonize(ctx: ModeContext, cs: CommutatorSet) -> BosonizedIO:
@@ -219,17 +191,18 @@ def bosonize(ctx: ModeContext, cs: CommutatorSet) -> BosonizedIO:
     that is reported as a RegimeError rather than a numerical blowup.  The
     intraplate transforms tau come from the layers' xi pairs, computed here.
     """
+    c_self = np.diagonal(cs.c_out, 0, -2, -1).real
     bad = ~bosonic(ctx, cs)
     if bad.any():
         at = np.unravel_index(np.argmax(bad), bad.shape)
-        c = (cs.c_in0[at], cs.c_inN[at], cs.c_out0[at], cs.c_outN[at])
+        c = (*cs.c_in[at], *c_self[at])
         raise RegimeError(
             "no bosonic input operators exist for evanescent input components, or an output "
             "commutator is not positive (c_in0, c_inN, c_out0, c_outN = {:.3e}, {:.3e}, {:.3e}, "
             "{:.3e}) at {}".format(*c, ctx.mode(at))
         )
-    out_scale = (1.0 / np.sqrt(np.stack([cs.c_out0, cs.c_outN], -1)))[..., :, None]
-    in_scale = np.sqrt(np.stack([cs.c_in0, cs.c_inN], -1))[..., None, :]
+    out_scale = (1.0 / np.sqrt(c_self))[..., :, None]
+    in_scale = np.sqrt(cs.c_in)[..., None, :]
     layers = np.arange(1, ctx.n)
     tau = intraplate_tau(intraplate_xi(ctx, cs.io.q, layers))
     return BosonizedIO(out_scale * cs.io.s_matrix * in_scale, out_scale * _matmul2(cs.io.phi, tau))

@@ -107,8 +107,8 @@ def sample_emission(ctx: ModeContext, q="s", temperature: float = 300.0, side: i
     # the per-cell weights is W_j = [a b] C_j with the mode vectors
     # a = e^{i beta (d - z_c)} and b = e^{i beta z_c}, both bounded by 1, and C_j
     # the 2 x 3 coefficients of the two modes (phi row of the requested side,
-    # polarization vector, the prefactor and the cell variance n/dz).  With the
-    # thin QR [a b] = Q R,
+    # polarization vector, the prefactor and the cell variance 1/dz; n(omega, T)
+    # scales the estimates at the end, so |u|^4 cannot underflow).  With the thin QR [a b] = Q R,
     # W_j^T f = (Q^H W_j)^T (Q^T f) = (R C_j)^T g, and g = Q^T f is again iid
     # unit circular Gaussian: two draws per coupled component give u the law
     # of one draw per (cell, component), and the nodes only set the
@@ -132,8 +132,7 @@ def sample_emission(ctx: ModeContext, q="s", temperature: float = 300.0, side: i
                            f"keeps {x[at] / math.sinh(x[at]):.3g} of its emission; "
                            f"{math.ceil(nodes_per_layer * x[at] / _MAX_BETA2_DZ)} nodes per layer "
                            "resolve it", stacklevel=2)
-        pref = (-(sub.omega[lossy] / C_LIGHT) * np.sqrt(epp[lossy]) / beta * dz
-                * np.sqrt(occ[lossy] / dz))
+        pref = -(sub.omega[lossy] / C_LIGHT) * np.sqrt(epp[lossy]) / beta * math.sqrt(dz)
         # At the midpoints, d - z_c is z_c reversed: one exp gives both mode vectors.
         b = np.exp(np.multiply.outer(1j * beta, (np.arange(nodes_per_layer) + 0.5) * dz))
         r = np.linalg.qr(np.stack([b[:, ::-1], b], -1), mode="r")
@@ -157,10 +156,10 @@ def sample_emission(ctx: ModeContext, q="s", temperature: float = 300.0, side: i
     n = realizations
     mean = moments[..., 0] / n
     by_pol = (len(pols),) + ctx.k.shape   # views of w and stderr with the polarization axis
-    w.reshape(by_pol)[:, live] = mean
+    w.reshape(by_pol)[:, live] = occ * mean
     if n > 1:
         var = np.maximum(moments[..., 1] / n - mean * mean, 0.0) * n / (n - 1)
-        stderr.reshape(by_pol)[:, live] = np.sqrt(var / n)
+        stderr.reshape(by_pol)[:, live] = occ * np.sqrt(var / n)
     else:
         stderr.reshape(by_pol)[:, live] = math.inf
     return w, stderr

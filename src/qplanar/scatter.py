@@ -161,17 +161,17 @@ def scatter_set(ctx: ModeContext, q: str = "s") -> ScatterSet:
     phase = np.exp(1j * ctx.beta * ctx.per_region(ctx.d, np.arange(n + 1)))
     phase[0] = phase[n] = 1.0
 
-    # Redheffer star products over k.  Step t extends the left partial L[t] =
-    # S(0..t) and the mirrored (left-right swapped) right partial R[n-t] =
-    # S(n-t..n) by one block B: the interface crossed away from S (a) and back
-    # (b) after the flight across the region on S's side (phase ph, 1 outside).
-    # With R the reflection of S from its growing side and D = 1 - R r_in,
+    # Redheffer star products over k.  Step t extends the left partial L[t] = S(0..t) and the
+    # mirrored (left-right swapped) right partial R[n-t] = S(n-t..n) by one block B: the interface
+    # crossed away from S (a) and back (b) after the flight across the region on S's side (phase
+    # ph, 1 outside).  With R the reflection of S from its growing side and D = 1 - R r_in,
     #   (R, t_rl, t_lr)' = (R, t_rl, t_lr) (t_in t_out, t_in, t_out) / D + (r_out, 0, 0),
-    # r_in = r_a ph^2, r_out = -r_a, t_in = t_b ph and t_out = t_a ph.
+    # r_in = r_a ph^2, r_out = -r_a, t_in = t_b ph and t_out = t_a ph.  t_in is np.multiply, as
+    # NumPy forms ph * (large temporary) in place with swapped operands, rounding by chunk size.
     from_i, to_i, side, away, back = _recursion_rows(n)
     rt = interface_rt(ctx, from_i, to_i, q)
     ph = phase[side]
-    r_a, t_in, t_out = rt.r[away], ph * rt.t[back], rt.t[away] * ph
+    r_a, t_in, t_out = rt.r[away], np.multiply(ph, rt.t[back]), rt.t[away] * ph
     r_in = ph * r_a * ph
     factors = np.stack([t_in * t_out, t_in, t_out], axis=1)   # step x (R, t_rl, t_lr) x (L, R)
     offsets = np.zeros_like(factors)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .commutators import _require_off_grazing, c_in_side, intraplate_c
+from .commutators import c_in, intraplate_c
 from .constants import HBAR, K_B, per_omega
 from .errors import AccuracyError, ConfigError, RegimeError
 from .iorel import io_matrix
@@ -41,11 +41,10 @@ def bose(omega, temperature: float) -> np.ndarray:
 
 
 def _emission(ctx: ModeContext, q: str, temperature: float, side):
-    """Emission w of `side` (side axes first, then k), the S rows of `side` and c_in of side 0."""
+    """Emission w of `side` (side axes first, then k), and the S rows and c_in of `side`."""
     rows = ctx.side_row(side)
-    _require_off_grazing(ctx)
+    cin = c_in(ctx, q)
     io = io_matrix(scatter_set(ctx, q))
-    c_in0, c_inN = c_in_side(ctx, q, np.array([0, ctx.n]))
     c = intraplate_c(ctx, q, np.arange(1, ctx.n))
     v0, v1 = np.moveaxis(io.phi, (-1, -2), (0, 1))[:, rows]   # Phi rows of `side`: (*side, n-1, *k)
     per_layer = ((v0 * c[..., 0, 0] + v1 * c[..., 1, 0]) * np.conj(v0)
@@ -59,13 +58,13 @@ def _emission(ctx: ModeContext, q: str, temperature: float, side):
         j = 1 + int(np.argmax(~np.isfinite(per_layer[(slice(None), *at)])))
         raise AccuracyError(f"emission is not finite at {ctx.mode(at[rows.ndim:])}: the noise "
                             f"coupling of layer {j} is not finite")
-    scale = np.maximum(np.maximum(abs(c_in0), abs(c_inN)), np.maximum(abs(total.real), 1e-300))
+    scale = np.maximum(abs(cin).max(axis=-1), np.maximum(abs(total.real), 1e-300))
     negative = w < -_NEGATIVE_W_TOL * occ * scale
     if negative.any():
         at = np.unravel_index(np.argmax(negative), w.shape)
         raise AccuracyError(f"emission spectrum came out negative (w = {w[at]} at "
                             f"{ctx.mode(at[rows.ndim:])}); convention bug upstream")
-    return w, np.moveaxis(io.s_matrix, -2, 0)[rows], c_in0
+    return w, np.moveaxis(io.s_matrix, -2, 0)[rows], np.moveaxis(cin, -1, 0)[rows]
 
 
 def emission_w(ctx: ModeContext, q: str = "s", temperature: float = 300.0, side=0):
@@ -94,9 +93,9 @@ def kirchhoff_residual(ctx: ModeContext, q: str = "s", temperature: float = 300.
         raise RegimeError("kirchhoff_residual requires vacuum outer media")
     if np.any(regime(ctx, 0) != Regime.PROPAGATING):
         raise RegimeError("kirchhoff_residual requires the propagating regime (omega/c > k)")
-    w, s, c_in = _emission(ctx, q, temperature, side)
+    w, s, cin = _emission(ctx, q, temperature, side)
     occ = bose(ctx.omega, temperature)
-    budget = occ * c_in * (1.0 - abs(s[..., 0]) ** 2 - abs(s[..., 1]) ** 2)
+    budget = occ * cin * (1.0 - abs(s[..., 0]) ** 2 - abs(s[..., 1]) ** 2)
     # Normalized against the full input budget n c_in, the emissivity scale;
     # a lossless stack (w = budget = 0 up to rounding) then reports ~0.
-    return abs(w - budget) / np.maximum(np.maximum(abs(w), occ * c_in), 1e-300)
+    return abs(w - budget) / np.maximum(np.maximum(abs(w), occ * cin), 1e-300)

@@ -81,14 +81,14 @@ def test_criterion_02_commutator_closure_randomized():
     worst = 0.0
     for ctx, q in samples:
         cs = commutator_set(ctx, q=q)
-        scale = max(abs(cs.c_in0), abs(cs.c_inN), abs(cs.c_out0), abs(cs.c_outN),
+        scale = max(abs(cs.c_in[0]), abs(cs.c_in[1]), abs(cs.c_out[0, 0]), abs(cs.c_out[1, 1]),
                     1.0 / abs(ctx.beta[0]), 1.0 / abs(ctx.beta[-1]))
         out = assembled_out(cs)
         worst = max(
             worst,
-            abs(out[0, 0] - cs.c_out0) / scale,
-            abs(out[1, 1] - cs.c_outN) / scale,
-            abs(out[0, 1] - cs.cross) / scale,
+            abs(out[0, 0] - cs.c_out[0, 0]) / scale,
+            abs(out[1, 1] - cs.c_out[1, 1]) / scale,
+            abs(out[0, 1] - cs.c_out[0, 1]) / scale,
         )
     elapsed = time.time() - t0
     assert worst < 1e-10, worst
@@ -107,9 +107,9 @@ def test_criterion_03_vacuum_propagating_limits():
             scale = 1.0 / ctx.beta[0].real
             for q in ("s", "p"):
                 cs = commutator_set(ctx, q=q)
-                worst_io = max(worst_io, abs(cs.c_out0 - cs.c_in0) / scale,
-                               abs(cs.c_outN - cs.c_inN) / scale)
-                worst_cross = max(worst_cross, abs(cs.cross) / scale)
+                worst_io = max(worst_io, abs(cs.c_out[0, 0] - cs.c_in[0]) / scale,
+                               abs(cs.c_out[1, 1] - cs.c_in[1]) / scale)
+                worst_cross = max(worst_cross, abs(cs.c_out[0, 1]) / scale)
     assert worst_io < 1e-12, worst_io
     assert worst_cross < 1e-12, worst_cross
     report(3, "propagating vacuum: c_out = c_in and cross-commutator = 0",
@@ -127,13 +127,13 @@ def test_criterion_04_evanescent_vacuum():
             for q in ("s", "p"):
                 ctx = make_context(ABSORBING_SLAB, om, k)
                 cs = commutator_set(ctx, q=q)
-                assert cs.c_in0 == 0.0 and cs.c_inN == 0.0
+                assert cs.c_in[0] == 0.0 and cs.c_in[1] == 0.0
                 target = 2.0 * cs.io.s_matrix[0, 0].imag / abs(ctx.beta[0])
-                worst_abs = max(worst_abs, abs(cs.c_out0 - target) / abs(target))
+                worst_abs = max(worst_abs, abs(cs.c_out[0, 0] - target) / abs(target))
                 ctx2 = make_context(LOSSLESS_SLAB, om, k)
                 cs2 = commutator_set(ctx2, q=q)
-                assert cs2.c_in0 == 0.0 and cs2.c_inN == 0.0
-                worst_lossless = max(worst_lossless, abs(cs2.c_out0), abs(cs2.c_outN))
+                assert cs2.c_in[0] == 0.0 and cs2.c_in[1] == 0.0
+                worst_lossless = max(worst_lossless, abs(cs2.c_out[0, 0]), abs(cs2.c_out[1, 1]))
     assert worst_abs < 1e-10, worst_abs
     assert worst_lossless < 1e-12, worst_lossless
     report(4, "evanescent vacuum: c_in = 0 exactly; output noise = 2 Im r / |beta|",
@@ -215,7 +215,7 @@ def test_criterion_09_normal_incidence_degeneracy():
         cs_p = commutator_set(ctx, q="p")
         ss_s, ss_p = scatter_set(ctx, q="s"), scatter_set(ctx, q="p")
         scale = max(1.0 / abs(ctx.beta[0]), 1.0 / abs(ctx.beta[-1]),
-                    abs(cs_s.c_out0), abs(cs_s.c_outN))
+                    abs(cs_s.c_out[0, 0]), abs(cs_s.c_out[1, 1]))
 
         def gap(a, b, sc=1.0):
             return abs(abs(a) - abs(b)) / sc
@@ -225,9 +225,9 @@ def test_criterion_09_normal_incidence_degeneracy():
                 worst = max(worst, gap(a, b))
         for a, b in zip(cs_s.io.phi.ravel(), cs_p.io.phi.ravel()):
             worst = max(worst, gap(a, b))
-        for a, b in [(cs_s.c_in0, cs_p.c_in0), (cs_s.c_inN, cs_p.c_inN),
-                     (cs_s.c_out0, cs_p.c_out0), (cs_s.c_outN, cs_p.c_outN),
-                     (cs_s.cross, cs_p.cross)]:
+        for a, b in [(cs_s.c_in[0], cs_p.c_in[0]), (cs_s.c_in[1], cs_p.c_in[1]),
+                     (cs_s.c_out[0, 0], cs_p.c_out[0, 0]), (cs_s.c_out[1, 1], cs_p.c_out[1, 1]),
+                     (cs_s.c_out[0, 1], cs_p.c_out[0, 1])]:
             worst = max(worst, gap(a, b, scale))
         for ca, cb in zip(cs_s.cmat, cs_p.cmat):
             worst = max(worst, np.abs(np.abs(ca) - np.abs(cb)).max() / scale)

@@ -391,6 +391,21 @@ def test_thick_lossy_slab_is_finite_and_passes_every_suite(stack_file, capsys, t
         assert float(line["max_residual"]) <= (1e-12 if suite == "kirchhoff" else float(line["tol"]))
 
 
+@pytest.mark.parametrize("eps_re,eps_im", [(-0.0084, 1.2e-6), (-0.05, 1e-4)])
+def test_near_zero_eps_cladding_passes_the_commutators_suite(stack_file, capsys, eps_re, eps_im):
+    """A lossy cladding with eps near 0, where |k_j| is small: at every k from 0.1 to 5 omega/c
+    the closed-form output commutators are within 1e-12 of the assembly."""
+    doc = dict(SLAB, layers=[{"thickness_m": 1e-7, "material": {"model": "constant",
+                                                                "eps_re": 2.0, "eps_im": 0.1}}],
+               mediumN={"model": "constant", "eps_re": eps_re, "eps_im": eps_im})
+    rc = main(["verify", "--stack", stack_file(doc), "--suite", "commutators", "--omega", "2e15",
+               "--k", "0.1w:5w:50", "--pol", "p"])
+    line = dict(f.split("=") for f in capsys.readouterr().out.split())
+    assert rc == 0
+    assert (line["points"], line["skipped"], line["status"]) == ("50", "0", "PASS")
+    assert float(line["max_residual"]) <= 1e-12
+
+
 @pytest.mark.parametrize("thickness", [4e-5, 1e-3])
 def test_thick_lossy_slab_sample_warns_until_its_cells_resolve_the_decay(stack_file, capsys,
                                                                          thickness):
@@ -658,6 +673,30 @@ def test_tables_are_the_bytes_of_one_percent_per_row(stack_file, capsys, monkeyp
     assert written.count("e+") > 20   # a table, not an empty one
 
 
+TWENTY_LAYERS = dict(SLAB, layers=[
+    {"thickness_m": 4e-8 if j % 2 else 1.2e-7,
+     "material": {"model": "constant", "eps_re": 2.0 + 0.1 * j, "eps_im": 0.05 + 0.02 * j}}
+    for j in range(20)])
+
+
+@pytest.mark.parametrize("command", ["coeffs", "thermal"])
+def test_tables_do_not_depend_on_the_chunk_size(stack_file, capsys, monkeypatch, command):
+    """500 modes of a 20-layer stack in one engine call give the bytes of the default chunks:
+    the engine's arrays round the same way at every size (NumPy may reuse a temporary of
+    256 KiB or more in place, which swaps a product's operands)."""
+    import qplanar.cli
+
+    argv = [command, "--stack", stack_file(TWENTY_LAYERS), "--omega", "1e15:3e15:20",
+            "--k", "0.05w:2.45w:25", "--pol", "s,p"]
+    tables = []
+    for chunk_cells in (qplanar.cli._CHUNK_CELLS, 1 << 20):
+        monkeypatch.setattr(qplanar.cli, "_CHUNK_CELLS", chunk_cells)
+        assert main(argv) == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
+    assert tables[0].count("\n") > 1000
+
+
 def test_the_parser_is_built_once_and_survives_failed_calls(stack_file, capsys):
     import qplanar.cli
 
@@ -792,7 +831,7 @@ def test_thermal_paths_make_one_scatter_set_per_chunk_and_pol(stack_file, capsys
     for module in (qplanar.cli, qplanar.commutators, qplanar.thermal):
         monkeypatch.setattr(module, "scatter_set", counting)
     for module, name in [(qplanar.cli, "commutator_set"), (qplanar.commutators, "commutator_set"),
-                         (qplanar.commutators, "c_out_side"), (qplanar.commutators, "cross_closed")]:
+                         (qplanar.commutators, "c_out")]:
         monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
     rc = main([argv[0], "--stack", stack_file(SLAB), *argv[1:],
                "--omega", "1e15:3e15:3", "--k", "0:0.9w:7"])

@@ -9,22 +9,23 @@ from qplanar.commutators import (
     assembled_out,
     bosonic,
     bosonize,
-    c_in_side,
-    c_out_side,
+    c_in,
+    c_out,
     commutator_set,
-    cross_closed,
+    grazing,
     intraplate_tau,
     intraplate_xi,
     unitarity_residual,
 )
 from qplanar.errors import RegimeError
+from qplanar.iorel import io_matrix
 from qplanar.modes import make_context
 from qplanar.scatter import scatter_set
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
 
 
 def _scale(ctx, cs):
-    return max(abs(cs.c_in0), abs(cs.c_inN), abs(cs.c_out0), abs(cs.c_outN),
+    return max(*abs(cs.c_in), *abs(np.diagonal(cs.c_out)),
                1.0 / abs(ctx.beta[0]), 1.0 / abs(ctx.beta[-1]))
 
 
@@ -35,10 +36,10 @@ def test_vacuum_propagating_in_out_equal():
     for q in ("s", "p"):
         cs = commutator_set(ctx, q=q)
         expected = 1.0 / ctx.beta[0].real
-        assert cs.c_in0 == pytest.approx(expected, rel=1e-13)
-        assert cs.c_out0 == pytest.approx(expected, rel=1e-13)
-        assert cs.c_inN == pytest.approx(expected, rel=1e-13)
-        assert cs.c_outN == pytest.approx(expected, rel=1e-13)
+        assert cs.c_in[0] == pytest.approx(expected, rel=1e-13)
+        assert cs.c_out[0, 0] == pytest.approx(expected, rel=1e-13)
+        assert cs.c_in[1] == pytest.approx(expected, rel=1e-13)
+        assert cs.c_out[1, 1] == pytest.approx(expected, rel=1e-13)
 
 
 def test_assembled_empty_stack_is_exactly_c_in():
@@ -49,8 +50,8 @@ def test_assembled_empty_stack_is_exactly_c_in():
         cs = commutator_set(ctx, q=q)
         # S = [[0, 1], [1, 0]] and no layers: the assembly collapses to c_in
         out = assembled_out(cs)
-        assert out[0, 0] == cs.c_in0
-        assert out[1, 1] == cs.c_inN
+        assert out[0, 0] == cs.c_in[0]
+        assert out[1, 1] == cs.c_in[1]
 
 
 def test_tau_inverts_to_bosonic_combinations():
@@ -80,9 +81,9 @@ def test_evanescent_vacuum_lossless_stack_silent_output():
     ctx = make_context(st, omega, 1.8 * omega / C)
     for q in ("s", "p"):
         cs = commutator_set(ctx, q=q)
-        assert cs.c_in0 == 0.0
-        assert abs(cs.c_out0) < 1e-12
-        assert abs(cs.c_outN) < 1e-12
+        assert cs.c_in[0] == 0.0
+        assert abs(cs.c_out[0, 0]) < 1e-12
+        assert abs(cs.c_out[1, 1]) < 1e-12
 
 
 def test_closed_vs_assembled_randomized():
@@ -95,10 +96,11 @@ def test_closed_vs_assembled_randomized():
         if any(b == 0.0 for b in ctx.beta):
             continue
         cs = commutator_set(ctx, q=q)
-        assert cs.c_in0 >= 0.0 and cs.c_inN >= 0.0
+        assert np.all(cs.c_in >= 0.0)
         scale = _scale(ctx, cs)
         out = assembled_out(cs)
-        worst = max(worst, abs(out[0, 0] - cs.c_out0) / scale, abs(out[1, 1] - cs.c_outN) / scale)
+        worst = max(worst, abs(out[0, 0] - cs.c_out[0, 0]) / scale,
+                    abs(out[1, 1] - cs.c_out[1, 1]) / scale)
     assert worst < 1e-10, worst
 
 
@@ -112,8 +114,60 @@ def test_cross_closed_vs_assembled_randomized():
         if any(b == 0.0 for b in ctx.beta):
             continue
         cs = commutator_set(ctx, q=q)
-        worst = max(worst, abs(assembled_out(cs)[0, 1] - cs.cross) / _scale(ctx, cs))
+        worst = max(worst, abs(assembled_out(cs)[0, 1] - cs.c_out[0, 1]) / _scale(ctx, cs))
     assert worst < 1e-10, worst
+
+
+def test_near_zero_and_negative_eps_claddings_match_the_assembly():
+    """Claddings with eps near 0 or negative around absorbing layers: c_out is exactly
+    Hermitian and within 1e-12 of the brute-force assembly, s and p, k up to 5 omega/c."""
+    rng = np.random.default_rng(606)
+
+    def cladding():
+        u = rng.random()
+        if u < 0.2:
+            return VACUUM
+        if u < 0.6:
+            return ConstantEps(complex(rng.uniform(-0.1, 0.1), 10.0 ** rng.uniform(-7.0, -2.0)))
+        return ConstantEps(complex(rng.uniform(-20.0, -0.5), 10.0 ** rng.uniform(-6.0, 0.0)))
+
+    worst = 0.0
+    for _ in range(300):
+        layers = tuple(Layer(float(rng.uniform(20e-9, 300e-9)),
+                             ConstantEps(complex(rng.uniform(1.0, 6.0), rng.uniform(0.0, 1.0))))
+                       for _ in range(rng.integers(1, 4)))
+        st = Stack(cladding(), layers, cladding())
+        omega = rng.uniform(1e15, 3e15)
+        ctx = make_context(st, omega, rng.uniform(0.0, 5.0, 16) * omega / C)
+        for q in ("s", "p"):
+            cs = commutator_set(ctx, q=q)
+            np.testing.assert_array_equal(cs.c_out, np.conj(np.swapaxes(cs.c_out, -1, -2)))
+            scale = np.max(np.concatenate([abs(cs.c_in), abs(np.diagonal(cs.c_out, 0, -2, -1)),
+                                           1.0 / abs(ctx.beta[[0, -1]].T)], -1), axis=-1)
+            gap = np.max(abs(assembled_out(cs) - cs.c_out), axis=(-2, -1)) / scale
+            worst = max(worst, float(gap.max()))
+    assert worst < 1e-12, worst
+
+
+@pytest.mark.parametrize("q", ["s", "p"])
+def test_c_in_and_c_out_are_the_commutator_set_fields(q):
+    """The public c_in(ctx, q) and c_out(ctx, io) return the commutator set's arrays bit for bit,
+    side 0 at index 0 and side n at index 1, with the rows of S."""
+    rng = np.random.default_rng(707)
+    for _ in range(20):
+        st = random_stack(rng)
+        omega = rng.uniform(1e15, 3e15, 12)
+        ctx = make_context(st, omega, rng.uniform(0.0, 2.5, 12) * omega / C)
+        ctx = ctx.select(~grazing(ctx))
+        cs = commutator_set(ctx, q=q)
+        np.testing.assert_array_equal(c_in(ctx, q), cs.c_in)
+        np.testing.assert_array_equal(c_out(ctx, cs.io), cs.c_out)
+        for side in (0, ctx.n):
+            row = ctx.side_row(side)
+            b, ab2 = ctx.beta[side], abs(ctx.beta[side]) ** 2
+            p = 1.0 if q == "s" else (ab2 + ctx.k * ctx.k) / abs(ctx.kj[side]) ** 2
+            np.testing.assert_array_equal(cs.c_in[:, row], b.real / ab2 * p)
+            np.testing.assert_array_equal(cs.c_out[:, row, row].imag, 0.0)
 
 
 def test_cross_vanishes_propagating_vacuum():
@@ -122,7 +176,7 @@ def test_cross_vanishes_propagating_vacuum():
     for k_frac in (0.0, 0.3, 0.9):
         ctx = make_context(st, omega, k_frac * omega / C)
         for q in ("s", "p"):
-            val = cross_closed(ctx, scatter_set(ctx, q=q))
+            val = c_out(ctx, io_matrix(scatter_set(ctx, q=q)))[0, 1]
             assert abs(val) * abs(ctx.beta[0]) < 1e-12
 
 
@@ -134,12 +188,12 @@ def test_cross_evanescent_vacuum_transmission_form():
         for q in ("s", "p"):
             cs = commutator_set(ctx, q=q)
             expected = 2.0 * cs.io.s_matrix[1, 0].imag / abs(ctx.beta[0])
-            assert cs.cross == pytest.approx(expected, rel=1e-11)
+            assert cs.c_out[0, 1] == pytest.approx(expected, rel=1e-11)
             # lossless stack instead: Im t = 0, cross = 0
     st_ll = Stack(VACUUM, (Layer(200e-9, ConstantEps(2.25 + 0j)),), VACUUM)
     ctx = make_context(st_ll, omega, 1.9 * omega / C)
     cs = commutator_set(ctx, q="s")
-    assert abs(cs.cross) * abs(ctx.beta[0]) < 1e-13
+    assert abs(cs.c_out[0, 1]) * abs(ctx.beta[0]) < 1e-13
 
 
 def test_evanescent_vacuum_output_noise_reflection_form():
@@ -151,7 +205,7 @@ def test_evanescent_vacuum_output_noise_reflection_form():
             cs = commutator_set(ctx, q=q)
             r = cs.io.s_matrix[0, 0]
             assert r.imag >= 0.0  # positivity of the output noise budget
-            assert cs.c_out0 == pytest.approx(2.0 * r.imag / abs(ctx.beta[0]), rel=1e-10)
+            assert cs.c_out[0, 0] == pytest.approx(2.0 * r.imag / abs(ctx.beta[0]), rel=1e-10)
 
 
 def test_intraplate_matrices_hermitian_psd():
@@ -225,7 +279,7 @@ def test_bosonize_lossy_outer_media():
         assert gram[0, 0].real == pytest.approx(1.0, abs=1e-12)
         assert gram[1, 1].real == pytest.approx(1.0, abs=1e-12)
         # off-diagonal reproduces the scaled cross commutator
-        expected = cs.cross / np.sqrt(cs.c_out0 * cs.c_outN)
+        expected = cs.c_out[0, 1] / np.sqrt(cs.c_out[0, 0].real * cs.c_out[1, 1].real)
         assert gram[0, 1] == pytest.approx(expected, rel=1e-10)
 
 
@@ -264,8 +318,8 @@ def test_normal_incidence_polarization_degeneracy():
         for a, b in [(ss_s.r_0n, ss_p.r_0n), (ss_s.t_0n, ss_p.t_0n),
                      (ss_s.r_n0, ss_p.r_n0), (ss_s.t_n0, ss_p.t_n0)]:
             assert abs(a) == pytest.approx(abs(b), rel=1e-12, abs=1e-300)
-        for a, b in [(cs_s.c_in0, cs_p.c_in0), (cs_s.c_out0, cs_p.c_out0),
-                     (cs_s.c_outN, cs_p.c_outN), (cs_s.cross, cs_p.cross)]:
+        for a, b in [(cs_s.c_in[0], cs_p.c_in[0]), (cs_s.c_out[0, 0], cs_p.c_out[0, 0]),
+                     (cs_s.c_out[1, 1], cs_p.c_out[1, 1]), (cs_s.c_out[0, 1], cs_p.c_out[0, 1])]:
             assert abs(abs(a) - abs(b)) <= 1e-12 * scale
         for ca, cb in zip(cs_s.cmat, cs_p.cmat):
             assert np.abs(np.abs(ca) - np.abs(cb)).max() <= 1e-12 * scale
@@ -278,7 +332,7 @@ def test_wrong_transmission_convention_is_caught(flip_p_transmission):
     omega = 2e15
     ctx = make_context(st, omega, 1.4 * omega / C)
     cs = commutator_set(ctx, q="p")
-    mismatch = abs(assembled_out(cs)[0, 1] - cs.cross)
+    mismatch = abs(assembled_out(cs)[0, 1] - cs.c_out[0, 1])
     assert mismatch > 1e-3 * _scale(ctx, cs)
 
 
@@ -310,9 +364,9 @@ def test_grazing_mode_rejected():
     # The closed forms divide 0/0 there: each raises first, naming the mode.
     st = Stack(VACUUM, (Layer(200e-9, ConstantEps(2 + 0.5j)),), VACUUM)
     ctx = make_context(st, omega, np.array([0.5, 1.0]) * omega / C)
-    ss = scatter_set(ctx, "p")
-    for closed in (lambda: c_in_side(ctx, "p", 0), lambda: c_out_side(ctx, ss, ctx.n),
-                   lambda: cross_closed(ctx, ss), lambda: commutator_set(ctx, "p")):
+    io = io_matrix(scatter_set(ctx, "p"))
+    for closed in (lambda: c_in(ctx, "p"), lambda: c_out(ctx, io),
+                   lambda: commutator_set(ctx, "p")):
         with pytest.raises(RegimeError, match=re.escape(f"at {ctx.mode(1)} (grazing mode")):
             closed()
 
@@ -327,10 +381,10 @@ def test_entrywise_2x2_products_match_stacked_matmul():
         ctx = make_context(st, omega, rng.uniform(0.0, 2.5, 16) * omega / C)
         for q in ("s", "p"):
             cs = commutator_set(ctx, q=q)
-            s, phi, c_in = cs.io.s_matrix, cs.io.phi, np.stack([cs.c_in0, cs.c_inN], -1)
-            scale = np.max(oracle.assembled_out(abs(s), abs(c_in), abs(phi), abs(cs.cmat)),
+            s, phi = cs.io.s_matrix, cs.io.phi
+            scale = np.max(oracle.assembled_out(abs(s), abs(cs.c_in), abs(phi), abs(cs.cmat)),
                            axis=(-2, -1))
-            ref = oracle.assembled_out(s, c_in, phi, cs.cmat)
+            ref = oracle.assembled_out(s, cs.c_in, phi, cs.cmat)
             assert np.all(np.max(abs(assembled_out(cs) - ref), axis=(-2, -1)) <= 1e-15 * scale)
 
             ok = bosonic(ctx, cs)
@@ -339,7 +393,7 @@ def test_entrywise_2x2_products_match_stacked_matmul():
             bos = bosonize(sub, cs_sub)
             layers = np.arange(1, sub.n)
             tau = intraplate_tau(intraplate_xi(sub, q, layers))
-            out_scale = 1.0 / np.sqrt(np.stack([cs_sub.c_out0, cs_sub.c_outN], -1))[..., :, None]
+            out_scale = 1.0 / np.sqrt(np.diagonal(cs_sub.c_out, 0, -2, -1).real)[..., :, None]
             ref_phi = out_scale * (cs_sub.io.phi @ tau)
             phi_scale = np.max(out_scale * (abs(cs_sub.io.phi) @ abs(tau)), axis=(-2, -1))
             assert np.all(np.max(abs(bos.phi - ref_phi), axis=(-2, -1)) <= 1e-15 * phi_scale)

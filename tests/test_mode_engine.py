@@ -61,7 +61,9 @@ def _per_k(values) -> np.ndarray:
 
 
 SCATTER = ("r_left", "r_right", "t_to0", "t_toN", "t_from0", "t_fromN", "d_fp")
-COMMUTATORS = ("c_in0", "c_inN", "c_out0", "c_outN", "cross")
+# oracle record -> (CommutatorSet field, side index)
+COMMUTATORS = {"c_in0": ("c_in", (0,)), "c_inN": ("c_in", (1,)), "c_out0": ("c_out", (0, 0)),
+               "c_outN": ("c_out", (1, 1)), "cross": ("c_out", (0, 1))}
 
 
 @settings(max_examples=40, deadline=None)
@@ -125,8 +127,8 @@ def test_engine_matches_scalar_oracle(case):
             len(cref), ctx.n - 1, 2, 2), 0, 1)
         scale = _largest(*ref.values(), 1.0 / np.abs(sub.beta[[0, -1]]))
         inv_d = inv_d[~np.array(graze, dtype=bool)]
-        for name in COMMUTATORS:
-            _close(getattr(cs, name)[sub_keep], ref[name], scale, scale * inv_d)
+        for name, (field, at) in COMMUTATORS.items():
+            _close(getattr(cs, field)[(sub_keep, *at)], ref[name], scale, scale * inv_d)
         _close(cs.cmat[:, sub_keep], ref["cmat"], scale)
         kept = [m for m, g in zip(modes, graze) if not g]
         for side in (0, ctx.n):

@@ -17,7 +17,7 @@ from qplanar.modes import make_context
 from qplanar.sampler import BLOCK, sample_emission
 from qplanar.scatter import scatter_set
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
-from qplanar.thermal import bose, emission_w
+from qplanar.thermal import emission_w
 
 OMEGA = 2e15
 
@@ -56,6 +56,15 @@ def test_zero_temperature_exact_zero():
     w, stderr = sample_emission(make_context(absorbing_slab(), OMEGA, 1e6), temperature=0.0,
                                 realizations=100, seed=1)
     assert w == 0.0 and stderr == 0.0
+
+
+def test_tiny_occupation_keeps_a_positive_stderr():
+    """At 30 K, n(omega, T) ~ 1e-229: |u|^4 would underflow to 0 if n entered the draws."""
+    ctx = make_context(absorbing_slab(), OMEGA, 3e6)
+    w_ref = emission_w(ctx, q="s", temperature=30.0)
+    w, stderr = sample_emission(ctx, "s", 30.0, realizations=20_000)
+    assert stderr > 0.0
+    assert abs(w - w_ref) < 5.0 * stderr
 
 
 def test_different_seeds_differ():
@@ -201,15 +210,15 @@ def test_draw_count_does_not_grow_with_nodes(monkeypatch, q):
     assert sizes[0] == sizes[1]
 
 
-def cell_weights(ctx, q, side, m, temperature=300.0):
+def cell_weights(ctx, q, side, m):
     """Oracle: one weight per (z-cell, component), u = sum_cells w_cell . f_cell.
 
-    The cell variance n/dz is folded into the weights, so the draws they
-    multiply are unit circular Gaussians; the variance of u is sum |w|^2.
+    The cell variance 1/dz is folded into the weights, so the draws they
+    multiply are unit circular Gaussians; the variance of u is n(omega, T) sum |w|^2,
+    the sampler scaling its estimates by n(omega, T) at the end.
     """
     row = ctx.side_row(side)
     phi = io_matrix(scatter_set(ctx, q)).phi
-    occ = bose(ctx.omega, temperature)
     weights = []
     for j in range(1, ctx.n):
         dz = ctx.d[j] / m
@@ -220,7 +229,7 @@ def cell_weights(ctx, q, side, m, temperature=300.0):
         e_plus, e_minus = ctx.pol_vector(q, j, +1), ctx.pol_vector(q, j, -1)
         w_plus = phi_plus * pref * np.exp(1j * beta * (ctx.d[j] - z_cells))[:, None] * e_plus
         w_minus = phi_minus * pref * np.exp(1j * beta * z_cells)[:, None] * e_minus
-        weights.append((w_plus + w_minus) * math.sqrt(occ / dz))
+        weights.append((w_plus + w_minus) / math.sqrt(dz))
     return np.concatenate(weights).reshape(-1)
 
 

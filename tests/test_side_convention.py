@@ -1,14 +1,17 @@
 """`side` is an outer region index, 0 or n, for every public function taking it."""
 
+import importlib
+import inspect
+import pkgutil
+
 import pytest
 
+import qplanar
 from conftest import C
-from qplanar.commutators import c_in_side, c_out_side
 from qplanar.errors import ConfigError
 from qplanar.iorel import field_outside
 from qplanar.modes import make_context
 from qplanar.sampler import sample_emission
-from qplanar.scatter import scatter_set
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
 from qplanar.thermal import emission_w, kirchhoff_residual
 
@@ -25,8 +28,6 @@ def _ctx():
 
 TAKERS = {
     "side_row": lambda side: _ctx().side_row(side),
-    "c_in_side": lambda side: c_in_side(_ctx(), "p", side),
-    "c_out_side": lambda side: c_out_side(_ctx(), scatter_set(_ctx(), q="p"), side),
     "emission_w": lambda side: emission_w(_ctx(), q="p", side=side),
     "kirchhoff_residual": lambda side: kirchhoff_residual(_ctx(), q="p", side=side),
     "sample_emission": lambda side: sample_emission(_ctx(), q="p", side=side, realizations=10),
@@ -45,3 +46,22 @@ def test_side_outside_zero_or_n_rejected(name, side):
 def test_side_zero_and_n_accepted(name):
     for side in (0, N):
         TAKERS[name](side)
+
+
+def test_every_public_side_taker_is_checked():
+    """Every public function or method of qplanar with a `side` parameter is in TAKERS."""
+    found = set()
+    for info in pkgutil.iter_modules(qplanar.__path__):
+        module = importlib.import_module(f"qplanar.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                fns = [(name, obj)]
+            elif inspect.isclass(obj):
+                fns = inspect.getmembers(obj, inspect.isfunction)
+            else:
+                continue
+            found |= {fn_name for fn_name, fn in fns if not fn_name.startswith("_")
+                      and "side" in inspect.signature(fn).parameters}
+    assert found == set(TAKERS)

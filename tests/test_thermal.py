@@ -64,7 +64,7 @@ def test_emission_matches_kirchhoff_budget():
             w = emission_w(ctx, q=q, temperature=300.0, side=side)
             s = cs.io.s_matrix
             row = s[0] if side == 0 else s[1]
-            budget = bose(omega, 300.0) * cs.c_in0 * (
+            budget = bose(omega, 300.0) * cs.c_in[0] * (
                 1.0 - abs(row[0]) ** 2 - abs(row[1]) ** 2
             )
             assert w == pytest.approx(budget, rel=1e-10)
@@ -113,7 +113,7 @@ def test_evanescent_emission_balances_output_commutator():
             cs = commutator_set(ctx, q=q)
             w = emission_w(ctx, q=q, temperature=300.0, side=0)
             n = bose(omega, 300.0)
-            assert w / n == pytest.approx(cs.c_out0, rel=1e-8)
+            assert w / n == pytest.approx(cs.c_out[0, 0], rel=1e-8)
             assert w / n == pytest.approx(
                 2.0 * cs.io.s_matrix[0, 0].imag / abs(ctx.beta[0]), rel=1e-8
             )
