@@ -40,8 +40,7 @@ _SLOT = 21         # bytes per cell slot; the widest cell, "-d.dddddddddddde-ddd
 _PAD = b"\xff"     # fills the unused bytes of a slot; UTF-8 text never holds this byte
 
 # Cells per engine call: 10 per mode, region and polarization (a `coeffs` row has 10 per
-# layer), 9 per mode and node of the Green quadrature, and 2 per mode and node of the
-# sampler's mode vectors.
+# layer) and 9 per mode and node of the Green quadrature.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -413,11 +412,11 @@ def cmd_sample(args) -> int:
     template = "\n".join(f"{_FLOAT},{_FLOAT},{q},{args.side},{_FLOAT},{_FLOAT},{_FLOAT},"
                          f"{args.realizations},{args.seed}" for q in pols)
     blocks = []
-    for ctx in _contexts(stack, omega, k, max(10 * (stack.n + 1), 2 * (args.nodes + 1))):
+    for ctx in _contexts(stack, omega, k, 10 * (stack.n + 1) * len(pols)):
         cells = np.empty((ctx.k.size, len(pols), 5))   # omega, k, temp, w, stderr
         cells[..., 0], cells[..., 1], cells[..., 2] = ctx.omega[:, None], ctx.k[:, None], args.temp
-        est = sample_emission(ctx, pols, args.temp, args.side, nodes_per_layer=args.nodes,
-                              realizations=args.realizations, seed=args.seed)
+        est = sample_emission(ctx, pols, args.temp, args.side, realizations=args.realizations,
+                              seed=args.seed)
         cells[..., 3:] = np.stack(est, -1).swapaxes(0, 1)
         blocks.append(_rows(template, cells))
     _emit(args, header, blocks, "sample")
@@ -489,8 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--realizations", type=int, default=20000)
     p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--nodes", type=int, default=64,
-                   help="z-nodes per layer of the midpoint rule for the layer amplitude covariance")
     p.add_argument("--side", type=int, default=0,
                    help="outer region the emission leaves through: 0 or n (the last region)")
     p.set_defaults(func=cmd_sample)

@@ -3,10 +3,11 @@
 A mode is fixed by (omega, k) with k the magnitude of the transverse
 wavevector.  For every region j the propagation constant is
 
-    beta_j = sqrt((k_j - k)(k_j + k)),   k_j = sqrt(eps_j) * omega / c,
+    beta_j = sqrt(k_j^2 - k^2),   k_j = sqrt(eps_j) * omega / c,
 
-on the branch with Re >= 0 and Im >= 0; the factored argument keeps full
-relative accuracy next to a light line, where k_j^2 - k^2 would cancel.
+on the branch with Re >= 0 and Im >= 0, taken of ((k_j' - k)(k_j' + k) - k_j''^2)
++ 2i k_j' k_j'': the factored real part keeps its digits next to a light line, and the
+one-product imaginary part the small beta' of a nearly lossless evanescent layer.
 For exactly lossless media with k > k_j the argument of the root is
 negative real; there the branch is selected explicitly as +i sqrt(|.|) so
 no signed-zero ambiguity of the principal root can leak in.  Every
@@ -132,7 +133,8 @@ def make_context(stack: Stack, omega, k, khat=X_HAT) -> ModeContext:
     norm = math.hypot(kx, ky)
     if abs(norm - 1.0) > 1e-12:
         raise ConfigError(f"khat must be a unit vector, |khat| = {norm}")
-    beta = upper_sqrt((kj - k) * (kj + k))
+    kr, ki = kj.real, kj.imag
+    beta = upper_sqrt(((kr - k) * (kr + k) - ki * ki) + 2j * kr * ki)
     d = np.array([0.0, *(layer.thickness for layer in stack.layers), 0.0])
     return ModeContext(stack, omega, k, (kx, ky), eps, kj, beta, d)
 

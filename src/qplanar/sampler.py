@@ -1,8 +1,7 @@
 """Monte Carlo oracle for the thermal emission spectra.
 
 Draws the intraplate Langevin noise as the two layer amplitudes of each
-lossy layer and coupled Cartesian component, with the covariance the
-midpoint rule gives them on a z-grid, pushes them through the
+lossy layer and coupled Cartesian component, pushes them through the
 noise-coupling rows of the IO relation, and estimates the output spectral
 intensity.  Everything is done in the same N0-normalized units as the
 closed forms, where the per-layer amplitude reduces to
@@ -12,11 +11,9 @@ closed forms, where the per-layer amplitude reduces to
 
 with <f_mu*(z) f_nu(z')> = n(omega,T) delta_mu,nu delta(z - z'), and E+ at z = d as in Phi.
 
-The grid's nodes set the midpoint-rule quadrature of each layer's 2 x 2
-amplitude covariance, not the number of draws: a realization draws two
-unit circular Gaussians per (lossy layer, coupled component), whatever the
-node count.  The estimator has the law of one draw per (z-cell,
-component), but a seed gives other estimates than that earlier sampler.
+Each realization draws two unit circular Gaussians per (lossy layer,
+coupled component): the two layer amplitudes, with the exact 2 x 2
+covariance of the mode functions e^{i beta (d - z)} and e^{i beta z}.
 
 Reproducibility contract: streams are Philox counter-based, keyed by
 (seed, realization-block) with 0 <= seed < 2**64 and a fixed block size,
@@ -44,7 +41,28 @@ from .scatter import scatter_set
 from .thermal import bose
 
 BLOCK = 2048  # realizations per RNG block; part of the determinism contract
-_MAX_BETA2_DZ = 0.245   # the midpoint rule keeps x / sinh(x) >= 99% of the emission, x = beta'' dz
+
+
+def _series_tail(u):
+    """sum_{n >= 1} u^n / (2n + 1)! to the last bit for |u| <= 1: sinh(t)/t - 1 at u = t^2,
+    sin(t)/t - 1 at u = -t^2."""
+    acc = np.zeros_like(u)
+    for n in range(9, 0, -1):
+        acc = u / (2 * n * (2 * n + 1)) * (1.0 + acc)
+    return acc
+
+
+def _gram_eigenvalues(beta, d: float):
+    """Eigenvalues g + h and g - h of [[g, h], [h, g]], the Gram matrix of the mode functions
+    e^{i beta (d - z)} and e^{i beta z} on 0 <= z <= d, per entry of beta (beta', beta'' > 0):
+    g = d e^{-x} sinh(x)/x and h = d e^{-x} sin(y)/y with x = beta'' d, y = beta' d.  g - h is
+    d e^{-x} ((sinh(x)/x - 1) + (1 - sin(y)/y)), two nonnegative terms that do not cancel."""
+    x, y = beta.imag * d, beta.real * d
+    decay, sinc = np.exp(-x), np.sin(y) / y
+    g = -np.expm1(-2.0 * x) / (2.0 * beta.imag)
+    sinh_excess = np.where(x < 1.0, decay * _series_tail(np.minimum(x, 1.0) ** 2), g / d - decay)
+    sin_deficit = np.where(y < 1.0, -_series_tail(-np.minimum(y, 1.0) ** 2), 1.0 - sinc)
+    return g + d * decay * sinc, d * (sinh_excess + decay * sin_deficit)
 
 
 def _moments(seed: int, realizations: int, vectors: list[np.ndarray]) -> np.ndarray:
@@ -72,7 +90,7 @@ def _moments(seed: int, realizations: int, vectors: list[np.ndarray]) -> np.ndar
 
 
 def sample_emission(ctx: ModeContext, q="s", temperature: float = 300.0, side: int = 0, *,
-                    nodes_per_layer: int = 64, realizations: int = 10_000, seed: int = 12345):
+                    realizations: int = 10_000, seed: int = 12345):
     """Estimate the outgoing thermal intensity (N0-normalized) and its standard error, per k.
 
     Returns the arrays (w, stderr), each of shape ctx.k.shape.  `q` is "s",
@@ -81,8 +99,7 @@ def sample_emission(ctx: ModeContext, q="s", temperature: float = 300.0, side: i
     of |u_out|^2 over its realizations; the standard error is the usual
     sqrt(var / N).  `side` is the outer region the emission leaves through,
     0 or ctx.n.  Where n(omega, T) = 0 (T = 0) every variance is zero and
-    the estimate is exactly zero.  Cells too thick for the midpoint rule warn with
-    the node count that resolves them; a non-finite weight raises AccuracyError.
+    the estimate is exactly zero.  A non-finite weight raises AccuracyError.
     """
     if realizations < 1:
         raise ConfigError("need at least one realization")
@@ -91,8 +108,6 @@ def sample_emission(ctx: ModeContext, q="s", temperature: float = 300.0, side: i
     row = ctx.side_row(side)
     if ctx.n < 2:
         raise ConfigError("sampling needs at least one interior layer")
-    if nodes_per_layer < 2:
-        raise ConfigError("at least 2 nodes per layer")
     pols = (q,) if isinstance(q, str) else tuple(q)
     phis = [io_matrix(scatter_set(ctx, p)).phi for p in pols]
     occ = bose(ctx.omega, temperature)
@@ -103,17 +118,11 @@ def sample_emission(ctx: ModeContext, q="s", temperature: float = 300.0, side: i
         return w, stderr
     sub, occ = ctx.select(live), occ[live]
 
-    # Layer amplitudes.  Over the cell midpoints z_c of layer j, every column of
-    # the per-cell weights is W_j = [a b] C_j with the mode vectors
-    # a = e^{i beta (d - z_c)} and b = e^{i beta z_c}, both bounded by 1, and C_j
-    # the 2 x 3 coefficients of the two modes (phi row of the requested side,
-    # polarization vector, the prefactor and the cell variance 1/dz; n(omega, T)
-    # scales the estimates at the end, so |u|^4 cannot underflow).  With the thin QR [a b] = Q R,
-    # W_j^T f = (Q^H W_j)^T (Q^T f) = (R C_j)^T g, and g = Q^T f is again iid
-    # unit circular Gaussian: two draws per coupled component give u the law
-    # of one draw per (cell, component), and the nodes only set the
-    # midpoint-rule quadrature of the 2 x 2 amplitude covariance, the Gram
-    # matrix [a b]^H [a b] = R^H R.  R does not depend on the polarization.
+    # Layer amplitudes.  Per lossy layer j, u = int (a C_+ + b C_-) . f dz, with C_j the 2 x 3
+    # coefficients of a = e^{i beta (d - z)}, b = e^{i beta z} (phi row, pol vector, prefactor;
+    # n(omega, T) scales the estimates at the end, so |u|^4 cannot underflow), has the law of
+    # (R C_j)^T xi, xi two unit circular Gaussians per component, for any R^H R = G, the Gram
+    # matrix of a and b: R = diag(sqrt(g + h), sqrt(g - h)) [[1, 1], [1, -1]] / sqrt(2).
     # A lossless layer keeps zero weights.
     weights = np.zeros((len(pols), sub.k.size, ctx.n - 1, 2, 3), dtype=complex)
     for j in range(1, ctx.n):
@@ -123,19 +132,10 @@ def sample_emission(ctx: ModeContext, q="s", temperature: float = 300.0, side: i
             _warnings.warn(f"layer {j} is lossless; it contributes no thermal noise", stacklevel=2)
         if not lossy.any():
             continue
-        dz = ctx.d[j] / nodes_per_layer
         beta = sub.beta[j][lossy]
-        x = np.where(lossy, sub.beta[j].imag, 0.0) * dz
-        if x.max() > _MAX_BETA2_DZ:
-            at = int(np.argmax(x))
-            _warnings.warn(f"layer {j} is under-resolved at {sub.mode(at)}: beta'' dz = {x[at]:.3g} "
-                           f"keeps {x[at] / math.sinh(x[at]):.3g} of its emission; "
-                           f"{math.ceil(nodes_per_layer * x[at] / _MAX_BETA2_DZ)} nodes per layer "
-                           "resolve it", stacklevel=2)
-        pref = -(sub.omega[lossy] / C_LIGHT) * np.sqrt(epp[lossy]) / beta * math.sqrt(dz)
-        # At the midpoints, d - z_c is z_c reversed: one exp gives both mode vectors.
-        b = np.exp(np.multiply.outer(1j * beta, (np.arange(nodes_per_layer) + 0.5) * dz))
-        r = np.linalg.qr(np.stack([b[:, ::-1], b], -1), mode="r")
+        pref = -(sub.omega[lossy] / C_LIGHT) * np.sqrt(epp[lossy]) / beta
+        eig = np.stack(_gram_eigenvalues(beta, ctx.d[j]), -1)
+        r = np.sqrt(eig / 2.0)[..., None] * [[1.0, 1.0], [1.0, -1.0]]
         for iq, (p, phi) in enumerate(zip(pols, phis)):
             pol = np.stack([sub.pol_vector(p, j, +1)[lossy], sub.pol_vector(p, j, -1)[lossy]], 1)
             # pref * (phi * pol), in this order: (pref * phi) * pol moves some p estimates by

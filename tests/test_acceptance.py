@@ -177,8 +177,7 @@ def test_criterion_07_monte_carlo_oracle():
     k = 0.5 * 2e15 / C
     ctx = make_context(ABSORBING_SLAB, 2e15, k)
     w_ref = emission_w(ctx, q="p", temperature=300.0, side=0)
-    plan = dict(q="p", temperature=300.0, side=0, nodes_per_layer=64, realizations=100_000,
-                seed=31415)
+    plan = dict(q="p", temperature=300.0, side=0, realizations=100_000, seed=31415)
     t0 = time.time()
     w, stderr = sample_emission(ctx, **plan)
     elapsed = time.time() - t0

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -406,30 +407,37 @@ def test_near_zero_eps_cladding_passes_the_commutators_suite(stack_file, capsys,
     assert float(line["max_residual"]) <= 1e-12
 
 
-@pytest.mark.parametrize("thickness", [4e-5, 1e-3])
-def test_thick_lossy_slab_sample_warns_until_its_cells_resolve_the_decay(stack_file, capsys,
-                                                                         thickness):
-    """At the default 64 nodes the midpoint rule keeps only x / sinh(x) of the emission, with
-    x = beta'' dz in the tens or hundreds: `sample` warns, naming the layer, the mode and the
-    node count that resolves it.  At that count it is silent and within 5 standard errors of
-    the closed-form emission."""
-    path = stack_file(_thick_metal(thickness))
-    mode = ["--omega", "2e15", "--k", "0.5w", "--pol", "s,p"]
-    with pytest.warns(UserWarning, match=r"layer 1 is under-resolved at omega = 2\.000000e\+15 "
-                                         r"rad/s, k = 3\.335641e\+06 1/m") as record:
-        assert main(["sample", "--stack", path, *mode]) == 0
-    capsys.readouterr()
-    [nodes] = {int(str(r.message).split("; ")[1].split()[0]) for r in record}
-    assert main(["thermal", "--stack", path, *mode]) == 0
+def _aliasing_slab():
+    """eps = 4 + 0.01i, 64 periods of e^{2i beta' z} thick at omega = 2e15, k = 0 (15.1 um): a
+    midpoint rule on 64 cells aliases the off-diagonal entry of its layer covariance there."""
+    doc = dict(SLAB, layers=[{"thickness_m": 1e-6, "material": {
+        "model": "constant", "eps_re": 4.0, "eps_im": 0.01}}])
+    beta = make_context(load_stack(json.dumps(doc)), 2e15, 0.0).beta[1].real
+    doc["layers"][0]["thickness_m"] = 64 * math.pi / beta
+    return doc
+
+
+@pytest.mark.parametrize("case", ["aliasing", 4e-5, 1e-3])
+def test_thick_and_aliasing_slab_samples_are_within_5_stderr_of_thermal(stack_file, capsys, case):
+    """The layer covariance is exact at any thickness: the aliasing slab and the 40 um and 1 mm
+    metal slabs (2 beta'' d about 1,700 and 42,000) sample within 5 standard errors of the
+    closed-form emission, warning nothing and printing nothing to stderr."""
+    if case == "aliasing":
+        path = stack_file(_aliasing_slab())
+        grid, plan = ["--omega", "2e15", "--k", "0", "--pol", "s"], ["--realizations", "40000",
+                                                                      "--seed", "1"]
+    else:
+        path, grid, plan = stack_file(_thick_metal(case)), ["--omega", "2e15", "--k", "0.5w"], []
+    assert main(["thermal", "--stack", path, *grid]) == 0
     w_ref = [float(r["w_n0_normalized"]) for r in _table(capsys.readouterr().out) if r["side"] == "0"]
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        assert main(["sample", "--stack", path, *mode, "--nodes", str(nodes)]) == 0
+        assert main(["sample", "--stack", path, *grid, *plan]) == 0
     assert record == []
     captured = capsys.readouterr()
     assert captured.err == ""
     rows = _table(captured.out)
-    assert [r["pol"] for r in rows] == ["s", "p"]
+    assert len(rows) == len(w_ref) == (1 if case == "aliasing" else 2)
     for r, ref in zip(rows, w_ref):
         assert abs(float(r["w_est_n0"]) - ref) <= 5.0 * float(r["stderr_n0"])
 
@@ -454,8 +462,7 @@ def test_sample_side_n_row_matches_library(stack_file, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     k = 0.5 * 2e15 / 299792458.0
     w, stderr = sample_emission(make_context(load_stack(json.dumps(THREE_LAYERS)), 2e15, k), q="p",
-                                temperature=300.0, side=4, nodes_per_layer=64, realizations=3000,
-                                seed=9)
+                                temperature=300.0, side=4, realizations=3000, seed=9)
     expected = [_fmt(2e15), _fmt(k), "p", "4", _fmt(300.0), _fmt(w), _fmt(stderr), "3000", "9"]
     assert lines[2].split(",") == expected
 
@@ -655,7 +662,7 @@ _TABLE_GRID = ["--omega", "1e15:3e15:3", "--k", "0.05w:1.65w:9", "--pol", "s,p"]
     (["coeffs", *_TABLE_GRID], FIVE_LAYERS, None),
     (["coeffs", *_TABLE_GRID], FIVE_LAYERS, 100),
     (["thermal", *_TABLE_GRID], SLAB, None),
-    (["sample", *_TABLE_GRID, "--realizations", "200", "--nodes", "16"], SLAB, None),
+    (["sample", *_TABLE_GRID, "--realizations", "200"], SLAB, None),
     (["kernels", "--omega", "2e15", "--kw", "1.5w", "--rho-points", "7"], THREE_LAYERS, None),
 ])
 def test_tables_are_the_bytes_of_one_percent_per_row(stack_file, capsys, monkeypatch, argv, doc,
@@ -741,15 +748,14 @@ def test_one_engine_call_per_chunk(stack_file, capsys, monkeypatch, argv):
     assert calls == [(21, 21)]
 
 
-@pytest.mark.parametrize("nodes,sizes", [(24, [2, 2, 2, 1]), (49, [1] * 7)])
-def test_sample_chunks_scale_with_the_node_count(stack_file, capsys, monkeypatch, nodes, sizes):
-    # 2 cells per mode and node + 1, at least 10 per region (50 here): 100 cells hold two
-    # modes at 24 nodes, one at 49.  Each chunk makes one context and one sampler call for
-    # both polarizations, and the table does not depend on the chunks.
+def test_sample_chunks_like_coeffs(stack_file, capsys, monkeypatch):
+    # 10 cells per mode, region and polarization: 200 cells hold two modes of the 5-region
+    # stack.  Each chunk makes one context and one sampler call for both polarizations, and
+    # the table does not depend on the chunks.
     import qplanar.cli
 
-    argv = ["sample", "--stack", stack_file(THREE_LAYERS), "--omega", "2e15", "--k", "0:1.4w:7",
-            "--nodes", str(nodes), "--realizations", "300", "--side", "4"]
+    grid = ["--stack", stack_file(THREE_LAYERS), "--omega", "2e15", "--k", "0:1.4w:7"]
+    argv = ["sample", *grid, "--realizations", "300", "--side", "4"]
     assert main(argv) == 0
     unchunked = capsys.readouterr().out
     contexts, samples = [], []
@@ -763,13 +769,24 @@ def test_sample_chunks_scale_with_the_node_count(stack_file, capsys, monkeypatch
         samples.append((ctx.k.size, tuple(q)))
         return real_sample(ctx, q, *args, **kwargs)
 
-    monkeypatch.setattr(qplanar.cli, "_CHUNK_CELLS", 100)
+    monkeypatch.setattr(qplanar.cli, "_CHUNK_CELLS", 200)
     monkeypatch.setattr(qplanar.cli, "make_context", counting_context)
     monkeypatch.setattr(qplanar.cli, "sample_emission", counting_sample)
+    assert main(["coeffs", *grid]) == 0
+    capsys.readouterr()
+    coeffs_chunks, contexts[:] = contexts[:], []
     assert main(argv) == 0
-    assert contexts == sizes
-    assert samples == [(size, ("s", "p")) for size in sizes]
+    assert contexts == coeffs_chunks == [2, 2, 2, 1]
+    assert samples == [(size, ("s", "p")) for size in contexts]
     assert capsys.readouterr().out == unchunked
+
+
+def test_sample_takes_no_nodes_option(stack_file):
+    """The layer covariance is exact, so `sample` has no quadrature nodes: `--nodes` is a usage
+    error of argparse."""
+    with pytest.raises(SystemExit) as exc:
+        main(["sample", "--stack", stack_file(SLAB), "--omega", "2e15", "--nodes", "64"])
+    assert exc.value.code == 2
 
 
 def test_contexts_split_consecutive_modes_by_cells(monkeypatch):

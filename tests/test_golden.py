@@ -64,8 +64,8 @@ CASES = {
     "thermal": (VACUUM_CLAD, ["thermal", *GRID]),
     "kernels": (LOSSY_CLAD, ["kernels", "--omega", "2e15", "--kind", "Phi0-", "--layer", "2",
                              "--kw", "0.3w", "--rho-points", "11"]),
-    "sample": (VACUUM_CLAD, ["sample", "--omega", "2e15", "--k", "0.5w", "--nodes", "16",
-                            "--realizations", "3000", "--seed", "7", "--side", "3"]),
+    "sample": (VACUUM_CLAD, ["sample", "--omega", "2e15", "--k", "0.5w", "--realizations", "3000",
+                            "--seed", "7", "--side", "3"]),
     "verify-commutators": (VACUUM_CLAD, ["verify", "--suite", "commutators", *GRID]),
     "verify-unitarity": (VACUUM_CLAD, ["verify", "--suite", "unitarity", *GRID]),
     "verify-kirchhoff": (VACUUM_CLAD, ["verify", "--suite", "kirchhoff", *GRID]),
@@ -133,6 +133,29 @@ def _compare(case: str, got: str, want: str):
 def test_golden_output(case, tmp_path):
     got = _run(case, tmp_path / "stack.json")
     _compare(case, got, (GOLDEN_DIR / f"{case}.txt").read_text(encoding="utf-8"))
+
+
+def _table_rows(text: str) -> list[dict[str, str]]:
+    header, *rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+    return [dict(zip(header, row)) for row in rows]
+
+
+def test_sample_golden_is_within_5_stderr_of_thermal(tmp_path):
+    """The `sample` golden estimates the closed form: each row is within 5 standard errors of
+    `thermal` at its mode and side on the same stack."""
+    stack, _ = CASES["sample"]
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps(stack))
+    rows = _table_rows((GOLDEN_DIR / "sample.txt").read_text(encoding="utf-8"))
+    assert rows
+    for r in rows:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main(["thermal", "--stack", str(path), "--omega", r["omega_rad_s"],
+                         "--k", r["k_inv_m"], "--pol", r["pol"]]) == 0
+        [ref] = [float(t["w_n0_normalized"]) for t in _table_rows(buf.getvalue())
+                 if t["side"] == r["side"]]
+        assert abs(float(r["w_est_n0"]) - ref) <= 5.0 * float(r["stderr_n0"]), (r, ref)
 
 
 def write_goldens():

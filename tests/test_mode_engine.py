@@ -280,6 +280,34 @@ def test_interface_r_t_next_to_light_lines_match_rational_arithmetic(eps1):
                 assert abs(got - complex(float(re), float(im))) <= 1e-14 * max(1.0, abs(got))
 
 
+def test_beta_parts_are_within_4_ulp_of_mpmath_on_random_modes():
+    """On the engine's own k_j, beta' and beta'' are within 4 ulp of a 50-digit root of
+    k_j^2 - k^2: eps' of either sign, eps'' from 1e-12 to 3, a fifth of the k within 1e-12 of
+    the light line, and a nearly lossless evanescent layer where (k_j - k)(k_j + k) cancelled
+    Im beta^2 down to 5e-11 of beta'."""
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2021)
+    modes = [(2.869e15, -9.367 + 1.008e-6j, 1.928e7)]
+    for _ in range(600):
+        omega = 10 ** rng.uniform(14, 16)
+        eps = complex(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-2, 1.5),
+                      10 ** rng.uniform(-12, math.log10(3.0)))
+        kj = complex(make_context(Stack(ConstantEps(eps), (), ConstantEps(1.0)), omega, 0.0).kj[0])
+        if eps.real > 0 and rng.random() < 0.2:
+            k = kj.real * (1.0 + rng.uniform(-1e-12, 1e-12))
+        else:
+            k = 10 ** rng.uniform(-3, math.log10(4.0)) * abs(kj)
+        modes.append((omega, eps, k))
+    for omega, eps, k in modes:
+        ctx = make_context(Stack(ConstantEps(eps), (), ConstantEps(1.0)), omega, k)
+        kj, beta = complex(ctx.kj[0]), complex(ctx.beta[0])
+        with mp.workdps(50):
+            ref = mp.sqrt(mp.mpc(kj.real, kj.imag) ** 2 - mp.mpf(k) ** 2)
+            ref = -ref if ref.real < 0 else ref
+            for got, want in ((beta.real, ref.real), (beta.imag, ref.imag)):
+                assert abs(got - want) <= 4 * np.spacing(float(want)), (omega, eps, k, beta)
+
+
 def test_beta_in_lossy_regions_matches_mpmath():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50

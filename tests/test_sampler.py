@@ -12,12 +12,10 @@ from conftest import C
 from qplanar import sampler
 from qplanar.cli import main
 from qplanar.errors import ConfigError
-from qplanar.iorel import io_matrix
 from qplanar.modes import make_context
 from qplanar.sampler import BLOCK, sample_emission
-from qplanar.scatter import scatter_set
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
-from qplanar.thermal import emission_w
+from qplanar.thermal import bose, emission_w
 
 OMEGA = 2e15
 
@@ -34,8 +32,7 @@ def test_estimate_matches_closed_form(k_frac, q, far):
     ctx = make_context(st, OMEGA, k)
     side = ctx.n if far else 0
     w_ref = emission_w(ctx, q=q, temperature=300.0, side=side)
-    w, stderr = sample_emission(ctx, q, 300.0, side, nodes_per_layer=64, realizations=50_000,
-                                seed=1234)
+    w, stderr = sample_emission(ctx, q, 300.0, side, realizations=50_000, seed=1234)
     assert stderr > 0.0
     assert abs(w - w_ref) < 3.0 * stderr
 
@@ -47,8 +44,7 @@ def test_multilayer_estimate():
     k = 0.5 * OMEGA / C
     ctx = make_context(st, OMEGA, k)
     w_ref = emission_w(ctx, q="p", temperature=350.0, side=ctx.n)
-    w, stderr = sample_emission(ctx, "p", 350.0, ctx.n, nodes_per_layer=64, realizations=50_000,
-                                seed=5)
+    w, stderr = sample_emission(ctx, "p", 350.0, ctx.n, realizations=50_000, seed=5)
     assert abs(w - w_ref) < 3.0 * stderr
 
 
@@ -83,30 +79,6 @@ def test_stderr_scaling_with_realizations():
     assert 2.0 * 0.8 < ratio < 2.0 * 1.2
 
 
-def test_node_refinement_bias_below_stderr():
-    # optically thick, strongly absorbing layer: the midpoint-rule bias at
-    # 2 nodes (~20%) towers over the ~0.3% statistical error, so refinement
-    # toward the continuum value is visible above the noise
-    st = Stack(VACUUM, (Layer(400e-9, ConstantEps(2 + 4j)),), VACUUM)
-    k = 0.4 * OMEGA / C
-    ctx = make_context(st, OMEGA, k)
-    w_ref = emission_w(ctx, q="s", temperature=300.0, side=0)
-    ests = []
-    for m in (2, 8, 64):   # beta'' dz = 1.51, 0.378 and 0.047: the coarse two warn
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            ests.append(sample_emission(ctx, "s", 300.0, nodes_per_layer=m, realizations=100_000,
-                                        seed=11))
-        assert [str(r.message).split(":")[0] for r in record] == (
-            ["layer 1 is under-resolved at omega = 2.000000e+15 rad/s, k = 2.668513e+06 1/m"]
-            if m < 64 else [])
-    errs = [abs(w - w_ref) for w, _ in ests]
-    assert errs[0] > 10.0 * ests[0][1]          # coarse grid is visibly biased
-    assert errs[1] < errs[0]
-    assert errs[2] < errs[0]
-    assert errs[2] < 3.0 * ests[2][1]           # 64-node bias below the noise
-
-
 def test_lossless_layer_warns():
     st = Stack(VACUUM, (Layer(100e-9, ConstantEps(2.25 + 0j)),), VACUUM)
     with pytest.warns(UserWarning) as record:
@@ -120,8 +92,6 @@ def test_bad_plans_rejected():
     ctx = make_context(absorbing_slab(), OMEGA, 1e6)
     with pytest.raises(ConfigError):
         sample_emission(ctx, realizations=0)
-    with pytest.raises(ConfigError):
-        sample_emission(ctx, nodes_per_layer=1)
     with pytest.raises(ConfigError):
         sample_emission(make_context(Stack(VACUUM, (), VACUUM), OMEGA, 1e6))
 
@@ -166,8 +136,7 @@ LOSSY_LOSSLESS_LOSSY = Stack(
 @pytest.mark.parametrize("realizations", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
 def test_block_loop_bit_identical_to_fresh_arrays(monkeypatch, realizations):
     ctx = make_context(LOSSY_LOSSLESS_LOSSY, OMEGA, 0.5 * OMEGA / C)
-    [w] = coupled_weights(monkeypatch, ctx, q="p", side=4, nodes_per_layer=16,
-                          realizations=realizations, seed=21)
+    [w] = coupled_weights(monkeypatch, ctx, q="p", side=4, realizations=realizations, seed=21)
     [got] = sampler._moments(21, realizations, [w])
     assert tuple(got) == fresh_array_moments(21, realizations, w)
 
@@ -178,8 +147,8 @@ def test_shared_draws_equal_fresh_arrays_at_every_width(monkeypatch, realization
     """One draw per block, as wide as the widest vector, gives each vector the sums of its own
     fresh draws, bit for bit."""
     ctx = make_context(LOSSY_LOSSLESS_LOSSY, OMEGA, np.array([0.0, 0.5]) * OMEGA / C)
-    vectors = coupled_weights(monkeypatch, ctx, q=("s", "p"), side=4, nodes_per_layer=16,
-                              realizations=realizations, seed=21)
+    vectors = coupled_weights(monkeypatch, ctx, q=("s", "p"), side=4, realizations=realizations,
+                              seed=21)
     vectors.insert(2, np.zeros(0, dtype=complex))
     vectors.append(vectors[-1][:3])
     assert [v.size for v in vectors] == [4, 4, 0, 4, 8, 3]
@@ -194,43 +163,11 @@ def test_shared_draws_equal_fresh_arrays_at_every_width(monkeypatch, realization
 def test_draws_only_coupled_components(monkeypatch, q, k_frac, components):
     ctx = make_context(LOSSY_LOSSLESS_LOSSY, OMEGA, k_frac * OMEGA / C)
     with pytest.warns(UserWarning, match="layer 2 is lossless"):
-        [w] = coupled_weights(monkeypatch, ctx, q=q, nodes_per_layer=16, realizations=100, seed=1)
+        [w] = coupled_weights(monkeypatch, ctx, q=q, realizations=100, seed=1)
     # two layer amplitudes per coupled component (s 2, p 4, p at k = 0 2 per
     # lossy layer) in each of the two lossy layers; the lossless one draws nothing
     assert w.size == 2 * components * 2
     assert np.all(w != 0)
-
-
-@pytest.mark.filterwarnings("ignore:layer 2 is lossless")
-@pytest.mark.parametrize("q", ["s", "p"])
-def test_draw_count_does_not_grow_with_nodes(monkeypatch, q):
-    ctx = make_context(LOSSY_LOSSLESS_LOSSY, OMEGA, 0.5 * OMEGA / C)
-    sizes = [coupled_weights(monkeypatch, ctx, q=q, nodes_per_layer=m, realizations=1)[0].size
-             for m in (16, 4096)]
-    assert sizes[0] == sizes[1]
-
-
-def cell_weights(ctx, q, side, m):
-    """Oracle: one weight per (z-cell, component), u = sum_cells w_cell . f_cell.
-
-    The cell variance 1/dz is folded into the weights, so the draws they
-    multiply are unit circular Gaussians; the variance of u is n(omega, T) sum |w|^2,
-    the sampler scaling its estimates by n(omega, T) at the end.
-    """
-    row = ctx.side_row(side)
-    phi = io_matrix(scatter_set(ctx, q)).phi
-    weights = []
-    for j in range(1, ctx.n):
-        dz = ctx.d[j] / m
-        z_cells = (np.arange(m) + 0.5) * dz
-        beta = ctx.beta[j]
-        pref = -(ctx.omega / C) * math.sqrt(max(ctx.eps[j].imag, 0.0)) / beta * dz
-        phi_plus, phi_minus = phi[j - 1][row]
-        e_plus, e_minus = ctx.pol_vector(q, j, +1), ctx.pol_vector(q, j, -1)
-        w_plus = phi_plus * pref * np.exp(1j * beta * (ctx.d[j] - z_cells))[:, None] * e_plus
-        w_minus = phi_minus * pref * np.exp(1j * beta * z_cells)[:, None] * e_minus
-        weights.append((w_plus + w_minus) / math.sqrt(dz))
-    return np.concatenate(weights).reshape(-1)
 
 
 def random_passive_stack(rng):
@@ -249,18 +186,59 @@ def random_passive_stack(rng):
 @pytest.mark.filterwarnings("ignore:no noise couples")
 @pytest.mark.parametrize("case", range(24))
 def test_layer_amplitudes_keep_the_cell_variance(monkeypatch, case):
-    """Two draws per (lossy layer, component) give u the variance of one draw per cell."""
+    """Two draws per (lossy layer, component) give u the variance of white noise, one draw per
+    z-cell in the limit of fine cells: sum |v|^2 is the closed-form emission over n(omega, T)."""
     rng = np.random.default_rng(1000 + case)
     st = random_passive_stack(rng)
+    occ = bose(OMEGA, 300.0)
     for q in ("s", "p"):
         for k_frac in (0.0, 1.5):
+            ctx = make_context(st, OMEGA, k_frac * OMEGA / C)
             for side in (0, st.n):
-                m = int(rng.integers(2, 65))
-                ctx = make_context(st, OMEGA, k_frac * OMEGA / C)
-                [v] = coupled_weights(monkeypatch, ctx, q=q, side=side, nodes_per_layer=m,
-                                      realizations=1)
-                ref = np.sum(abs(cell_weights(ctx, q, side, m)) ** 2)
-                assert abs(np.sum(abs(v) ** 2) - ref) <= 1e-13 * ref, (q, k_frac, side, m)
+                [v] = coupled_weights(monkeypatch, ctx, q=q, side=side, realizations=1)
+                ref = emission_w(ctx, q, 300.0, side) / occ
+                assert abs(np.sum(abs(v) ** 2) - ref) <= 1e-13 * ref, (q, k_frac, side)
+
+
+def _mode_function_gram(beta, d):
+    """g and h of the Gram matrix by mpmath.quad of the mode functions at mpmath's precision, on
+    panels no wider than a period of e^{2i beta' z}, and doubling from the face z = d outward
+    on the decay length 1/beta''."""
+    from mpmath import mp
+
+    b = mp.mpc(beta.real, beta.imag)
+    d = mp.mpf(d)
+    period = mp.pi / b.real   # of e^{2i beta' z}
+    decay = 1 / b.imag
+    edges = {mp.mpf(0), d}
+    edges.update(d - decay * 2 ** i for i in range(-2, 64) if decay * 2 ** i < d)
+    edges.update(period * i for i in range(1, int(d / period) + 1))
+    edges = sorted(edges)
+    g = mp.quad(lambda z: abs(mp.exp(1j * b * (d - z))) ** 2, edges)
+    h = mp.quad(lambda z: mp.conj(mp.exp(1j * b * (d - z))) * mp.exp(1j * b * z), edges)
+    return g, h.real
+
+
+# eps, thickness, k / (omega/c): thin and weakly lossy layers (x and y far below 1, up to the
+# light line), the absorbing slab, 15 um of weakly lossy eps = 4 + 0.01i (y = 200), and very
+# thick lossy layers
+GRAM_CASES = [
+    (2 + 1e-10j, 1e-9, 0.0), (2 + 1e-10j, 1e-9, 1.4142), (2 + 1e-10j, 1e-9, 1.41421356),
+    (4 + 1e-6j, 1e-8, 0.5), (2 + 0.5j, 2e-7, 0.4), (4 + 0.01j, 1.5e-5, 0.0),
+    (2 + 4j, 4e-7, 1.7), (-10 + 1j, 4e-5, 0.5), (-10 + 1j, 1e-3, 0.5),
+]
+
+
+@pytest.mark.parametrize("eps,thickness,k_frac", GRAM_CASES)
+def test_gram_eigenvalues_match_mpmath_quadrature(eps, thickness, k_frac):
+    mpmath = pytest.importorskip("mpmath")
+    st = Stack(VACUUM, (Layer(thickness, ConstantEps(eps)),), VACUUM)
+    beta = make_context(st, OMEGA, k_frac * OMEGA / C).beta[1]
+    plus, minus = sampler._gram_eigenvalues(beta, thickness)
+    with mpmath.workdps(40):
+        g, h = _mode_function_gram(complex(beta), thickness)
+        for got, ref in ((plus, g + h), (minus, g - h)):
+            assert abs(got - ref) <= 1e-14 * ref, (got, ref)
 
 
 def test_lossless_layer_between_lossy_ones():
@@ -268,8 +246,7 @@ def test_lossless_layer_between_lossy_ones():
     ctx = make_context(st, OMEGA, 0.5 * OMEGA / C)
     w_ref = emission_w(ctx, q="p", temperature=300.0, side=0)
     with pytest.warns(UserWarning, match="layer 2 is lossless"):
-        w, stderr = sample_emission(ctx, "p", 300.0, nodes_per_layer=64, realizations=50_000,
-                                    seed=8)
+        w, stderr = sample_emission(ctx, "p", 300.0, realizations=50_000, seed=8)
     assert abs(w - w_ref) < 3.0 * stderr
 
 
@@ -286,13 +263,12 @@ def test_batch_equals_one_call_per_mode(q):
     k = np.array([0.0, 0.4, 0.9, 1.6]) * omega / C
     batch = make_context(st, omega, k)
     for side in (0, st.n):
-        w, stderr = sample_emission(batch, q, 300.0, side, nodes_per_layer=24, realizations=500,
-                                    seed=3)
+        w, stderr = sample_emission(batch, q, 300.0, side, realizations=500, seed=3)
         assert w.shape == stderr.shape == k.shape
         assert np.all(w[:3] > 0.0) and np.all(w[3] == 0.0) and np.all(stderr[3] == 0.0)
         for at in np.ndindex(k.shape):
             one = sample_emission(make_context(st, omega[at[0], 0], k[at]), q, 300.0, side,
-                                  nodes_per_layer=24, realizations=500, seed=3)
+                                  realizations=500, seed=3)
             assert (w[at].tobytes(), stderr[at].tobytes()) == (one[0].tobytes(), one[1].tobytes())
 
 
@@ -305,12 +281,10 @@ def test_polarization_sequence_equals_one_call_per_polarization():
     k = np.array([0.0, 0.4, 0.9, 1.6]) * omega / C
     batch = make_context(st, omega, k)
     for side in (0, st.n):
-        w, stderr = sample_emission(batch, ("s", "p"), 300.0, side, nodes_per_layer=24,
-                                    realizations=BLOCK + 5, seed=3)
+        w, stderr = sample_emission(batch, ("s", "p"), 300.0, side, realizations=BLOCK + 5, seed=3)
         assert w.shape == stderr.shape == (2,) + k.shape
         for iq, q in enumerate("sp"):
-            one = sample_emission(batch, q, 300.0, side, nodes_per_layer=24,
-                                  realizations=BLOCK + 5, seed=3)
+            one = sample_emission(batch, q, 300.0, side, realizations=BLOCK + 5, seed=3)
             assert (w[iq].tobytes(), stderr[iq].tobytes()) == (one[0].tobytes(), one[1].tobytes())
 
 
@@ -325,7 +299,7 @@ def _bench_workloads():
 
 def test_golden_and_benchmark_samples_resolve_their_layers(tmp_path, monkeypatch, capsys):
     """Neither the `sample` golden nor the benchmark's `sample` command at any input seed
-    warns: their node counts resolve the decay of every lossy layer."""
+    warns or prints anything to stderr."""
     from test_golden import CASES
 
     stack, argv = CASES["sample"]
