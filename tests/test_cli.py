@@ -748,10 +748,11 @@ def test_one_engine_call_per_chunk(stack_file, capsys, monkeypatch, argv):
     assert calls == [(21, 21)]
 
 
-def test_sample_chunks_like_coeffs(stack_file, capsys, monkeypatch):
+@pytest.mark.parametrize("cells,sizes", [(200, [2, 2, 2, 1]), (100, [1] * 7)])
+def test_sample_chunks_like_coeffs(stack_file, capsys, monkeypatch, cells, sizes):
     # 10 cells per mode, region and polarization: 200 cells hold two modes of the 5-region
-    # stack.  Each chunk makes one context and one sampler call for both polarizations, and
-    # the table does not depend on the chunks.
+    # stack, 100 one.  Each chunk makes one context and one sampler call for both
+    # polarizations, and the table does not depend on the chunks.
     import qplanar.cli
 
     grid = ["--stack", stack_file(THREE_LAYERS), "--omega", "2e15", "--k", "0:1.4w:7"]
@@ -769,14 +770,14 @@ def test_sample_chunks_like_coeffs(stack_file, capsys, monkeypatch):
         samples.append((ctx.k.size, tuple(q)))
         return real_sample(ctx, q, *args, **kwargs)
 
-    monkeypatch.setattr(qplanar.cli, "_CHUNK_CELLS", 200)
+    monkeypatch.setattr(qplanar.cli, "_CHUNK_CELLS", cells)
     monkeypatch.setattr(qplanar.cli, "make_context", counting_context)
     monkeypatch.setattr(qplanar.cli, "sample_emission", counting_sample)
     assert main(["coeffs", *grid]) == 0
     capsys.readouterr()
     coeffs_chunks, contexts[:] = contexts[:], []
     assert main(argv) == 0
-    assert contexts == coeffs_chunks == [2, 2, 2, 1]
+    assert contexts == coeffs_chunks == sizes
     assert samples == [(size, ("s", "p")) for size in contexts]
     assert capsys.readouterr().out == unchunked
 
