@@ -12,7 +12,8 @@ vectors a u(theta) + g z, u(theta) = (cos, sin, 0), the k-space tensor is five
 functions of |k| times five dyads of fixed angular modes |n| <= 2, and mode n
 integrates against e^{i k.rho} to i^n J_n.  The radial k-integral is adaptive
 panel-doubling Gauss-Legendre in blocks of the whole rule's k-nodes, across panel
-edges: one mode-engine call and three real J_0, J_1, J_2 products per block.
+edges: one mode-engine call, one J_0, J_1, J_2 table and three real products per block.
+The Bessel functions are NumPy code in `bessel`, within 1e-15 of J_n.
 """
 
 from __future__ import annotations
@@ -152,42 +153,23 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _bessel_j012(x: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """J_0, J_1, J_2 on x >= 0, with J_2 = 2 J_1 / x - J_0 from x = 1e-3 up.
-
-    Below, the recurrence cancels (and J_1 / x loses bits at subnormal x), so J_2
-    is its series x^2/8 (1 - x^2/12), 0 at x = 0, to within 3e-15 of J_2.
-    Written into the three arrays of `out` when given.
-    """
-    from scipy.special import j0, j1   # deferred: only the kernels need scipy
-
-    b0, b1, b2 = np.empty((3, *x.shape)) if out is None else out
-    j0(x, out=b0)
-    j1(x, out=b1)
-    with np.errstate(invalid="ignore"):   # 0 / 0 at x = 0, overwritten below
-        np.multiply(2.0, b1, out=b2)
-        b2 /= x
-        b2 -= b0
-    small = x < 1e-3
-    b2[small] = x[small] ** 2 / 8.0 * (1.0 - x[small] ** 2 / 12.0)
-    return b0, b1, b2
-
-
 def _accumulate(stack: Stack, omega: float, kind: str, layer: int, window: GaussianWindow,
                 rho: np.ndarray, edges: list[float], n_nodes: int) -> np.ndarray:
     """Mode profiles (2, 5, nr, 3, 3) of the n_nodes-per-panel Gauss-Legendre rule on `edges`."""
+    from .bessel import bessel_j012, bessel_rows   # deferred: only the kernels need it
+
     x, w = _legendre_rule(n_nodes)
     a, b = np.array(edges[:-1])[:, None], np.array(edges[1:])[:, None]
     ks = (0.5 * (b - a) * x + 0.5 * (a + b)).ravel()
     wgs = window(ks) * (0.5 * (b - a) * w).ravel() * ks / (2.0 * math.pi)
     total = np.zeros((rho.size, 14))   # (rho, the 7 integrals of `_PATTERN`, re/im)
-    # k rho, J_0, J_1 and J_2 of a block, one buffer for all blocks of the rule.  Fresh
-    # tables per block make glibc trim the heap and fault it back in on every block.
-    table = np.empty((4, rho.size, min(_NODE_BLOCK, ks.size)))
+    rows = bessel_rows(rho, float(ks.max()))
+    # The Bessel scratch of a block, one buffer for all blocks of the rule.  Fresh tables
+    # per block make glibc trim the heap and fault it back in on every block.
+    table = np.empty((8, rho.size, min(_NODE_BLOCK, ks.size)))
     for kb, wb in np.split(np.stack([ks, wgs]), range(_NODE_BLOCK, ks.size, _NODE_BLOCK), axis=1):
         cols = (_columns(stack, omega, kind, layer, kb) * wb[:, None]).view(float)
-        kr, *bess = table[:, :, :kb.size]
-        _bessel_j012(np.multiply.outer(rho, kb, out=kr), bess)
+        bess = bessel_j012(rho, kb, rows, table[:, :, :kb.size])
         total += np.hstack([bess[0] @ cols[:, :6], bess[1] @ cols[:, 6:], bess[2] @ cols[:, 2:6]])
     profiles = total.view(complex) @ _PATTERN + 0.0   # + 0.0: symmetry zeros as +0.0, not -0.0
     return profiles.reshape(rho.size, 2, len(_MODES), 3, 3).transpose(1, 2, 0, 3, 4)
@@ -213,6 +195,9 @@ def kernel_radial(stack: Stack, omega: float, kind: str, window: GaussianWindow,
         raise ConfigError("rho grid is empty")
     if not np.all(np.isfinite(rho) & (rho >= 0.0)):
         raise ConfigError("rho grid must be nonnegative and finite")
+    x_hi = float(rho.max()) * window.k_max
+    if not x_hi < 1e19:
+        raise ConfigError(f"k rho must stay below 1e19; the rho grid reaches {x_hi:.3g}")
     if not (math.isfinite(rel_tol) and rel_tol > 0.0):
         raise ConfigError(f"rel_tol must be positive and finite, got {rel_tol}")
     if max_doublings < 1:
@@ -231,8 +216,9 @@ def kernel_radial(stack: Stack, omega: float, kind: str, window: GaussianWindow,
             break
     else:
         raise AccuracyError(
-            f"radial k-integral did not converge: last change {change:.2e} > {rel_tol:.2e} "
-            f"with {n_nodes} nodes/panel; narrow the window or raise max_doublings"
+            f"radial k-integral did not converge: last change {change:.2e} > rel_tol {rel_tol:.2e} "
+            f"at {n_nodes} nodes per panel. The likely cause is a nearly lossless guiding layer: "
+            f"its guided-mode pole lies inside the window, and doubling the nodes does not resolve it"
         )
     return KernelField(kind, layer, omega, window, rho, prev, n_nodes, change)
 

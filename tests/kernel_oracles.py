@@ -5,15 +5,14 @@
 DFT of its dyads, which the closed-form modes of `rhokernels` must match;
 `kspace_reference` evaluates the windowed k-space tensor it should return;
 `accumulate_per_node` is the one-node-at-a-time radial quadrature that the
-block-wise `rhokernels._accumulate` must reproduce; `bessel_j012_where` is the
-two-branch J_0, J_1, J_2 table that `rhokernels._bessel_j012` must equal bit for bit.
+block-wise `rhokernels._accumulate` must reproduce.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.special import j0, j1, jv
+from scipy.special import jv
 
 from qplanar.iorel import io_matrix, phi_at_front
 from qplanar.modes import make_context
@@ -108,11 +107,3 @@ def accumulate_per_node(stack: Stack, omega: float, kind: str, layer: int, windo
                 )
     return total
 
-
-def bessel_j012_where(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """J_0, J_1, J_2 with both J_2 branches (series below x = 1e-3, recurrence above) on all of x."""
-    b0, b1 = j0(x), j1(x)
-    xs = np.minimum(x, 1e-3)
-    b2 = np.where(x < 1e-3, xs * xs / 8.0 * (1.0 - xs * xs / 12.0),
-                  2.0 * b1 / np.maximum(x, 1e-3) - b0)
-    return b0, b1, b2

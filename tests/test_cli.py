@@ -603,12 +603,24 @@ def test_tol_must_be_finite_and_nonnegative(stack_file, capsys, command, tol):
     assert "--tol must be finite and >= 0" in capsys.readouterr().err
 
 
-def test_cli_import_does_not_load_scipy_special():
+def loaded_after(code: str) -> str:
+    """The last stdout line of `code` in a fresh interpreter, then the sorted scipy, mpmath and
+    numpy.polynomial modules it loaded."""
     env = {**os.environ, "PYTHONPATH": str(Path(qplanar.__file__).resolve().parents[1])}
-    code = "import sys, qplanar.cli; print('scipy.special' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True, timeout=60).stdout
-    assert out.strip() == "False"
+    code += ("\nimport sys; print(sorted(m for m in sys.modules"
+             " if m.split('.')[0] in ('scipy', 'mpmath') or m.startswith('numpy.polynomial')))")
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60).stdout.splitlines()[-1]
+
+
+def test_cli_import_does_not_load_scipy_special():
+    assert loaded_after("import qplanar.cli") == "[]"
+
+
+def test_kernels_run_loads_no_scipy(stack_file):
+    argv = ["kernels", "--stack", stack_file(GREEN), "--omega", "2e15", "--kw", "1.5w", "--kind", "R0n",
+            "--rho-points", "5"]
+    assert loaded_after(f"import qplanar.cli; assert qplanar.cli.main({argv!r}) == 0") == "[]"
 
 
 def test_non_finite_residual_fails_verify(stack_file, capsys, monkeypatch):

@@ -4,19 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import jv
 
 from conftest import C
+import qplanar.bessel as bessel
 import qplanar.rhokernels as rk
-from kernel_oracles import (
-    accumulate_per_node, bessel_j012_where, forward_modes, kspace_reference, tensor_modes_dft,
-)
+from kernel_oracles import accumulate_per_node, forward_modes, kspace_reference, tensor_modes_dft
 from qplanar.cli import main
 from qplanar.errors import AccuracyError, ConfigError
 from qplanar.modes import make_context
 from qplanar.rhokernels import (
-    _MODES, _PATTERN, KERNEL_KINDS, GaussianWindow, _accumulate, _bessel_j012, _columns, _panel_edges,
-    kernel_radial,
+    _MODES, _PATTERN, KERNEL_KINDS, GaussianWindow, _accumulate, _columns, _panel_edges, kernel_radial,
 )
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM, dump_stack
 
@@ -114,6 +111,18 @@ def test_window_refinement_converged():
         kernel_radial(st, OMEGA, "R0n", win, rho, rel_tol=1e-30, max_doublings=1)
 
 
+def test_accuracy_error_names_the_rule_and_a_guided_mode_pole():
+    # 150 nm of eps = 2.25 + 1e-3 i in vacuum guides a mode whose pole of r lies inside the window:
+    # at the default 9 doublings the change still reads 8e-2, so 2 show the message as cheaply
+    st = Stack(VACUUM, (Layer(150e-9, ConstantEps(2.25 + 1e-3j)),), VACUUM)
+    with pytest.raises(AccuracyError) as err:
+        kernel_radial(st, OMEGA, "R0n", GaussianWindow(k_w=1.5 * K0), np.linspace(0.0, 8.0 / K0, 9),
+                      max_doublings=2)
+    msg = str(err.value)
+    assert "did not converge: last change " in msg and "at 96 nodes per panel" in msg
+    assert "nearly lossless guiding layer" in msg and "max_doublings" not in msg
+
+
 def test_bad_inputs():
     st = absorbing_env_stack()
     win = GaussianWindow(k_w=1.5 * K0)
@@ -123,6 +132,8 @@ def test_bad_inputs():
         kernel_radial(st, OMEGA, "R0n", win, np.array([-1e-7]))
     with pytest.raises(ConfigError):
         GaussianWindow(k_w=-1.0)
+    with pytest.raises(ConfigError, match="below 1e19"):   # the powers of k rho would overflow
+        kernel_radial(st, OMEGA, "R0n", win, np.array([0.0, 1e19 / win.k_max]))
 
 
 @pytest.mark.parametrize("max_doublings", [0, -1])
@@ -148,32 +159,70 @@ def test_convergence_record():
     assert m >= 1 and field.nodes_per_panel == 24 * 2 ** m
 
 
+def bessel_table(rho, k=np.ones(1)):
+    """`bessel_j012` on x = rho k, in a fresh scratch."""
+    rows = bessel.bessel_rows(rho, float(k.max()))
+    return bessel.bessel_j012(rho, k, rows, np.empty((8, rho.size, k.size)))
+
+
+def mp_bessel(n, x):
+    """J_n at the doubles x, from 30 digits, rounded to doubles."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        return np.reshape([float(mp.besselj(n, v)) for v in np.ravel(x)], np.shape(x))
+
+
 def test_bessel_j2_recurrence_matches_jv():
-    # x = 0, subnormal, and small x, where 2 J_1 / x - J_0 cancels or loses bits
+    # x = 0, subnormal, and small x, where 2 J_1 / x - J_0 would cancel or lose bits
     small = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 1e-20, 1e-8,
                       1e-4, 9.99e-4])
-    b2 = _bessel_j012(small)[2]
+    b2 = bessel_table(small)[2].ravel()
     assert b2[0] == 0.0
-    np.testing.assert_allclose(b2, jv(2, small), rtol=1e-13, atol=1e-300)
+    np.testing.assert_allclose(b2, mp_bessel(2, small), rtol=1e-13, atol=1e-300)
     x = np.concatenate([np.linspace(1e-3, 2e-3, 101), np.linspace(2e-3, 150.0, 2001)])
-    b0, b1, b2 = _bessel_j012(x)
-    np.testing.assert_allclose(b0, jv(0, x), rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(b1, jv(1, x), rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(b2, jv(2, x), rtol=0.0, atol=1e-15)
+    for n, b in enumerate(bessel_table(x)):
+        np.testing.assert_allclose(b.ravel(), mp_bessel(n, x), rtol=0.0, atol=1e-15)
+
+
+def test_bessel_j012_within_1e15_of_mpmath():
+    # [0, 200], 4 ulp either side of the range ends 2.5 and 5, 0 and subnormals, 1 ulp around 1e-3
+    ends = np.concatenate([v + np.arange(-4, 5) * np.spacing(v) for v in (bessel._X1, bessel._X0)])
+    x = np.concatenate([np.linspace(0.0, 200.0, 2001), ends, [5e-324, 1e-310, 2.2250738585072014e-308],
+                        np.nextafter(1e-3, [0.0, 1.0]), [1e-3]])
+    for n, b in enumerate(bessel_table(x)):
+        np.testing.assert_allclose(b.ravel(), mp_bessel(n, x), rtol=0.0, atol=1e-15)
+    # a block of the default kernels grid: k rho split across the two factors of each power
+    rho = np.linspace(0.0, 12.0 / (1.5 * K0), 121)
+    k = np.sort(np.random.default_rng(3).uniform(0.0, 8.6 * 1.5 * K0, 256))
+    table = np.multiply.outer(rho, k)
+    picks = np.random.default_rng(4).choice(table.size, 600, replace=False)
+    for n, b in enumerate(bessel_table(rho, k)):
+        np.testing.assert_allclose(b.ravel()[picks], mp_bessel(n, table.ravel()[picks]), rtol=0.0,
+                                   atol=1e-15)
+
+
+def test_bessel_tables_are_the_generator_output():
+    pytest.importorskip("mpmath")
+    from bessel_tables import tables
+
+    for got, ref in zip((bessel._SERIES, bessel._MIDDLE, bessel._HANKEL), tables()):
+        assert np.array_equal(np.array(got).view(np.int64), np.array(ref).view(np.int64))
 
 
 def test_bessel_j012_equals_two_branch_oracle_bit_for_bit():
+    # a fresh scratch and strided views of a wider one, as `_accumulate` passes for a short
+    # block, give the same bits; the wider one starts as nan, which must not leak
     edge = np.nextafter(1e-3, [0.0, 1.0])
     x = np.concatenate([[0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 1e-8, 1e-3],
                         edge, np.logspace(-12, 3, 2000)])
     rng = np.random.default_rng(5)
-    for table in (x, np.outer(rng.uniform(0.0, 2e-6, 40), rng.uniform(0.0, 4e7, 64))):
-        # also written into strided views of a wider buffer, as `_accumulate` does for a short block
-        buf = np.full((3, *table.shape[:-1], table.shape[-1] + 5), np.nan)
-        for got in (_bessel_j012(table), _bessel_j012(table, buf[..., :table.shape[-1]])):
-            for b, ref in zip(got, bessel_j012_where(table)):
-                assert b.shape == ref.shape
-                assert np.array_equal(b.view(np.int64), ref.view(np.int64))
+    for rho, k in ((x, np.ones(1)), (rng.uniform(0.0, 2e-6, 40), rng.uniform(0.0, 4e7, 64))):
+        rows = bessel.bessel_rows(rho, float(k.max()))
+        buf = np.full((8, rho.size, k.size + 5), np.nan)
+        fresh = bessel.bessel_j012(rho, k, rows, np.empty((8, rho.size, k.size)))
+        for b, ref in zip(bessel.bessel_j012(rho, k, rows, buf[..., :k.size]), fresh):
+            assert b.shape == ref.shape == (rho.size, k.size)
+            assert np.array_equal(b.view(np.int64), ref.view(np.int64))
 
 
 def mp_legendre_node(mp, n, x0):
