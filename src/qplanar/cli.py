@@ -106,31 +106,29 @@ def _load_stack_file(path: str) -> Stack:
         raise UsageError(f"cannot read stack file {path}: {exc}") from exc
 
 
-def _pols(arg: str) -> list[str]:
-    pols = [p.strip() for p in arg.split(",") if p.strip()]
-    for p in pols:
-        if p not in ("s", "p"):
-            raise UsageError(f"polarization must be s or p, got {p!r}")
-    return pols
+def _modes(stack: Stack, omega: np.ndarray, k: np.ndarray, pols: list[str]):
+    """Every mode of the grid, at 10 cells per region and polarization."""
+    return omega, k, pols, 10 * (stack.n + 1) * len(pols)
 
 
-def _grid(args) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Flat omega and k arrays of the modes in grid order, and the polarizations; k is
-    parsed at each omega (`w`, `deg`).  An empty grid is a usage error."""
+def _sweep(args, modes=_modes):
+    """The stack, the polarizations and the contexts of the modes `modes(stack, omega, k,
+    pols)` picks from the grid (k parsed at each omega), each a run of consecutive modes
+    of _CHUNK_CELLS cells at most (one mode at least).  An empty grid is a usage error."""
+    stack = _load_stack_file(args.stack)
     grid = [(om, _parse_grid(args.k, omega=om)) for om in _parse_grid(args.omega)]
     omega = np.array([om for om, ks in grid for _ in ks], dtype=float)
     k = np.array([kk for _, ks in grid for kk in ks], dtype=float)
-    pols = _pols(args.pol)
+    pols = [p.strip() for p in args.pol.split(",") if p.strip()]
+    for p in pols:
+        if p not in ("s", "p"):
+            raise UsageError(f"polarization must be s or p, got {p!r}")
     if not pols or not k.size:
         raise UsageError("empty sweep grid")
-    return omega, k, pols
-
-
-def _contexts(stack: Stack, omega: np.ndarray, k: np.ndarray, cells_per_mode: int):
-    """Contexts of runs of consecutive modes, of _CHUNK_CELLS cells at most (one mode at least)."""
-    step = max(1, _CHUNK_CELLS // max(1, cells_per_mode))
-    for start in range(0, k.size, step):
-        yield make_context(stack, omega[start:start + step], k[start:start + step])
+    omega, k, pols, cells = modes(stack, omega, k, pols)
+    step = max(1, _CHUNK_CELLS // max(1, cells))
+    return stack, pols, (make_context(stack, omega[i:i + step], k[i:i + step])
+                         for i in range(0, k.size, step))
 
 
 @functools.cache
@@ -237,26 +235,34 @@ def _rows(template: str, values: np.ndarray) -> str:
     return text.translate(None, _PAD).decode(errors="surrogatepass")
 
 
-def _emit(args, header: list[str], blocks: list[str], schema: str):
+def _table(args, schema: str, header: list[str], template: str, cells, status) -> int:
+    """Write the `template` rows of each array of `cells` (one per engine chunk) to `--out`
+    or stdout, all made before the first write and never joined, and each nonzero count of
+    `status` (filled as `cells` runs) as `name=N` to stderr; return 0.  A table without rows
+    is a usage error."""
+    blocks = [_rows(template, c) for c in cells]
+    if not any(blocks):   # a chunk whose modes were all skipped gives ""
+        raise UsageError(f"{schema}: no grid point satisfies its preconditions")
+    sys.stderr.writelines(f"{name}={count}\n" for name, count in status.items() if count)
     name = f"qplanar-{schema}-v{SCHEMA_VERSION}"
     if args.format == "csv":
-        text = "".join([f"# schema={name}\n", ",".join(header), "\n", *blocks])
+        text = [f"# schema={name}\n{','.join(header)}\n", *blocks]
     else:   # no cell holds a comma
-        cells = [dict(zip(header, row.split(","))) for row in "".join(blocks).split("\n")[:-1]]
-        text = json.dumps({"schema": name, "rows": cells}, indent=2) + "\n"
+        rows = [dict(zip(header, row.split(","))) for b in blocks for row in b.split("\n")[:-1]]
+        text = [json.dumps({"schema": name, "rows": rows}, indent=2) + "\n"]
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(text)
         except OSError as exc:
             raise UsageError(f"cannot write output file {args.out}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
+    return 0
 
 
 def cmd_coeffs(args) -> int:
-    stack = _load_stack_file(args.stack)
-    omega, k, pols = _grid(args)
+    stack, pols, contexts = _sweep(args)
     n_layers = len(stack.layers)
 
     # Per k: r_0n, r_n0, t_0n, t_n0, then per layer D, phi_0+, phi_0-, phi_n+, phi_n-.
@@ -266,23 +272,22 @@ def cmd_coeffs(args) -> int:
     floats = ",".join([_FLOAT] * (len(header) - 3))
     template = "\n".join(f"{_FLOAT},{_FLOAT},{q},{floats}" for q in pols)
 
-    blocks, n_floor = [], 0
-    for ctx in _contexts(stack, omega, k, 10 * (stack.n + 1) * len(pols)):
+    status = {"d_floor": 0}
+
+    def fill(ctx):
         m = ctx.k.size
         cells = np.empty((m, len(pols), len(header) - 1))   # omega, k, then the floats
         cells[..., 0], cells[..., 1] = ctx.omega[:, None], ctx.k[:, None]
         for iq, q in enumerate(pols):
             ss = scatter_set(ctx, q)
-            n_floor += int(np.count_nonzero(ss.d_floor.any(axis=0)))
+            status["d_floor"] += int(np.count_nonzero(ss.d_floor.any(axis=0)))
             layers = np.concatenate([ss.d_fp[1:-1, :, None], phi_at_front(ss).reshape(n_layers, m, 4)], -1)
             z = np.concatenate([np.stack([ss.r_0n, ss.r_n0, ss.t_0n, ss.t_n0], -1),
                                 layers.transpose(1, 0, 2).reshape(m, -1)], 1)
             cells[:, iq, 2:] = z.view(float)
-        blocks.append(_rows(template, cells))
-    if n_floor:
-        print(f"d_floor={n_floor}", file=sys.stderr)
-    _emit(args, header, blocks, "coeffs")
-    return 0
+        return cells
+
+    return _table(args, "coeffs", header, template, map(fill, contexts), status)
 
 
 def _vacuum_propagating(ctx) -> np.ndarray:
@@ -339,20 +344,18 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    stack = _load_stack_file(args.stack)
-    omega, k, pols = _grid(args)
+    def distinct(stack, omega, k, pols):
+        # The identity covers both polarizations: one check per distinct (omega, k).
+        omega, k = np.array(list(dict.fromkeys(zip(omega.tolist(), k.tolist())))).T
+        return omega, k, ["-"], 9 * (args.nodes + 1)
+
+    _, pols, contexts = _sweep(args, distinct if args.suite == "green" else _modes)
     residual, default_tol = _SUITES[args.suite]
     tol = args.tol if args.tol is not None else default_tol
     if not (math.isfinite(tol) and tol >= 0.0):
         raise UsageError(f"--tol must be finite and >= 0, got {tol}")
-    cells = 10 * (stack.n + 1) * len(pols)
-    if args.suite == "green":
-        # The identity covers both polarizations: one check per distinct (omega, k).
-        omega, k = np.array(list(dict.fromkeys(zip(omega.tolist(), k.tolist())))).T
-        pols = ["-"]
-        cells = 9 * (args.nodes + 1)
     points, residuals, n_skip = [], [], 0
-    for ctx in _contexts(stack, omega, k, cells):
+    for ctx in contexts:
         done = np.zeros((ctx.k.size, len(pols)), dtype=bool)
         res = np.zeros(done.shape)
         for iq, q in enumerate(pols):
@@ -378,61 +381,55 @@ def cmd_verify(args) -> int:
 
 
 def cmd_thermal(args) -> int:
-    stack = _load_stack_file(args.stack)
-    omega, k, pols = _grid(args)
+    stack, pols, contexts = _sweep(args)
     header = ["omega_rad_s", "k_inv_m", "pol", "side", "temp_K", "occupation",
               "w_n0_normalized", "n0_si"]
     sides = (0, stack.n)
     template = "\n".join(f"{_FLOAT},{_FLOAT},{q},{side},{_FLOAT},{_FLOAT},{_FLOAT},{_FLOAT}"
                          for q in pols for side in sides)
-    blocks, n_skip = [], 0
-    for ctx in _contexts(stack, omega, k, 10 * (stack.n + 1) * len(pols)):
+    status = {"skipped": 0}
+
+    def fill(ctx):
         ok = ~grazing(ctx)
         sub = ctx.select(ok)
-        n_skip += int(np.count_nonzero(~ok)) * len(pols)
+        status["skipped"] += int(np.count_nonzero(~ok)) * len(pols)
         cells = np.empty((sub.k.size, len(pols), len(sides), 6))   # the float columns of header
         per_mode = np.stack([sub.omega, sub.k, bose(sub.omega, args.temp), n0_scale(sub.omega)], -1)
         cells[..., [0, 1, 3, 5]], cells[..., 2] = per_mode[:, None, None], args.temp
         for iq, q in enumerate(pols):
             cells[:, iq, :, 4] = emission_w(sub, q, args.temp, sides).T
-        blocks.append(_rows(template, cells))
-    if not any(blocks):   # a chunk whose modes were all skipped gives ""
-        raise UsageError("thermal: no grid point satisfies its preconditions")
-    if n_skip:
-        print(f"skipped={n_skip}", file=sys.stderr)
-    _emit(args, header, blocks, "thermal")
-    return 0
+        return cells
+
+    return _table(args, "thermal", header, template, map(fill, contexts), status)
 
 
 def cmd_sample(args) -> int:
-    stack = _load_stack_file(args.stack)
-    omega, k, pols = _grid(args)
+    _, pols, contexts = _sweep(args)
     header = ["omega_rad_s", "k_inv_m", "pol", "side", "temp_K", "w_est_n0",
               "stderr_n0", "realizations", "seed"]
     template = "\n".join(f"{_FLOAT},{_FLOAT},{q},{args.side},{_FLOAT},{_FLOAT},{_FLOAT},"
                          f"{args.realizations},{args.seed}" for q in pols)
-    blocks = []
-    for ctx in _contexts(stack, omega, k, 10 * (stack.n + 1) * len(pols)):
+
+    def fill(ctx):
         cells = np.empty((ctx.k.size, len(pols), 5))   # omega, k, temp, w, stderr
         cells[..., 0], cells[..., 1], cells[..., 2] = ctx.omega[:, None], ctx.k[:, None], args.temp
         est = sample_emission(ctx, pols, args.temp, args.side, realizations=args.realizations,
                               seed=args.seed)
         cells[..., 3:] = np.stack(est, -1).swapaxes(0, 1)
-        blocks.append(_rows(template, cells))
-    _emit(args, header, blocks, "sample")
-    return 0
+        return cells
+
+    return _table(args, "sample", header, template, map(fill, contexts), {})
 
 
 def cmd_kernels(args) -> int:
     if args.rho_points < 1:
         raise UsageError(f"--rho-points must be >= 1, got {args.rho_points}")
     stack = _load_stack_file(args.stack)
-    omegas = _parse_grid(args.omega)
     header = ["kind", "omega_rad_s", "k_w_inv_m", "rho_m", "comp", "re", "im"]
     template = "\n".join(f"{args.kind},{_FLOAT},{_FLOAT},{_FLOAT},{comp},{_FLOAT},{_FLOAT}"
                          for comp in _COMP_NAMES)
-    blocks = []
-    for om in omegas:
+
+    def fill(om):
         k_w = _parse_scalar(args.kw, omega=om)
         window = GaussianWindow(k_w=k_w)
         rho = np.linspace(0.0, args.rho_max_over_kw / k_w, args.rho_points)
@@ -441,9 +438,9 @@ def cmd_kernels(args) -> int:
         cells = np.empty((field.rho.size, 9, 5))   # omega, k_w, rho, re, im
         cells[..., 0], cells[..., 1], cells[..., 2] = om, k_w, field.rho[:, None]
         cells[..., 3], cells[..., 4] = comps.real, comps.imag
-        blocks.append(_rows(template, cells))
-    _emit(args, header, blocks, "kernels")
-    return 0
+        return cells
+
+    return _table(args, "kernels", header, template, map(fill, _parse_grid(args.omega)), {})
 
 
 @functools.cache   # one parser per process: `parse_args` leaves it unchanged

@@ -692,6 +692,38 @@ def test_tables_are_the_bytes_of_one_percent_per_row(stack_file, capsys, monkeyp
     assert written.count("e+") > 20   # a table, not an empty one
 
 
+_TABLES = [
+    ["coeffs", *_TABLE_GRID],
+    ["thermal", *_TABLE_GRID],
+    ["sample", *_TABLE_GRID, "--realizations", "200"],
+    ["kernels", "--omega", "1e15,2e15", "--kw", "1.5w", "--rho-points", "7"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", _TABLES, ids=lambda argv: argv[0])
+def test_out_file_holds_the_bytes_of_stdout(stack_file, tmp_path, capsys, argv, fmt):
+    argv = [argv[0], "--stack", stack_file(THREE_LAYERS), *argv[1:], "--format", fmt]
+    assert main(argv) == 0
+    written = capsys.readouterr()
+    path = tmp_path / "table.out"
+    assert main([*argv, "--out", str(path)]) == 0
+    assert capsys.readouterr() == ("", written.err)
+    assert path.read_bytes() == written.out.encode()
+    assert written.out.count("e+") > 20
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [[argv[0], "--omega", ",", *argv[3:]] for argv in _TABLES],
+                         ids=lambda argv: argv[0])
+def test_empty_grid_exits_2_and_writes_no_table(stack_file, capsys, argv, fmt):
+    rc = main([argv[0], "--stack", stack_file(SLAB), *argv[1:], "--format", fmt])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 TWENTY_LAYERS = dict(SLAB, layers=[
     {"thickness_m": 4e-8 if j % 2 else 1.2e-7,
      "material": {"model": "constant", "eps_re": 2.0 + 0.1 * j, "eps_im": 0.05 + 0.02 * j}}
@@ -802,17 +834,27 @@ def test_sample_takes_no_nodes_option(stack_file):
     assert exc.value.code == 2
 
 
-def test_contexts_split_consecutive_modes_by_cells(monkeypatch):
+def test_contexts_split_consecutive_modes_by_cells(stack_file, monkeypatch):
+    import argparse
+
     import qplanar.cli
 
     monkeypatch.setattr(qplanar.cli, "_CHUNK_CELLS", 100)
-    stack = load_stack(json.dumps(SLAB))
+    args = argparse.Namespace(stack=stack_file(SLAB), omega="1e15,2e15", k="0:3e6:4", pol="s")
     omega, k = np.repeat([1e15, 2e15], 4)[:7], np.arange(7.0) * 1e6
-    chunks = list(qplanar.cli._contexts(stack, omega, k, 30))
+
+    def contexts(cells):
+        return list(qplanar.cli._sweep(args, lambda *grid: (omega, k, ["s"], cells))[2])
+
+    chunks = contexts(30)
     assert [c.k.tolist() for c in chunks] == [k[:3].tolist(), k[3:6].tolist(), k[6:].tolist()]
     assert [c.omega.tolist() for c in chunks] == [omega[:3].tolist(), omega[3:6].tolist(),
                                                   omega[6:].tolist()]
-    assert [c.k.size for c in qplanar.cli._contexts(stack, omega, k, 1000)] == [1] * 7
+    assert [c.k.size for c in contexts(1000)] == [1] * 7
+    # By default, every mode of the grid at 10 cells per region and polarization: 30 here.
+    _, pols, chunks = qplanar.cli._sweep(args)
+    assert pols == ["s"] and [c.k.tolist() for c in chunks] == [[0.0, 1e6, 2e6], [3e6, 0.0, 1e6],
+                                                                [2e6, 3e6]]
 
 
 def test_kernel_radial_one_engine_call_per_rule_block(monkeypatch):
