@@ -451,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, need_k=True):
+    def common(p, need_k=True, table=True):
         p.add_argument("--stack", required=True, help="stack config file (JSON)")
         p.add_argument("--omega", required=True,
                        help="frequency grid: start:stop:num or comma list; rad/s, eV, um")
@@ -459,9 +459,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--k", default="0",
                            help="transverse wavenumber grid; 1/m, w (omega/c units), deg")
             p.add_argument("--pol", default="s,p", help="polarizations, e.g. s,p")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--temp", type=float, default=300.0, help="temperature in K")
+            p.add_argument("--temp", type=float, default=300.0, help="temperature in K")
+        if table:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+            p.add_argument("--out", default=None, help="output file (default stdout)")
 
     def suite_options(p):
         p.add_argument("--tol", type=float, default=None, help="residual tolerance (default per suite)")
@@ -472,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("verify", help="run an identity-verification suite over the grid")
-    common(p)
+    common(p, table=False)
     p.add_argument("--suite", choices=tuple(_SUITES), required=True)
     suite_options(p)
     p.set_defaults(func=cmd_verify)
@@ -499,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kernels)
 
     p = sub.add_parser("green-check", help="alias of verify --suite green")
-    common(p)
+    common(p, table=False)
     suite_options(p)
     p.set_defaults(func=cmd_verify, suite="green")
 

@@ -27,6 +27,7 @@ Everything is elementwise over the k array of the context (k axes first).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,39 +82,64 @@ def c_out(ctx: ModeContext, io: IOMatrix) -> np.ndarray:
     return _c_out(*_outer(ctx, io.q), io.s_matrix)
 
 
-def _intraplate_ab(ctx: ModeContext, q: str, j):
-    """(a, b) of the commutator matrix [[a, b], [b, a]] of layer(s) j, E+ at z = d_j and E- at
-    z = 0: a = [E+, E+^+] = [E-, E-^+], b = [E+, E-^+], bounded since every exponential decays."""
+def gram_eigenvalues(ctx: ModeContext, j):
+    """Eigenvalues (g + h, g - h) of [[g, h], [h, g]], the Gram matrix of the mode functions
+    e^{i beta (d - z)} and e^{i beta z} of layer(s) j on 0 <= z <= d, shape j.shape + k.shape:
+    g = d e^{-x} sinh(x)/x and h = d e^{-x} sin(y)/y with x = beta'' d, y = beta' d.  Both are
+    sums of nonnegative terms, g - h = d e^{-x} ((sinh(x)/x - 1) + (1 - sin(y)/y)) among them,
+    and finite at x = 0 or y = 0: the closed forms are evaluated at max(x, 1) and max(y, 1)."""
+    d = ctx.per_region(ctx.d, j)
+    x, y = ctx.beta[j].imag * d, ctx.beta[j].real * d
+    xc, yc, decay = np.maximum(x, 1.0), np.maximum(y, 1.0), np.exp(-x)
+    u = np.stack([np.minimum(x, 1.0) ** 2, -np.minimum(y, 1.0) ** 2])
+    tail = np.zeros_like(u)   # sum_{n >= 1} u^n / (2n + 1)!: sinh(x)/x - 1, then sin(y)/y - 1
+    for n in range(9, 0, -1):   # one Horner pass, to the last bit for |u| <= 1
+        tail += 1.0 / math.factorial(2 * n + 1)
+        tail *= u
+    sinh_excess = np.where(x < 1.0, decay * tail[0], -np.expm1(-2.0 * xc) / (2.0 * xc) - decay)
+    sin_deficit = np.where(y < 1.0, -tail[1], 1.0 - np.sin(yc) / yc)
+    return d * (decay * (2.0 - sin_deficit) + sinh_excess), d * (sinh_excess + decay * sin_deficit)
+
+
+def intraplate_eig(ctx: ModeContext, q: str, j) -> np.ndarray:
+    """Eigenvalues (a + b, a - b) of the commutator matrix [[a, b], [b, a]] of the intraplate
+    amplitudes of layer(s) j, E+ at z = d_j and E- at z = 0, shape (2, *j.shape, *k.shape):
+    kappa (s (g +/- h) + t (g -/+ h)) with kappa = 2 beta' beta'' / |beta|^2, the
+    :func:`gram_eigenvalues` g +/- h and (s, t) = (1, 0) for s, (k^2, |beta|^2) / |kj|^2 for p.
+    Every term is nonnegative and kappa is exactly 0 on a lossless layer; a negative eigenvalue
+    (a layer that is not passive) raises PassivityError."""
     if not np.all((1 <= np.asarray(j)) & (np.asarray(j) <= ctx.n - 1)):
         raise ConfigError(f"intraplate layer index must be 1..{ctx.n - 1}, got {j}")
     b = ctx.beta[j]
-    d = ctx.per_region(ctx.d, j)
-    ab2 = abs(b) ** 2
-    p, qq = _pq(ctx, j, q)
-    bp, bpp = b.real, b.imag
-    a = -bp / ab2 * np.expm1(-2.0 * bpp * d) * p
-    return a, 2.0 * bpp * np.sin(bp * d) * np.exp(-bpp * d) * qq / ab2
+    plus, minus = gram_eigenvalues(ctx, j)
+    if q == "p":   # t formed directly: (P - Q) / 2 cancels
+        akj2 = abs(ctx.kj[j]) ** 2
+        s, t = ctx.k * ctx.k / akj2, abs(b) ** 2 / akj2
+        plus, minus = s * plus + t * minus, s * minus + t * plus
+    eig = np.stack([plus, minus])
+    eig *= 2.0 * b.real * b.imag / abs(b) ** 2
+    bad = eig < 0.0
+    if np.any(bad):
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        nj = 1 + np.ndim(j)
+        raise PassivityError(f"layer {np.asarray(j)[at[1:nj]]} is not passive (q={q}): "
+                             f"a {'+-'[at[0]]} b = {eig[at]} < 0 at {ctx.mode(at[nj:])}")
+    return eig
 
 
 def intraplate_c(ctx: ModeContext, q: str, j) -> np.ndarray:
     """2x2 commutator matrices [[a, b], [b, a]] of the intraplate amplitudes (+, -) of layer(s) j,
-    shape j.shape + k.shape + (2, 2); zero for lossless layers, where beta' or beta'' is 0."""
-    a, b = _intraplate_ab(ctx, q, j)
+    shape j.shape + k.shape + (2, 2), rebuilt from the :func:`intraplate_eig` pair; exactly zero
+    for lossless layers, where beta' or beta'' is 0."""
+    plus, minus = intraplate_eig(ctx, q, j)
+    a, b = 0.5 * (plus + minus), 0.5 * (plus - minus)
     return _block2(a, b, b, a)
 
 
 def intraplate_xi(ctx: ModeContext, q: str, j):
     """Normalization pair (xi_+, xi_-) = sqrt(2 (a +/- b)) of the intraplate bosonic
-    combinations of layer(s) j; a negative a +/- b beyond rounding is not passive and raises."""
-    a, b = _intraplate_ab(ctx, q, j)
-    half = np.stack([a + b, a - b])   # the eigenvalues of [[a, b], [b, a]]
-    bad = half < -1e-15 * abs(a)
-    if np.any(bad):
-        at = np.unravel_index(np.argmax(bad), bad.shape)
-        nj = 1 + np.ndim(j)
-        raise PassivityError(f"xi^2 = {2.0 * half[at]} < 0 in layer {np.asarray(j)[at[1:nj]]} "
-                             f"(q={q}) at {ctx.mode(at[nj:])}")
-    return tuple(np.sqrt(2.0 * np.maximum(half, 0.0)))
+    combinations of layer(s) j, from :func:`intraplate_eig` (a layer that is not passive raises)."""
+    return tuple(np.sqrt(2.0 * intraplate_eig(ctx, q, j)))
 
 
 def intraplate_tau(xi) -> np.ndarray:

@@ -33,6 +33,7 @@ import warnings as _warnings
 
 import numpy as np
 
+from .commutators import gram_eigenvalues
 from .constants import C_LIGHT
 from .errors import AccuracyError, ConfigError
 from .iorel import io_matrix
@@ -41,28 +42,6 @@ from .scatter import scatter_set
 from .thermal import bose
 
 BLOCK = 2048  # realizations per RNG block; part of the determinism contract
-
-
-def _series_tail(u):
-    """sum_{n >= 1} u^n / (2n + 1)! to the last bit for |u| <= 1: sinh(t)/t - 1 at u = t^2,
-    sin(t)/t - 1 at u = -t^2."""
-    acc = np.zeros_like(u)
-    for n in range(9, 0, -1):
-        acc = u / (2 * n * (2 * n + 1)) * (1.0 + acc)
-    return acc
-
-
-def _gram_eigenvalues(beta, d: float):
-    """Eigenvalues g + h and g - h of [[g, h], [h, g]], the Gram matrix of the mode functions
-    e^{i beta (d - z)} and e^{i beta z} on 0 <= z <= d, per entry of beta (beta', beta'' > 0):
-    g = d e^{-x} sinh(x)/x and h = d e^{-x} sin(y)/y with x = beta'' d, y = beta' d.  g - h is
-    d e^{-x} ((sinh(x)/x - 1) + (1 - sin(y)/y)), two nonnegative terms that do not cancel."""
-    x, y = beta.imag * d, beta.real * d
-    decay, sinc = np.exp(-x), np.sin(y) / y
-    g = -np.expm1(-2.0 * x) / (2.0 * beta.imag)
-    sinh_excess = np.where(x < 1.0, decay * _series_tail(np.minimum(x, 1.0) ** 2), g / d - decay)
-    sin_deficit = np.where(y < 1.0, -_series_tail(-np.minimum(y, 1.0) ** 2), 1.0 - sinc)
-    return g + d * decay * sinc, d * (sinh_excess + decay * sin_deficit)
 
 
 def _moments(seed: int, realizations: int, vectors: list[np.ndarray]) -> np.ndarray:
@@ -132,9 +111,8 @@ def sample_emission(ctx: ModeContext, q="s", temperature: float = 300.0, side: i
             _warnings.warn(f"layer {j} is lossless; it contributes no thermal noise", stacklevel=2)
         if not lossy.any():
             continue
-        beta = sub.beta[j][lossy]
-        pref = -(sub.omega[lossy] / C_LIGHT) * np.sqrt(epp[lossy]) / beta
-        eig = np.stack(_gram_eigenvalues(beta, ctx.d[j]), -1)
+        pref = -(sub.omega[lossy] / C_LIGHT) * np.sqrt(epp[lossy]) / sub.beta[j][lossy]
+        eig = np.stack(gram_eigenvalues(sub, j), -1)[lossy]
         r = np.sqrt(eig / 2.0)[..., None] * [[1.0, 1.0], [1.0, -1.0]]
         for iq, (p, phi) in enumerate(zip(pols, phis)):
             pol = np.stack([sub.pol_vector(p, j, +1)[lossy], sub.pol_vector(p, j, -1)[lossy]], 1)

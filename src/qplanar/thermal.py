@@ -12,14 +12,12 @@ import math
 
 import numpy as np
 
-from .commutators import c_in, intraplate_c
+from .commutators import c_in, intraplate_eig
 from .constants import HBAR, K_B, per_omega
 from .errors import AccuracyError, ConfigError, RegimeError
 from .iorel import io_matrix
 from .modes import ModeContext, Regime, regime
 from .scatter import scatter_set
-
-_NEGATIVE_W_TOL = 1e-10
 
 
 def bose(omega, temperature: float) -> np.ndarray:
@@ -45,38 +43,31 @@ def _emission(ctx: ModeContext, q: str, temperature: float, side):
     rows = ctx.side_row(side)
     cin = c_in(ctx, q)
     io = io_matrix(scatter_set(ctx, q))
-    c = intraplate_c(ctx, q, np.arange(1, ctx.n))
+    plus, minus = intraplate_eig(ctx, q, np.arange(1, ctx.n))   # (n-1, *k) each
     v0, v1 = np.moveaxis(io.phi, (-1, -2), (0, 1))[:, rows]   # Phi rows of `side`: (*side, n-1, *k)
-    per_layer = ((v0 * c[..., 0, 0] + v1 * c[..., 1, 0]) * np.conj(v0)
-                 + (v0 * c[..., 0, 1] + v1 * c[..., 1, 1]) * np.conj(v1))
+    per_layer = 0.5 * (plus * abs(v0 + v1) ** 2 + minus * abs(v0 - v1) ** 2)
     per_layer = np.moveaxis(per_layer, rows.ndim, 0)   # (n-1, *side, *k)
-    total = sum(per_layer, np.zeros(rows.shape + ctx.k.shape, dtype=complex))
-    occ = bose(ctx.omega, temperature)
-    w = occ * total.real
+    w = bose(ctx.omega, temperature) * sum(per_layer, np.zeros(rows.shape + ctx.k.shape))
     if not np.isfinite(w).all():
         at = np.unravel_index(np.argmax(~np.isfinite(w)), w.shape)
         j = 1 + int(np.argmax(~np.isfinite(per_layer[(slice(None), *at)])))
         raise AccuracyError(f"emission is not finite at {ctx.mode(at[rows.ndim:])}: the noise "
                             f"coupling of layer {j} is not finite")
-    scale = np.maximum(abs(cin).max(axis=-1), np.maximum(abs(total.real), 1e-300))
-    negative = w < -_NEGATIVE_W_TOL * occ * scale
-    if negative.any():
-        at = np.unravel_index(np.argmax(negative), w.shape)
-        raise AccuracyError(f"emission spectrum came out negative (w = {w[at]} at "
-                            f"{ctx.mode(at[rows.ndim:])}); convention bug upstream")
     return w, np.moveaxis(io.s_matrix, -2, 0)[rows], np.moveaxis(cin, -1, 0)[rows]
 
 
 def emission_w(ctx: ModeContext, q: str = "s", temperature: float = 300.0, side=0):
     """Spectral intensity of thermal radiation leaving one side (N0-normalized), per k.
 
-    w = n(omega, T) * sum_j phi_side^(j) C^(j) phi_side^(j)+, which expands to
-    n sum_j |t_{j/side}/D_j|^2 {a (1 + |rho|^2) + 2 b Re rho} with rho = e^{i beta d} r_opp
-    and C^(j) = [[a, b], [b, a]].  Lossless stacks give exactly zero (every C^(j) vanishes).
-    `side` is the outer region index, 0 or ctx.n, or an array of them: the result has the
-    side axes first, then the k axes.  A grazing k (beta = 0 in some region)
-    raises RegimeError; a negative value at any k beyond rounding raises
-    AccuracyError.
+    w = n(omega, T) * sum_j phi_side^(j) C^(j) phi_side^(j)+.  In the eigenbasis of
+    C^(j) = [[a, b], [b, a]] this is the real sum n sum_j (e_+ |phi_+ + phi_-|^2
+    + e_- |phi_+ - phi_-|^2) / 2 with (e_+, e_-) = (a + b, a - b) from
+    :func:`qplanar.commutators.intraplate_eig`, a sum of nonnegative products that does not
+    cancel (at the light line of a thin, weakly lossy layer either).  Lossless stacks give
+    exactly zero (every e_+/- vanishes).  `side` is the outer region index, 0 or ctx.n, or an
+    array of them: the result has the side axes first, then the k axes.  A grazing k
+    (beta = 0 in some region) raises RegimeError, a layer that is not passive
+    PassivityError, and a non-finite value AccuracyError.
     """
     return _emission(ctx, q, temperature, side)[0]
 

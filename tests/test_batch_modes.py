@@ -184,17 +184,17 @@ def test_lossless_branch_point_at_the_second_omega_names_it(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["thermal"], ["verify", "--suite", "kirchhoff"]])
 def test_overflowing_layer_at_the_second_omega_names_it(tmp_path, capsys, monkeypatch, argv):
-    # The layer's noise coupling is made NaN at 2e15 rad/s only, as an overflow would leave it;
-    # NaN propagates without a floating-point exception, so no RuntimeWarning may reach pytest.
-    import qplanar.thermal
+    # The layer's Gram eigenvalues are made NaN at 2e15 rad/s only, as an overflow would leave
+    # them; NaN passes the passivity check and propagates without a floating-point exception,
+    # so no RuntimeWarning may reach pytest.
+    import qplanar.commutators
 
-    real = qplanar.thermal.intraplate_c
+    real = qplanar.commutators.gram_eigenvalues
 
-    def nan_at_2e15(ctx, q, j):
-        cmat = real(ctx, q, j)
-        return np.where((ctx.omega == 2e15)[..., None, None], np.nan, cmat)
+    def nan_at_2e15(ctx, j):
+        return tuple(np.where(ctx.omega == 2e15, np.nan, e) for e in real(ctx, j))
 
-    monkeypatch.setattr(qplanar.thermal, "intraplate_c", nan_at_2e15)
+    monkeypatch.setattr(qplanar.commutators, "gram_eigenvalues", nan_at_2e15)
     doc = _slab(2e-7, _const(2.0, 0.5))
     rc = main([argv[0], "--stack", _write(tmp_path, doc), *argv[1:], "--omega", "5e14,2e15",
                "--k", "0.5w", "--pol", "p"])

@@ -269,62 +269,60 @@ def test_tabulated_omega_out_of_range_is_config_error(stack_file, capsys):
     assert "outside table range" in capsys.readouterr().err
 
 
-def _negate_intraplate_at(monkeypatch, omega):
-    """Make the layer commutator matrices negative at one frequency."""
+def _negate_noise_at(monkeypatch, omega):
+    """Make the layers' Gram eigenvalues, and so their noise eigenvalues, negative at one
+    frequency, upstream of the passivity check."""
     import qplanar.commutators
-    import qplanar.thermal
 
-    real = qplanar.commutators.intraplate_c
+    real = qplanar.commutators.gram_eigenvalues
 
-    def patched(ctx, q, j):
-        cmat = real(ctx, q, j)
-        return np.where((ctx.omega == omega)[..., None, None], -cmat, cmat)
+    def patched(ctx, j):
+        return tuple(np.where(ctx.omega == omega, -e, e) for e in real(ctx, j))
 
-    monkeypatch.setattr(qplanar.commutators, "intraplate_c", patched)
-    monkeypatch.setattr(qplanar.thermal, "intraplate_c", patched)
+    monkeypatch.setattr(qplanar.commutators, "gram_eigenvalues", patched)
 
 
 def test_negative_emission_exits_1_with_error(stack_file, capsys, monkeypatch):
-    _negate_intraplate_at(monkeypatch, 2e15)
+    _negate_noise_at(monkeypatch, 2e15)
     rc = main(["thermal", "--stack", stack_file(SLAB), "--omega", "2e15", "--k", "0.5w"])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: emission spectrum came out negative")
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: layer 1 is not passive (q=s): a + b = -")
+    assert "< 0 at omega = 2.000000e+15 rad/s, k = 3.335641e+06 1/m" in captured.err
 
 
 def test_kirchhoff_suite_accuracy_error_fails_run(stack_file, capsys, monkeypatch):
     # one bad point among four must fail the run, not shrink points=
-    _negate_intraplate_at(monkeypatch, 2e15)
+    _negate_noise_at(monkeypatch, 2e15)
     rc = main(["verify", "--stack", stack_file(SLAB), "--suite", "kirchhoff",
                "--omega", "1e15,2e15", "--k", "0,0.5w"])
     assert rc == 1
     captured = capsys.readouterr()
     assert "status=" not in captured.out
-    assert "error: emission spectrum came out negative" in captured.err
+    assert "error: layer 1 is not passive (q=s): a + b = -" in captured.err
+    assert "< 0 at omega = 2.000000e+15 rad/s" in captured.err
 
 
 def _poison_layer(monkeypatch, layer):
-    """Make the noise coupling of one layer NaN, as an overflow would leave it.
+    """Make the Gram eigenvalues of one layer NaN, as an overflow would leave them, in the
+    closed form and in the sampler alike.
 
-    NaN propagates through the products without a floating-point exception, so
-    a RuntimeWarning on the way to the guard's error line would still fail the test.
+    NaN passes the passivity check and propagates through the products without a
+    floating-point exception, so a RuntimeWarning on the way to the guard's error line would
+    still fail the test.
     """
+    import qplanar.commutators
     import qplanar.sampler
-    import qplanar.thermal
 
-    real_c, real_io = qplanar.thermal.intraplate_c, qplanar.sampler.io_matrix
+    real = qplanar.commutators.gram_eigenvalues
 
-    def cmat(ctx, q, j):
-        out = real_c(ctx, q, j)
-        out[layer - 1] = np.nan
-        return out
+    def gram(ctx, j):
+        at_layer = ctx.per_region(np.arange(ctx.n + 1), j) == layer
+        return tuple(np.where(at_layer, np.nan, e) for e in real(ctx, j))
 
-    def io_matrix(ss):
-        io = real_io(ss)
-        io.phi[layer - 1] = np.nan
-        return io
-
-    monkeypatch.setattr(qplanar.thermal, "intraplate_c", cmat)
-    monkeypatch.setattr(qplanar.sampler, "io_matrix", io_matrix)
+    monkeypatch.setattr(qplanar.commutators, "gram_eigenvalues", gram)
+    monkeypatch.setattr(qplanar.sampler, "gram_eigenvalues", gram)
 
 
 @pytest.mark.parametrize("command,what", [("thermal", "emission is"),
@@ -748,6 +746,23 @@ def test_tables_do_not_depend_on_the_chunk_size(stack_file, capsys, monkeypatch,
     assert tables[0].count("\n") > 1000
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "commutators", "--format", "json"],
+    ["verify", "--suite", "kirchhoff", "--out", "v.json"],
+    ["green-check", "--format", "csv"],
+    ["green-check", "--out", "g.txt"],
+    ["kernels", "--kw", "1.5w", "--temp", "300"],
+])
+def test_flags_that_no_code_reads_are_usage_errors(stack_file, capsys, argv):
+    # verify and green-check print a status line, not a table; kernels has no temperature
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--stack", stack_file(SLAB), "--omega", "2e15", *argv[1:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in captured.err
+
+
 def test_the_parser_is_built_once_and_survives_failed_calls(stack_file, capsys):
     import qplanar.cli
 
@@ -756,7 +771,7 @@ def test_the_parser_is_built_once_and_survives_failed_calls(stack_file, capsys):
             "--k", "0,0.5w"]
     assert qplanar.cli.build_parser() is qplanar.cli.build_parser()
     with pytest.raises(SystemExit) as exc:   # argparse's usage error
-        main(["green-check", "--stack", path, "--format", "xml"])
+        main(["green-check", "--stack", path, "--nodes", "many"])
     assert exc.value.code == 2
     assert main(["coeffs", "--stack", path, "--omega", "1e15", "--k", "1xyz"]) == 2
     capsys.readouterr()

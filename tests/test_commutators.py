@@ -66,9 +66,11 @@ def test_tau_inverts_to_bosonic_combinations():
 
 
 def test_lossless_layer_has_no_intraplate_noise():
+    # beta'' = 0 below k = 1.5 omega/c and beta' = 0 above it put x or y at 0, where
+    # expm1(-2x)/(2 beta'') or sin(y)/y is 0/0; a RuntimeWarning fails this test
     st = Stack(VACUUM, (Layer(160e-9, ConstantEps(2.25 + 0j)),), VACUUM)
     omega = 2e15
-    for k_frac in (0.0, 0.7, 1.2):
+    for k_frac in (0.0, 0.7, 1.2, 2.0):
         ctx = make_context(st, omega, k_frac * omega / C)
         for q in ("s", "p"):
             cs = commutator_set(ctx, q=q)

@@ -11,6 +11,7 @@ import pytest
 from conftest import C
 from qplanar import sampler
 from qplanar.cli import main
+from qplanar.commutators import gram_eigenvalues
 from qplanar.errors import ConfigError
 from qplanar.modes import make_context
 from qplanar.sampler import BLOCK, sample_emission
@@ -219,13 +220,30 @@ def _mode_function_gram(beta, d):
     return g, h.real
 
 
+def _thickness_at(eps, k_frac, part, target):
+    """The thickness d of a layer of `eps` at which beta'' d ("imag") or beta' d ("real")
+    rounds to exactly `target`: a switch point of the Gram eigenvalues' two forms."""
+    st = Stack(VACUUM, (Layer(1e-7, ConstantEps(eps)),), VACUUM)
+    b = getattr(make_context(st, OMEGA, k_frac * OMEGA / C).beta[1], part)
+    d = target / b
+    while b * d < target:
+        d = np.nextafter(d, math.inf)
+    while b * d > target:
+        d = np.nextafter(d, -math.inf)
+    assert b * d == target
+    return float(d)
+
+
 # eps, thickness, k / (omega/c): thin and weakly lossy layers (x and y far below 1, up to the
-# light line), the absorbing slab, 15 um of weakly lossy eps = 4 + 0.01i (y = 200), and very
-# thick lossy layers
+# light line), the absorbing slab, 15 um of weakly lossy eps = 4 + 0.01i (y = 200), very
+# thick lossy layers, and x = beta'' d or y = beta' d at 1 and 1 +/- 1 ulp, where the
+# eigenvalues switch between the series and the closed form
 GRAM_CASES = [
     (2 + 1e-10j, 1e-9, 0.0), (2 + 1e-10j, 1e-9, 1.4142), (2 + 1e-10j, 1e-9, 1.41421356),
     (4 + 1e-6j, 1e-8, 0.5), (2 + 0.5j, 2e-7, 0.4), (4 + 0.01j, 1.5e-5, 0.0),
     (2 + 4j, 4e-7, 1.7), (-10 + 1j, 4e-5, 0.5), (-10 + 1j, 1e-3, 0.5),
+    *((2 + 0.5j, _thickness_at(2 + 0.5j, 0.4, part, edge), 0.4) for part in ("imag", "real")
+      for edge in (np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0))),
 ]
 
 
@@ -233,8 +251,9 @@ GRAM_CASES = [
 def test_gram_eigenvalues_match_mpmath_quadrature(eps, thickness, k_frac):
     mpmath = pytest.importorskip("mpmath")
     st = Stack(VACUUM, (Layer(thickness, ConstantEps(eps)),), VACUUM)
-    beta = make_context(st, OMEGA, k_frac * OMEGA / C).beta[1]
-    plus, minus = sampler._gram_eigenvalues(beta, thickness)
+    ctx = make_context(st, OMEGA, k_frac * OMEGA / C)
+    beta = ctx.beta[1]
+    plus, minus = gram_eigenvalues(ctx, 1)
     with mpmath.workdps(40):
         g, h = _mode_function_gram(complex(beta), thickness)
         for got, ref in ((plus, g + h), (minus, g - h)):

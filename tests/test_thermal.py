@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import C, random_stack
-from qplanar.commutators import commutator_set
+from qplanar.commutators import commutator_set, intraplate_xi
 from qplanar.errors import AccuracyError, RegimeError
+from qplanar.iorel import io_matrix
 from qplanar.modes import make_context
+from qplanar.scatter import scatter_set
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
 from qplanar.thermal import bose, emission_w, kirchhoff_residual
 
@@ -159,17 +161,17 @@ def test_emission_raises_at_a_grazing_k():
 
 
 def test_overflowing_layer_raises_naming_the_point_and_layer(monkeypatch):
-    # layer 2's noise coupling is made NaN at the second k, as an overflow would leave it
-    import qplanar.thermal
+    # layer 2's Gram eigenvalue g + h is made NaN at the second k, as an overflow would leave it
+    import qplanar.commutators
 
-    real = qplanar.thermal.intraplate_c
+    real = qplanar.commutators.gram_eigenvalues
 
-    def nan_in_layer_2(ctx, q, j):
-        cmat = real(ctx, q, j)
-        cmat[1, 1] = np.nan
-        return cmat
+    def nan_in_layer_2(ctx, j):
+        plus, minus = real(ctx, j)
+        plus[1, 1] = np.nan
+        return plus, minus
 
-    monkeypatch.setattr(qplanar.thermal, "intraplate_c", nan_in_layer_2)
+    monkeypatch.setattr(qplanar.commutators, "gram_eigenvalues", nan_in_layer_2)
     st = Stack(VACUUM, (Layer(200e-9, ConstantEps(2 + 0.5j)), Layer(4e-5, ConstantEps(-10 + 1j))),
                VACUUM)
     ctx = make_context(st, 2e15, np.array([1e5, 3.3e6]))
@@ -190,3 +192,31 @@ def test_thick_lossy_layer_emission_meets_the_kirchhoff_budget(thickness):
             w = emission_w(ctx, q, 300.0, [0, st.n])
             assert np.all(np.isfinite(w)) and np.all(w > 0.0)
             assert np.max(kirchhoff_residual(ctx, q, 300.0, [0, st.n])) <= 1e-12
+
+
+@pytest.mark.parametrize("q", ["s", "p"])
+def test_light_line_of_a_thin_weakly_lossy_layer_matches_mpmath(q):
+    """vacuum | 1 nm of eps = 2 + 1e-10i | vacuum next to the layer's light line, where a and b
+    of its commutator matrix agree to 1e-13: emission_w / n and both xi are within 1e-14 of
+    50-digit mpmath on the engine's own beta and Phi."""
+    mpmath = pytest.importorskip("mpmath")
+    mp, omega = mpmath.mp, 2e15
+    st = Stack(VACUUM, (Layer(1e-9, ConstantEps(2 + 1e-10j)),), VACUUM)
+    ctx = make_context(st, omega, np.array([1.4142, 1.41421356, 1.4142135623]) * omega / C)
+    w = emission_w(ctx, q, 300.0, [0, ctx.n]) / bose(omega, 300.0)
+    xi = intraplate_xi(ctx, q, 1)
+    phi = io_matrix(scatter_set(ctx, q)).phi[0]   # (k, side row, (E+, E-))
+    with mpmath.workdps(50):
+        for i in range(ctx.k.size):
+            b, kj = mp.mpc(complex(ctx.beta[1][i])), mp.mpc(complex(ctx.kj[1][i]))
+            d = mp.mpf(float(ctx.d[1]))
+            ab2, k2 = abs(b) ** 2, mp.mpf(float(ctx.k[i])) ** 2
+            p, qq = (1, 1) if q == "s" else ((k2 + ab2) / abs(kj) ** 2, (k2 - ab2) / abs(kj) ** 2)
+            a = b.real * -mp.expm1(-2 * b.imag * d) * p / ab2
+            bb = 2 * b.imag * mp.sin(b.real * d) * mp.exp(-b.imag * d) * qq / ab2
+            for got, ref in zip(xi, (mp.sqrt(2 * (a + bb)), mp.sqrt(2 * (a - bb)))):
+                assert abs(got[i] - ref) <= 1e-14 * ref, (i, got[i], ref)
+            for row in (0, 1):
+                fp, fm = (mp.mpc(complex(v)) for v in phi[i, row])
+                ref = a * (abs(fp) ** 2 + abs(fm) ** 2) + 2 * bb * (fp * mp.conj(fm)).real
+                assert abs(w[row, i] - ref) <= 1e-14 * ref, (i, row, w[row, i], ref)
