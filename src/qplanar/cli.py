@@ -48,8 +48,9 @@ def _fmt(x: float) -> str:
     return _FLOAT % x
 
 
-def _parse_scalar(text: str, omega: float | None = None) -> float:
-    """One numeric token with an optional unit suffix.
+def _parse_scalar(text: str, omega=None):
+    """One numeric token with an optional unit suffix: a float, or for `w` and `deg` an array
+    of one value per entry of the frequency array `omega`.
 
     Frequencies: plain rad/s, `eV`, or `um` (vacuum wavelength).
     Transverse wavenumbers: plain 1/m, `w` (multiples of omega/c), or
@@ -80,22 +81,26 @@ def _parse_scalar(text: str, omega: float | None = None) -> float:
         raise UsageError(f"malformed numeric token {text!r}") from exc
 
 
-def _parse_grid(spec: str, omega: float | None = None) -> list[float]:
-    """`start:stop:num` linspace or comma-separated values, unit suffixes allowed."""
+def _parse_grid(spec: str, omega=None) -> np.ndarray:
+    """`start:stop:num` linspace or comma-separated values, unit suffixes allowed, of shape
+    omega.shape + (num,) for an array of frequencies `omega` (a range is the linspace at each
+    omega, bit for bit, unless its step is zero at some omega only), or (num,) without one."""
+    shape = np.shape(omega)   # () for None
     if ":" in spec:
         parts = spec.split(":")
         if len(parts) != 3:
             raise UsageError(f"grid must be start:stop:num, got {spec!r}")
-        a = _parse_scalar(parts[0], omega)
-        b = _parse_scalar(parts[1], omega)
+        a, b = _parse_scalar(parts[0], omega), _parse_scalar(parts[1], omega)
         try:
             num = int(parts[2])
         except ValueError as exc:
             raise UsageError(f"grid count must be an integer, got {parts[2]!r}") from exc
         if num < 1:
             raise UsageError("grid count must be >= 1")
-        return list(np.linspace(a, b, num))
-    return [_parse_scalar(tok, omega) for tok in spec.split(",") if tok.strip()]
+        return np.linspace(np.broadcast_to(a, shape), np.broadcast_to(b, shape), num, axis=-1)
+    values = [np.broadcast_to(_parse_scalar(tok, omega), shape)
+              for tok in spec.split(",") if tok.strip()]
+    return np.stack(values, -1) if values else np.empty(shape + (0,))
 
 
 def _load_stack_file(path: str) -> Stack:
@@ -113,12 +118,12 @@ def _modes(stack: Stack, omega: np.ndarray, k: np.ndarray, pols: list[str]):
 
 def _sweep(args, modes=_modes):
     """The stack, the polarizations and the contexts of the modes `modes(stack, omega, k,
-    pols)` picks from the grid (k parsed at each omega), each a run of consecutive modes
-    of _CHUNK_CELLS cells at most (one mode at least).  An empty grid is a usage error."""
+    pols)` picks from the grid (k parsed once for every omega), each a run of consecutive
+    modes of _CHUNK_CELLS cells at most (one mode at least).  An empty grid is a usage error."""
     stack = _load_stack_file(args.stack)
-    grid = [(om, _parse_grid(args.k, omega=om)) for om in _parse_grid(args.omega)]
-    omega = np.array([om for om, ks in grid for _ in ks], dtype=float)
-    k = np.array([kk for _, ks in grid for kk in ks], dtype=float)
+    omegas = _parse_grid(args.omega)
+    ks = _parse_grid(args.k, omegas)
+    omega, k = np.repeat(omegas, ks.shape[-1]), ks.ravel()
     pols = [p.strip() for p in args.pol.split(",") if p.strip()]
     for p in pols:
         if p not in ("s", "p"):
@@ -429,8 +434,7 @@ def cmd_kernels(args) -> int:
     template = "\n".join(f"{args.kind},{_FLOAT},{_FLOAT},{_FLOAT},{comp},{_FLOAT},{_FLOAT}"
                          for comp in _COMP_NAMES)
 
-    def fill(om):
-        k_w = _parse_scalar(args.kw, omega=om)
+    def fill(om, k_w):
         window = GaussianWindow(k_w=k_w)
         rho = np.linspace(0.0, args.rho_max_over_kw / k_w, args.rho_points)
         field = kernel_radial(stack, om, args.kind, window, rho, layer=args.layer)
@@ -440,7 +444,9 @@ def cmd_kernels(args) -> int:
         cells[..., 3], cells[..., 4] = comps.real, comps.imag
         return cells
 
-    return _table(args, "kernels", header, template, map(fill, _parse_grid(args.omega)), {})
+    omegas = _parse_grid(args.omega)
+    k_ws = np.broadcast_to(_parse_scalar(args.kw, omegas), omegas.shape)
+    return _table(args, "kernels", header, template, map(fill, omegas.tolist(), k_ws.tolist()), {})
 
 
 @functools.cache   # one parser per process: `parse_args` leaves it unchanged

@@ -131,7 +131,10 @@ def intraplate_c(ctx: ModeContext, q: str, j) -> np.ndarray:
     """2x2 commutator matrices [[a, b], [b, a]] of the intraplate amplitudes (+, -) of layer(s) j,
     shape j.shape + k.shape + (2, 2), rebuilt from the :func:`intraplate_eig` pair; exactly zero
     for lossless layers, where beta' or beta'' is 0."""
-    plus, minus = intraplate_eig(ctx, q, j)
+    return _cmat(*intraplate_eig(ctx, q, j))
+
+
+def _cmat(plus, minus) -> np.ndarray:   # [[a, b], [b, a]] from the pair (a + b, a - b)
     a, b = 0.5 * (plus + minus), 0.5 * (plus - minus)
     return _block2(a, b, b, a)
 
@@ -170,6 +173,7 @@ class CommutatorSet:
     c_in: np.ndarray     # k.shape + (2,)
     c_out: np.ndarray    # k.shape + (2, 2), Hermitian: diag(c_out0, c_outN), cross at [0, 1]
     cmat: np.ndarray     # (n-1, *k.shape, 2, 2), layer j at [j-1], Hermitian
+    eig: np.ndarray      # (2, n-1, *k.shape): the intraplate_eig pair cmat is built from
     io: IOMatrix
 
 
@@ -177,8 +181,8 @@ def commutator_set(ctx: ModeContext, q: str = "s") -> CommutatorSet:
     """Evaluate every commutator coefficient of every mode from the closed forms."""
     cin, u = _outer(ctx, q)
     io = io_matrix(scatter_set(ctx, q))
-    return CommutatorSet(cin, _c_out(cin, u, io.s_matrix),
-                         intraplate_c(ctx, q, np.arange(1, ctx.n)), io)
+    eig = intraplate_eig(ctx, q, np.arange(1, ctx.n))
+    return CommutatorSet(cin, _c_out(cin, u, io.s_matrix), _cmat(*eig), eig, io)
 
 
 def assembled_out(cs: CommutatorSet) -> np.ndarray:
@@ -215,7 +219,7 @@ def bosonize(ctx: ModeContext, cs: CommutatorSet) -> BosonizedIO:
     sides, i.e. propagating or lossy outer media.  In the evanescent-vacuum
     regime c_in vanishes identically and no bosonic input operators exist;
     that is reported as a RegimeError rather than a numerical blowup.  The
-    intraplate transforms tau come from the layers' xi pairs, computed here.
+    intraplate transforms tau come from the layers' xi pairs sqrt(2 cs.eig).
     """
     c_self = np.diagonal(cs.c_out, 0, -2, -1).real
     bad = ~bosonic(ctx, cs)
@@ -229,8 +233,7 @@ def bosonize(ctx: ModeContext, cs: CommutatorSet) -> BosonizedIO:
         )
     out_scale = (1.0 / np.sqrt(c_self))[..., :, None]
     in_scale = np.sqrt(cs.c_in)[..., None, :]
-    layers = np.arange(1, ctx.n)
-    tau = intraplate_tau(intraplate_xi(ctx, cs.io.q, layers))
+    tau = intraplate_tau(np.sqrt(2.0 * cs.eig))
     return BosonizedIO(out_scale * cs.io.s_matrix * in_scale, out_scale * _matmul2(cs.io.phi, tau))
 
 

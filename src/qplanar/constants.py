@@ -1,4 +1,4 @@
-"""Physical constants (CODATA 2018, SI units), and per-frequency evaluation."""
+"""Physical constants (CODATA 2018, SI units) and the commutator normalization."""
 
 import math
 
@@ -12,19 +12,6 @@ EPS0 = 8.8541878128e-12     # F / m
 EV = 1.602176634e-19        # J
 
 
-def per_omega(f, omega) -> np.ndarray:
-    """f(w) at every entry w of the array omega, shape np.shape(f(w)) + omega.shape.
-
-    f takes one float and returns a scalar or a 1-d sequence; it runs once per
-    distinct value, so each entry gets the scalar value bit for bit.  No entry may be NaN.
-    """
-    omega = np.asarray(omega, dtype=float)
-    values = np.array(sorted(set(omega.ravel().tolist())))
-    # take() returns a C-ordered array; indexing the transposed table would not, and slows every
-    # ufunc downstream.
-    return np.take(np.array([f(w) for w in values]).T, np.searchsorted(values, omega), axis=-1)
-
-
 def n0_scale(omega) -> np.ndarray:
     """Commutator normalization (pi hbar / eps0) (omega/c)^2, in SI, per entry of omega.
 
@@ -32,4 +19,5 @@ def n0_scale(omega) -> np.ndarray:
     factor, so they carry units of length (1/beta-like) and identities stay
     dimensionless-tame across the optical range.
     """
-    return per_omega(lambda w: math.pi * HBAR / EPS0 * (w / C_LIGHT) ** 2, omega)
+    # float_power, not `**`: an array's `** 2` is x * x, which differs from pow by an ulp
+    return math.pi * HBAR / EPS0 * np.float_power(np.asarray(omega, dtype=float) / C_LIGHT, 2)

@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .constants import C_LIGHT, per_omega
+from .constants import C_LIGHT
 from .errors import ConfigError
 from .stack import Stack
 
@@ -113,19 +113,17 @@ class ModeContext:
 
 def make_context(stack: Stack, omega, k, khat=X_HAT) -> ModeContext:
     """Evaluate eps_j, k_j, beta_j for every region of the stack at every mode (omega, k), omega
-    broadcast against k; eps_j and k_j are evaluated per distinct omega, one float at a time."""
-    def regions(w: float) -> np.ndarray:   # eps_j, then k_j, of every region
-        if not 0.0 < w < math.inf:
-            raise ConfigError(f"omega must be positive and finite, got {w}")
-        eps = np.array([material(w) for material in stack.materials], dtype=complex)
-        w_c = w / C_LIGHT
-        return np.concatenate([eps, upper_sqrt(eps * w_c * w_c)])
-
+    broadcast against k; each material is called once, on the array of omega."""
     omega, k = np.asarray(omega, dtype=float), np.asarray(k, dtype=float)
     grid = np.empty((2, *np.broadcast(omega, k).shape))
     grid[0], grid[1] = omega, k
     omega, k = grid
-    eps, kj = per_omega(regions, omega).reshape(2, len(stack.materials), *omega.shape)
+    bad = ~((omega > 0.0) & (omega < math.inf))
+    if bad.any():
+        raise ConfigError(f"omega must be positive and finite, got {omega[bad].flat[0]}")
+    eps = np.array([material(omega) for material in stack.materials], dtype=complex)
+    w_c = omega / C_LIGHT
+    kj = upper_sqrt(eps * w_c * w_c)
     bad = ~(np.isfinite(k) & (k >= 0.0))
     if bad.any():
         raise ConfigError(f"k must be nonnegative and finite, got {k[bad].flat[0]}")

@@ -8,7 +8,6 @@ z > 0 in region n.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,8 +29,9 @@ class ConstantEps:
         if self.eps.imag < _PASSIVITY_TOL:
             raise PassivityError(f"constant model with Im eps = {self.eps.imag} < 0")
 
-    def __call__(self, omega: float) -> complex:
-        return self.eps
+    def __call__(self, omega) -> np.ndarray:
+        """eps at every entry of the array omega (0-d for one float)."""
+        return np.full(np.shape(omega), self.eps, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,8 @@ class DrudeLorentzEps:
 
     eps(w) = eps_inf + sum_m s_m w0_m^2 / (w0_m^2 - w^2 - i g_m w)
 
-    Passivity holds by construction for s_m >= 0, g_m > 0.
+    Passivity holds by construction for s_m >= 0, g_m > 0.  Evaluated per entry of an
+    array of omega, term by term in the order of the oscillators.
     """
 
     eps_inf: float
@@ -55,8 +56,9 @@ class DrudeLorentzEps:
             if w0 <= 0.0 or g <= 0.0:
                 raise ConfigError(f"oscillator {m}: omega0 and gamma must be positive")
 
-    def __call__(self, omega: float) -> complex:
-        eps, omega = complex(self.eps_inf), np.float64(omega)   # NumPy's rounding for any float omega
+    def __call__(self, omega) -> np.ndarray:
+        omega = np.asarray(omega, dtype=float)
+        eps = np.full(omega.shape, complex(self.eps_inf))
         for s, w0, g in self.oscillators:
             eps += s * w0 * w0 / (w0 * w0 - omega * omega - 1j * g * omega)
         return eps
@@ -64,7 +66,8 @@ class DrudeLorentzEps:
 
 @dataclass(frozen=True)
 class TabulatedEps:
-    """Linear interpolation between (omega, eps) samples; no extrapolation."""
+    """Linear interpolation between (omega, eps) samples, per entry of an array of omega; an
+    omega outside the samples raises FrequencyRangeError (no extrapolation)."""
 
     omegas: tuple[float, ...]
     values: tuple[complex, ...]
@@ -78,17 +81,16 @@ class TabulatedEps:
             if v.imag < _PASSIVITY_TOL:
                 raise PassivityError(f"tabulated sample at omega = {w} has Im eps = {v.imag} < 0")
 
-    def __call__(self, omega: float) -> complex:
-        if omega < self.omegas[0] or omega > self.omegas[-1]:
-            raise FrequencyRangeError(
-                f"omega = {omega} outside table range [{self.omegas[0]}, {self.omegas[-1]}]"
-            )
-        i = bisect.bisect_right(self.omegas, omega)
-        if i == len(self.omegas):
-            return self.values[-1]
-        w0, w1 = self.omegas[i - 1], self.omegas[i]
-        f = (omega - w0) / (w1 - w0)
-        return self.values[i - 1] * (1.0 - f) + self.values[i] * f
+    def __call__(self, omega) -> np.ndarray:
+        omega = np.asarray(omega, dtype=float)
+        out = (omega < self.omegas[0]) | (omega > self.omegas[-1])
+        if out.any():
+            raise FrequencyRangeError(f"omega = {omega[out].flat[0]} outside table range "
+                                      f"[{self.omegas[0]}, {self.omegas[-1]}]")
+        w, v = np.array(self.omegas), np.array(self.values)
+        i = np.minimum(np.searchsorted(w, omega, side="right"), len(w) - 1)   # w[i-1] <= omega
+        f = (omega - w[i - 1]) / (w[i] - w[i - 1])
+        return np.where(omega == w[-1], v[-1], v[i - 1] * (1.0 - f) + v[i] * f)
 
 
 PermittivityModel = ConstantEps | DrudeLorentzEps | TabulatedEps
@@ -136,10 +138,11 @@ class Stack:
             raise ConfigError(f"region index {j} outside 0..{self.n}")
 
 
-def epsilon(stack: Stack, j: int, omega: float) -> complex:
-    """Permittivity of region j at angular frequency omega (rad/s)."""
-    if omega <= 0.0:
-        raise ConfigError(f"omega must be positive, got {omega}")
+def epsilon(stack: Stack, j: int, omega) -> np.ndarray:
+    """Permittivity of region j at every entry of the array omega (rad/s; 0-d for one float)."""
+    omega = np.asarray(omega, dtype=float)
+    if np.any(omega <= 0.0):
+        raise ConfigError(f"omega must be positive, got {omega[omega <= 0.0].flat[0]}")
     stack._check_region(j)
     return stack.materials[j](omega)
 

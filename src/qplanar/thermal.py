@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .commutators import c_in, intraplate_eig
-from .constants import HBAR, K_B, per_omega
+from .constants import HBAR, K_B
 from .errors import AccuracyError, ConfigError, RegimeError
 from .iorel import io_matrix
 from .modes import ModeContext, Regime, regime
@@ -24,18 +24,17 @@ def bose(omega, temperature: float) -> np.ndarray:
     """Bose-Einstein occupation 1 / (exp(hbar omega / kB T) - 1) per entry of omega; T = 0 gives 0.
 
     Evaluated through expm1 so the Rayleigh-Jeans regime hbar omega << kB T
-    keeps full relative accuracy.
+    keeps full relative accuracy, with `math`'s expm1 and exp once per distinct
+    omega (NumPy's differ from them by an ulp on some arguments).
     """
     if not (math.isfinite(temperature) and temperature >= 0.0):
         raise ConfigError(f"temperature must be nonnegative and finite, got {temperature}")
-
-    def occupation(w: float) -> float:
-        if not w > 0.0:
-            raise ConfigError(f"omega must be positive, got {w}")
-        x = HBAR * w / (K_B * temperature) if temperature > 0.0 else math.inf
-        return math.exp(-x) if x > 700.0 else 1.0 / math.expm1(x)
-
-    return per_omega(occupation, omega)
+    values, inverse = np.unique(np.asarray(omega, dtype=float), return_inverse=True)
+    if not np.all(values > 0.0):
+        raise ConfigError(f"omega must be positive, got {values[~(values > 0.0)][0]}")
+    x = [HBAR * w / (K_B * temperature) if temperature > 0.0 else math.inf for w in values.tolist()]
+    occupation = [math.exp(-xi) if xi > 700.0 else 1.0 / math.expm1(xi) for xi in x]
+    return np.array(occupation, dtype=float)[inverse].reshape(np.shape(omega))
 
 
 def _emission(ctx: ModeContext, q: str, temperature: float, side):

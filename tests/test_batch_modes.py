@@ -222,13 +222,13 @@ def test_failing_verify_prints_the_worst_line_of_the_per_omega_run(tmp_path, cap
     import qplanar.cli
     import qplanar.commutators
 
-    real = qplanar.commutators.intraplate_c
+    real = qplanar.commutators.intraplate_eig
 
     def negated_at_2e15(ctx, q, j):   # breaks the commutator identity at 2e15 rad/s only
-        cmat = real(ctx, q, j)
-        return np.where((ctx.omega == 2e15)[..., None, None], -cmat, cmat)
+        eig = real(ctx, q, j)
+        return np.where(ctx.omega == 2e15, -eig, eig)
 
-    monkeypatch.setattr(qplanar.commutators, "intraplate_c", negated_at_2e15)
+    monkeypatch.setattr(qplanar.commutators, "intraplate_eig", negated_at_2e15)
     path = _write(tmp_path, _slab(2e-7, _const(2.0, 0.5)))
 
     def run(omega):

@@ -1,6 +1,10 @@
+import bisect
+import math
+
 import numpy as np
 import pytest
 
+from qplanar.constants import C_LIGHT, EPS0, HBAR, K_B, n0_scale
 from qplanar.errors import ConfigError, FrequencyRangeError, PassivityError
 from qplanar.modes import make_context
 from qplanar.stack import (
@@ -14,6 +18,7 @@ from qplanar.stack import (
     epsilon,
     load_stack,
 )
+from qplanar.thermal import bose
 
 VACUUM_CONFIG = """
 {
@@ -93,14 +98,65 @@ def test_drude_lorentz_on_resonance():
     assert m(w0) == pytest.approx(expected, rel=1e-14)
 
 
+def _scalar_eps(model, omega: float) -> complex:
+    """Each model at one float omega, one Python operation at a time: the array path's oracle."""
+    if isinstance(model, ConstantEps):
+        return model.eps
+    if isinstance(model, DrudeLorentzEps):
+        eps, omega = complex(model.eps_inf), np.float64(omega)
+        for s, w0, g in model.oscillators:
+            eps += s * w0 * w0 / (w0 * w0 - omega * omega - 1j * g * omega)
+        return eps
+    i = bisect.bisect_right(model.omegas, omega)
+    if i == len(model.omegas):
+        return model.values[-1]
+    w0, w1 = model.omegas[i - 1], model.omegas[i]
+    f = (omega - w0) / (w1 - w0)
+    return model.values[i - 1] * (1.0 - f) + model.values[i] * f
+
+
+def _scalar_bose(omega: float, temperature: float) -> float:
+    x = HBAR * omega / (K_B * temperature) if temperature > 0.0 else math.inf
+    return math.exp(-x) if x > 700.0 else 1.0 / math.expm1(x)
+
+
+def _bits(values):
+    """The bit patterns of complex values, flattened (distinguishes -0.0 from 0.0)."""
+    return np.asarray(values, dtype=complex).reshape(-1).view(np.int64)
+
+
 def test_epsilon_equals_the_mode_engine_bit_for_bit():
-    # the benchmark's Drude-Lorentz oscillator: a Python float and a NumPy float omega round alike
-    st = Stack(VACUUM, (Layer(40e-9, DrudeLorentzEps(2.0, ((3.0, 2.4e15, 1.5e14),))),), VACUUM)
-    omegas = np.linspace(1e15, 3e15, 2001)
-    ref = make_context(st, omegas, 0.0).eps[1]
-    for to_float in (float, np.float64):
-        got = np.array([epsilon(st, 1, to_float(w)) for w in omegas.tolist()])
-        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    # The benchmark's Drude-Lorentz oscillator, a second oscillator, a lossy constant and a
+    # table: every region of the engine and epsilon() equal the per-float form, bit for bit.
+    # The table ends on a signed zero, which interpolation at its last sample would not keep.
+    table = TabulatedEps(tuple(np.linspace(5e14, 5e15, 7).tolist()),
+                         (*(complex(2.0 + 0.3 * i, 0.05 * i) for i in range(6)), complex(-1.0, -0.0)))
+    st = Stack(ConstantEps(1.5 + 0.3j),
+               (Layer(40e-9, DrudeLorentzEps(2.0, ((3.0, 2.4e15, 1.5e14),))),
+                Layer(60e-9, DrudeLorentzEps(1.2, ((0.9, 1.5e15, 2e13), (0.4, 2.5e15, 8e13)))),
+                Layer(80e-9, table)),
+               ConstantEps(2.0 + 0.0j))
+    line = np.concatenate([np.linspace(1e15, 3e15, 2001), table.omegas, table.omegas[::2]])
+    rng = np.random.default_rng(3)
+    grid = rng.choice(line, (40, 60))   # 2-d, with repeats
+    for omega in (np.array(table.omegas[-1]), np.array(2.4e15), line, grid):
+        ref = make_context(st, omega, 0.0).eps
+        assert ref.shape == (len(st.materials), *omega.shape)
+        for j, model in enumerate(st.materials):
+            expected = [_scalar_eps(model, w) for w in omega.ravel().tolist()]
+            assert np.array_equal(_bits(ref[j]), _bits(expected))
+            assert np.array_equal(_bits(epsilon(st, j, omega)), _bits(ref[j]))
+            for to_float in (float, np.float64):
+                assert np.array_equal(_bits(epsilon(st, j, to_float(omega.flat[0]))),
+                                      _bits(ref[j].flat[0]))
+        for temperature in (0.0, 1.0, 300.0):
+            got = bose(omega, temperature)
+            assert got.shape == omega.shape
+            assert got.ravel().tolist() == [_scalar_bose(w, temperature) for w in omega.ravel().tolist()]
+        n0 = n0_scale(omega)
+        assert n0.shape == omega.shape
+        assert n0.ravel().tolist() == [math.pi * HBAR / EPS0 * (w / C_LIGHT) ** 2
+                                       for w in omega.ravel().tolist()]
 
 
 def test_tabulated_midpoint_interpolation():
