@@ -122,15 +122,6 @@ class ScatterSet:
     def t_n0(self):
         return self.t_to0[self.n]
 
-    def xi(self, j: int, jp: int):
-        """Green-kernel weight pairing field region j with source region jp."""
-        n = self.n
-        return (
-            (self.t_from0[j] * self.phase[j] / self.d_fp[j])
-            * (self.t_fromN[jp] * self.phase[jp] / self.d_fp[jp])
-            / (self.beta[n] * self.t_0n)
-        )
-
 
 @functools.lru_cache(maxsize=64)
 def _recursion_rows(n: int) -> tuple[np.ndarray, ...]:

@@ -112,7 +112,7 @@ def test_one_multi_omega_context_equals_per_omega_contexts(case):
             check(lambda c: kirchhoff_residual(c, q, 300.0, [0, c.n]), axis=1, mask=propagating)
     if np.all(batch.eps[[0, -1]].imag > 0.0):
         for part in ("lhs", "rhs"):
-            check(lambda c: getattr(verify_green_identity(c, nodes_per_layer=16), part))
+            check(lambda c: getattr(verify_green_identity(c), part))
 
 
 def test_omega_broadcasts_against_k_and_an_empty_batch_keeps_its_region_axis():
@@ -273,8 +273,8 @@ def test_green_identity_of_a_mode_does_not_depend_on_its_batch():
     stack = Stack(clad, (metal, Layer(1.2e-7, ConstantEps(2.5 + 0.2j)), metal), clad)
     omega = np.repeat(np.linspace(1.2e15, 2.8e15, 5), 4)
     ctx = make_context(stack, omega, np.tile([0.1, 0.6, 1.1, 1.6], 5) * omega / C)
-    batch = verify_green_identity(ctx, nodes_per_layer=200)
+    batch = verify_green_identity(ctx)
     for i in range(ctx.k.size):
-        one = verify_green_identity(ctx.select(slice(i, i + 1)), nodes_per_layer=200)
+        one = verify_green_identity(ctx.select(slice(i, i + 1)))
         np.testing.assert_array_equal(one.lhs[0], batch.lhs[i])
         np.testing.assert_array_equal(one.residual[0], batch.residual[i])

@@ -149,7 +149,7 @@ def test_verify_kirchhoff(stack_file, capsys):
 
 def test_verify_green_suite(stack_file, capsys):
     rc = main(["verify", "--stack", stack_file(GREEN), "--suite", "green",
-               "--omega", "1e15,2e15", "--k", "0.5w", "--nodes", "200"])
+               "--omega", "1e15,2e15", "--k", "0.5w"])
     assert rc == 0
     assert "status=PASS" in capsys.readouterr().out
 
@@ -479,30 +479,38 @@ def test_sample_seed_must_fit_one_key_word(stack_file, capsys, seed, rc_expected
 
 
 def test_green_suite_builds_one_scatter_pair_per_chunk(stack_file, capsys, monkeypatch):
-    # 3 omega x 2 k fit one chunk: one ScatterSet pair, and one green_kernel
-    # call per panel for all six modes together.  The field points coincide, so
-    # each call serves both factors: the layer's panel, the two tails and g.
+    # 3 omega x 2 k fit one chunk: one ScatterSet pair, and one coefficient call
+    # per panel for all six modes together.  The field points coincide, so each
+    # call serves both factors (the two tails and the layer's panel), and one
+    # green_kernel call, one coefficient call per branch, serves g and g_rev.
     import qplanar.greens
 
-    calls, kernels = [], []
-    real_scatter, real_kernel = qplanar.greens.scatter_set, qplanar.greens.green_kernel
+    calls, panels, kernels = [], [], []
+    real_scatter, real_panel = qplanar.greens.scatter_set, qplanar.greens._panel
+    real_kernel = qplanar.greens.green_kernel
 
     def counting_scatter(ctx, q="s"):
         calls.append((ctx.k.size, q))
         return real_scatter(ctx, q)
+
+    def counting_panel(ctx, *args):
+        panels.append(ctx.k.size)
+        return real_panel(ctx, *args)
 
     def counting_kernel(ctx, *args, **kwargs):
         kernels.append(ctx.k.size)
         return real_kernel(ctx, *args, **kwargs)
 
     monkeypatch.setattr(qplanar.greens, "scatter_set", counting_scatter)
+    monkeypatch.setattr(qplanar.greens, "_panel", counting_panel)
     monkeypatch.setattr(qplanar.greens, "green_kernel", counting_kernel)
     rc = main(["verify", "--suite", "green", "--stack", stack_file(GREEN),
-               "--omega", "1e15:3e15:3", "--k", "0,0.8w", "--nodes", "40"])
+               "--omega", "1e15:3e15:3", "--k", "0,0.8w"])
     assert rc == 0
     assert capsys.readouterr().out.startswith("suite=green points=6 skipped=0 ")
     assert calls == [(6, "s"), (6, "p")]
-    assert kernels == [6] * 4
+    assert panels == [6] * 5
+    assert kernels == [6]
 
 
 @pytest.mark.parametrize("doc,rc_expected", [(GREEN, 0), (SLAB, 2)])
@@ -516,7 +524,7 @@ def test_green_check_is_verify_green_alias(stack_file, capsys, doc, rc_expected)
     assert (alias.out, alias.err) == (suite.out, suite.err)
     if rc_expected == 0:
         assert alias.out.startswith("suite=green points=4 skipped=0 ")
-        assert "tol=1.0e-06 status=PASS" in alias.out
+        assert "tol=1.0e-10 status=PASS" in alias.out
 
 
 def test_kernels_layer_out_of_range_exits_2(stack_file, capsys):
@@ -590,6 +598,20 @@ def test_green_check_node_count_below_two_exits_2(stack_file, capsys, nodes):
                "--nodes", nodes])
     assert rc == 2
     assert "at least 2 quadrature nodes" in capsys.readouterr().err
+
+
+def test_green_node_count_is_ignored(stack_file, capsys):
+    # The identity is integrated in closed form: `--nodes` is parsed, checked and read by
+    # nothing else.
+    lines = []
+    for nodes in ("2", "200"):
+        for command in (["green-check"], ["verify", "--suite", "green"]):
+            assert main([*command, "--stack", stack_file(GREEN), "--omega", "1e15:3e15:3",
+                         "--k", "0,0.8w,1.4w", "--nodes", nodes]) == 0
+            lines.append(capsys.readouterr())
+    assert all(line == lines[0] for line in lines)
+    assert lines[0].err == ""
+    assert lines[0].out.startswith("suite=green points=9 skipped=0 ")
 
 
 @pytest.mark.parametrize("command", [["verify", "--suite", "commutators"], ["green-check"]])
@@ -752,9 +774,11 @@ def test_tables_do_not_depend_on_the_chunk_size(stack_file, capsys, monkeypatch,
     ["green-check", "--format", "csv"],
     ["green-check", "--out", "g.txt"],
     ["kernels", "--kw", "1.5w", "--temp", "300"],
+    ["green-check", "--temp", "300"],
 ])
 def test_flags_that_no_code_reads_are_usage_errors(stack_file, capsys, argv):
-    # verify and green-check print a status line, not a table; kernels has no temperature
+    # verify and green-check print a status line, not a table; kernels and the Green
+    # identity have no temperature
     with pytest.raises(SystemExit) as exc:
         main([argv[0], "--stack", stack_file(SLAB), "--omega", "2e15", *argv[1:]])
     assert exc.value.code == 2
@@ -771,7 +795,7 @@ def test_the_parser_is_built_once_and_survives_failed_calls(stack_file, capsys):
             "--k", "0,0.5w"]
     assert qplanar.cli.build_parser() is qplanar.cli.build_parser()
     with pytest.raises(SystemExit) as exc:   # argparse's usage error
-        main(["green-check", "--stack", path, "--nodes", "many"])
+        main(["green-check", "--stack", path, "--tol", "many"])
     assert exc.value.code == 2
     assert main(["coeffs", "--stack", path, "--omega", "1e15", "--k", "1xyz"]) == 2
     capsys.readouterr()

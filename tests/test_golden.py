@@ -70,7 +70,7 @@ CASES = {
     "verify-unitarity": (VACUUM_CLAD, ["verify", "--suite", "unitarity", *GRID]),
     "verify-kirchhoff": (VACUUM_CLAD, ["verify", "--suite", "kirchhoff", *GRID]),
     "verify-green": (LOSSY_CLAD, ["verify", "--suite", "green", "--omega", "2e15",
-                                  "--k", "0,0.8w", "--nodes", "40"]),
+                                  "--k", "0,0.8w"]),
 }
 
 
