@@ -61,13 +61,13 @@ def interface_rt(ctx: ModeContext, i, j, q: str) -> InterfaceCoeffs:
         what = "beta_{} + beta_{} = 0"
         num_r, num_t = bi - bj, 2.0 * bi
     elif q == "p":
-        ei, ej = ctx.eps[i], ctx.eps[j]
-        den = ej * bi + ei * bj
+        ej_bi, ei_bj = ctx.eps[j] * bi, ctx.eps[i] * bj
+        den = ej_bi + ei_bj
         what = "eps-weighted denominator vanishes at interface {}|{}"
         # sqrt(eps_i eps_j), one value per interface and mode, divided by the real w_c2 exactly
         w_c2 = (ctx.omega / C_LIGHT) ** 2
         kk = ctx.kj[i] * ctx.kj[j]
-        num_r, num_t = ej * bi - ei * bj, 2.0 * bi * (kk.real / w_c2 + 1j * (kk.imag / w_c2))
+        num_r, num_t = ej_bi - ei_bj, 2.0 * bi * (kk.real / w_c2 + 1j * (kk.imag / w_c2))
     else:
         raise ConfigError(f"polarization must be 's' or 'p', got {q!r}")
     zero = den == 0.0
@@ -135,8 +135,49 @@ def _recursion_rows(n: int) -> tuple[np.ndarray, ...]:
     return rows
 
 
+def _star_steps(ctx: ModeContext, q: str, phase: np.ndarray) -> np.ndarray:
+    """Redheffer star products over k, every step written in place into one state array of
+    shape (n+1, 3, 2, *k.shape): step, (R, t_rl, t_lr), (L, R).  Step t extends the left
+    partial L[t] = S(0..t) and the mirrored (left-right swapped) right partial R[n-t] =
+    S(n-t..n) by one block B: the interface crossed away from S (a) and back (b) after the
+    flight across the region on S's side (phase ph, 1 outside).  With R the reflection of S
+    from its growing side and D = 1 - R r_in,
+      (R, t_rl, t_lr)' = (R, t_rl, t_lr) (t_in t_out, t_in, t_out) / D + (r_out, 0, 0),
+    r_in = r_a ph^2, r_out = -r_a, t_in = t_b ph and t_out = t_a ph, from the identity (0, 1, 1).
+    The factors are formed in place in one array; each step is ufunc calls with `out=`, which
+    NumPy never rewrites: one product of all three rows, the division by D, R - r_a (rounding as
+    R + (-r_a)) and + 0 on the t rows (a -0 leaves as +0).  t_in is np.multiply(ph, ...), as
+    NumPy forms ph * (large temporary) in place with swapped operands, rounding by chunk size.
+    """
+    n = ctx.n
+    from_i, to_i, side, away, back = _recursion_rows(n)
+    rt = interface_rt(ctx, from_i, to_i, q)
+    ph = phase[side]
+    r_a = rt.r[away]
+    factors = np.empty((n, 3) + r_a.shape[1:], dtype=complex)   # (t_in t_out, t_in, t_out)
+    t_in = np.multiply(ph, rt.t[back], out=factors[:, 1])
+    t_out = np.multiply(rt.t[away], ph, out=factors[:, 2])
+    r_in = ph * r_a * ph
+    del rt, ph   # freed before the state array: a lower peak faults in fewer fresh pages
+    np.multiply(t_in, t_out, out=factors[:, 0])
+    state = np.empty((n + 1, 3) + r_a.shape[1:], dtype=complex)
+    state[0, 0], state[0, 1:] = 0.0, 1.0
+    denom = np.empty_like(r_a[0])
+    for prev, new, ri, ra, f in zip(state, state[1:], r_in, r_a, factors):
+        np.subtract(1.0, np.multiply(prev[0], ri, out=denom), out=denom)
+        if not denom.all():
+            at = np.unravel_index(np.argmax(denom == 0.0), denom.shape)[1:]
+            raise SingularInterfaceError("star product hit an exact multiple-reflection pole "
+                                         f"at {ctx.mode(at)}")
+        np.divide(np.multiply(prev, f, out=new), denom, out=new)
+        np.subtract(new[0], ra, out=new[0])
+        np.add(new[1:], 0.0, out=new[1:])
+    return state
+
+
 def scatter_set(ctx: ModeContext, q: str = "s") -> ScatterSet:
-    """Compose all generalized r/t coefficients of one polarization for every k."""
+    """Compose all generalized r/t coefficients of one polarization for every k; an exact pole
+    (beta = 0 in a lossless layer, or a zero denominator) raises SingularInterfaceError."""
     if q not in POLS:
         raise ConfigError(f"polarization must be one of {POLS}, got {q!r}")
     n = ctx.n
@@ -149,48 +190,13 @@ def scatter_set(ctx: ModeContext, q: str = "s") -> ScatterSet:
                                      f"omega = {float(ctx.omega[at])!r} rad/s (branch point of a "
                                      "lossless layer): multiple-reflection pole")
 
-    phase = np.exp(1j * ctx.beta * ctx.per_region(ctx.d, np.arange(n + 1)))
-    phase[0] = phase[n] = 1.0
+    phase = np.ones_like(ctx.beta)
+    phase[1:n] = np.exp(1j * ctx.beta[1:n] * ctx.per_region(ctx.d, np.arange(1, n)))
 
-    # Redheffer star products over k.  Step t extends the left partial L[t] = S(0..t) and the
-    # mirrored (left-right swapped) right partial R[n-t] = S(n-t..n) by one block B: the interface
-    # crossed away from S (a) and back (b) after the flight across the region on S's side (phase
-    # ph, 1 outside).  With R the reflection of S from its growing side and D = 1 - R r_in,
-    #   (R, t_rl, t_lr)' = (R, t_rl, t_lr) (t_in t_out, t_in, t_out) / D + (r_out, 0, 0),
-    # r_in = r_a ph^2, r_out = -r_a, t_in = t_b ph and t_out = t_a ph.  t_in is np.multiply, as
-    # NumPy forms ph * (large temporary) in place with swapped operands, rounding by chunk size.
-    from_i, to_i, side, away, back = _recursion_rows(n)
-    rt = interface_rt(ctx, from_i, to_i, q)
-    ph = phase[side]
-    r_a, t_in, t_out = rt.r[away], np.multiply(ph, rt.t[back]), rt.t[away] * ph
-    r_in = ph * r_a * ph
-    factors = np.stack([t_in * t_out, t_in, t_out], axis=1)   # step x (R, t_rl, t_lr) x (L, R)
-    offsets = np.zeros_like(factors)
-    offsets[:, 0] = -r_a
-    state = [np.ones_like(factors[0])]
-    state[0][0] = 0.0
-    for step in range(n):
-        denom = 1.0 - state[-1][0] * r_in[step]
-        if not denom.all():
-            at = np.unravel_index(np.argmax(denom == 0.0), denom.shape)[1:]
-            raise SingularInterfaceError("star product hit an exact multiple-reflection pole "
-                                         f"at {ctx.mode(at)}")
-        state.append(state[-1] * factors[step] / denom + offsets[step])
-    state = np.stack(state)
+    state = _star_steps(ctx, q, phase)
     r_left, t_to0, t_from0 = state[:, :, 0].swapaxes(0, 1)
     r_right, t_toN, t_fromN = state[::-1, :, 1].swapaxes(0, 1)
 
     d_fp = 1.0 - r_left * r_right * phase * phase
-    return ScatterSet(
-        q=q,
-        r_left=r_left,
-        r_right=r_right,
-        t_to0=t_to0,
-        t_toN=t_toN,
-        t_from0=t_from0,
-        t_fromN=t_fromN,
-        phase=phase,
-        d_fp=d_fp,
-        beta=ctx.beta,
-        d_floor=np.abs(d_fp) < D_CONDITION_FLOOR,
-    )
+    return ScatterSet(q, r_left, r_right, t_to0, t_toN, t_from0, t_fromN, phase, d_fp, ctx.beta,
+                      np.abs(d_fp) < D_CONDITION_FLOOR)

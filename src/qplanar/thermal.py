@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .commutators import c_in, intraplate_eig
+from .commutators import _require_off_grazing, c_in, intraplate_eig
 from .constants import HBAR, K_B
 from .errors import AccuracyError, ConfigError, RegimeError
 from .iorel import io_matrix
@@ -37,10 +37,9 @@ def bose(omega, temperature: float) -> np.ndarray:
     return np.array(occupation, dtype=float)[inverse].reshape(np.shape(omega))
 
 
-def _emission(ctx: ModeContext, q: str, temperature: float, side):
-    """Emission w of `side` (side axes first, then k), and the S rows and c_in of `side`."""
-    rows = ctx.side_row(side)
-    cin = c_in(ctx, q)
+def _emission(ctx: ModeContext, q: str, temperature: float, rows):
+    """Emission w of the sides at `rows` of ctx.side_row (side axes first, then k) and the IO
+    relation it came from; the caller has rejected grazing modes."""
     io = io_matrix(scatter_set(ctx, q))
     plus, minus = intraplate_eig(ctx, q, np.arange(1, ctx.n))   # (n-1, *k) each
     v0, v1 = np.moveaxis(io.phi, (-1, -2), (0, 1))[:, rows]   # Phi rows of `side`: (*side, n-1, *k)
@@ -52,7 +51,7 @@ def _emission(ctx: ModeContext, q: str, temperature: float, side):
         j = 1 + int(np.argmax(~np.isfinite(per_layer[(slice(None), *at)])))
         raise AccuracyError(f"emission is not finite at {ctx.mode(at[rows.ndim:])}: the noise "
                             f"coupling of layer {j} is not finite")
-    return w, np.moveaxis(io.s_matrix, -2, 0)[rows], np.moveaxis(cin, -1, 0)[rows]
+    return w, io
 
 
 def emission_w(ctx: ModeContext, q: str = "s", temperature: float = 300.0, side=0):
@@ -68,7 +67,9 @@ def emission_w(ctx: ModeContext, q: str = "s", temperature: float = 300.0, side=
     (beta = 0 in some region) raises RegimeError, a layer that is not passive
     PassivityError, and a non-finite value AccuracyError.
     """
-    return _emission(ctx, q, temperature, side)[0]
+    rows = ctx.side_row(side)
+    _require_off_grazing(ctx)
+    return _emission(ctx, q, temperature, rows)[0]
 
 
 def kirchhoff_residual(ctx: ModeContext, q: str = "s", temperature: float = 300.0, side=0):
@@ -83,7 +84,10 @@ def kirchhoff_residual(ctx: ModeContext, q: str = "s", temperature: float = 300.
         raise RegimeError("kirchhoff_residual requires vacuum outer media")
     if np.any(regime(ctx, 0) != Regime.PROPAGATING):
         raise RegimeError("kirchhoff_residual requires the propagating regime (omega/c > k)")
-    w, s, cin = _emission(ctx, q, temperature, side)
+    rows = ctx.side_row(side)
+    cin = np.moveaxis(c_in(ctx, q), -1, 0)[rows]   # raises at a grazing mode
+    w, io = _emission(ctx, q, temperature, rows)
+    s = np.moveaxis(io.s_matrix, -2, 0)[rows]
     occ = bose(ctx.omega, temperature)
     budget = occ * cin * (1.0 - abs(s[..., 0]) ** 2 - abs(s[..., 1]) ** 2)
     # Normalized against the full input budget n c_in, the emissivity scale;

@@ -10,7 +10,10 @@ are shared with it.
 
 `assembled_out` and `gram` are the exception: they take the engine's
 arrays (k axes first) and form the 2x2 block products with a stacked `@`,
-the oracle of the engine's entry-by-entry products.
+the oracle of the engine's entry-by-entry products.  So is
+`scatter_set_stacked`: the engine's star-product recursion over a whole
+`ModeContext` as it stood before each step was written in place, one fresh
+state per step stacked at the end, which the engine must equal bit for bit.
 """
 
 import cmath
@@ -20,6 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from qplanar import scatter as engine
 from qplanar.constants import C_LIGHT
 from qplanar.errors import AccuracyError, RegimeError, SingularInterfaceError
 from qplanar.stack import Stack, epsilon
@@ -248,3 +252,47 @@ def assembled_out(s: np.ndarray, c_in: np.ndarray, phi: np.ndarray, cmat: np.nda
 def gram(s: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """S S^+ + sum_j Phi^(j) Phi^(j)+ with a stacked @."""
     return sum(phi @ _dagger(phi), s @ _dagger(s))
+
+
+def scatter_set_stacked(ctx, q: str) -> engine.ScatterSet:
+    """`qplanar.scatter.scatter_set` with fresh step states: each step multiplies by the
+    stacked factors (t_in t_out, t_in, t_out), divides by D and adds the offsets (-r_a, 0, 0);
+    the interface coefficients, phases and D come from fresh temporaries as well."""
+    n = ctx.n
+    branch = ctx.beta[1:n] == 0.0
+    if branch.any():
+        raise SingularInterfaceError("beta = 0 in a lossless layer: multiple-reflection pole")
+    phase = np.exp(1j * ctx.beta * ctx.per_region(ctx.d, np.arange(n + 1)))
+    phase[0] = phase[n] = 1.0
+    from_i, to_i, side, away, back = engine._recursion_rows(n)
+    bi, bj = ctx.beta[from_i], ctx.beta[to_i]
+    if q == "s":
+        den, num_r, num_t = bi + bj, bi - bj, 2.0 * bi
+    else:
+        ei, ej = ctx.eps[from_i], ctx.eps[to_i]
+        w_c2 = (ctx.omega / C_LIGHT) ** 2
+        kk = ctx.kj[from_i] * ctx.kj[to_i]
+        den = ej * bi + ei * bj
+        num_r, num_t = ej * bi - ei * bj, 2.0 * bi * (kk.real / w_c2 + 1j * (kk.imag / w_c2))
+    if not den.all():
+        raise SingularInterfaceError("an interface denominator vanishes")
+    r, t = num_r / den, np.where(num_t == den, 1.0, num_t / den)
+    ph = phase[side]
+    r_a, t_in, t_out = r[away], np.multiply(ph, t[back]), t[away] * ph
+    r_in = ph * r_a * ph
+    factors = np.stack([t_in * t_out, t_in, t_out], axis=1)   # step x (R, t_rl, t_lr) x (L, R)
+    offsets = np.zeros_like(factors)
+    offsets[:, 0] = -r_a
+    state = [np.ones_like(factors[0])]
+    state[0][0] = 0.0
+    for step in range(n):
+        denom = 1.0 - state[-1][0] * r_in[step]
+        if not denom.all():
+            raise SingularInterfaceError("star product hit an exact multiple-reflection pole")
+        state.append(state[-1] * factors[step] / denom + offsets[step])
+    state = np.stack(state)
+    r_left, t_to0, t_from0 = state[:, :, 0].swapaxes(0, 1)
+    r_right, t_toN, t_fromN = state[::-1, :, 1].swapaxes(0, 1)
+    d_fp = 1.0 - r_left * r_right * phase * phase
+    return engine.ScatterSet(q, r_left, r_right, t_to0, t_toN, t_from0, t_fromN, phase, d_fp,
+                             ctx.beta, np.abs(d_fp) < engine.D_CONDITION_FLOOR)

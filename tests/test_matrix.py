@@ -2,13 +2,21 @@
 
 The stacks are thick metal and dielectric slabs between vacuum or absorbing
 claddings, a nearly lossless thin layer, a lossy layer on an epsilon-near-zero
-cladding and the 150 nm waveguide at three losses (ROADMAP items 15 and 20).
-Each cell runs `qplanar.cli.main` with warnings raised as errors and checks
-the exit code the README documents:
+cladding, the 150 nm waveguide at three losses (ROADMAP items 15 and 20), a
+1 nm weakly lossy layer probed at its own light line (item 10) and vacuum
+against vacuum with no layer.  Each cell runs `qplanar.cli.main` with
+warnings raised as errors and checks the exit code the README documents:
 
 * `green-check` needs absorbing outer media, and `unitarity` and
   `kirchhoff` vacuum ones; elsewhere each exits 2 with nothing on stdout;
+  so does `sample` without a layer;
 * every other cell exits 0, and a suite prints `status=PASS`.
+
+The grid commands run once more with k exactly on the light line of every
+lossless region.  An outer region there is a grazing mode, which the
+verification suites and `thermal` skip.  A lossless layer is an exact
+multiple-reflection pole, and so is an interface between two equal lossless
+media: `coeffs` and `sample` exit 1 naming the mode, with nothing on stdout.
 
 The cells that fail today for a known reason are `xfail(strict=True)` and
 name the ROADMAP item that owns them, so a fix shows as an XPASS.
@@ -22,6 +30,8 @@ import warnings
 import pytest
 
 from qplanar.cli import main
+from qplanar.modes import make_context
+from qplanar.stack import load_stack
 
 
 def _const(re, im):
@@ -46,9 +56,14 @@ STACKS = {
     "waveguide-150nm-lossless": _slab(150e-9, _const(2.25, 0.0), VACUUM, VACUUM),
     "waveguide-150nm-1e-6": _slab(150e-9, _const(2.25, 1e-6), VACUUM, VACUUM),
     "waveguide-150nm-1e-3": _slab(150e-9, _const(2.25, 1e-3), VACUUM, VACUUM),
+    "thin-1nm-light-line": _slab(1e-9, _const(2.0, 1e-10), VACUUM, VACUUM),
+    "no-layers-vacuum": {"medium0": VACUUM, "layers": [], "mediumN": VACUUM},
 }
 
-GRID = ["--omega", "2e15", "--k", "0.1w:1.9w:7", "--pol", "s,p"]
+OMEGA = 2e15
+GRID = ["--omega", str(OMEGA), "--k", "{k}", "--pol", "s,p"]
+K_GRID = "0.1w:1.9w:7"
+K_GRIDS = {"thin-1nm-light-line": "0.5w,1.4142w,1.41421356w"}   # its light line is at sqrt(2) w
 COMMANDS = {
     "coeffs": ["coeffs", *GRID],
     "thermal": ["thermal", *GRID, "--temp", "1000"],
@@ -68,6 +83,7 @@ KNOWN_FAILURES = {
     ("dielectric-1um-nearly-lossless", "kernels"): "ROADMAP item 15: guided-mode pole in the window",
     ("dielectric-1um-nearly-lossless", "commutators"):
         "ROADMAP item 10: Im r0n next to a guided-mode pole loses digits",
+    ("thin-1nm-light-line", "kernels"): "ROADMAP item 15: guided-mode pole in the window",
     **{(f"waveguide-150nm-{loss}", "kernels"): "ROADMAP item 15: guided-mode pole in the window"
        for loss in ("lossless", "1e-6", "1e-3")},
 }
@@ -79,6 +95,8 @@ def _expected_exit(doc: dict, command: str) -> int:
         return 0 if all(m["eps_im"] > 0.0 for m in outer) else 2
     if command in ("unitarity", "kirchhoff"):
         return 0 if all(m == VACUUM for m in outer) else 2
+    if command == "sample" and not doc["layers"]:
+        return 2
     return 0
 
 
@@ -90,25 +108,22 @@ def _cells():
             yield pytest.param(stack, command, marks=marks, id=f"{stack}-{command}")
 
 
-@pytest.mark.parametrize("stack,command", _cells())
-def test_every_command_on_every_hard_stack(tmp_path, stack, command):
-    doc = STACKS[stack]
+def _run(tmp_path, doc: dict, argv: list[str], k: str, expected: int) -> str:
+    """Run one cell, check its exit code, stdout and warnings, and return its stderr."""
     path = tmp_path / "stack.json"
     path.write_text(json.dumps(doc))
-    argv = COMMANDS[command]
     out, err = io.StringIO(), io.StringIO()
     # The sampler's documented warnings: a lossless layer, and so no noise at all here.
-    sampler_warns = command == "sample" and all(layer["material"]["eps_im"] == 0.0
-                                                for layer in doc["layers"])
+    sampler_warns = argv[0] == "sample" and len(doc["layers"]) > 0 and all(
+        layer["material"]["eps_im"] == 0.0 for layer in doc["layers"])
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("always" if sampler_warns else "error")
-        rc = main([argv[0], "--stack", str(path), *argv[1:]])
-    if sampler_warns:
+        rc = main([argv[0], "--stack", str(path), *(a.format(k=k) for a in argv[1:])])
+    if sampler_warns and rc == 0:
         assert {str(w.message) for w in caught} == {
             "layer 1 is lossless; it contributes no thermal noise",
             "no noise couples to the output; estimate is identically zero"}
-    expected = _expected_exit(doc, command)
     assert rc == expected, (out.getvalue(), err.getvalue())
     if rc != 0:
         assert out.getvalue() == ""
@@ -117,3 +132,41 @@ def test_every_command_on_every_hard_stack(tmp_path, stack, command):
         assert out.getvalue().endswith(" status=PASS\n"), out.getvalue()
     else:
         assert out.getvalue().startswith("# schema=qplanar-")
+    return err.getvalue()
+
+
+@pytest.mark.parametrize("stack,command", _cells())
+def test_every_command_on_every_hard_stack(tmp_path, stack, command):
+    doc = STACKS[stack]
+    _run(tmp_path, doc, COMMANDS[command], K_GRIDS.get(stack, K_GRID), _expected_exit(doc, command))
+
+
+def _light_lines(doc: dict) -> list[float]:
+    """k of every distinct light line of a lossless region (beta = 0 there), at OMEGA."""
+    ctx = make_context(load_stack(json.dumps(doc)), OMEGA, 0.0)
+    return sorted({float(kj.real) for kj, eps in zip(ctx.kj, ctx.eps) if eps.imag == 0.0})
+
+
+SUITES = ("commutators", "unitarity", "kirchhoff")
+LIGHT_LINE_CELLS = [pytest.param(stack, command, id=f"{stack}-{command}")
+                    for stack, doc in STACKS.items() if _light_lines(doc)
+                    for command in ("coeffs", "thermal", *SUITES, "sample")]
+
+
+@pytest.mark.parametrize("stack,command", LIGHT_LINE_CELLS)
+def test_grid_commands_with_k_on_every_light_line(tmp_path, stack, command):
+    doc = STACKS[stack]
+    k = ",".join(["0.5w", *map(repr, _light_lines(doc))])
+    argv = ["verify", "--suite", command, *GRID] if command in SUITES else COMMANDS[command]
+    lossless = [layer["material"]["eps_im"] == 0.0 for layer in doc["layers"]]
+    pole = None
+    if command in ("coeffs", "sample") and any(lossless):
+        pole = "(branch point of a lossless layer): multiple-reflection pole"
+    elif command == "coeffs" and not lossless and doc["medium0"] == doc["mediumN"]:
+        pole = "beta_0 + beta_1 = 0 at omega = 2.000000e+15 rad/s, k = "
+    expected = 1 if pole else _expected_exit(doc, command)
+    err = _run(tmp_path, doc, argv, k, expected)
+    if pole:
+        assert pole in err, err
+    elif command == "thermal":   # every light line is a grazing mode, skipped per polarization
+        assert err == f"skipped={2 * len(_light_lines(doc))}\n"
