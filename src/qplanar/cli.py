@@ -387,6 +387,14 @@ def cmd_verify(args) -> int:
     return 0 if status == "PASS" else 1
 
 
+def _off_grazing(ctx, pols, status):
+    """The modes of `ctx` off the grazing modes, where the noise couplings are singular (an exact
+    pole at a lossless layer's branch point); the points left out are counted in `skipped`."""
+    ok = ~grazing(ctx)
+    status["skipped"] += int(np.count_nonzero(~ok)) * len(pols)
+    return ctx.select(ok)
+
+
 def cmd_thermal(args) -> int:
     stack, pols, contexts = _sweep(args)
     header = ["omega_rad_s", "k_inv_m", "pol", "side", "temp_K", "occupation",
@@ -397,9 +405,7 @@ def cmd_thermal(args) -> int:
     status = {"skipped": 0}
 
     def fill(ctx):
-        ok = ~grazing(ctx)
-        sub = ctx.select(ok)
-        status["skipped"] += int(np.count_nonzero(~ok)) * len(pols)
+        sub = _off_grazing(ctx, pols, status)
         cells = np.empty((sub.k.size, len(pols), len(sides), 6))   # the float columns of header
         per_mode = np.stack([sub.omega, sub.k, bose(sub.omega, args.temp), n0_scale(sub.omega)], -1)
         cells[..., [0, 1, 3, 5]], cells[..., 2] = per_mode[:, None, None], args.temp
@@ -416,16 +422,18 @@ def cmd_sample(args) -> int:
               "stderr_n0", "realizations", "seed"]
     template = "\n".join(f"{_FLOAT},{_FLOAT},{q},{args.side},{_FLOAT},{_FLOAT},{_FLOAT},"
                          f"{args.realizations},{args.seed}" for q in pols)
+    status = {"skipped": 0}
 
     def fill(ctx):
-        cells = np.empty((ctx.k.size, len(pols), 5))   # omega, k, temp, w, stderr
-        cells[..., 0], cells[..., 1], cells[..., 2] = ctx.omega[:, None], ctx.k[:, None], args.temp
-        est = sample_emission(ctx, pols, args.temp, args.side, realizations=args.realizations,
+        sub = _off_grazing(ctx, pols, status)
+        cells = np.empty((sub.k.size, len(pols), 5))   # omega, k, temp, w, stderr
+        cells[..., 0], cells[..., 1], cells[..., 2] = sub.omega[:, None], sub.k[:, None], args.temp
+        est = sample_emission(sub, pols, args.temp, args.side, realizations=args.realizations,
                               seed=args.seed)
         cells[..., 3:] = np.stack(est, -1).swapaxes(0, 1)
         return cells
 
-    return _table(args, "sample", header, template, map(fill, contexts), {})
+    return _table(args, "sample", header, template, map(fill, contexts), status)
 
 
 def cmd_kernels(args) -> int:

@@ -65,21 +65,9 @@ def _outer(ctx: ModeContext, q: str):
     return np.moveaxis(b.real / ab2 * p, 0, -1), np.moveaxis(-1j * (qq * b.imag / ab2), 0, -1)
 
 
-def _c_out(c_in, u, s) -> np.ndarray:
-    """diag(c_in) + S U + (S U)^+ per mode, exactly Hermitian."""
-    su = s * u[..., None, :]
-    return su + _dagger(su) + c_in[..., None] * np.eye(2)
-
-
 def c_in(ctx: ModeContext, q: str) -> np.ndarray:
     """Input commutator coefficients (N0-normalized), shape k.shape + (2,): side 0, then side n."""
     return _outer(ctx, q)[0]
-
-
-def c_out(ctx: ModeContext, io: IOMatrix) -> np.ndarray:
-    """Output commutator matrices (N0-normalized) of the IO relation `io` of `ctx`, shape
-    k.shape + (2, 2): self-commutators on the diagonal, [out(0), out(n)^+] at [0, 1]."""
-    return _c_out(*_outer(ctx, io.q), io.s_matrix)
 
 
 def gram_eigenvalues(ctx: ModeContext, j):
@@ -127,13 +115,6 @@ def intraplate_eig(ctx: ModeContext, q: str, j) -> np.ndarray:
     return eig
 
 
-def intraplate_c(ctx: ModeContext, q: str, j) -> np.ndarray:
-    """2x2 commutator matrices [[a, b], [b, a]] of the intraplate amplitudes (+, -) of layer(s) j,
-    shape j.shape + k.shape + (2, 2), rebuilt from the :func:`intraplate_eig` pair; exactly zero
-    for lossless layers, where beta' or beta'' is 0."""
-    return _cmat(*intraplate_eig(ctx, q, j))
-
-
 def _cmat(plus, minus) -> np.ndarray:   # [[a, b], [b, a]] from the pair (a + b, a - b)
     a, b = 0.5 * (plus + minus), 0.5 * (plus - minus)
     return _block2(a, b, b, a)
@@ -178,11 +159,13 @@ class CommutatorSet:
 
 
 def commutator_set(ctx: ModeContext, q: str = "s") -> CommutatorSet:
-    """Evaluate every commutator coefficient of every mode from the closed forms."""
+    """Evaluate every commutator coefficient of every mode from the closed forms; c_out is
+    diag(c_in) + S U + (S U)^+ per mode, exactly Hermitian."""
     cin, u = _outer(ctx, q)
     io = io_matrix(scatter_set(ctx, q))
+    su = io.s_matrix * u[..., None, :]
     eig = intraplate_eig(ctx, q, np.arange(1, ctx.n))
-    return CommutatorSet(cin, _c_out(cin, u, io.s_matrix), _cmat(*eig), eig, io)
+    return CommutatorSet(cin, su + _dagger(su) + cin[..., None] * np.eye(2), _cmat(*eig), eig, io)
 
 
 def assembled_out(cs: CommutatorSet) -> np.ndarray:

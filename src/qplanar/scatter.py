@@ -62,12 +62,13 @@ def interface_rt(ctx: ModeContext, i, j, q: str) -> InterfaceCoeffs:
         num_r, num_t = bi - bj, 2.0 * bi
     elif q == "p":
         ej_bi, ei_bj = ctx.eps[j] * bi, ctx.eps[i] * bj
-        den = ej_bi + ei_bj
+        den, num_r = ej_bi + ei_bj, ej_bi - ei_bj
+        del ej_bi, ei_bj, bj   # freed before the temporaries of num_t: they set the call's peak
         what = "eps-weighted denominator vanishes at interface {}|{}"
         # sqrt(eps_i eps_j), one value per interface and mode, divided by the real w_c2 exactly
         w_c2 = (ctx.omega / C_LIGHT) ** 2
         kk = ctx.kj[i] * ctx.kj[j]
-        num_r, num_t = ej_bi - ei_bj, 2.0 * bi * (kk.real / w_c2 + 1j * (kk.imag / w_c2))
+        num_t = 2.0 * bi * (kk.real / w_c2 + 1j * (kk.imag / w_c2))
     else:
         raise ConfigError(f"polarization must be 's' or 'p', got {q!r}")
     zero = den == 0.0
@@ -81,7 +82,8 @@ def interface_rt(ctx: ModeContext, i, j, q: str) -> InterfaceCoeffs:
 
 @dataclass(frozen=True)
 class ScatterSet:
-    """Generalized coefficients of one polarization for every region and k.
+    """Generalized coefficients of one polarization for every region and k: the ones the IO
+    relation and the Green kernel read.
 
     Arrays are (n+1, *k.shape), indexed by region j = 0..n first, with the
     half-space entries degenerating to r_left[0] = r_right[n] = 0, t
@@ -94,16 +96,13 @@ class ScatterSet:
     r_right: np.ndarray   # r[j -> n side]
     t_to0: np.ndarray     # t[j -> region 0]
     t_toN: np.ndarray     # t[j -> region n]
-    t_from0: np.ndarray   # t[region 0 -> j]
-    t_fromN: np.ndarray   # t[region n -> j]
     phase: np.ndarray     # e^{i beta_j d_j}
     d_fp: np.ndarray      # Fabry-Perot denominator D_j
-    beta: np.ndarray
     d_floor: np.ndarray   # bool, |D_j| < D_CONDITION_FLOOR
 
     @property
     def n(self) -> int:
-        return len(self.beta) - 1
+        return len(self.phase) - 1
 
     # Whole-stack coefficients (region-0 / region-n view).
     @property
@@ -137,31 +136,31 @@ def _recursion_rows(n: int) -> tuple[np.ndarray, ...]:
 
 def _star_steps(ctx: ModeContext, q: str, phase: np.ndarray) -> np.ndarray:
     """Redheffer star products over k, every step written in place into one state array of
-    shape (n+1, 3, 2, *k.shape): step, (R, t_rl, t_lr), (L, R).  Step t extends the left
-    partial L[t] = S(0..t) and the mirrored (left-right swapped) right partial R[n-t] =
-    S(n-t..n) by one block B: the interface crossed away from S (a) and back (b) after the
-    flight across the region on S's side (phase ph, 1 outside).  With R the reflection of S
-    from its growing side and D = 1 - R r_in,
-      (R, t_rl, t_lr)' = (R, t_rl, t_lr) (t_in t_out, t_in, t_out) / D + (r_out, 0, 0),
-    r_in = r_a ph^2, r_out = -r_a, t_in = t_b ph and t_out = t_a ph, from the identity (0, 1, 1).
-    The factors are formed in place in one array; each step is ufunc calls with `out=`, which
-    NumPy never rewrites: one product of all three rows, the division by D, R - r_a (rounding as
-    R + (-r_a)) and + 0 on the t rows (a -0 leaves as +0).  t_in is np.multiply(ph, ...), as
-    NumPy forms ph * (large temporary) in place with swapped operands, rounding by chunk size.
+    shape (n+1, 2, 2, *k.shape): step, (R, t), (L, R).  Step t extends the left partial
+    L[t] = S(0..t) and the mirrored (left-right swapped) right partial R[n-t] = S(n-t..n) by
+    one block B: the interface crossed away from S (a) and back (b) after the flight across
+    the region on S's side (phase ph, 1 outside).  R is the reflection of S from its growing
+    side and t its transmission from there back to S's outer region; with D = 1 - R r_in,
+      (R, t)' = (R, t) (t_in t_out, t_in) / D + (r_out, 0),
+    r_in = r_a ph^2, r_out = -r_a, t_in = t_b ph and t_out = t_a ph, from the identity (0, 1).
+    The factors are formed in place in one array (t_out is a temporary, freed before the state
+    is allocated); each step is ufunc calls with `out=`, which NumPy never rewrites: one product
+    of both rows, the division by D, R - r_a (rounding as R + (-r_a)) and + 0 on the t row (a -0
+    leaves as +0).  t_in is np.multiply(ph, ...), as NumPy forms ph * (large temporary) in place
+    with swapped operands, rounding by chunk size.
     """
     n = ctx.n
     from_i, to_i, side, away, back = _recursion_rows(n)
     rt = interface_rt(ctx, from_i, to_i, q)
     ph = phase[side]
     r_a = rt.r[away]
-    factors = np.empty((n, 3) + r_a.shape[1:], dtype=complex)   # (t_in t_out, t_in, t_out)
+    factors = np.empty((n, 2) + r_a.shape[1:], dtype=complex)   # (t_in t_out, t_in)
     t_in = np.multiply(ph, rt.t[back], out=factors[:, 1])
-    t_out = np.multiply(rt.t[away], ph, out=factors[:, 2])
+    np.multiply(t_in, np.multiply(rt.t[away], ph), out=factors[:, 0])
     r_in = ph * r_a * ph
     del rt, ph   # freed before the state array: a lower peak faults in fewer fresh pages
-    np.multiply(t_in, t_out, out=factors[:, 0])
-    state = np.empty((n + 1, 3) + r_a.shape[1:], dtype=complex)
-    state[0, 0], state[0, 1:] = 0.0, 1.0
+    state = np.empty((n + 1, 2) + r_a.shape[1:], dtype=complex)
+    state[0, 0], state[0, 1] = 0.0, 1.0
     denom = np.empty_like(r_a[0])
     for prev, new, ri, ra, f in zip(state, state[1:], r_in, r_a, factors):
         np.subtract(1.0, np.multiply(prev[0], ri, out=denom), out=denom)
@@ -171,7 +170,7 @@ def _star_steps(ctx: ModeContext, q: str, phase: np.ndarray) -> np.ndarray:
                                          f"at {ctx.mode(at)}")
         np.divide(np.multiply(prev, f, out=new), denom, out=new)
         np.subtract(new[0], ra, out=new[0])
-        np.add(new[1:], 0.0, out=new[1:])
+        np.add(new[1], 0.0, out=new[1])
     return state
 
 
@@ -194,9 +193,8 @@ def scatter_set(ctx: ModeContext, q: str = "s") -> ScatterSet:
     phase[1:n] = np.exp(1j * ctx.beta[1:n] * ctx.per_region(ctx.d, np.arange(1, n)))
 
     state = _star_steps(ctx, q, phase)
-    r_left, t_to0, t_from0 = state[:, :, 0].swapaxes(0, 1)
-    r_right, t_toN, t_fromN = state[::-1, :, 1].swapaxes(0, 1)
+    r_left, t_to0 = state[:, :, 0].swapaxes(0, 1)
+    r_right, t_toN = state[::-1, :, 1].swapaxes(0, 1)
 
     d_fp = 1.0 - r_left * r_right * phase * phase
-    return ScatterSet(q, r_left, r_right, t_to0, t_toN, t_from0, t_fromN, phase, d_fp, ctx.beta,
-                      np.abs(d_fp) < D_CONDITION_FLOOR)
+    return ScatterSet(q, r_left, r_right, t_to0, t_toN, phase, d_fp, np.abs(d_fp) < D_CONDITION_FLOOR)

@@ -40,8 +40,7 @@ def flip_p_transmission(monkeypatch):
             out[keep] = ts[keep]
             return out
 
-        return replace(ss, t_to0=flip(ss.t_to0, 0), t_from0=flip(ss.t_from0, 0),
-                       t_toN=flip(ss.t_toN, ss.n), t_fromN=flip(ss.t_fromN, ss.n))
+        return replace(ss, t_to0=flip(ss.t_to0, 0), t_toN=flip(ss.t_toN, ss.n))
 
     monkeypatch.setattr(qplanar.commutators, "scatter_set", flipped)
 

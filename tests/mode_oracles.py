@@ -110,8 +110,6 @@ class Scatter:
     r_right: tuple
     t_to0: tuple
     t_toN: tuple
-    t_from0: tuple
-    t_fromN: tuple
     phase: tuple
     d_fp: tuple
 
@@ -136,7 +134,7 @@ def scatter_set(m: Mode, q: str) -> Scatter:
     r_right = tuple(s.r_l for s in right)
     d_fp = tuple(1.0 - r_left[j] * r_right[j] * phase[j] * phase[j] for j in range(n + 1))
     return Scatter(q, r_left, r_right, tuple(s.t_rl for s in left), tuple(s.t_lr for s in right),
-                   tuple(s.t_lr for s in left), tuple(s.t_rl for s in right), tuple(phase), d_fp)
+                   tuple(phase), d_fp)
 
 
 def io_matrix(ss: Scatter, front: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -256,7 +254,7 @@ def gram(s: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def scatter_set_stacked(ctx, q: str) -> engine.ScatterSet:
     """`qplanar.scatter.scatter_set` with fresh step states: each step multiplies by the
-    stacked factors (t_in t_out, t_in, t_out), divides by D and adds the offsets (-r_a, 0, 0);
+    stacked factors (t_in t_out, t_in), divides by D and adds the offsets (-r_a, 0);
     the interface coefficients, phases and D come from fresh temporaries as well."""
     n = ctx.n
     branch = ctx.beta[1:n] == 0.0
@@ -280,7 +278,7 @@ def scatter_set_stacked(ctx, q: str) -> engine.ScatterSet:
     ph = phase[side]
     r_a, t_in, t_out = r[away], np.multiply(ph, t[back]), t[away] * ph
     r_in = ph * r_a * ph
-    factors = np.stack([t_in * t_out, t_in, t_out], axis=1)   # step x (R, t_rl, t_lr) x (L, R)
+    factors = np.stack([t_in * t_out, t_in], axis=1)   # step x (R, t) x (L, R)
     offsets = np.zeros_like(factors)
     offsets[:, 0] = -r_a
     state = [np.ones_like(factors[0])]
@@ -291,8 +289,8 @@ def scatter_set_stacked(ctx, q: str) -> engine.ScatterSet:
             raise SingularInterfaceError("star product hit an exact multiple-reflection pole")
         state.append(state[-1] * factors[step] / denom + offsets[step])
     state = np.stack(state)
-    r_left, t_to0, t_from0 = state[:, :, 0].swapaxes(0, 1)
-    r_right, t_toN, t_fromN = state[::-1, :, 1].swapaxes(0, 1)
+    r_left, t_to0 = state[:, :, 0].swapaxes(0, 1)
+    r_right, t_toN = state[::-1, :, 1].swapaxes(0, 1)
     d_fp = 1.0 - r_left * r_right * phase * phase
-    return engine.ScatterSet(q, r_left, r_right, t_to0, t_toN, t_from0, t_fromN, phase, d_fp,
-                             ctx.beta, np.abs(d_fp) < engine.D_CONDITION_FLOOR)
+    return engine.ScatterSet(q, r_left, r_right, t_to0, t_toN, phase, d_fp,
+                             np.abs(d_fp) < engine.D_CONDITION_FLOOR)

@@ -221,7 +221,7 @@ def test_criterion_09_normal_incidence_degeneracy():
         def gap(a, b, sc=1.0):
             return abs(abs(a) - abs(b)) / sc
 
-        for arrays in ("r_left", "r_right", "t_to0", "t_toN", "t_from0", "t_fromN", "d_fp"):
+        for arrays in ("r_left", "r_right", "t_to0", "t_toN", "d_fp"):
             for a, b in zip(getattr(ss_s, arrays), getattr(ss_p, arrays)):
                 worst = max(worst, gap(a, b))
         for a, b in zip(cs_s.io.phi.ravel(), cs_p.io.phi.ravel()):

@@ -90,7 +90,7 @@ def test_one_multi_omega_context_equals_per_omega_contexts(case):
         check(lambda c: getattr(c, name), axis=1)
     check(grazing, exact=True)
     for q in ("s", "p"):
-        for name in ("r_left", "r_right", "t_to0", "t_toN", "t_from0", "t_fromN", "d_fp"):
+        for name in ("r_left", "r_right", "t_to0", "t_toN", "d_fp"):
             check(lambda c: getattr(scatter_set(c, q), name), axis=1)
         check(lambda c: io_matrix(scatter_set(c, q)).s_matrix)
         check(lambda c: io_matrix(scatter_set(c, q)).phi, axis=1)

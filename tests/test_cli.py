@@ -941,8 +941,7 @@ def test_thermal_paths_make_one_scatter_set_per_chunk_and_pol(stack_file, capsys
 
     for module in (qplanar.cli, qplanar.commutators, qplanar.thermal):
         monkeypatch.setattr(module, "scatter_set", counting)
-    for module, name in [(qplanar.cli, "commutator_set"), (qplanar.commutators, "commutator_set"),
-                         (qplanar.commutators, "c_out")]:
+    for module, name in [(qplanar.cli, "commutator_set"), (qplanar.commutators, "commutator_set")]:
         monkeypatch.setattr(module, name, lambda *args, name=name: calls.append(name))
     rc = main([argv[0], "--stack", stack_file(SLAB), *argv[1:],
                "--omega", "1e15:3e15:3", "--k", "0:0.9w:7"])

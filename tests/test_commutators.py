@@ -10,7 +10,6 @@ from qplanar.commutators import (
     bosonic,
     bosonize,
     c_in,
-    c_out,
     commutator_set,
     grazing,
     intraplate_tau,
@@ -18,7 +17,6 @@ from qplanar.commutators import (
     unitarity_residual,
 )
 from qplanar.errors import RegimeError
-from qplanar.iorel import io_matrix
 from qplanar.modes import make_context
 from qplanar.scatter import scatter_set
 from qplanar.stack import ConstantEps, Layer, Stack, VACUUM
@@ -153,7 +151,7 @@ def test_near_zero_and_negative_eps_claddings_match_the_assembly():
 
 @pytest.mark.parametrize("q", ["s", "p"])
 def test_c_in_and_c_out_are_the_commutator_set_fields(q):
-    """The public c_in(ctx, q) and c_out(ctx, io) return the commutator set's arrays bit for bit,
+    """The public c_in(ctx, q) returns the commutator set's c_in bit for bit, and both fields put
     side 0 at index 0 and side n at index 1, with the rows of S."""
     rng = np.random.default_rng(707)
     for _ in range(20):
@@ -163,7 +161,6 @@ def test_c_in_and_c_out_are_the_commutator_set_fields(q):
         ctx = ctx.select(~grazing(ctx))
         cs = commutator_set(ctx, q=q)
         np.testing.assert_array_equal(c_in(ctx, q), cs.c_in)
-        np.testing.assert_array_equal(c_out(ctx, cs.io), cs.c_out)
         for side in (0, ctx.n):
             row = ctx.side_row(side)
             b, ab2 = ctx.beta[side], abs(ctx.beta[side]) ** 2
@@ -178,7 +175,7 @@ def test_cross_vanishes_propagating_vacuum():
     for k_frac in (0.0, 0.3, 0.9):
         ctx = make_context(st, omega, k_frac * omega / C)
         for q in ("s", "p"):
-            val = c_out(ctx, io_matrix(scatter_set(ctx, q=q)))[0, 1]
+            val = commutator_set(ctx, q=q).c_out[0, 1]
             assert abs(val) * abs(ctx.beta[0]) < 1e-12
 
 
@@ -366,9 +363,7 @@ def test_grazing_mode_rejected():
     # The closed forms divide 0/0 there: each raises first, naming the mode.
     st = Stack(VACUUM, (Layer(200e-9, ConstantEps(2 + 0.5j)),), VACUUM)
     ctx = make_context(st, omega, np.array([0.5, 1.0]) * omega / C)
-    io = io_matrix(scatter_set(ctx, "p"))
-    for closed in (lambda: c_in(ctx, "p"), lambda: c_out(ctx, io),
-                   lambda: commutator_set(ctx, "p")):
+    for closed in (lambda: c_in(ctx, "p"), lambda: commutator_set(ctx, "p")):
         with pytest.raises(RegimeError, match=re.escape(f"at {ctx.mode(1)} (grazing mode")):
             closed()
 

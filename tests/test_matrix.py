@@ -3,7 +3,8 @@
 The stacks are thick metal and dielectric slabs between vacuum or absorbing
 claddings, a nearly lossless thin layer, a lossy layer on an epsilon-near-zero
 cladding, the 150 nm waveguide at three losses (ROADMAP items 15 and 20), a
-1 nm weakly lossy layer probed at its own light line (item 10) and vacuum
+1 nm weakly lossy layer probed at its own light line (item 10), a surface-plasmon
+pole behind two lossless layers, probed through the pole (item 10), and vacuum
 against vacuum with no layer.  Each cell runs `qplanar.cli.main` with
 warnings raised as errors and checks the exit code the README documents:
 
@@ -13,10 +14,10 @@ warnings raised as errors and checks the exit code the README documents:
 * every other cell exits 0, and a suite prints `status=PASS`.
 
 The grid commands run once more with k exactly on the light line of every
-lossless region.  An outer region there is a grazing mode, which the
-verification suites and `thermal` skip.  A lossless layer is an exact
-multiple-reflection pole, and so is an interface between two equal lossless
-media: `coeffs` and `sample` exit 1 naming the mode, with nothing on stdout.
+lossless region.  Each of these is a grazing mode, which the verification
+suites, `thermal` and `sample` skip.  For `coeffs`, a lossless layer's light
+line is an exact multiple-reflection pole, and so is an interface between two
+equal lossless media: it exits 1 naming the mode, with nothing on stdout.
 
 The cells that fail today for a known reason are `xfail(strict=True)` and
 name the ROADMAP item that owns them, so a fix shows as an XPASS.
@@ -58,24 +59,42 @@ STACKS = {
     "waveguide-150nm-1e-3": _slab(150e-9, _const(2.25, 1e-3), VACUUM, VACUUM),
     "thin-1nm-light-line": _slab(1e-9, _const(2.0, 1e-10), VACUUM, VACUUM),
     "no-layers-vacuum": {"medium0": VACUUM, "layers": [], "mediumN": VACUUM},
+    "plasmon-behind-lossless-layers": {
+        "medium0": VACUUM,
+        "layers": [{"thickness_m": 289.5e-9, "material": _const(1.172, 0.787)},
+                   {"thickness_m": 394.1e-9, "material": _const(3.335, 0.0)},
+                   {"thickness_m": 323.2e-9, "material": _const(5.810, 0.0)}],
+        "mediumN": _const(-8.390, 4.27e-5)},
 }
 
 OMEGA = 2e15
-GRID = ["--omega", str(OMEGA), "--k", "{k}", "--pol", "s,p"]
 K_GRID = "0.1w:1.9w:7"
-K_GRIDS = {"thin-1nm-light-line": "0.5w,1.4142w,1.41421356w"}   # its light line is at sqrt(2) w
+DENSE_K_GRID = "1.01w:1.99w:50"   # item 10's dense grid through the guided-mode poles
+# Where a stack's omega, k grid or dense k grid differs from the defaults.
+GRIDS = {
+    "thin-1nm-light-line": {"k": "0.5w,1.4142w,1.41421356w"},   # its light line is at sqrt(2) w
+    # the plasmon pole at k = 4.3858 omega/c
+    "plasmon-behind-lossless-layers": {"omega": 1.4478e15, "k": "4.30w:4.45w:31",
+                                       "dense": "4.30w:4.45w:31"},
+}
+GRID = ["--omega", "{omega}", "--k", "{k}", "--pol", "s,p"]
 COMMANDS = {
     "coeffs": ["coeffs", *GRID],
     "thermal": ["thermal", *GRID, "--temp", "1000"],
-    # item 10's dense grid through the guided-mode poles
-    "commutators": ["verify", "--suite", "commutators", "--omega", "2e15", "--k", "1.01w:1.99w:50",
+    "commutators": ["verify", "--suite", "commutators", "--omega", "{omega}", "--k", "{dense}",
                     "--pol", "s,p"],
     "unitarity": ["verify", "--suite", "unitarity", *GRID],
     "kirchhoff": ["verify", "--suite", "kirchhoff", *GRID, "--temp", "1000"],
-    "green-check": ["green-check", "--omega", "2e15", "--k", "0,0.5w,1.2w"],
+    "green-check": ["green-check", "--omega", "{omega}", "--k", "0,0.5w,1.2w"],
     "sample": ["sample", *GRID, "--realizations", "2000", "--temp", "1000"],
-    "kernels": ["kernels", "--omega", "2e15", "--kind", "R0n", "--kw", "1.5w", "--rho-points", "11"],
+    "kernels": ["kernels", "--omega", "{omega}", "--kind", "R0n", "--kw", "1.5w", "--rho-points", "11"],
 }
+
+
+def _grid(stack: str) -> dict:
+    """Values of the {omega}, {k} and {dense} fields of a stack's command lines."""
+    return {"omega": OMEGA, "k": K_GRID, "dense": DENSE_K_GRID, **GRIDS.get(stack, {})}
+
 
 KNOWN_FAILURES = {
     ("dielectric-100um-absorbing", "kernels"):
@@ -108,22 +127,28 @@ def _cells():
             yield pytest.param(stack, command, marks=marks, id=f"{stack}-{command}")
 
 
-def _run(tmp_path, doc: dict, argv: list[str], k: str, expected: int) -> str:
+def _sampler_warnings(doc: dict) -> set[str]:
+    """The sampler's documented warnings: one per lossless layer, and no noise at all if every
+    layer is lossless."""
+    lossless = [j for j, layer in enumerate(doc["layers"], 1) if layer["material"]["eps_im"] == 0.0]
+    warns = {f"layer {j} is lossless; it contributes no thermal noise" for j in lossless}
+    if lossless and len(lossless) == len(doc["layers"]):
+        warns.add("no noise couples to the output; estimate is identically zero")
+    return warns
+
+
+def _run(tmp_path, doc: dict, argv: list[str], grid: dict, expected: int) -> str:
     """Run one cell, check its exit code, stdout and warnings, and return its stderr."""
     path = tmp_path / "stack.json"
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
-    # The sampler's documented warnings: a lossless layer, and so no noise at all here.
-    sampler_warns = argv[0] == "sample" and len(doc["layers"]) > 0 and all(
-        layer["material"]["eps_im"] == 0.0 for layer in doc["layers"])
+    sampler_warns = _sampler_warnings(doc) if argv[0] == "sample" else set()
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):
         warnings.simplefilter("always" if sampler_warns else "error")
-        rc = main([argv[0], "--stack", str(path), *(a.format(k=k) for a in argv[1:])])
+        rc = main([argv[0], "--stack", str(path), *(a.format(**grid) for a in argv[1:])])
     if sampler_warns and rc == 0:
-        assert {str(w.message) for w in caught} == {
-            "layer 1 is lossless; it contributes no thermal noise",
-            "no noise couples to the output; estimate is identically zero"}
+        assert {str(w.message) for w in caught} == sampler_warns
     assert rc == expected, (out.getvalue(), err.getvalue())
     if rc != 0:
         assert out.getvalue() == ""
@@ -138,35 +163,36 @@ def _run(tmp_path, doc: dict, argv: list[str], k: str, expected: int) -> str:
 @pytest.mark.parametrize("stack,command", _cells())
 def test_every_command_on_every_hard_stack(tmp_path, stack, command):
     doc = STACKS[stack]
-    _run(tmp_path, doc, COMMANDS[command], K_GRIDS.get(stack, K_GRID), _expected_exit(doc, command))
+    _run(tmp_path, doc, COMMANDS[command], _grid(stack), _expected_exit(doc, command))
 
 
-def _light_lines(doc: dict) -> list[float]:
-    """k of every distinct light line of a lossless region (beta = 0 there), at OMEGA."""
-    ctx = make_context(load_stack(json.dumps(doc)), OMEGA, 0.0)
+def _light_lines(stack: str) -> list[float]:
+    """k of every distinct light line of a lossless region (beta = 0 there), at the stack's omega."""
+    ctx = make_context(load_stack(json.dumps(STACKS[stack])), _grid(stack)["omega"], 0.0)
     return sorted({float(kj.real) for kj, eps in zip(ctx.kj, ctx.eps) if eps.imag == 0.0})
 
 
 SUITES = ("commutators", "unitarity", "kirchhoff")
 LIGHT_LINE_CELLS = [pytest.param(stack, command, id=f"{stack}-{command}")
-                    for stack, doc in STACKS.items() if _light_lines(doc)
+                    for stack in STACKS if _light_lines(stack)
                     for command in ("coeffs", "thermal", *SUITES, "sample")]
 
 
 @pytest.mark.parametrize("stack,command", LIGHT_LINE_CELLS)
 def test_grid_commands_with_k_on_every_light_line(tmp_path, stack, command):
     doc = STACKS[stack]
-    k = ",".join(["0.5w", *map(repr, _light_lines(doc))])
+    k = ",".join(["0.5w", *map(repr, _light_lines(stack))])
     argv = ["verify", "--suite", command, *GRID] if command in SUITES else COMMANDS[command]
     lossless = [layer["material"]["eps_im"] == 0.0 for layer in doc["layers"]]
     pole = None
-    if command in ("coeffs", "sample") and any(lossless):
+    if command == "coeffs" and any(lossless):
         pole = "(branch point of a lossless layer): multiple-reflection pole"
     elif command == "coeffs" and not lossless and doc["medium0"] == doc["mediumN"]:
         pole = "beta_0 + beta_1 = 0 at omega = 2.000000e+15 rad/s, k = "
     expected = 1 if pole else _expected_exit(doc, command)
-    err = _run(tmp_path, doc, argv, k, expected)
+    err = _run(tmp_path, doc, argv, {**_grid(stack), "k": k}, expected)
     if pole:
         assert pole in err, err
-    elif command == "thermal":   # every light line is a grazing mode, skipped per polarization
-        assert err == f"skipped={2 * len(_light_lines(doc))}\n"
+    elif command in ("thermal", "sample") and expected == 0:
+        # every light line is a grazing mode, skipped per polarization
+        assert err == f"skipped={2 * len(_light_lines(stack))}\n"

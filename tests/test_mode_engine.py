@@ -60,7 +60,7 @@ def _per_k(values) -> np.ndarray:
     return np.moveaxis(arr, 0, 1) if arr.ndim > 1 else arr
 
 
-SCATTER = ("r_left", "r_right", "t_to0", "t_toN", "t_from0", "t_fromN", "d_fp")
+SCATTER = ("r_left", "r_right", "t_to0", "t_toN", "d_fp")
 # oracle record -> (CommutatorSet field, side index)
 COMMUTATORS = {"c_in0": ("c_in", (0,)), "c_inN": ("c_in", (1,)), "c_out0": ("c_out", (0, 0)),
                "c_outN": ("c_out", (1, 1)), "cross": ("c_out", (0, 1))}

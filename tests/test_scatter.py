@@ -210,7 +210,7 @@ _EPS = {
     "enz": hst.builds(complex, hst.floats(-0.01, 0.01), hst.floats(0.0, 1e-5)),
 }
 _MEDIUM = hst.builds(ConstantEps, hst.one_of(*_EPS.values()))
-_FIELDS = ("r_left", "r_right", "t_to0", "t_toN", "t_from0", "t_fromN", "phase", "d_fp", "d_floor")
+_FIELDS = ("r_left", "r_right", "t_to0", "t_toN", "phase", "d_fp", "d_floor")
 
 
 @hst.composite
@@ -251,7 +251,7 @@ def test_scatter_set_equals_the_stacked_recursion_bit_for_bit(case):
             scatter_set(ctx, q)
         return
     got = scatter_set(ctx, q)
-    assert got.q == ref.q and got.beta is ref.beta
+    assert got.q == ref.q and got.n == ref.n
     for name in _FIELDS:
         a, b = getattr(got, name), getattr(ref, name)
         assert a.shape == b.shape and a.dtype == b.dtype, name
@@ -261,7 +261,8 @@ def test_scatter_set_equals_the_stacked_recursion_bit_for_bit(case):
 @pytest.mark.parametrize("n_layers,modes", [(20, 156), (3, 655)])
 def test_scatter_set_allocates_a_few_times_what_it_returns(n_layers, modes):
     # Chunks the size of the benchmark's 20-layer sweep and certify ones.  Fresh step states,
-    # stacked with their factors and offsets, peaked at 4.2-4.7x; one in-place state at 2.1-2.9x.
+    # stacked with their factors and offsets, peaked at 4.2-4.7x; one in-place two-row state, with
+    # the TM interface temporaries freed early, at 2.6-3.0x.
     rng = np.random.default_rng(5)
     layers = tuple(Layer(float(rng.uniform(50e-9, 400e-9)),
                          ConstantEps(complex(rng.uniform(1.0, 6.0), rng.uniform(0.0, 1.0))))
