@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -36,8 +37,8 @@ _COMP_NAMES = [a + b for a in "xyz" for b in "xyz"]
 
 
 _FLOAT = "%.12e"   # every float cell; `_FLOAT % x` is byte-identical to f"{x:.12e}"
-_SLOT = 21         # bytes per cell slot; the widest cell, "-d.dddddddddddde-ddd", has 20
-_PAD = b"\xff"     # fills the unused bytes of a slot; UTF-8 text never holds this byte
+_CELL = 20         # bytes per cell, as many as the widest, "-d.dddddddddddde-ddd", has
+_PAD = b"\xff"     # stands in for an absent sign or third exponent digit; UTF-8 never holds it
 
 # Cells per engine call: 10 per mode, region and polarization (a `coeffs` row has 10 per
 # layer) and 9 per mode and 3x3 block of the Green identity's closed form.
@@ -140,44 +141,58 @@ def _sweep(args, modes=_modes):
 def _cell_tables() -> tuple[np.ndarray, ...]:
     """Tables of `_rows`, built on first use.
 
-    10**k for k in [-300, 305], each correctly rounded by `float`, and the
-    correctly rounded error 10**k minus that float; the words "0000".."9999";
-    the prefix words "d." and "-d." at lead digit + 10 * sign; and per
-    exponent in [-300, 305] the word "e+dd" or "e-dd" and its third digit.
+    Per exponent e in [-296, 309], at index e modulo 606: 10**(12 - e), correctly rounded
+    by `float`, the correctly rounded error 10**(12 - e) minus that float, and the last word
+    of a cell, "+dd", "-dd", "+ddd" or "-ddd" padded to 4 bytes.  Then the other words: "d.d"
+    or "-d.d" padded to 4 bytes at the two leading digits + 100 * sign, "0000".."9999", and
+    "000e".."999e".
     """
-    exps = [b"e%+03d" % e for e in range(-300, 306)]
-    pow10 = [float(f"1e{k}") for k in range(-300, 306)]
-    return (np.array(pow10),
-            np.array([(10 ** max(k, 0) * d - n * 10 ** max(-k, 0)) / (d * 10 ** max(-k, 0))
-                      for k, (n, d) in zip(range(-300, 306), map(float.as_integer_ratio, pow10))]),
-            np.frombuffer("".join(f"{i:04d}" for i in range(10000)).encode(), "<u4"),
-            np.frombuffer(b"".join(b"%d.\xff\xff" % d for d in range(10))
-                          + b"".join(b"-%d.\xff" % d for d in range(10)), "<u4"),
-            np.frombuffer(b"".join(x[:4] for x in exps), "<u4"),
-            np.frombuffer(b"".join(x[4:] or _PAD for x in exps), np.uint8))
+    exps = [*range(310), *range(-296, 0)]
+    pow10 = [float(f"1e{12 - e}") for e in exps]
+    error = [(10 ** max(k, 0) * d - n * 10 ** max(-k, 0)) / (d * 10 ** max(-k, 0))
+             for k, (n, d) in zip([12 - e for e in exps], map(float.as_integer_ratio, pow10))]
+    words = (b"".join([(b"%+03d" % e).ljust(4, _PAD) for e in exps]),
+             b"".join([b"%c%d.%d" % (s, i // 10, i % 10) for s in b"\xff-" for i in range(100)]),
+             "".join([f"{i:04d}" for i in range(10000)]).encode(),   # str: half the peak of bytes
+             "".join([f"{i:03d}e" for i in range(1000)]).encode())
+    return np.array(pow10), np.array(error), *(np.frombuffer(w, "<u4") for w in words)
 
 
-def _row_layout(template: str) -> tuple[int, bytes, int, int]:
-    """Cells, literal bytes, first slot column and slot stride of a row template.
+@functools.lru_cache(maxsize=64)   # a table command writes every chunk with one template
+def _row_layout(template: str) -> tuple[int, bytes, tuple, int, int, tuple]:
+    """Cells, bytes, cell offsets, repeat, period and cell groups of a row template.
 
-    A row is the leading literal, then per cell a slot of `_SLOT` bytes and
-    the literal after the cell, padded to the longest such literal so that
-    the slots sit at one stride, then a newline.
+    A row is the template with a slot of `_CELL` bytes in place of each cell, then a
+    newline; `offsets` are the slots' first bytes, each at its literal's exact end.  The
+    literals between cells repeat every `c` cells (c divides the cell count; c is the
+    count if nothing repeats), so the cells do too, `period` bytes apart.  Within a
+    repeat, the group (j, g, stride) is the cells j .. j + g - 1, `stride` bytes apart,
+    so one group of every row and repeat is one strided view of the text.
     """
     if "%" in template.replace(_FLOAT, ""):
         raise ValueError(f"a row template is literal text and {_FLOAT} cells: {template!r}")
     pieces = template.encode(errors="surrogatepass").split(_FLOAT.encode())
-    width = max(map(len, pieces[1:]), default=0)
-    row = pieces[0] + b"".join([_PAD * _SLOT + p.ljust(width, _PAD) for p in pieces[1:]]) + b"\n"
-    return len(pieces) - 1, row, len(pieces[0]), _SLOT + width
+    n, gaps = len(pieces) - 1, [len(p) for p in pieces[1:-1]]
+    offsets = (*itertools.accumulate([_CELL + g for g in gaps], initial=len(pieces[0])),)[:n]
+    c = next((c for c in range(1, n) if not n % c and gaps[c:] == gaps[:n - 1 - c]), n)
+    groups, j = [], 0
+    while j < c:
+        g, stride = 1, offsets[min(j + 1, c - 1)] - offsets[j]
+        while j + g < c and offsets[j + g] - offsets[j + g - 1] == stride:
+            g += 1
+        groups.append((j, g, stride))
+        j += g
+    period = offsets[c] - offsets[0] if c < n else 0
+    return n, (_PAD * _CELL).join(pieces) + b"\n", offsets, c, period, tuple(groups)
 
 
 def _rows(template: str, values: np.ndarray) -> str:
     """`template % tuple(row)` plus a newline per row of `values`, as one text, byte for byte.
 
-    `template` is literal text (no `%`) around `_FLOAT` cells, one CSV row
-    per line, so one call writes the rows of several groups interleaved;
-    lone surrogates in it pass through unchanged, as they do through `%`.
+    `template` is literal text (no `%`) around `_FLOAT` cells: one CSV row
+    per line, or one JSON object per output row, so one call writes the rows
+    of several groups interleaved; lone surrogates in it pass through
+    unchanged, as they do through `%`.
     A cell x with 1e-290 <= |x| <= 1e300 takes e = floor(log10 |x|), fixed by
     one where needed, p = 10**(12 - e) correctly rounded, y = |x| * p in
     [1e12, 1e13) and d = rint(y).  The exact remainder |x| * 10**(12 - e) - d
@@ -185,76 +200,119 @@ def _rows(template: str, values: np.ndarray) -> str:
     |y - d| >= 0.495.  There the remainder is summed as (y - d) + (|x| * p - y)
     + |x| * (10**(12 - e) - p): Dekker's error-free product on a bit-mask split
     (no overflow) and the error table, within 1e-10, and d moves by one past
-    +-0.5.  The digits are word gathers from `_cell_tables`, as are +0.0 and
-    -0.0.  All other cells (within 1e-9 of a tie, NaN, inf, extreme
-    magnitudes) go through `%`.
+    +-0.5.  The 13 digits of d are split in integers.  A cell is five `<u4`
+    words, gathers from `_cell_tables`: "-d.d" (or a pad for the sign), two
+    of four digits, "ddde" and "+dd" (or a pad after a two-digit exponent);
+    +0.0 and -0.0 are written the same way.  Each group of `_row_layout`
+    takes one word in one strided copy, and the pads are deleted at the end.
+    All other cells (within 1e-9 of a tie, NaN, inf, extreme magnitudes) go
+    through `%`, padded to `_CELL` bytes.  Every float temporary is freed
+    before the text is allocated.
     """
-    n, row, start, stride = _row_layout(template)
+    n, row, offsets, c, period, groups = _row_layout(template)
     x = np.asarray(values, dtype=float).reshape(len(values), n)
-    pow10, pow10_error, digits, prefix, exp_word, exp_last = _cell_tables()
+    m = len(x)
+    x = x.reshape(-1)
+    pow10, pow10_error, exp_word, lead, digits, digits_e = _cell_tables()
     a = np.abs(x)
-    fast = (a >= 1e-290) & (a <= 1e300)
-    a[~fast] = 1.0
-    e = np.floor(np.log10(a)).astype(np.intp)
-    y = a * (p := pow10[312 - e])
-    if not ((y >= 1e12) & (y < 1e13)).all():   # log10 left e one off somewhere
+    fast = np.greater_equal(a, 1e-290)
+    mask = np.less_equal(a, 1e300)
+    np.logical_and(fast, mask, out=fast)
+    slow = zero = np.empty(0, np.intp)
+    if not fast.all():
+        special = np.flatnonzero(np.logical_not(fast, out=fast))
+        a[special] = 1.0   # e = 0 and the digits of 1e12 until `%` overwrites them
+        is_zero = x[special] == 0.0
+        zero, slow = special[is_zero], special[~is_zero]
+    t = np.log10(a)
+    e = np.floor(t, out=t).astype(np.intp)
+    y = np.multiply(a, np.take(pow10, e, out=t, mode="wrap"), out=t)
+    if not (y.min(initial=1e12) >= 1e12 and y.max(initial=1e12) < 1e13):   # log10 left e one off
         e += y >= 1e13
         e -= y < 1e12
-        y = a * (p := pow10[312 - e])
-        fast &= (y >= 1e12) & (y < 1e13)
+        np.multiply(a, np.take(pow10, e, out=y, mode="wrap"), out=y)
+        off = np.flatnonzero((y < 1e12) | (y >= 1e13))   # a hair below a power of ten
+        y[off], slow = 1e12, np.concatenate([slow, off])
     d = np.rint(y)
-    near = np.flatnonzero(fast & (np.abs(y - d) >= 0.495))
+    r = np.abs(np.subtract(y, d, out=y), out=y)
+    near = np.flatnonzero(np.greater_equal(r, 0.495, out=mask))
+    del t, y, r, fast, mask
     if near.size:
-        v = np.stack([a.flat[near], p.flat[near]])
+        v = np.stack([a[near], np.take(pow10, e[near], mode="wrap")])
         top = (v.view(np.uint64) & np.uint64(0xFFFF_FFFF_F800_0000)).view(float)   # 26 bits
-        (ah, ph), (al, pl), yn, dn = top, v - top, y.flat[near], d.flat[near]
+        (ah, ph), (al, pl), dn = top, v - top, d[near]
+        yn = v[0] * v[1]
         r = (yn - dn) + (((ah * ph - yn) + ah * pl + al * ph) + al * pl) \
-            + v[0] * pow10_error[312 - e.flat[near]]
-        d.flat[near] = dn + (r > 0.5) - (r < -0.5)
-        fast.flat[near] = np.abs(np.abs(r) - 0.5) >= 1e-9
-    fast |= x == 0.0
-    slow = ~fast
-    d[slow], d[x == 0.0] = 1e12, 0.0   # any valid digits, as `%` overwrites these cells; +/-0.0 (e = 0)
-    carry = d == 1e13        # 9.9999999999996e(e) rounds to 1.000000000000e(e+1)
-    d[carry] = 1e12
-    e += carry
-    hi = np.floor(d / 1e8)   # exact: integer quotients below 2**44
-    lo = d - hi * 1e8
-    lead = np.floor(hi / 1e4)
-    mid = np.floor(lo / 1e4)
+            + v[0] * np.take(pow10_error, e[near], mode="wrap")
+        d[near] = dn + (r > 0.5) - (r < -0.5)
+        slow = np.concatenate([slow, near[np.abs(np.abs(r) - 0.5) < 1e-9]])
+    del a
+    d[zero] = 0.0   # +/-0.0, with e = 0
+    if d.max(initial=0.0) == 1e13:   # 9.9999999999996e(e) rounds to 1.000000000000e(e+1)
+        carry = np.flatnonzero(d == 1e13)
+        d[carry] = 1e12
+        e[carry] += 1
 
-    text = bytearray(len(x) * len(row))
-    buf = np.frombuffer(text, np.uint8).reshape(len(x), len(row))
+    words = np.empty((5, x.size), np.uint32)
+    np.take(exp_word, e, out=words[4], mode="wrap")
+    q = d.astype(np.int64)
+    del d, e
+    head, t = np.empty_like(q), np.empty_like(q)
+    for k, base, table in ((3, 1000, digits_e), (2, 10000, digits), (1, 10000, digits)):
+        np.floor_divide(q, base, out=head)
+        np.subtract(q, np.multiply(head, base, out=t), out=t)
+        np.take(table, t, out=words[k], mode="wrap")
+        q, head = head, q
+    np.add(q, np.multiply(np.signbit(x), 100, out=t), out=t)   # the two leading digits
+    np.take(lead, t, out=words[0], mode="wrap")
+    del q, t, head
+
+    text = bytearray(m * len(row))
+    buf = np.frombuffer(text, np.uint8).reshape(m, len(row))
     buf[:] = np.frombuffer(row, np.uint8)
-    slots = buf[:, start:start + n * stride].reshape(len(x), n, stride)
-    words = slots[..., :_SLOT - 1].view("<u4")
-    words[..., 0] = prefix[lead.astype(np.intp) + 10 * np.signbit(x)]
-    words[..., 1] = digits[(hi - lead * 1e4).astype(np.intp)]
-    words[..., 2] = digits[mid.astype(np.intp)]
-    words[..., 3] = digits[(lo - mid * 1e4).astype(np.intp)]
-    words[..., 4] = exp_word[e + 300]
-    slots[..., _SLOT - 1] = exp_last[e + 300]
-    if slow.any():
-        cells = b"".join((_FLOAT % v).encode().ljust(_SLOT, _PAD) for v in x[slow].tolist())
-        slots[slow, :_SLOT] = np.frombuffer(cells, np.uint8).reshape(-1, _SLOT)
-    return text.translate(None, _PAD).decode(errors="surrogatepass")
+    reps = n // c if c else 0
+    for j, g, stride in groups if m else ():
+        for k, w in enumerate(words):
+            view = np.ndarray((m, reps, g), "<u4", text, offsets[j] + 4 * k, (len(row), period, stride))
+            np.copyto(view, w.reshape(m, reps, c)[:, :, j:j + g])
+    del words
+    if slow.size:
+        cells = b"".join((_FLOAT % v).encode().ljust(_CELL, _PAD) for v in x[slow].tolist())
+        at = slow // n * len(row) + np.array(offsets)[slow % n]
+        buf.flat[at[:, None] + np.arange(_CELL)] = np.frombuffer(cells, np.uint8).reshape(-1, _CELL)
+    del buf
+    out = text.translate(None, _PAD)
+    del text
+    return out.decode(errors="surrogatepass")
 
 
 def _table(args, schema: str, header: list[str], template: str, cells, status) -> int:
     """Write the `template` rows of each array of `cells` (one per engine chunk) to `--out`
     or stdout, all made before the first write and never joined, and each nonzero count of
     `status` (filled as `cells` runs) as `name=N` to stderr; return 0.  A table without rows
-    is a usage error."""
+    is a usage error.
+
+    JSON holds the bytes of `json.dumps({"schema": ..., "rows": [...]}, indent=2)` and a
+    newline, each row a `header` -> cell string object.  `_rows` writes its objects from a
+    template too: one object per line of `template`, each followed by ",", the literals
+    quoted by `json.dumps` and every float cell in quotes.  The last row drops its ","."""
+    name = f"qplanar-{schema}-v{SCHEMA_VERSION}"
+    if args.format == "json":   # no cell or literal holds a comma
+        def fields(line):
+            return ",\n".join(f"      {json.dumps(key)}: "
+                               + (f'"{cell}"' if cell == _FLOAT else json.dumps(cell))
+                               for key, cell in zip(header, line.split(",")))
+        template = "\n".join("    {\n" + fields(line) + "\n    }," for line in template.split("\n"))
     blocks = [_rows(template, c) for c in cells]
     if not any(blocks):   # a chunk whose modes were all skipped gives ""
         raise UsageError(f"{schema}: no grid point satisfies its preconditions")
     sys.stderr.writelines(f"{name}={count}\n" for name, count in status.items() if count)
-    name = f"qplanar-{schema}-v{SCHEMA_VERSION}"
     if args.format == "csv":
         text = [f"# schema={name}\n{','.join(header)}\n", *blocks]
-    else:   # no cell holds a comma
-        rows = [dict(zip(header, row.split(","))) for b in blocks for row in b.split("\n")[:-1]]
-        text = [json.dumps({"schema": name, "rows": rows}, indent=2) + "\n"]
+    else:
+        last = max(i for i, b in enumerate(blocks) if b)
+        blocks[last] = blocks[last][:-2]   # the last row's ",\n"
+        text = [f'{{\n  "schema": {json.dumps(name)},\n  "rows": [\n', *blocks, "\n  ]\n}\n"]
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

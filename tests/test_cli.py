@@ -733,6 +733,45 @@ def test_out_file_holds_the_bytes_of_stdout(stack_file, tmp_path, capsys, argv, 
     assert written.out.count("e+") > 20
 
 
+@pytest.mark.parametrize("argv,chunk_cells", [
+    *((argv, None) for argv in _TABLES),
+    (["coeffs", *_TABLE_GRID], 100),
+    # one mode per chunk; every other chunk, the last one too, is the skipped k = omega/c
+    (["thermal", "--omega", "1e15,2e15", "--k", "0.5w,1w"], 40),
+], ids=lambda v: v[0] if isinstance(v, list) else str(v))
+def test_json_is_the_indented_dump_of_the_csv_rows(stack_file, capsys, monkeypatch, argv, chunk_cells):
+    import qplanar.cli
+
+    if chunk_cells:
+        monkeypatch.setattr(qplanar.cli, "_CHUNK_CELLS", chunk_cells)
+    argv = [argv[0], "--stack", stack_file(THREE_LAYERS), *argv[1:]]
+    assert main(argv) == 0
+    schema, header, *lines = capsys.readouterr().out.splitlines()
+    doc = {"schema": schema.removeprefix("# schema="),
+           "rows": [dict(zip(header.split(","), line.split(","))) for line in lines]}
+    assert main([*argv, "--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+
+
+def test_json_peaks_within_three_times_the_csv_peak(stack_file, tmp_path):
+    # A 20-layer coeffs grid of 7 chunks.  Built as one dict per row and one string per
+    # cell, JSON peaked at 9x the CSV; written by the row writer, at about 2x.
+    import tracemalloc
+
+    doc = dict(THREE_LAYERS, layers=(THREE_LAYERS["layers"] + SLAB["layers"]) * 5)
+    argv = ["coeffs", "--stack", stack_file(doc), "--omega", "1e15:3e15:10", "--k", "0.05w:2.5w:100",
+            "--out", str(tmp_path / "table")]
+    peaks = {}
+    for fmt in ("csv", "json"):
+        tracemalloc.start()
+        try:
+            assert main([*argv, "--format", fmt]) == 0
+            peaks[fmt] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks["json"] < 3 * peaks["csv"], peaks
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("argv", [[argv[0], "--omega", ",", *argv[3:]] for argv in _TABLES],
                          ids=lambda argv: argv[0])
