@@ -2,6 +2,11 @@
 
 Exit codes: 0 success, 1 verification or accuracy failure (e.g. a non-finite
 emission or sampler weight), 2 usage/config error.
+Every grid command skips, per chunk, the modes outside its preconditions, by one mask
+of the context alone, and counts them as `skipped` (one point per mode and polarization).
+The masks are the engine's: `scatter.branch_points` (`coeffs`), `commutators.grazing`
+(`thermal`, `sample`, every suite) and the complements of `thermal.vacuum_propagating`
+(unitarity, kirchhoff) and `greens.absorbing_outer` (green).
 Output tables are byte-stable for fixed inputs and seed: floats are
 formatted with a fixed %.12e and rows are emitted in deterministic order
 (omega-major, then k, then polarization).  Wherever a command takes a
@@ -19,17 +24,17 @@ import sys
 
 import numpy as np
 
-from .commutators import assembled_out, bosonic, bosonize, commutator_set, grazing, unitarity_residual
+from .commutators import assembled_out, bosonize, commutator_set, grazing, unitarity_residual
 from .constants import C_LIGHT, EV, HBAR, n0_scale
-from .errors import ConfigError, QPlanarError, RegimeError, UsageError
-from .greens import verify_green_identity
+from .errors import ConfigError, QPlanarError, UsageError
+from .greens import absorbing_outer, verify_green_identity
 from .iorel import phi_at_front
-from .modes import Regime, make_context, regime
+from .modes import make_context
 from .rhokernels import GaussianWindow, KERNEL_KINDS, kernel_radial
 from .sampler import sample_emission
-from .scatter import scatter_set
+from .scatter import branch_points, scatter_set
 from .stack import Stack, load_stack
-from .thermal import bose, emission_w, kirchhoff_residual
+from .thermal import bose, emission_w, kirchhoff_residual, vacuum_propagating
 
 SCHEMA_VERSION = 1
 
@@ -135,6 +140,13 @@ def _sweep(args, modes=_modes):
     step = max(1, _CHUNK_CELLS // max(1, cells))
     return stack, pols, (make_context(stack, omega[i:i + step], k[i:i + step])
                          for i in range(0, k.size, step))
+
+
+def _select(ctx, skip, status: dict, per: int):
+    """The modes of `ctx` outside the mask `skip`; the `per` points (one per polarization) of
+    each skipped mode are counted in status["skipped"]."""
+    status["skipped"] += int(np.count_nonzero(skip)) * per
+    return ctx.select(~skip)
 
 
 @functools.cache
@@ -335,9 +347,10 @@ def cmd_coeffs(args) -> int:
     floats = ",".join([_FLOAT] * (len(header) - 3))
     template = "\n".join(f"{_FLOAT},{_FLOAT},{q},{floats}" for q in pols)
 
-    status = {"d_floor": 0}
+    status = {"skipped": 0, "d_floor": 0}
 
     def fill(ctx):
+        ctx = _select(ctx, branch_points(ctx), status, len(pols))
         m = ctx.k.size
         cells = np.empty((m, len(pols), len(header) - 1))   # omega, k, then the floats
         cells[..., 0], cells[..., 1] = ctx.omega[:, None], ctx.k[:, None]
@@ -353,56 +366,34 @@ def cmd_coeffs(args) -> int:
     return _table(args, "coeffs", header, template, map(fill, contexts), status)
 
 
-def _vacuum_propagating(ctx) -> np.ndarray:
-    return (ctx.eps[0] == 1.0) & (ctx.eps[-1] == 1.0) & (regime(ctx, 0) == Regime.PROPAGATING)
-
-
-def _commutator_points(ctx, q: str, ok):
-    """Mask, context and commutator set of the k of `ok` off the (singular) branch points."""
-    ok = ok & ~grazing(ctx)
-    ctx = ctx.select(ok)
-    return ok, ctx, commutator_set(ctx, q)
-
-
-# Per-k residuals of the verification suites: (mask of the k inside the
-# suite's preconditions, residual of each of those k).  Points outside the
-# preconditions are skipped, not failed.
+# Residuals of the verification suites, one per mode of a context inside the suite's
+# preconditions.
 
 def _commutators_residual(ctx, q: str, args):
-    ok, ctx, cs = _commutator_points(ctx, q, True)
+    cs = commutator_set(ctx, q)
     scales = [abs(cs.c_in), abs(np.diagonal(cs.c_out, 0, -2, -1)), 1.0 / abs(ctx.beta[[0, -1]].T)]
     scale = np.max(np.concatenate(scales, -1), axis=-1)
-    return ok, np.max(np.abs(assembled_out(cs) - cs.c_out), axis=(-2, -1)) / scale
+    return np.max(np.abs(assembled_out(cs) - cs.c_out), axis=(-2, -1)) / scale
 
 
 def _unitarity_residual(ctx, q: str, args):
-    ok, sub, cs = _commutator_points(ctx, q, _vacuum_propagating(ctx))
-    if not bosonic(sub, cs).all():   # outside bosonize's floors: skipped as well
-        ok[ok] = bosonic(sub, cs)
-        ok, sub, cs = _commutator_points(ctx, q, ok)
-    return ok, unitarity_residual(bosonize(sub, cs))
+    return unitarity_residual(bosonize(ctx, commutator_set(ctx, q)))
 
 
 def _kirchhoff_residual(ctx, q: str, args):
-    ok = _vacuum_propagating(ctx) & ~grazing(ctx)
-    sub = ctx.select(ok)
-    return ok, kirchhoff_residual(sub, q, args.temp, [0, sub.n]).max(axis=0)
+    return kirchhoff_residual(ctx, q, args.temp, [0, ctx.n]).max(axis=0)
 
 
 def _green_residual(ctx, q: str, args):
-    try:
-        res = verify_green_identity(ctx).residual
-    except RegimeError as exc:
-        raise UsageError(str(exc)) from exc
-    return np.ones(ctx.k.shape, dtype=bool), res
+    return verify_green_identity(ctx).residual
 
 
-# suite -> (per-k residuals, default tolerance)
+# suite -> (residuals, default tolerance, its domain besides k off every light line, if any)
 _SUITES = {
-    "commutators": (_commutators_residual, 1e-10),
-    "unitarity": (_unitarity_residual, 1e-10),
-    "kirchhoff": (_kirchhoff_residual, 1e-8),
-    "green": (_green_residual, 1e-10),
+    "commutators": (_commutators_residual, 1e-10, None, ""),
+    "unitarity": (_unitarity_residual, 1e-10, vacuum_propagating, "vacuum outer media, k < omega/c, "),
+    "kirchhoff": (_kirchhoff_residual, 1e-8, vacuum_propagating, "vacuum outer media, k < omega/c, "),
+    "green": (_green_residual, 1e-10, absorbing_outer, "absorbing outer media, "),
 }
 
 
@@ -415,42 +406,31 @@ def cmd_verify(args) -> int:
     if args.suite == "green" and args.nodes < 2:   # `--nodes` is read by nothing else
         raise UsageError(f"need at least 2 quadrature nodes per layer, got {args.nodes}")
     _, pols, contexts = _sweep(args, distinct if args.suite == "green" else _modes)
-    residual, default_tol = _SUITES[args.suite]
+    residual, default_tol, domain, needs = _SUITES[args.suite]
     tol = args.tol if args.tol is not None else default_tol
     if not (math.isfinite(tol) and tol >= 0.0):
         raise UsageError(f"--tol must be finite and >= 0, got {tol}")
-    points, residuals, n_skip = [], [], 0
+    points, residuals, counts = [], [], {"skipped": 0}
     for ctx in contexts:
-        done = np.zeros((ctx.k.size, len(pols)), dtype=bool)
-        res = np.zeros(done.shape)
-        for iq, q in enumerate(pols):
-            ok, r = residual(ctx, q, args)
-            done[:, iq] = ok
-            res[ok, iq] = r
-        n_skip += int(np.count_nonzero(~done))
-        i, iq = np.nonzero(done)
-        points += zip(ctx.omega[i], ctx.k[i], iq)
-        residuals += res[done].tolist()
+        skip = grazing(ctx) if domain is None else grazing(ctx) | ~domain(ctx)
+        sub = _select(ctx, skip, counts, len(pols))
+        res = np.stack([residual(sub, q, args) for q in pols], -1)   # mode-major, as the grid
+        i, iq = np.indices(res.shape).reshape(2, -1)
+        points += zip(sub.omega[i], sub.k[i], iq)
+        residuals += res.ravel().tolist()
     if not points:
-        raise UsageError(f"suite {args.suite}: no grid point satisfies its preconditions")
+        raise UsageError(f"suite {args.suite}: no grid point satisfies its preconditions "
+                         f"({needs}k off every light line)")
     # argmax picks the first NaN if there is one: a non-finite residual fails the run.
     i = int(np.argmax(residuals))
     worst = residuals[i]
     status = "PASS" if np.isfinite(worst) and worst <= tol else "FAIL"
-    print(f"suite={args.suite} points={len(points)} skipped={n_skip} "
+    print(f"suite={args.suite} points={len(points)} skipped={counts['skipped']} "
           f"max_residual={worst:.6e} tol={tol:.1e} status={status}")
     if status == "FAIL":
         om, kk, iq = points[i]
         print(f"worst omega_rad_s={_fmt(om)} k_inv_m={_fmt(kk)} pol={pols[iq]}")
     return 0 if status == "PASS" else 1
-
-
-def _off_grazing(ctx, pols, status):
-    """The modes of `ctx` off the grazing modes, where the noise couplings are singular (an exact
-    pole at a lossless layer's branch point); the points left out are counted in `skipped`."""
-    ok = ~grazing(ctx)
-    status["skipped"] += int(np.count_nonzero(~ok)) * len(pols)
-    return ctx.select(ok)
 
 
 def cmd_thermal(args) -> int:
@@ -463,7 +443,7 @@ def cmd_thermal(args) -> int:
     status = {"skipped": 0}
 
     def fill(ctx):
-        sub = _off_grazing(ctx, pols, status)
+        sub = _select(ctx, grazing(ctx), status, len(pols))
         cells = np.empty((sub.k.size, len(pols), len(sides), 6))   # the float columns of header
         per_mode = np.stack([sub.omega, sub.k, bose(sub.omega, args.temp), n0_scale(sub.omega)], -1)
         cells[..., [0, 1, 3, 5]], cells[..., 2] = per_mode[:, None, None], args.temp
@@ -483,7 +463,7 @@ def cmd_sample(args) -> int:
     status = {"skipped": 0}
 
     def fill(ctx):
-        sub = _off_grazing(ctx, pols, status)
+        sub = _select(ctx, grazing(ctx), status, len(pols))
         cells = np.empty((sub.k.size, len(pols), 5))   # omega, k, temp, w, stderr
         cells[..., 0], cells[..., 1], cells[..., 2] = sub.omega[:, None], sub.k[:, None], args.temp
         est = sample_emission(sub, pols, args.temp, args.side, realizations=args.realizations,

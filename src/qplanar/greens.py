@@ -160,6 +160,12 @@ class GreenIdentityResult:
     residual: np.ndarray   # k.shape: max |lhs - rhs| over the larger of max |lhs|, max |rhs|
 
 
+def absorbing_outer(ctx: ModeContext) -> np.ndarray:
+    """Modes in the domain of :func:`verify_green_identity`, per k: Im eps > 0 in both outer
+    regions."""
+    return (ctx.eps[0].imag > 0.0) & (ctx.eps[-1].imag > 0.0)
+
+
 def verify_green_identity(ctx: ModeContext, j: int = 0, jp: int = 0,
                           z: float = 0.0, zp: float = 0.0) -> GreenIdentityResult:
     """Verify the absorption integral identity for the kernel, at every mode of ctx.
@@ -172,17 +178,15 @@ def verify_green_identity(ctx: ModeContext, j: int = 0, jp: int = 0,
     rhs: (g - g^+)/2i at the field points plus the two eps''/eps boundary
     terms, with the symmetric Theta convention at coincident coordinates.
 
-    Requires absorbing outer media (Im eps > 0 in regions 0 and n) at every
-    mode, so the tails converge.
+    Requires :func:`absorbing_outer` at every mode, so the tails converge.
     """
     n = ctx.n
-    for m in (0, n):
-        lossless = ctx.eps[m].imag <= 0.0
-        if lossless.any():
-            at = np.unravel_index(np.argmax(lossless), lossless.shape)
-            raise RegimeError(f"outer region {m} has Im eps = {ctx.eps[m][at].imag} at "
-                              f"{ctx.mode(at)}; the identity's semi-infinite integrals need "
-                              "Im eps > 0 in both outer media")
+    lossless = ~absorbing_outer(ctx)
+    if lossless.any():
+        at = np.unravel_index(np.argmax(lossless), lossless.shape)
+        im = ctx.eps[[0, n]][(slice(None), *at)].imag
+        raise RegimeError(f"outer regions 0, {n} have Im eps = {im} at {ctx.mode(at)}; the "
+                          "identity's semi-infinite integrals need Im eps > 0 in both outer media")
     w_c2 = (ctx.omega / C_LIGHT) ** 2
     pair = (scatter_set(ctx, "s"), scatter_set(ctx, "p"))
 

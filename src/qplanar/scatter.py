@@ -174,18 +174,25 @@ def _star_steps(ctx: ModeContext, q: str, phase: np.ndarray) -> np.ndarray:
     return state
 
 
+def branch_points(ctx: ModeContext) -> np.ndarray:
+    """Modes scatter_set refuses from beta alone, per k: beta = 0 in a layer, where r = -1 on
+    both its faces (an exact pole that rounding may miss), or in two adjacent regions, where
+    the interface's denominator is zero."""
+    zero = ctx.beta == 0.0
+    return np.any(zero[1:-1], axis=0) | np.any(zero[1:] & zero[:-1], axis=0)
+
+
 def scatter_set(ctx: ModeContext, q: str = "s") -> ScatterSet:
     """Compose all generalized r/t coefficients of one polarization for every k; an exact pole
-    (beta = 0 in a lossless layer, or a zero denominator) raises SingularInterfaceError."""
+    (a :func:`branch_points` mode or a zero denominator) raises SingularInterfaceError."""
     if q not in POLS:
         raise ConfigError(f"polarization must be one of {POLS}, got {q!r}")
     n = ctx.n
-    # beta_j = 0 in a layer puts r = -1 on both its faces: an exact pole that rounding may miss.
-    branch = ctx.beta[1:n] == 0.0
-    if branch.any():
-        j, *at = np.unravel_index(np.argmax(branch), branch.shape)
-        at = tuple(at)
-        raise SingularInterfaceError(f"beta = 0 in layer {j + 1} at k = {float(ctx.k[at])!r} 1/m, "
+    branch = branch_points(ctx)
+    if branch.any() and n > 1:   # without layers, interface_rt names the zero denominator
+        at = np.unravel_index(np.argmax(branch), branch.shape)
+        j = 1 + int(np.argmax(ctx.beta[(slice(1, n), *at)] == 0.0))
+        raise SingularInterfaceError(f"beta = 0 in layer {j} at k = {float(ctx.k[at])!r} 1/m, "
                                      f"omega = {float(ctx.omega[at])!r} rad/s (branch point of a "
                                      "lossless layer): multiple-reflection pole")
 

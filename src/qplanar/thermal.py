@@ -72,18 +72,25 @@ def emission_w(ctx: ModeContext, q: str = "s", temperature: float = 300.0, side=
     return _emission(ctx, q, temperature, rows)[0]
 
 
+def vacuum_propagating(ctx: ModeContext) -> np.ndarray:
+    """Modes in the domain of :func:`kirchhoff_residual`, per k: vacuum outer media and
+    omega/c > k, so the mode propagates in both."""
+    return (ctx.eps[0] == 1.0) & (ctx.eps[-1] == 1.0) & (regime(ctx, 0) == Regime.PROPAGATING)
+
+
 def kirchhoff_residual(ctx: ModeContext, q: str = "s", temperature: float = 300.0, side=0):
     """Relative gap between emission and the absorptivity budget n c_in (1 - |r|^2 - |t|^2), per k.
 
-    Valid for vacuum outer media in the propagating regime, where emissivity
-    equals absorptivity exactly; evanescent modes take a different balance
-    (output noise against 2 Im r / |beta|) and are rejected here.  `side`
-    is taken as in :func:`emission_w`.
+    Valid on :func:`vacuum_propagating` modes, where emissivity equals
+    absorptivity exactly; evanescent modes take a different balance (output
+    noise against 2 Im r / |beta|) and raise RegimeError here.  `side` is
+    taken as in :func:`emission_w`.
     """
-    if np.any(ctx.eps[[0, ctx.n]] != 1.0):
-        raise RegimeError("kirchhoff_residual requires vacuum outer media")
-    if np.any(regime(ctx, 0) != Regime.PROPAGATING):
-        raise RegimeError("kirchhoff_residual requires the propagating regime (omega/c > k)")
+    outside = ~vacuum_propagating(ctx)
+    if outside.any():
+        at = np.unravel_index(np.argmax(outside), outside.shape)
+        raise RegimeError("kirchhoff_residual requires vacuum outer media and the propagating "
+                          f"regime (omega/c > k), not met at {ctx.mode(at)}")
     rows = ctx.side_row(side)
     cin = np.moveaxis(c_in(ctx, q), -1, 0)[rows]   # raises at a grazing mode
     w, io = _emission(ctx, q, temperature, rows)

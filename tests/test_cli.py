@@ -957,13 +957,16 @@ def test_kernel_radial_one_engine_call_per_rule_block(monkeypatch):
     assert calls == [1] + [min(block, panels * n - s) for n in sizes for s in range(0, panels * n, block)]
 
 
-def test_coeffs_at_a_lossless_layer_branch_point_exits_1(stack_file, capsys):
+def test_coeffs_skips_a_lossless_layer_branch_point(stack_file, capsys):
+    # beta_1 = 0 at k1 is an exact multiple-reflection pole: no row, one skip per polarization
     k1 = float(make_context(load_stack(json.dumps(LOSSLESS)), 2e15, 0.0).kj[1].real)
-    rc = main(["coeffs", "--stack", stack_file(LOSSLESS), "--omega", "2e15", "--k", f"0,{k1!r}"])
-    assert rc == 1
+    path = stack_file(LOSSLESS)
+    rc = main(["coeffs", "--stack", path, "--omega", "2e15", "--k", f"0,{k1!r}"])
+    assert rc == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: beta = 0 in layer 1 at k = {k1!r} ")
+    assert captured.err == "skipped=2\n"
+    assert main(["coeffs", "--stack", path, "--omega", "2e15", "--k", "0"]) == 0
+    assert captured.out == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [["thermal"], ["verify", "--suite", "kirchhoff"]])

@@ -2,7 +2,8 @@
 
 The stacks are thick metal and dielectric slabs between vacuum or absorbing
 claddings, a nearly lossless thin layer, a lossy layer on an epsilon-near-zero
-cladding, the 150 nm waveguide at three losses (ROADMAP items 15 and 20), a
+cladding, the 150 nm waveguide at three losses (ROADMAP items 15 and 20) and,
+lossless, between absorbing claddings (item 23), a
 1 nm weakly lossy layer probed at its own light line (item 10), a surface-plasmon
 pole behind two lossless layers, probed through the pole (item 10), and vacuum
 against vacuum with no layer.  Each cell runs `qplanar.cli.main` with
@@ -15,9 +16,11 @@ warnings raised as errors and checks the exit code the README documents:
 
 The grid commands run once more with k exactly on the light line of every
 lossless region.  Each of these is a grazing mode, which the verification
-suites, `thermal` and `sample` skip.  For `coeffs`, a lossless layer's light
-line is an exact multiple-reflection pole, and so is an interface between two
-equal lossless media: it exits 1 naming the mode, with nothing on stdout.
+suites, `thermal` and `sample` skip and count.  `coeffs` skips and counts only
+the light lines where it has no row: a lossless layer's, an exact
+multiple-reflection pole, and that of an interface between two equal lossless
+media, a zero denominator.  Its other rows are the bytes of the same grid
+without the skipped k.
 
 The cells that fail today for a known reason are `xfail(strict=True)` and
 name the ROADMAP item that owns them, so a fix shows as an XPASS.
@@ -57,6 +60,7 @@ STACKS = {
     "waveguide-150nm-lossless": _slab(150e-9, _const(2.25, 0.0), VACUUM, VACUUM),
     "waveguide-150nm-1e-6": _slab(150e-9, _const(2.25, 1e-6), VACUUM, VACUUM),
     "waveguide-150nm-1e-3": _slab(150e-9, _const(2.25, 1e-3), VACUUM, VACUUM),
+    "waveguide-150nm-absorbing-clad": _slab(150e-9, _const(2.25, 0.0), CLAD, CLAD),
     "thin-1nm-light-line": _slab(1e-9, _const(2.0, 1e-10), VACUUM, VACUUM),
     "no-layers-vacuum": {"medium0": VACUUM, "layers": [], "mediumN": VACUUM},
     "plasmon-behind-lossless-layers": {
@@ -137,8 +141,8 @@ def _sampler_warnings(doc: dict) -> set[str]:
     return warns
 
 
-def _run(tmp_path, doc: dict, argv: list[str], grid: dict, expected: int) -> str:
-    """Run one cell, check its exit code, stdout and warnings, and return its stderr."""
+def _run(tmp_path, doc: dict, argv: list[str], grid: dict, expected: int) -> tuple[str, str]:
+    """Run one cell, check its exit code, stdout and warnings, and return its stdout and stderr."""
     path = tmp_path / "stack.json"
     path.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
@@ -157,7 +161,7 @@ def _run(tmp_path, doc: dict, argv: list[str], grid: dict, expected: int) -> str
         assert out.getvalue().endswith(" status=PASS\n"), out.getvalue()
     else:
         assert out.getvalue().startswith("# schema=qplanar-")
-    return err.getvalue()
+    return out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("stack,command", _cells())
@@ -172,27 +176,38 @@ def _light_lines(stack: str) -> list[float]:
     return sorted({float(kj.real) for kj, eps in zip(ctx.kj, ctx.eps) if eps.imag == 0.0})
 
 
+def _branch_lines(stack: str) -> list[float]:
+    """The light lines of `_light_lines` where `coeffs` has no row: a lossless layer's, and,
+    without layers, that of two equal lossless outer media."""
+    ctx = make_context(load_stack(json.dumps(STACKS[stack])), _grid(stack)["omega"], 0.0)
+    regions = range(1, ctx.n) if ctx.n > 1 else [0] if ctx.eps[0] == ctx.eps[1] else []
+    return sorted({float(ctx.kj[j].real) for j in regions if ctx.eps[j].imag == 0.0})
+
+
 SUITES = ("commutators", "unitarity", "kirchhoff")
+LIGHT_LINE_ARGV = {**COMMANDS, **{suite: ["verify", "--suite", suite, *GRID] for suite in SUITES},
+                   "green-check": ["green-check", *GRID]}
 LIGHT_LINE_CELLS = [pytest.param(stack, command, id=f"{stack}-{command}")
                     for stack in STACKS if _light_lines(stack)
-                    for command in ("coeffs", "thermal", *SUITES, "sample")]
+                    for command in ("coeffs", "thermal", *SUITES, "green-check", "sample")]
 
 
 @pytest.mark.parametrize("stack,command", LIGHT_LINE_CELLS)
 def test_grid_commands_with_k_on_every_light_line(tmp_path, stack, command):
     doc = STACKS[stack]
-    k = ",".join(["0.5w", *map(repr, _light_lines(stack))])
-    argv = ["verify", "--suite", command, *GRID] if command in SUITES else COMMANDS[command]
-    lossless = [layer["material"]["eps_im"] == 0.0 for layer in doc["layers"]]
-    pole = None
-    if command == "coeffs" and any(lossless):
-        pole = "(branch point of a lossless layer): multiple-reflection pole"
-    elif command == "coeffs" and not lossless and doc["medium0"] == doc["mediumN"]:
-        pole = "beta_0 + beta_1 = 0 at omega = 2.000000e+15 rad/s, k = "
-    expected = 1 if pole else _expected_exit(doc, command)
-    err = _run(tmp_path, doc, argv, {**_grid(stack), "k": k}, expected)
-    if pole:
-        assert pole in err, err
+    lines = _light_lines(stack)
+    k = ",".join(["0.5w", *map(repr, lines)])
+    argv = LIGHT_LINE_ARGV[command]
+    expected = _expected_exit(doc, command)
+    out, err = _run(tmp_path, doc, argv, {**_grid(stack), "k": k}, expected)
+    if command == "coeffs":
+        # the rows of the k that have one, byte for byte; the others counted per polarization
+        skipped = _branch_lines(stack)
+        kept = ",".join(["0.5w", *(repr(x) for x in lines if x not in skipped)])
+        assert out == _run(tmp_path, doc, argv, {**_grid(stack), "k": kept}, 0)[0]
+        assert err == (f"skipped={2 * len(skipped)}\n" if skipped else "")
     elif command in ("thermal", "sample") and expected == 0:
         # every light line is a grazing mode, skipped per polarization
-        assert err == f"skipped={2 * len(_light_lines(stack))}\n"
+        assert err == f"skipped={2 * len(lines)}\n"
+    elif command == "green-check" and expected == 0:
+        assert out.startswith(f"suite=green points=1 skipped={len(lines)} "), out

@@ -5,17 +5,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import mode_oracles as oracle
 from conftest import C
-from qplanar.commutators import commutator_set, grazing
+from qplanar.commutators import bosonic, commutator_set, grazing
 from qplanar.errors import RegimeError, SingularInterfaceError
 from qplanar.iorel import io_matrix
 from qplanar.modes import make_context, upper_sqrt
-from qplanar.scatter import scatter_set
+from qplanar.scatter import branch_points, scatter_set
 from qplanar.stack import ConstantEps, Layer, Stack
-from qplanar.thermal import bose, emission_w
+from qplanar.thermal import bose, emission_w, vacuum_propagating
 
 _LOSSLESS = st.builds(complex, st.floats(1.0, 6.0), st.just(0.0))
 _LOSSY = st.builds(complex, st.floats(1.0, 6.0), st.floats(0.01, 1.0))
@@ -173,6 +173,48 @@ def test_lossless_layer_branch_point_raises_for_the_batch():
                     scatter_set(make_context(stack, omega, ks), q)
             ss = scatter_set(make_context(stack, omega, np.nextafter(k, [-np.inf, np.inf])), q)
             assert all(np.isfinite(getattr(ss, name)).all() for name in SCATTER)
+
+
+@settings(max_examples=40, deadline=None)
+@given(engine_cases())
+@example((Stack(ConstantEps(1.0 + 0j), (), ConstantEps(1.0 + 0j)), 2e15, np.array([0.0, 2e15 / C])))
+def test_branch_points_are_the_modes_scatter_set_refuses_from_beta(case):
+    # The one mask `coeffs` skips: every other mode of the batch evaluates, each masked one
+    # alone raises (a lossless layer's light line, or equal lossless claddings without layers).
+    stack, omega, ks = case
+    ctx = make_context(stack, omega, ks)
+    refused = branch_points(ctx)
+    for q in ("s", "p"):
+        scatter_set(ctx.select(~refused), q)
+        for i in np.flatnonzero(refused):
+            with pytest.raises(SingularInterfaceError):
+                scatter_set(ctx.select(i), q)
+
+
+def test_unitarity_suite_modes_are_bosonic_with_c_out_equal_to_c_in():
+    # On the modes the unitarity suite admits (vacuum claddings, k below omega/c, no grazing
+    # mode) beta'' = 0 in both outer regions, so u = 0 and diag c_out is c_in bit for bit,
+    # and c_in = P beta' / |beta|^2 is far above bosonize's floor: no mode needs a re-filter.
+    rng = np.random.default_rng(23)
+    vacuum = ConstantEps(1.0 + 0j)
+    for _ in range(200):
+        layers = tuple(Layer(float(rng.uniform(10e-9, 500e-9)),
+                             ConstantEps(complex(rng.uniform(-10.0, 10.0),
+                                                 rng.choice([0.0, rng.uniform(0.0, 10.0)]))))
+                       for _ in range(int(rng.integers(0, 5))))
+        stack = Stack(vacuum, layers, vacuum)
+        omega = float(rng.uniform(1e15, 3e15))
+        kj = make_context(stack, omega, 0.0).kj.real
+        w_c = float(kj[0])
+        ks = np.array([0.0, 1e-300, np.nextafter(w_c, 0.0), w_c, *kj[kj < w_c],
+                       *rng.uniform(0.0, 2.0 * w_c, 8)])
+        ctx = make_context(stack, omega, ks)
+        sub = ctx.select(~(grazing(ctx) | ~vacuum_propagating(ctx)))
+        assert sub.k.size >= 3
+        for q in ("s", "p"):
+            cs = commutator_set(sub, q)
+            assert bosonic(sub, cs).all()
+            assert np.array_equal(np.diagonal(cs.c_out, 0, -2, -1), cs.c_in)
 
 
 def test_scalar_k_is_a_zero_d_array():
