@@ -359,7 +359,7 @@ def cmd_coeffs(args) -> int:
             status["d_floor"] += int(np.count_nonzero(ss.d_floor.any(axis=0)))
             layers = np.concatenate([ss.d_fp[1:-1, :, None], phi_at_front(ss).reshape(n_layers, m, 4)], -1)
             z = np.concatenate([np.stack([ss.r_0n, ss.r_n0, ss.t_0n, ss.t_n0], -1),
-                                layers.transpose(1, 0, 2).reshape(m, -1)], 1)
+                                layers.transpose(1, 0, 2).reshape(m, 5 * n_layers)], 1)
             cells[:, iq, 2:] = z.view(float)
         return cells
 
@@ -388,12 +388,15 @@ def _green_residual(ctx, q: str, args):
     return verify_green_identity(ctx).residual
 
 
-# suite -> (residuals, default tolerance, its domain besides k off every light line, if any)
+# suite -> (residuals, default tolerance, skip mask, the preconditions the mask enforces)
+_VACUUM = (lambda ctx: grazing(ctx) | ~vacuum_propagating(ctx),
+           "vacuum outer media, k < omega/c, k off every light line")
 _SUITES = {
-    "commutators": (_commutators_residual, 1e-10, None, ""),
-    "unitarity": (_unitarity_residual, 1e-10, vacuum_propagating, "vacuum outer media, k < omega/c, "),
-    "kirchhoff": (_kirchhoff_residual, 1e-8, vacuum_propagating, "vacuum outer media, k < omega/c, "),
-    "green": (_green_residual, 1e-10, absorbing_outer, "absorbing outer media, "),
+    "commutators": (_commutators_residual, 1e-10, grazing, "k off every light line"),
+    "unitarity": (_unitarity_residual, 1e-10, *_VACUUM),
+    "kirchhoff": (_kirchhoff_residual, 1e-8, *_VACUUM),
+    "green": (_green_residual, 1e-10, lambda ctx: grazing(ctx) | ~absorbing_outer(ctx),
+              "absorbing outer media, k off every light line"),
 }
 
 
@@ -406,21 +409,19 @@ def cmd_verify(args) -> int:
     if args.suite == "green" and args.nodes < 2:   # `--nodes` is read by nothing else
         raise UsageError(f"need at least 2 quadrature nodes per layer, got {args.nodes}")
     _, pols, contexts = _sweep(args, distinct if args.suite == "green" else _modes)
-    residual, default_tol, domain, needs = _SUITES[args.suite]
+    residual, default_tol, skip, needs = _SUITES[args.suite]
     tol = args.tol if args.tol is not None else default_tol
     if not (math.isfinite(tol) and tol >= 0.0):
         raise UsageError(f"--tol must be finite and >= 0, got {tol}")
     points, residuals, counts = [], [], {"skipped": 0}
     for ctx in contexts:
-        skip = grazing(ctx) if domain is None else grazing(ctx) | ~domain(ctx)
-        sub = _select(ctx, skip, counts, len(pols))
+        sub = _select(ctx, skip(ctx), counts, len(pols))
         res = np.stack([residual(sub, q, args) for q in pols], -1)   # mode-major, as the grid
         i, iq = np.indices(res.shape).reshape(2, -1)
         points += zip(sub.omega[i], sub.k[i], iq)
         residuals += res.ravel().tolist()
     if not points:
-        raise UsageError(f"suite {args.suite}: no grid point satisfies its preconditions "
-                         f"({needs}k off every light line)")
+        raise UsageError(f"suite {args.suite}: no grid point satisfies its preconditions ({needs})")
     # argmax picks the first NaN if there is one: a non-finite residual fails the run.
     i = int(np.argmax(residuals))
     worst = residuals[i]

@@ -175,11 +175,11 @@ def _star_steps(ctx: ModeContext, q: str, phase: np.ndarray) -> np.ndarray:
 
 
 def branch_points(ctx: ModeContext) -> np.ndarray:
-    """Modes scatter_set refuses from beta alone, per k: beta = 0 in a layer, where r = -1 on
-    both its faces (an exact pole that rounding may miss), or in two adjacent regions, where
-    the interface's denominator is zero."""
+    """Modes scatter_set refuses from beta alone, per k.  With layers: beta = 0 in a layer,
+    where r = -1 on both its faces (an exact pole that rounding may miss).  Without: beta = 0
+    in both outer regions, where the one interface's denominator is zero."""
     zero = ctx.beta == 0.0
-    return np.any(zero[1:-1], axis=0) | np.any(zero[1:] & zero[:-1], axis=0)
+    return zero[1:-1].any(axis=0) if ctx.n > 1 else zero.all(axis=0)
 
 
 def scatter_set(ctx: ModeContext, q: str = "s") -> ScatterSet:
@@ -188,8 +188,8 @@ def scatter_set(ctx: ModeContext, q: str = "s") -> ScatterSet:
     if q not in POLS:
         raise ConfigError(f"polarization must be one of {POLS}, got {q!r}")
     n = ctx.n
-    branch = branch_points(ctx)
-    if branch.any() and n > 1:   # without layers, interface_rt names the zero denominator
+    # Without layers, interface_rt names the zero denominator.
+    if n > 1 and (branch := branch_points(ctx)).any():
         at = np.unravel_index(np.argmax(branch), branch.shape)
         j = 1 + int(np.argmax(ctx.beta[(slice(1, n), *at)] == 0.0))
         raise SingularInterfaceError(f"beta = 0 in layer {j} at k = {float(ctx.k[at])!r} 1/m, "

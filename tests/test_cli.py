@@ -969,6 +969,33 @@ def test_coeffs_skips_a_lossless_layer_branch_point(stack_file, capsys):
     assert captured.out == capsys.readouterr().out
 
 
+@pytest.mark.parametrize("k", ["k1", "1.5w", "1.5w,k1"])
+def test_coeffs_with_only_branch_points_exits_2(stack_file, capsys, k):
+    # 1.5w is the light line of the eps = 2.25 layer, as k1 is: every chunk is empty
+    k1 = float(make_context(load_stack(json.dumps(LOSSLESS)), 2e15, 0.0).kj[1].real)
+    rc = main(["coeffs", "--stack", stack_file(LOSSLESS), "--omega", "2e15",
+               "--k", k.replace("k1", repr(k1))])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: coeffs: no grid point satisfies its preconditions\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_coeffs_last_chunk_all_branch_points(stack_file, capsys, monkeypatch, fmt):
+    # 40 cells per chunk is one mode of both polarizations: the last chunk holds only k1
+    import qplanar.cli
+
+    monkeypatch.setattr(qplanar.cli, "_CHUNK_CELLS", 40)
+    k1 = float(make_context(load_stack(json.dumps(LOSSLESS)), 2e15, 0.0).kj[1].real)
+    argv = ["coeffs", "--stack", stack_file(LOSSLESS), "--omega", "2e15", "--format", fmt]
+    assert main([*argv, "--k", f"0.5w,2w,{k1!r}"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "skipped=2\n"
+    assert main([*argv, "--k", "0.5w,2w"]) == 0
+    assert captured.out == capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [["thermal"], ["verify", "--suite", "kirchhoff"]])
 def test_thermal_paths_make_one_scatter_set_per_chunk_and_pol(stack_file, capsys, monkeypatch, argv):
     import qplanar.commutators
